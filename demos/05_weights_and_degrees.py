@@ -5,53 +5,39 @@ the instance bound, all on the weak (2,3) family.
 This is the whole argument in miniature.  The function needs degree 2 (the
 degree-1 LP is infeasible, with a certificate), its minimal degree-2 gate
 weight is computed exactly, and the coefficient inequalities that drive
-the general lower bound are certified instance by instance.
+the general lower bound are certified instance by instance.  One pipeline
+call does all of it, solving the degree-2 LP once for the sign degree, the
+LP weight and the branch-and-bound root.
 """
 
-from ptflab import (
-    certify_coefficient_lemma,
-    check_farkas,
-    make_hard,
-    make_shape,
-    min_weight,
-    sign_degree,
-    theorem_bound,
-    verify_theorem_instance,
-    witness_gate,
-)
+from ptflab import BoundReport, check_farkas, make_shape, run_shape
 
 shape = make_shape("weak", (2, 3))
-f = make_hard(shape)
+result = run_shape(shape)
 
+print("=== every finding, in order ===")
+for fd in result.findings:
+    verdict = "" if fd.verdict is None else f"  [{fd.verdict}]"
+    print(f"  {fd.metric}: {fd.value}{verdict}")
+
+print()
 print("=== sign-degree ===")
-sd = sign_degree(f, shape.d)
-print("sign degree:", sd.value)
-for d, (prob, out) in sorted(sd.outcomes.items()):
-    if out.status == "infeasible":
-        ok = check_farkas(prob.problem, out.farkas)
-        print(f"  degree {d}: infeasible; certificate re-checked: {ok}")
-    else:
-        print(f"  degree {d}: feasible")
+print("sign degree:", result.sign_degree)
+for fd in result.findings:
+    if fd.metric.startswith("signdeg_infeasible"):
+        (problem, farkas), = fd.certificate.items
+        print(f"  {fd.metric}: certificate re-checked: {check_farkas(problem, farkas)}")
 
 print()
 print("=== minimal weight at degree 2 ===")
-lp = min_weight(f, 2, mode="lp", shape=shape)
-print("LP relaxation (a valid lower bound):", lp.value)
-exact = min_weight(f, 2, mode="exact", shape=shape, incumbent=witness_gate(shape))
-print("exact integer minimum:", exact.value, f"({exact.ilp.nodes} search nodes)")
-print("explicit gate weight for comparison:", witness_gate(shape).weight)
-print("theorem bound for this instance:", theorem_bound(shape))
+print("LP relaxation (a valid lower bound):", result.lp_weight)
+print("exact integer minimum:", result.exact_weight)
+print("explicit gate weight for comparison:", result.gate_weight)
+print("theorem bound for this instance:", result.theorem_value)
 
 print()
-print("=== the coefficient inequalities behind the bound ===")
-for lemma, k in (("gt_exp", 3), ("gt_step", 3), ("g1_pos", 3), ("g0_all", 3)):
-    res = certify_coefficient_lemma(lemma, k)
-    print(f"{lemma} at k={k}: {res.status} ({len(res.checks)} inequalities)")
-
-print()
-print("=== one-call report ===")
-report = verify_theorem_instance(shape, mode="exact")
+print("=== the same result as a report ===")
+report = BoundReport.from_result(result)
 for key, verdict in sorted(report.verdicts.items()):
     print(f"  {key}: {verdict}")
-for note in report.notes:
-    print("  note:", note)
+print("all verdicts hold:", report.ok)

@@ -27,13 +27,13 @@ from .polynomial import (
     IntPolynomial,
     PolynomialError,
     UvAssignment,
-    eval_poly,
     symmetric_coefficient,
     symmetrize,
     to_uv,
     witness_gate,
 )
 from .exact_lp import (
+    BudgetError,
     IlpResult,
     LpBudgetError,
     LpError,
@@ -50,8 +50,6 @@ from .exact_lp import (
 )
 from .threshold_analysis import (
     AnalysisError,
-    BoundReport,
-    BudgetError,
     CertifyResult,
     Counterexample,
     HypothesisError,
@@ -65,6 +63,13 @@ from .threshold_analysis import (
     min_weight,
     sign_degree,
     theorem_bound,
+)
+from .pipeline import (
+    BoundReport,
+    Finding,
+    ShapeResult,
+    Verdict,
+    run_shape,
     verify_theorem_instance,
 )
 from .harness import (

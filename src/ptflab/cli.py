@@ -117,7 +117,7 @@ def _cmd_reproduce(args) -> int:
     spec = preset(args.preset)
     if args.budget_nodes:
         spec.node_budget = args.budget_nodes
-    rows, status = run(spec, args.out, workers=args.workers, seed=args.seed)
+    rows, status = run(spec, args.out)
     for row in rows:
         print(",".join(row.as_list()[:-1]))
     print(f"wrote {args.out}/{spec.name}.csv ({len(rows)} rows)")
@@ -170,8 +170,6 @@ def main(argv=None) -> int:
     p.add_argument("preset", choices=list(PRESET_NAMES))
     p.add_argument("--out", default="results")
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="scheduling shuffle only")
     p.set_defaults(handler=_cmd_reproduce)
 
     args = parser.parse_args(argv)

@@ -2,11 +2,12 @@
 
 The solver is a primal simplex over an integer tableau with a running
 common denominator (fraction-free pivoting), so every quantity it reports
-is an exact rational.  Feasibility and L1-minimization problems with many
-constraints and few variables are solved through their duals, which keeps
-the working basis small; the reported witnesses come back out of the
-simplex multipliers and every outcome is re-verified by an independent
-checker before it is returned:
+is an exact rational.  Feasibility and L1 minimization are one routine:
+the L1 problem over many constraints and few variables is solved through
+its dual, which keeps the working basis small; one solve answers
+feasibility, the L1 optimum and the branch-and-bound root.  The reported
+witnesses come back out of the simplex multipliers and every outcome is
+re-verified by an independent checker before it is returned:
 
   * feasible / optimal outcomes carry a witness checked by substitution,
   * L1 optima additionally carry dual multipliers proving the lower bound,
@@ -33,8 +34,12 @@ class LpError(Exception):
     pass
 
 
-class LpBudgetError(LpError):
-    """A resource cap was hit; the result so far is reported, never faked."""
+class BudgetError(LpError):
+    """A resource cap (pivots, branch-and-bound nodes, input size) was hit;
+    the result so far is reported, never faked."""
+
+
+LpBudgetError = BudgetError  # the LP layer's name for it
 
 
 def _frac(x) -> Fraction:
@@ -50,13 +55,10 @@ class LpProblem:
     """Constraints over named rational variables, free unless flagged.
 
     Each constraint is a (sparse coefficient dict, relation, rhs) triple.
-    ``objective`` is a sparse row to minimize, or None for feasibility /
-    L1 problems.
     """
 
     num_vars: int
     constraints: list = field(default_factory=list)
-    objective: dict | None = None
     names: list | None = None
     nonneg: list | None = None
 
@@ -72,23 +74,20 @@ class LpProblem:
                 row[j] = c
         self.constraints.append((row, rel, _frac(rhs)))
 
-    def var_name(self, j: int) -> str:
-        if self.names and j < len(self.names):
-            return self.names[j]
-        return f"c{j}"
-
     def is_nonneg(self, j: int) -> bool:
         return bool(self.nonneg and self.nonneg[j])
 
 
 @dataclass
 class LpOutcome:
-    status: str  # optimal | feasible | infeasible | unbounded
+    status: str  # optimal | feasible | infeasible
     witness: list | None = None
     value: Fraction | None = None
     farkas: list | None = None
     dual: list | None = None
     stats: dict = field(default_factory=dict)
+    # solved dual tableau of an optimal L1 outcome; branch and bound starts there
+    solver: "_DualL1 | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -99,7 +98,6 @@ class IlpResult:
     lower_bound: Fraction | None = None
     relaxation: Fraction | None = None
     nodes: int = 0
-    stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +197,8 @@ class _Tableau:
         self.rhs: list[int] = [0] * nrows
         self.cost: list[int] = []
         self.corner = 0
-        self.shadow: list[int] | None = None
-        self.shadow_corner = 0
         self.den = 1
         self.basis: list[int] = [-1] * nrows
-        self.blocked: set[int] = set()
         self.pivots = 0
         self.rule = "hybrid"
         self._stall = 0
@@ -213,62 +208,35 @@ class _Tableau:
     def m(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.cost)
-
     def clone(self) -> "_Tableau":
         t = _Tableau.__new__(_Tableau)
         t.rows = [row[:] for row in self.rows]
         t.rhs = self.rhs[:]
         t.cost = self.cost[:]
         t.corner = self.corner
-        t.shadow = self.shadow[:] if self.shadow is not None else None
-        t.shadow_corner = self.shadow_corner
         t.den = self.den
         t.basis = self.basis[:]
-        t.blocked = set(self.blocked)
         t.pivots = self.pivots
         t.rule = self.rule
         t._stall = self._stall
         t.ray_col = None
         return t
 
-    # -- queries -----------------------------------------------------------
-
-    def objective(self) -> Fraction:
-        return Fraction(-self.corner, self.den)
-
-    def solution_of(self, col: int) -> Fraction:
-        for i, b in enumerate(self.basis):
-            if b == col:
-                return Fraction(self.rhs[i], self.den)
-        return Fraction(0)
-
     def solution_map(self) -> dict:
         return {b: Fraction(self.rhs[i], self.den) for i, b in enumerate(self.basis)}
-
-    def reduced_cost(self, col: int) -> Fraction:
-        return Fraction(self.cost[col], self.den)
 
     # -- pivoting ------------------------------------------------------------
 
     def _entering(self) -> int | None:
         cost = self.cost
-        blocked = self.blocked
         if self.rule == "bland":
-            for j in range(len(cost)):
-                if cost[j] < 0 and j not in blocked:
+            for j, v in enumerate(cost):
+                if v < 0:
                     return j
             return None
-        best = None
-        bestv = 0
-        for j in range(len(cost)):
-            v = cost[j]
-            if v < bestv and j not in blocked:
-                bestv = v
-                best = j
-        return best
+        # most negative reduced cost, least index on ties
+        best = min(range(len(cost)), key=cost.__getitem__, default=None)
+        return best if best is not None and cost[best] < 0 else None
 
     def _leaving(self, c: int) -> int | None:
         best_i = None
@@ -309,18 +277,9 @@ class _Tableau:
             self.rows[i] = [(v * piv - f * pv) // den for v, pv in zip(row, prow)]
             self.rhs[i] = (self.rhs[i] * piv - f * prhs) // den
         f = self.cost[c]
-        if f == 0 and piv == den:
-            pass
-        else:
+        if f != 0 or piv != den:
             self.cost = [(v * piv - f * pv) // den for v, pv in zip(self.cost, prow)]
             self.corner = (self.corner * piv - f * prhs) // den
-        if self.shadow is not None:
-            f = self.shadow[c]
-            if not (f == 0 and piv == den):
-                self.shadow = [
-                    (v * piv - f * pv) // den for v, pv in zip(self.shadow, prow)
-                ]
-                self.shadow_corner = (self.shadow_corner * piv - f * prhs) // den
         self.den = piv
         self.basis[r] = c
         self.pivots += 1
@@ -336,7 +295,7 @@ class _Tableau:
                 self.ray_col = c
                 return "unbounded"
             if self.pivots >= max_pivots:
-                raise LpBudgetError(f"pivot budget {max_pivots} exhausted")
+                raise BudgetError(f"pivot budget {max_pivots} exhausted")
             before_num, before_den = self.corner, self.den
             self.pivot(r, c)
             if self.rule == "hybrid":
@@ -410,17 +369,22 @@ def _fold_ge_multipliers(problem: LpProblem, rmap, mults: dict) -> list:
 
 
 class _DualL1:
-    """min sum|c| subject to >=-rows, solved as its always-feasible dual.
+    """min sum|c| subject to the problem's rows, solved as its always-feasible
+    dual.
 
-    The dual has one variable per constraint row and two rows per primal
+    The dual has one variable per >=-normalized row and two rows per primal
     variable (|combined coefficient| <= 1), so the basis stays at 2N even
     when the constraint count is in the thousands.  The primal witness is
     read off the reduced costs of the dual slacks; an unbounded dual ray is
-    exactly an infeasibility certificate for the primal rows.
+    exactly an infeasibility certificate for the primal rows.  Nonnegative
+    variables enter as extra rows x_j >= 0 after the problem's own.
     """
 
-    def __init__(self, nvars: int, ge_rows: list):
-        self.nvars = nvars
+    def __init__(self, problem: LpProblem):
+        self.problem = problem
+        ge_rows, self.rmap = _ge_normal_form(problem)
+        nvars = self.nvars = problem.num_vars
+        ge_rows += [({j: Fraction(1)}, Fraction(0)) for j in range(nvars) if problem.is_nonneg(j)]
         self.scales = []
         self.int_rows = []
         for coeffs, rhs in ge_rows:
@@ -451,6 +415,8 @@ class _DualL1:
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
+        other.problem = self.problem
+        other.rmap = self.rmap
         other.nvars = self.nvars
         other.scales = self.scales[:]
         other.int_rows = self.int_rows
@@ -480,8 +446,6 @@ class _DualL1:
         for k, a in raw.items():
             centry += t.cost[self.slack_col(k)] * a
         t.cost.append(centry)
-        if t.shadow is not None:
-            raise LpError("shadow cost rows not supported here")
         self.n_dual_vars += 1
 
     def column_of_dual_var(self, pos: int) -> int:
@@ -489,9 +453,6 @@ class _DualL1:
         if pos < self._n0:
             return pos
         return 2 * self.nvars + pos
-
-    def solve(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
-        return self.t.optimize(max_pivots)
 
     def value(self) -> Fraction:
         return Fraction(self.t.corner, self.t.den)
@@ -533,6 +494,38 @@ class _DualL1:
                 out[pos] = v * self.scales[pos]
         return out
 
+    def certify(self, max_pivots: int) -> LpOutcome:
+        """Solve once and return the independently re-checked outcome.
+
+        Infeasible rows give a Farkas vector over the problem's constraints.
+        Otherwise the outcome is optimal: the minimum-L1 witness, its value,
+        the dual multipliers proving the bound (free variables only), and
+        this solver, whose tableau branch and bound can start from.
+        """
+        problem = self.problem
+        status = self.t.optimize(max_pivots)
+        stats = {"pivots": self.t.pivots}
+        if status == "unbounded":
+            lam = _fold_ge_multipliers(problem, self.rmap, self.farkas_from_ray())
+            if not check_farkas(problem, lam):
+                raise LpError("internal error: infeasibility certificate failed")
+            return LpOutcome(status="infeasible", farkas=lam, stats=stats)
+        value = self.value()
+        witness = self.witness()
+        if not check_witness(problem, witness):
+            raise LpError("internal error: optimal witness failed substitution")
+        if sum(abs(v) for v in witness) != value:
+            raise LpError("internal error: witness weight disagrees with optimum")
+        dual = None
+        if not (problem.nonneg and any(problem.nonneg)):
+            dual_by_pos = self.dual_values()
+            dual = [dual_by_pos.get(pos, Fraction(0)) for pos in range(len(self.rmap))]
+            if not check_l1_bound(problem, dual, value):
+                raise LpError("internal error: dual bound certificate failed")
+        return LpOutcome(
+            status="optimal", witness=witness, value=value, dual=dual, stats=stats, solver=self
+        )
+
 
 def min_l1(
     problem: LpProblem,
@@ -540,206 +533,31 @@ def min_l1(
 ) -> LpOutcome:
     """Exact minimum of sum(|x_j|) under the problem's constraints.
 
-    Free variables only, no objective row.  Returns Optimal with the
-    minimizing witness and dual multipliers certifying the bound, or
-    Infeasible with a verified combination certificate.
+    Free variables only.  Returns Optimal with the minimizing witness, dual
+    multipliers certifying the bound and the solved tableau, or Infeasible
+    with a verified combination certificate.
     """
-    if problem.objective is not None:
-        raise LpError("min_l1 expects a problem without an objective row")
     if problem.nonneg and any(problem.nonneg):
         raise LpError("min_l1 expects free variables")
-    ge_rows, rmap = _ge_normal_form(problem)
-    solver = _DualL1(problem.num_vars, ge_rows)
-    status = solver.solve(max_pivots)
-    if status == "unbounded":
-        mults = solver.farkas_from_ray()
-        lam = _fold_ge_multipliers(problem, rmap, mults)
-        if not check_farkas(problem, lam):
-            raise LpError("internal error: infeasibility certificate failed")
-        return LpOutcome(
-            status="infeasible", farkas=lam, stats={"pivots": solver.t.pivots}
-        )
-    value = solver.value()
-    witness = solver.witness()
-    if not check_witness(problem, witness):
-        raise LpError("internal error: optimal witness failed substitution")
-    if sum(abs(v) for v in witness) != value:
-        raise LpError("internal error: witness weight disagrees with optimum")
-    dual_by_pos = solver.dual_values()
-    dual = [dual_by_pos.get(pos, Fraction(0)) for pos in range(len(ge_rows))]
-    if not check_l1_bound(problem, dual, value):
-        raise LpError("internal error: dual bound certificate failed")
-    return LpOutcome(
-        status="optimal",
-        witness=witness,
-        value=value,
-        dual=dual,
-        stats={"pivots": solver.t.pivots},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Feasibility and general solve
-# ---------------------------------------------------------------------------
-
-
-def _solve_feasibility(problem: LpProblem, max_pivots: int) -> LpOutcome:
-    aug = LpProblem(problem.num_vars)
-    aug.constraints = list(problem.constraints)
-    n_orig = len(problem.constraints)
-    for j in range(problem.num_vars):
-        if problem.is_nonneg(j):
-            aug.add({j: 1}, GE, 0)
-    ge_rows, rmap = _ge_normal_form(aug)
-    solver = _DualL1(aug.num_vars, ge_rows)
-    status = solver.solve(max_pivots)
-    if status == "unbounded":
-        mults = solver.farkas_from_ray()
-        lam_full = _fold_ge_multipliers(aug, rmap, mults)
-        lam = lam_full[:n_orig]
-        if not check_farkas(problem, lam):
-            raise LpError("internal error: infeasibility certificate failed")
-        return LpOutcome(
-            status="infeasible", farkas=lam, stats={"pivots": solver.t.pivots}
-        )
-    witness = solver.witness()
-    if not check_witness(problem, witness):
-        raise LpError("internal error: feasibility witness failed substitution")
-    return LpOutcome(
-        status="feasible", witness=witness, stats={"pivots": solver.t.pivots}
-    )
-
-
-def _solve_with_objective(problem: LpProblem, max_pivots: int) -> LpOutcome:
-    # column layout: split free variables, keep nonnegative ones single
-    cols: list[tuple[int, int]] = []
-    for j in range(problem.num_vars):
-        cols.append((j, 1))
-        if not problem.is_nonneg(j):
-            cols.append((j, -1))
-    ncols_struct = len(cols)
-
-    norm_rows = []  # (int coeffs on cols, int rhs, rel, scale, flipped)
-    slack_count = sum(1 for _, rel, _ in problem.constraints if rel != EQ)
-    for coeffs, rel, rhs in problem.constraints:
-        if rel == GE:
-            coeffs = {j: -c for j, c in coeffs.items()}
-            rhs = -rhs
-            rel = LE
-        ic, ir, mult = _scale_ge_row({j: _frac(c) for j, c in coeffs.items()}, _frac(rhs))
-        norm_rows.append([ic, ir, rel, mult, False])
-
-    m = len(norm_rows)
-    ncols = ncols_struct + slack_count + m  # slacks then artificials
-    t = _Tableau(m)
-    obj = problem.objective or {}
-    denoms = [(_frac(c)).denominator for c in obj.values()] or [1]
-    obj_scale = 1
-    for dv in denoms:
-        obj_scale = obj_scale * dv // math.gcd(obj_scale, dv)
-    shadow = [0] * ncols
-    for cidx, (j, s) in enumerate(cols):
-        c = _frac(obj.get(j, 0))
-        shadow[cidx] = int(c * obj_scale) * s
-
-    slack_pos = 0
-    for i, rec in enumerate(norm_rows):
-        ic, ir, rel, mult, _ = rec
-        row = [0] * ncols
-        for cidx, (j, s) in enumerate(cols):
-            if j in ic:
-                row[cidx] = ic[j] * s
-        if rel == LE:
-            row[ncols_struct + slack_pos] = 1
-            slack_pos += 1
-        if ir < 0:
-            row = [-v for v in row]
-            ir = -ir
-            rec[4] = True
-        art = ncols_struct + slack_count + i
-        row[art] = 1
-        t.rows[i] = row
-        t.rhs[i] = ir
-        t.basis[i] = art
-    t.cost = [0] * ncols
-    for i in range(m):
-        art = ncols_struct + slack_count + i
-        t.cost[art] = 1
-    # reduce phase-1 costs against the artificial basis
-    for i in range(m):
-        t.cost = [cv - rv for cv, rv in zip(t.cost, t.rows[i])]
-        t.corner -= t.rhs[i]
-    t.shadow = shadow
-    t.shadow_corner = 0
-
-    status = t.optimize(max_pivots)
-    if status == "unbounded":
-        raise LpError("phase 1 cannot be unbounded")
-    if t.corner != 0:
-        # infeasible: multipliers from the phase-1 reduced costs
-        lam = []
-        for i, rec in enumerate(norm_rows):
-            art = ncols_struct + slack_count + i
-            y = 1 - Fraction(t.cost[art], t.den)
-            sigma = -1 if rec[4] else 1
-            lam.append(-y * sigma * rec[3])
-        if not check_farkas(problem, lam):
-            raise LpError("internal error: infeasibility certificate failed")
-        return LpOutcome(status="infeasible", farkas=lam, stats={"pivots": t.pivots})
-
-    # drive basic artificials out (degenerate rows), then block them
-    art_first = ncols_struct + slack_count
-    for i in range(m):
-        if t.basis[i] >= art_first:
-            row = t.rows[i]
-            target = None
-            for j in range(art_first):
-                if row[j] != 0 and j not in t.blocked:
-                    target = j
-                    break
-            if target is None:
-                continue  # redundant row, inert from here on
-            if row[target] < 0:
-                t.rows[i] = [-v for v in row]
-                t.rhs[i] = -t.rhs[i]
-            t.pivot(i, target)
-    t.blocked = set(range(art_first, ncols))
-    t.cost = t.shadow
-    t.corner = t.shadow_corner
-    t.shadow = None
-
-    status = t.optimize(max_pivots)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded", stats={"pivots": t.pivots})
-    sol = t.solution_map()
-    witness = [Fraction(0)] * problem.num_vars
-    for cidx, (j, s) in enumerate(cols):
-        witness[j] += s * sol.get(cidx, Fraction(0))
-    value = Fraction(-t.corner, t.den) / obj_scale
-    if not check_witness(problem, witness):
-        raise LpError("internal error: optimal witness failed substitution")
-    recomputed = sum(
-        (_frac(c) * witness[j] for j, c in (problem.objective or {}).items()),
-        Fraction(0),
-    )
-    if recomputed != value:
-        raise LpError("internal error: objective value mismatch")
-    return LpOutcome(
-        status="optimal", witness=witness, value=value, stats={"pivots": t.pivots}
-    )
+    return _DualL1(problem).certify(max_pivots)
 
 
 def solve(problem: LpProblem, max_pivots: int = DEFAULT_PIVOT_CAP) -> LpOutcome:
-    """Feasibility check or exact minimization, with verified certificates."""
+    """Feasibility check with a verified witness or Farkas certificate.
+
+    Runs the L1 routine of ``min_l1``; a feasible outcome's witness is the
+    minimum-L1 point.
+    """
     for coeffs, rel, _ in problem.constraints:
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
         for j in coeffs:
             if not 0 <= j < problem.num_vars:
                 raise LpError(f"variable {j} out of range")
-    if problem.objective is None:
-        return _solve_feasibility(problem, max_pivots)
-    return _solve_with_objective(problem, max_pivots)
+    out = _DualL1(problem).certify(max_pivots)
+    if out.status == "infeasible":
+        return out
+    return LpOutcome(status="feasible", witness=out.witness, stats=out.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -756,22 +574,22 @@ def ilp_min(
     node_budget: int = 2000,
     max_pivots: int = DEFAULT_PIVOT_CAP,
     incumbent: list | None = None,
+    root: LpOutcome | None = None,
 ) -> IlpResult:
     """Exact integer minimum of sum(|x_j|) by depth-first branch and bound.
 
     Branches on the most fractional coordinate of each node's relaxation
     witness, prunes with ceil(LP value) against the incumbent, and rounds
     relaxation witnesses as a cheap upper-bound heuristic.  ``incumbent``
-    may seed the search with a known integer-feasible point.
+    may seed the search with a known integer-feasible point.  ``root`` is
+    the problem's ``min_l1`` outcome when the caller already solved it; the
+    search then starts from its tableau instead of solving again.
     """
-    if problem.objective is not None:
-        raise LpError("ilp_min expects a problem without an objective row")
-    ge_rows, _ = _ge_normal_form(problem)
-    root = _DualL1(problem.num_vars, ge_rows)
-    status = root.solve(max_pivots)
-    if status == "unbounded":
+    if root is None:
+        root = min_l1(problem, max_pivots)
+    if root.status == "infeasible":
         return IlpResult(status="infeasible", nodes=1)
-    relaxation = root.value()
+    relaxation = root.value
 
     # margin-style systems (>= with nonnegative rhs, <= with nonpositive,
     # equalities through zero) stay feasible under scaling by any factor
@@ -807,7 +625,7 @@ def ilp_min(
     nodes = 0
     exhausted = False
     half = Fraction(1, 2)
-    stack: list[_DualL1] = [root]
+    stack: list[_DualL1] = [root.solver]
 
     while stack:
         solver = stack.pop()
@@ -846,8 +664,7 @@ def ilp_min(
         for sign, rhs in children:
             child = solver.clone()
             child.add_ge_row({pick: sign}, rhs)
-            st = child.solve(max_pivots)
-            if st == "unbounded":
+            if child.t.optimize(max_pivots) == "unbounded":
                 continue  # child region infeasible
             ready.append(child)
         stack.extend(reversed(ready))
@@ -884,9 +701,6 @@ def problem_to_text(problem: LpProblem) -> str:
         lines.append("names " + " ".join(problem.names))
     if problem.nonneg and any(problem.nonneg):
         lines.append("nonneg " + " ".join("1" if b else "0" for b in problem.nonneg))
-    if problem.objective is not None:
-        dense = [str(_frac(problem.objective.get(j, 0))) for j in range(problem.num_vars)]
-        lines.append("min " + " ".join(dense))
     for coeffs, rel, rhs in problem.constraints:
         dense = [str(_frac(coeffs.get(j, 0))) for j in range(problem.num_vars)]
         lines.append(" ".join(dense) + f" {rel} {rhs}")
@@ -907,14 +721,12 @@ def problem_from_text(text: str) -> LpProblem:
         if parts[0] == "nonneg":
             problem.nonneg = [p == "1" for p in parts[1:]]
             continue
-        if parts[0] == "min":
-            problem.objective = {
-                j: Fraction(p) for j, p in enumerate(parts[1:]) if Fraction(p)
-            }
-            continue
-        rel = parts[-2]
-        if rel not in _RELS:
-            raise LpError(f"bad constraint line: {ln}")
-        coeffs = {j: Fraction(p) for j, p in enumerate(parts[:-2]) if Fraction(p)}
-        problem.add(coeffs, rel, Fraction(parts[-1]))
+        try:
+            if len(parts) < 2 or parts[-2] not in _RELS:
+                raise ValueError
+            coeffs = {j: Fraction(p) for j, p in enumerate(parts[:-2]) if Fraction(p)}
+            rhs = Fraction(parts[-1])
+        except ValueError:
+            raise LpError(f"bad constraint line: {ln}") from None
+        problem.add(coeffs, parts[-2], rhs)
     return problem

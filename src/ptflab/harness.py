@@ -1,9 +1,10 @@
 """Experiment presets, result persistence, and certificate storage.
 
-An experiment names a list of shapes and the checks to run on each.  Every
-check emits result rows (metric, exact value, optional certificate hash,
-wall time); rows go to CSV and JSON under the output directory, and every
-PASS/CERTIFIED verdict references a replayable certificate file stored by
+An experiment names a list of shapes and the checks to run on each.  The
+rows of a shape are a view of its ``pipeline.run_shape`` result: metric,
+exact value, optional certificate hash, wall time, and a typed verdict
+that decides the exit status.  Rows go to CSV and JSON under the output
+directory, and every certificate is stored as a replayable file keyed by
 content hash.  Reruns are byte-identical up to the wall-time column.
 """
 
@@ -13,35 +14,13 @@ import csv
 import hashlib
 import io
 import json
-import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from .boolfun import BoolFun, make_hard
-from .exact_lp import (
-    LpProblem,
-    check_farkas,
-    check_l1_bound,
-    check_witness,
-    problem_from_text,
-    problem_to_text,
-)
-from .polynomial import to_uv, witness_gate, symmetrize, symmetric_coefficient
-from .shapes import GroupShape, Variant, make_shape
-from .threshold_analysis import (
-    BudgetError,
-    HypothesisError,
-    certify_coefficient_lemma,
-    check_sign_representation,
-    min_weight,
-    sign_degree,
-    theorem_bound,
-)
-from .tuple_order import OrderContext, dominance_chain
-
-ALL_MODES = ("verify-gate", "signdeg", "minweight-lp", "minweight-exact", "lemmas", "theorem")
+from .exact_lp import check_farkas, check_l1_bound, check_witness, problem_from_text
+from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
+from .shapes import GroupShape, make_shape
 
 
 @dataclass
@@ -52,7 +31,6 @@ class ExperimentSpec:
     input_cap: int = 24
     node_budget: int = 2000
     pivot_budget: int = 400_000
-    workers: int = 1
     exponent_table_n: int | None = None  # used by the bound-exponent preset
 
     def to_json(self) -> dict:
@@ -63,7 +41,6 @@ class ExperimentSpec:
             "input_cap": self.input_cap,
             "node_budget": self.node_budget,
             "pivot_budget": self.pivot_budget,
-            "workers": self.workers,
             "exponent_table_n": self.exponent_table_n,
         }
 
@@ -76,7 +53,6 @@ class ExperimentSpec:
             input_cap=obj.get("input_cap", 24),
             node_budget=obj.get("node_budget", 2000),
             pivot_budget=obj.get("pivot_budget", 400_000),
-            workers=obj.get("workers", 1),
             exponent_table_n=obj.get("exponent_table_n"),
         )
 
@@ -89,6 +65,7 @@ class ResultRow:
     value: str
     certificate: str = ""
     wall_ms: int = 0
+    verdict: Verdict | None = None  # not written; decides the exit status
 
     def as_list(self) -> list[str]:
         return [
@@ -124,211 +101,58 @@ class CertStore:
                 path.write_text(data + "\n")
         return digest
 
-    def farkas(self, problem: LpProblem, lam, claim: str) -> str:
-        return self.put(
-            {
-                "kind": "farkas",
-                "claim": claim,
-                "problem": problem_to_text(problem),
-                "vector": [str(v) for v in lam],
-            }
-        )
 
-    def witness(self, problem: LpProblem, x, claim: str) -> str:
-        return self.put(
-            {
-                "kind": "witness",
-                "claim": claim,
-                "problem": problem_to_text(problem),
-                "vector": [str(v) for v in x],
-            }
-        )
-
-    def l1_bound(self, problem: LpProblem, dual, value, claim: str) -> str:
-        return self.put(
-            {
-                "kind": "l1-bound",
-                "claim": claim,
-                "value": str(value),
-                "problem": problem_to_text(problem),
-                "vector": [str(v) for v in dual],
-            }
-        )
-
-
-def replay_certificate(path) -> bool:
-    """Re-verify a stored certificate with the independent checkers."""
-    from fractions import Fraction
-
-    obj = json.loads(Path(path).read_text())
-    problem = problem_from_text(obj["problem"])
-    vector = [Fraction(v) for v in obj["vector"]]
-    kind = obj["kind"]
+def _check_item(kind: str, item: dict, value) -> bool:
+    problem = problem_from_text(item["problem"])
+    vector = [Fraction(v) for v in item["vector"]]
     if kind == "farkas":
         return check_farkas(problem, vector)
     if kind == "witness":
         return check_witness(problem, vector)
     if kind == "l1-bound":
-        return check_l1_bound(problem, vector, Fraction(obj["value"]))
+        return check_l1_bound(problem, vector, Fraction(value))
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Per-shape execution
-# ---------------------------------------------------------------------------
+def replay_certificate(path) -> bool:
+    """Re-verify a stored certificate with the independent checkers.
+
+    Kinds: ``farkas`` (no solution), ``witness`` (a solution), ``l1-bound``
+    (a lower bound on sum |x|), and ``farkas-batch`` (one Farkas vector per
+    item, all of which must check).
+    """
+    obj = json.loads(Path(path).read_text())
+    if obj["kind"] == "farkas-batch":
+        return bool(obj["items"]) and all(_check_item("farkas", i, None) for i in obj["items"])
+    return _check_item(obj["kind"], obj, obj.get("value"))
 
 
-def _shape_lemma_plan(shape: GroupShape) -> list[tuple[str, int]]:
-    plan = [("gt_exp", shape.ks[-1]), ("gt_step", shape.ks[-1])]
-    if shape.variant is Variant.STRONG:
-        for k in sorted(set(shape.ks[:-1])):
-            plan += [("g1_pos", k), ("g1_mono", k), ("g0_all", k)]
-    return plan
+# ---------------------------------------------------------------------------
+# Per-shape rows
+# ---------------------------------------------------------------------------
 
 
 def _run_shape(spec: ExperimentSpec, shape: GroupShape, store: CertStore) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-    name = spec.name
+    res = run_shape(
+        shape,
+        spec.modes,
+        input_cap=spec.input_cap,
+        node_budget=spec.node_budget,
+        pivot_budget=spec.pivot_budget,
+    )
     tag = shape.describe()
-
-    def emit(metric: str, value, certificate: str = "", started: float | None = None):
-        ms = 0 if started is None else int(1000 * (time.monotonic() - started))
-        rows.append(ResultRow(name, tag, metric, str(value), certificate, ms))
-
-    f = gate = None
-    if any(m in spec.modes for m in ("verify-gate", "signdeg", "minweight-lp", "minweight-exact")):
-        f = make_hard(shape)
-    if any(m in spec.modes for m in ("verify-gate", "minweight-exact")):
-        gate = witness_gate(shape)
-
-    if "verify-gate" in spec.modes:
-        t0 = time.monotonic()
-        cx = check_sign_representation(gate, f, input_cap=spec.input_cap)
-        emit("verify_gate", "PASS" if cx is None else f"FAIL@{cx.index}", started=t0)
-        emit("gate_weight", gate.weight)
-        if shape.variant is Variant.WEAK:
-            expected = (1 << shape.d) * ((1 << (shape.size_K + 1)) - 2)
-            emit("gate_weight_formula", "PASS" if gate.weight == expected else "FAIL")
-        up = to_uv(gate)
-        cap = (1 << shape.d) if shape.variant is Variant.WEAK else shape.n**shape.d
-        emit("basis_change", "PASS" if up.weight <= cap * gate.weight else "FAIL")
-
-    if "signdeg" in spec.modes:
-        t0 = time.monotonic()
-        sd = sign_degree(f, shape.d, max_pivots=spec.pivot_budget)
-        ok = sd.value == shape.d
-        for dd, (prob, out) in sorted(sd.outcomes.items()):
-            if out.status == "infeasible":
-                good = check_farkas(prob.problem, out.farkas)
-                ok = ok and good
-                digest = store.farkas(
-                    prob.problem, out.farkas, f"{tag}: no degree-{dd} gate"
-                )
-                emit(
-                    f"signdeg_infeasible_d{dd}",
-                    "CERTIFIED" if good else "FAIL",
-                    digest,
-                )
-        emit("sign_degree", sd.value if ok else f"FAIL({sd.value})", started=t0)
-
-    lp_value = None
-    if "minweight-lp" in spec.modes:
-        t0 = time.monotonic()
-        res = min_weight(f, shape.d, mode="lp", shape=shape, max_pivots=spec.pivot_budget)
-        lp_value = res.value
-        digest = ""
-        if res.outcome is not None and res.outcome.status == "optimal":
-            digest = store.l1_bound(
-                _lp_problem_of(f, shape, spec),
-                res.outcome.dual,
-                res.value,
-                f"{tag}: degree-{shape.d} weight lower bound",
-            )
-        emit("minweight_lp", res.value, digest, started=t0)
-
-    exact_value = None
-    exact_witness = None
-    if "minweight-exact" in spec.modes:
-        t0 = time.monotonic()
-        try:
-            res = min_weight(
-                f,
-                shape.d,
-                mode="exact",
-                shape=shape,
-                node_budget=spec.node_budget,
-                max_pivots=spec.pivot_budget,
-                incumbent=gate,
-            )
-            exact_value = res.value
-            exact_witness = res.witness
-            digest = store.witness(
-                _lp_problem_of(f, shape, spec),
-                [res.witness.coeffs.get(m, 0) for m in _monomials_of(f, shape)],
-                f"{tag}: integer gate of weight {res.value}",
-            )
-            emit("minweight_exact", res.value, digest, started=t0)
-            emit("bb_nodes", res.ilp.nodes)
-        except BudgetError as exc:
-            emit("minweight_exact", "SKIPPED", started=t0)
-            emit("minweight_exact_note", str(exc))
-
-    if "theorem" in spec.modes:
-        try:
-            bound = theorem_bound(shape)
-            emit("theorem_bound", bound)
-            if exact_value is not None:
-                emit("theorem_vs_exact", "PASS" if bound <= exact_value else "FAIL")
-            elif lp_value is not None:
-                emit("theorem_vs_lp", f"lp={lp_value},bound={bound}")
-        except HypothesisError as exc:
-            emit("theorem_bound", f"not asserted ({exc})")
-        if exact_witness is not None and not shape.theorem_violations():
-            chain = dominance_chain(OrderContext(shape), 1)
-            q = symmetrize(to_uv(exact_witness))
-            w_a = symmetric_coefficient(q, chain.alpha)
-            w_b = symmetric_coefficient(q, chain.beta)
-            ok = w_a > 0 and w_b >= chain.factor * w_a
-            emit(
-                "domination_chain",
-                "PASS" if ok else f"FAIL(w_a={w_a},w_b={w_b},factor={chain.factor})",
-            )
-
-    if "lemmas" in spec.modes:
-        for lemma, k in _shape_lemma_plan(shape):
-            t0 = time.monotonic()
-            res = certify_coefficient_lemma(lemma, k, max_pivots=spec.pivot_budget)
-            digest = ""
-            if res.status == "CERTIFIED":
-                payload = {
-                    "kind": "farkas-batch",
-                    "claim": f"{lemma} k={k}",
-                    "items": [
-                        {
-                            "problem": problem_to_text(c.problem),
-                            "vector": [str(v) for v in c.farkas],
-                        }
-                        for c in res.checks
-                    ],
-                }
-                digest = store.put(payload)
-            emit(f"lemma_{lemma}_k{k}", res.status, digest, started=t0)
-
-    return rows
-
-
-def _monomials_of(f: BoolFun, shape: GroupShape):
-    from itertools import combinations
-
     return [
-        m for deg in range(shape.d + 1) for m in combinations(range(f.n), deg)
+        ResultRow(
+            spec.name,
+            tag,
+            fd.metric,
+            str(fd.value),
+            "" if fd.certificate is None else store.put(fd.certificate.payload()),
+            0 if fd.seconds is None else int(1000 * fd.seconds),
+            fd.verdict,
+        )
+        for fd in res.findings
     ]
-
-
-def _lp_problem_of(f: BoolFun, shape: GroupShape, spec: ExperimentSpec) -> LpProblem:
-    from .threshold_analysis import build_representation_problem
-
-    return build_representation_problem(f, shape.d, shape=shape, input_cap=spec.input_cap).problem
 
 
 def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
@@ -350,7 +174,8 @@ def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
         ok = all(values[5] > v for k, v in values.items() if k != 5)
     else:
         ok = False
-    rows.append(ResultRow(spec.name, f"n={n}", "k5_is_max", "PASS" if ok else "FAIL"))
+    verdict = Verdict.PASS if ok else Verdict.FAIL
+    rows.append(ResultRow(spec.name, f"n={n}", "k5_is_max", verdict.value, verdict=verdict))
     return rows
 
 
@@ -359,39 +184,18 @@ def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 
-def run(
-    spec: ExperimentSpec,
-    out_dir,
-    workers: int | None = None,
-    seed: int | None = None,
-) -> tuple[list[ResultRow], int]:
+def run(spec: ExperimentSpec, out_dir) -> tuple[list[ResultRow], int]:
     """Execute an experiment; write CSV, JSON and certificates; return rows
     plus the exit status (nonzero iff an asserted verdict failed)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store = CertStore(out / "certs")
-    workers = workers or spec.workers
 
     rows: list[ResultRow] = []
     if spec.exponent_table_n is not None:
         rows.extend(_exponent_table_rows(spec))
-
-    tasks = list(spec.shapes)
-    order = list(range(len(tasks)))
-    if seed is not None:
-        random.Random(seed).shuffle(order)  # scheduling only; output re-sorted
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for pos in order:
-                futures[pos] = pool.submit(_run_shape, spec, tasks[pos], store)
-            results = [futures[pos].result() for pos in range(len(tasks))]
-    else:
-        results = [None] * len(tasks)
-        for pos in order:
-            results[pos] = _run_shape(spec, tasks[pos], store)
-    for res in results:
-        rows.extend(res)
+    for shape in spec.shapes:
+        rows.extend(_run_shape(spec, shape, store))
 
     csv_path = out / f"{spec.name}.csv"
     with csv_path.open("w", newline="") as fh:
@@ -407,8 +211,7 @@ def run(
         )
         + "\n"
     )
-    failed = any("FAIL" in r.value for r in rows)
-    return rows, (1 if failed else 0)
+    return rows, (1 if any_failed(r.verdict for r in rows) else 0)
 
 
 def rows_without_timing(csv_text: str) -> str:

@@ -102,10 +102,6 @@ class IntPolynomial:
         return cls(basis, shape, coeffs)
 
 
-def eval_poly(p: IntPolynomial, assignment) -> int:
-    return p.evaluate(assignment)
-
-
 # ---------------------------------------------------------------------------
 # Derived u/v assignments
 # ---------------------------------------------------------------------------

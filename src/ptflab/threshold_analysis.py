@@ -12,7 +12,7 @@ any integer gate already satisfies the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,8 +20,10 @@ import numpy as np
 
 from .boolfun import BoolFun, assignment_of_index, linear_forms, make_g
 from .exact_lp import (
+    DEFAULT_PIVOT_CAP,
     GE,
     LE,
+    BudgetError,
     IlpResult,
     LpOutcome,
     LpProblem,
@@ -31,25 +33,13 @@ from .exact_lp import (
     min_l1,
     solve,
 )
-from .polynomial import (
-    IntPolynomial,
-    UvAssignment,
-    symmetric_coefficient,
-    symmetrize,
-    to_uv,
-    witness_gate,
-)
+from .polynomial import IntPolynomial, UvAssignment
 from .shapes import Convention, GroupShape, Variant
-from .tuple_order import OrderContext, OrderError, dominance_chain, enumerate_ordered
 
 DEFAULT_INPUT_CAP = 24
 
 
 class AnalysisError(ValueError):
-    pass
-
-
-class BudgetError(AnalysisError):
     pass
 
 
@@ -183,69 +173,37 @@ def check_sign_representation(
 
 @dataclass
 class RepresentationProblem:
-    """Sign constraints of f over a monomial basis, as an LpProblem.
+    """Sign constraints of f over the xy monomials up to a degree, as an
+    LpProblem.
 
-    One constraint per input: p >= 0 on the positive class, p <= -1 on the
-    negative class.  ``monomials`` are variable-id tuples (xy basis) or
-    coordinate tuples of K (uv-symmetrized basis).
+    One constraint per distinct input row: p >= 0 on the positive class,
+    p <= -1 on the negative class.  ``monomials`` are variable-id tuples.
     """
 
     f: BoolFun
     degree: int
-    basis: str
     monomials: list
     problem: LpProblem
     shape: GroupShape | None = None
+    basis = "xy"  # monomials are over the input variables
 
     def witness_polynomial(self, coeffs) -> IntPolynomial:
-        if self.basis == "xy":
-            keys = self.monomials
-        else:
-            keys = [
-                tuple(("u", i, a) for i, a in enumerate(alpha, start=1))
-                for alpha in self.monomials
-            ]
-        poly = {}
-        for key, c in zip(keys, coeffs):
-            c = int(c)
-            if c:
-                poly[key] = c
-        return IntPolynomial(
-            "xy" if self.basis == "xy" else "uv", self.shape, poly
-        )
+        return IntPolynomial("xy", self.shape, dict(zip(self.monomials, coeffs)))
 
 
 def build_representation_problem(
     f: BoolFun,
     degree: int,
-    basis: str = "xy",
     shape: GroupShape | None = None,
     input_cap: int = DEFAULT_INPUT_CAP,
 ) -> RepresentationProblem:
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
     bits = _fun_bits(f)
-    if basis == "xy":
-        arrays = {j: a for j, a in enumerate(_bit_arrays(f.n, f.convention))}
-        monomials = [
-            m for deg in range(degree + 1) for m in combinations(range(f.n), deg)
-        ]
-        factor_keys = monomials
-    elif basis == "uv-sym":
-        if shape is None:
-            raise AnalysisError("uv-sym basis needs the group shape")
-        arrays = _uv_arrays(shape, f.convention)
-        ctx = OrderContext(shape)
-        monomials = enumerate_ordered(ctx)
-        factor_keys = [
-            tuple(("u", i, a) for i, a in enumerate(alpha, start=1))
-            for alpha in monomials
-        ]
-    else:
-        raise AnalysisError(f"unknown basis {basis!r}")
-
+    arrays = _bit_arrays(f.n, f.convention)
+    monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
     cols = []
-    for key in factor_keys:
+    for key in monomials:
         col = np.ones(f.size, dtype=np.int64)
         for v in key:
             col = col * arrays[v]
@@ -266,7 +224,7 @@ def build_representation_problem(
             continue
         seen.add(sig)
         problem.constraints.append((row, rel, rhs))
-    return RepresentationProblem(f, degree, basis, monomials, problem, shape)
+    return RepresentationProblem(f, degree, monomials, problem, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +246,6 @@ class SignDegreeResult:
         }
 
 
-def sign_degree(
-    f: BoolFun,
-    dmax: int,
-    basis: str = "xy",
-    shape: GroupShape | None = None,
-    max_pivots: int = 200_000,
-) -> SignDegreeResult:
-    """Smallest degree whose representation LP is feasible, with verified
-    infeasibility certificates for every smaller degree."""
-    outcomes = {}
-    for d in range(dmax + 1):
-        prob = build_representation_problem(f, d, basis=basis, shape=shape)
-        out = solve(prob.problem, max_pivots=max_pivots)
-        outcomes[d] = (prob, out)
-        if out.status == "feasible":
-            return SignDegreeResult(d, outcomes)
-    return SignDegreeResult(None, outcomes)
-
-
 @dataclass
 class MinWeightResult:
     mode: str
@@ -316,13 +255,101 @@ class MinWeightResult:
     ilp: IlpResult | None = None
 
 
+@dataclass
+class RepresentationLadder:
+    """The representation LPs of one function, each built and solved once.
+
+    ``solve(d)`` is the ``min_l1`` outcome of the degree-d problem.  That one
+    solve answers sign-degree feasibility, gives the LP weight with its dual
+    bound, and (when optimal) keeps the tableau branch and bound starts
+    from; infeasible outcomes keep only their Farkas vector.  A budget error
+    is remembered and raised again rather than spent twice.
+    """
+
+    f: BoolFun
+    shape: GroupShape | None = None
+    input_cap: int = DEFAULT_INPUT_CAP
+    max_pivots: int = DEFAULT_PIVOT_CAP
+    _solved: dict = field(default_factory=dict, repr=False)
+
+    def solve(self, d: int) -> tuple[RepresentationProblem, LpOutcome]:
+        if d not in self._solved:
+            try:
+                prob = build_representation_problem(
+                    self.f, d, shape=self.shape, input_cap=self.input_cap
+                )
+                self._solved[d] = (prob, min_l1(prob.problem, max_pivots=self.max_pivots))
+            except BudgetError as exc:
+                self._solved[d] = exc
+        got = self._solved[d]
+        if isinstance(got, BudgetError):
+            raise got
+        return got
+
+    def exact_weight(
+        self, degree: int, node_budget: int = 2000, incumbent: IntPolynomial | None = None
+    ) -> MinWeightResult:
+        """Exact integer optimum by branch and bound from the solved degree
+        LP.  Raises BudgetError, carrying the bounds found, when the nodes
+        run out."""
+        prob, out = self.solve(degree)
+        seed = None
+        if incumbent is not None:
+            index = {m: i for i, m in enumerate(prob.monomials)}
+            seed = [0] * len(prob.monomials)
+            for key, c in incumbent.coeffs.items():
+                if key not in index:
+                    raise AnalysisError("incumbent uses monomials outside the basis")
+                seed[index[key]] = c
+        res = ilp_min(
+            prob.problem,
+            node_budget=node_budget,
+            max_pivots=self.max_pivots,
+            incumbent=seed,
+            root=out,
+        )
+        if res.status == "infeasible":
+            return MinWeightResult("exact", None, None, ilp=res)
+        witness = None
+        if res.witness is not None:
+            witness = prob.witness_polynomial(res.witness)
+            bad = check_sign_representation(witness, self.f)
+            if bad is not None:
+                raise AnalysisError(f"integer witness failed re-verification at {bad}")
+        if res.status == "budget":
+            raise BudgetError(
+                f"branch-and-bound budget exhausted after {res.nodes} nodes "
+                f"(bounds [{res.lower_bound}, {res.value}])"
+            )
+        return MinWeightResult("exact", res.value, witness, ilp=res)
+
+
+def sign_degree(
+    f: BoolFun,
+    dmax: int,
+    shape: GroupShape | None = None,
+    max_pivots: int = DEFAULT_PIVOT_CAP,
+) -> SignDegreeResult:
+    """Smallest degree whose representation LP is feasible, with verified
+    infeasibility certificates for every smaller degree."""
+    ladder = RepresentationLadder(f, shape, max_pivots=max_pivots)
+    outcomes = {}
+    for d in range(dmax + 1):
+        prob, out = ladder.solve(d)
+        if out.status != "infeasible":
+            outcomes[d] = (prob, replace(out, status="feasible"))
+            return SignDegreeResult(d, outcomes)
+        outcomes[d] = (prob, out)
+    return SignDegreeResult(None, outcomes)
+
+
 def min_weight(
     f: BoolFun,
     degree: int,
     mode: str = "lp",
     shape: GroupShape | None = None,
     node_budget: int = 2000,
-    max_pivots: int = 200_000,
+    max_pivots: int = DEFAULT_PIVOT_CAP,
     incumbent: IntPolynomial | None = None,
 ) -> MinWeightResult:
     """Minimal gate weight at the given degree: exact rational lower bound
@@ -331,42 +358,13 @@ def min_weight(
     Exact mode raises BudgetError when branch and bound runs out of nodes;
     the message carries the best bounds found.  Wide-gap instances (the
     strong shapes especially) may need a large node budget to close."""
-    prob = build_representation_problem(f, degree, shape=shape)
-    if mode == "lp":
-        out = min_l1(prob.problem, max_pivots=max_pivots)
-        if out.status != "optimal":
-            return MinWeightResult("lp", None, None, outcome=out)
-        return MinWeightResult("lp", out.value, None, outcome=out)
-    if mode != "exact":
+    if mode not in ("lp", "exact"):
         raise AnalysisError("mode must be 'lp' or 'exact'")
-    seed = None
-    if incumbent is not None:
-        index = {m: i for i, m in enumerate(prob.monomials)}
-        seed = [0] * len(prob.monomials)
-        for key, c in incumbent.coeffs.items():
-            if key not in index:
-                raise AnalysisError("incumbent uses monomials outside the basis")
-            seed[index[key]] = c
-    res = ilp_min(
-        prob.problem,
-        node_budget=node_budget,
-        max_pivots=max_pivots,
-        incumbent=seed,
-    )
-    if res.status == "infeasible":
-        return MinWeightResult("exact", None, None, ilp=res)
-    witness = None
-    if res.witness is not None:
-        witness = prob.witness_polynomial(res.witness)
-        bad = check_sign_representation(witness, f)
-        if bad is not None:
-            raise AnalysisError(f"integer witness failed re-verification at {bad}")
-    if res.status == "budget":
-        raise BudgetError(
-            f"branch-and-bound budget exhausted after {res.nodes} nodes "
-            f"(bounds [{res.lower_bound}, {res.value}])"
-        )
-    return MinWeightResult("exact", res.value, witness, ilp=res)
+    ladder = RepresentationLadder(f, shape, max_pivots=max_pivots)
+    if mode == "exact":
+        return ladder.exact_weight(degree, node_budget, incumbent)
+    out = ladder.solve(degree)[1]
+    return MinWeightResult("lp", out.value, None, outcome=out)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +534,7 @@ def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> 
     checks = []
     for desc, coeffs, rel, rhs in _lemma_negations(lemma, k):
         chk = certify_negated_row(base, k, coeffs, rel, rhs, max_pivots=max_pivots)
-        checks.append(
-            InequalityCheck(desc, chk.status, chk.problem, chk.farkas, chk.witness)
-        )
+        checks.append(replace(chk, description=desc))
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
     return CertifyResult(lemma, k, status, checks)
 
@@ -570,149 +566,3 @@ def theorem_bound(shape: GroupShape) -> int:
             prod *= k - 1
         exponent = (kd - 2) * prod - shape.d * (shape.n - 1).bit_length()
     return 1 << exponent if exponent >= 0 else 0
-
-
-@dataclass
-class BoundReport:
-    shape: GroupShape
-    n: int
-    d: int
-    gate_weight: int
-    theorem_value: int | None
-    lp_lower_bound: Fraction | None = None
-    exact_weight: int | None = None
-    sign_degree: int | None = None
-    verdicts: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(v in ("PASS", "CERTIFIED", "SKIPPED") for v in self.verdicts.values())
-
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "n": self.n,
-            "d": self.d,
-            "gate_weight": str(self.gate_weight),
-            "theorem_value": None if self.theorem_value is None else str(self.theorem_value),
-            "lp_lower_bound": None if self.lp_lower_bound is None else str(self.lp_lower_bound),
-            "exact_weight": None if self.exact_weight is None else str(self.exact_weight),
-            "sign_degree": self.sign_degree,
-            "verdicts": dict(self.verdicts),
-            "notes": list(self.notes),
-        }
-
-    def csv_row(self) -> list[str]:
-        verdict_str = ";".join(f"{k}={v}" for k, v in sorted(self.verdicts.items()))
-        return [
-            self.shape.describe(),
-            str(self.n),
-            str(self.d),
-            "" if self.theorem_value is None else str(self.theorem_value),
-            "" if self.lp_lower_bound is None else str(self.lp_lower_bound),
-            "" if self.exact_weight is None else str(self.exact_weight),
-            str(self.gate_weight),
-            verdict_str,
-        ]
-
-
-def verify_theorem_instance(
-    shape: GroupShape,
-    mode: str = "lp",
-    node_budget: int = 2000,
-    max_pivots: int = 400_000,
-) -> BoundReport:
-    """Run the whole verification pipeline on one shape.
-
-    Builds the hard function and its witness gate, checks the gate
-    exhaustively, certifies the sign-degree (feasible at d, Farkas at
-    d-1), computes the LP (and optionally exact) minimal weight, and
-    compares against the theorem bound and the coefficient-domination
-    chain on the solved witness.
-    """
-    from .boolfun import make_hard
-
-    f = make_hard(shape)
-    gate = witness_gate(shape)
-    d = shape.d
-    report = BoundReport(shape, shape.n, d, gate.weight, None)
-
-    cx = check_sign_representation(gate, f)
-    report.verdicts["gate"] = "PASS" if cx is None else "FAIL"
-    if cx is not None:
-        report.notes.append(f"gate counterexample at index {cx.index}")
-
-    if shape.variant is Variant.WEAK:
-        expected = (1 << d) * ((1 << (shape.size_K + 1)) - 2)
-        report.verdicts["gate_weight_formula"] = (
-            "PASS" if gate.weight == expected else "FAIL"
-        )
-
-    up = to_uv(gate)
-    cap = (1 << d) if shape.variant is Variant.WEAK else shape.n**d
-    report.verdicts["basis_change"] = "PASS" if up.weight <= cap * gate.weight else "FAIL"
-
-    sd = sign_degree(f, d, max_pivots=max_pivots)
-    report.sign_degree = sd.value
-    sd_ok = sd.value == d and all(
-        out.status == "infeasible" and check_farkas(prob.problem, out.farkas)
-        for dd, (prob, out) in sd.outcomes.items()
-        if dd < d
-    )
-    report.verdicts["sign_degree"] = "PASS" if sd_ok else "FAIL"
-
-    try:
-        report.theorem_value = theorem_bound(shape)
-    except HypothesisError as exc:
-        report.theorem_value = None
-        report.notes.append(f"bound not asserted: {exc}")
-
-    lp = min_weight(f, d, mode="lp", shape=shape, max_pivots=max_pivots)
-    report.lp_lower_bound = lp.value
-
-    witness_poly = None
-    if mode == "exact":
-        try:
-            exact = min_weight(
-                f,
-                d,
-                mode="exact",
-                shape=shape,
-                node_budget=node_budget,
-                max_pivots=max_pivots,
-                incumbent=gate,
-            )
-            report.exact_weight = exact.value
-            witness_poly = exact.witness
-        except BudgetError as exc:
-            report.verdicts["exact_weight"] = "SKIPPED"
-            report.notes.append(str(exc))
-
-    if report.theorem_value is not None:
-        if report.exact_weight is not None:
-            report.verdicts["theorem_bound"] = (
-                "PASS" if report.theorem_value <= report.exact_weight else "FAIL"
-            )
-        else:
-            report.notes.append(
-                f"lp lower bound {report.lp_lower_bound} vs theorem {report.theorem_value} (data only)"
-            )
-
-    if witness_poly is not None and not shape.theorem_violations():
-        try:
-            chain = dominance_chain(OrderContext(shape), 1)
-            q = symmetrize(to_uv(witness_poly))
-            w_alpha = symmetric_coefficient(q, chain.alpha)
-            w_beta = symmetric_coefficient(q, chain.beta)
-            ok = w_alpha > 0 and w_beta >= chain.factor * w_alpha
-            report.verdicts["domination_chain"] = "PASS" if ok else "FAIL"
-            report.notes.append(
-                f"chain {chain.alpha}->{chain.beta}: w_alpha={w_alpha}, "
-                f"w_beta={w_beta}, factor={chain.factor}"
-            )
-        except OrderError as exc:
-            report.verdicts["domination_chain"] = "FAIL"
-            report.notes.append(f"chain replay failed: {exc}")
-
-    return report

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from ptflab import ExperimentSpec, make_shape, preset, replay_certificate, run
+from ptflab import CertifyResult, ExperimentSpec, make_shape, preset, replay_certificate, run
 from ptflab.cli import main as cli_main
-from ptflab.harness import rows_without_timing
+from ptflab.harness import ALL_MODES
 
 
 def test_preset_lookup():
@@ -33,6 +33,13 @@ def test_spec_json_round_trip():
     assert back.name == spec.name
     assert [s.ks for s in back.shapes] == [s.ks for s in spec.shapes]
     assert back.modes == tuple(spec.modes)
+
+
+def test_spec_from_json_ignores_old_workers_key():
+    blob = preset("strong-3-3").to_json()
+    assert "workers" not in blob
+    back = ExperimentSpec.from_json({**blob, "workers": 2})
+    assert back.to_json() == blob
 
 
 def test_empty_shape_list_is_trivially_green(tmp_path):
@@ -64,32 +71,24 @@ def test_k5_preset_rows(tmp_path):
     assert by_metric[("n=105", "k5_is_max")] == "PASS"
 
 
-def test_workers_and_seed_do_not_change_results(tmp_path):
-    spec = ExperimentSpec(
-        "two-shapes",
-        [make_shape("weak", (2, 2)), make_shape("weak", (2, 3))],
-        modes=("verify-gate", "theorem"),
-    )
-    run(spec, tmp_path / "a")
-    run(spec, tmp_path / "b", workers=2, seed=7)
-    a = rows_without_timing((tmp_path / "a" / "two-shapes.csv").read_text())
-    b = rows_without_timing((tmp_path / "b" / "two-shapes.csv").read_text())
-    assert a == b
-
-
 def test_certificates_replay_and_detect_corruption(tmp_path):
-    spec = preset("strong-3-3")
-    run(spec, tmp_path)
+    # every mode on the one-group comparator stores all four certificate kinds
+    spec = ExperimentSpec("all-kinds", [make_shape("weak", (3,))], modes=ALL_MODES)
+    rows, status = run(spec, tmp_path)
+    assert status == 0
     certs = sorted((tmp_path / "certs").glob("*.json"))
-    assert certs
+    by_kind = {}
     for path in certs:
         assert replay_certificate(path)
-    blob = json.loads(certs[0].read_text())
-    if blob["kind"] in ("farkas", "witness", "l1-bound"):
-        blob["vector"][0] = "9999"
-        bad = tmp_path / "bad.json"
+        by_kind.setdefault(json.loads(path.read_text())["kind"], path)
+    assert set(by_kind) == {"farkas", "l1-bound", "witness", "farkas-batch"}
+    for kind, path in by_kind.items():
+        blob = json.loads(path.read_text())
+        vector = blob["items"][0]["vector"] if kind == "farkas-batch" else blob["vector"]
+        vector[0] = "9999"
+        bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(blob))
-        assert not replay_certificate(bad)
+        assert not replay_certificate(bad), kind
 
 
 def test_budget_marks_skipped_not_fail(tmp_path):
@@ -103,6 +102,32 @@ def test_budget_marks_skipped_not_fail(tmp_path):
     values = {r.metric: r.value for r in rows}
     assert values["minweight_exact"] == "SKIPPED"
     assert status == 0
+
+
+def test_every_budget_ends_skipped_not_crash(tmp_path):
+    shape = make_shape("weak", (2, 3))
+    pivots = ExperimentSpec("pivots", [shape], modes=ALL_MODES, pivot_budget=50)
+    inputs = ExperimentSpec("inputs", [shape], modes=ALL_MODES, input_cap=8)
+    for spec, budget in ((pivots, "pivot budget 50"), (inputs, "input cap 8")):
+        rows, status = run(spec, tmp_path / spec.name)
+        assert status == 0
+        values = {r.metric: r.value for r in rows}
+        for metric in ("sign_degree", "minweight_lp", "minweight_exact"):
+            assert values[metric] == "SKIPPED", (spec.name, metric)
+            assert budget in values[f"{metric}_note"]
+    assert values["verify_gate"] == "SKIPPED"
+    assert "input cap 8" in values["verify_gate_note"]
+    assert values["lemma_gt_exp_k3"] == "CERTIFIED"  # lemmas need no truth table
+
+
+def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
+    def violated(lemma, k, max_pivots=0):
+        return CertifyResult(lemma, k, "VIOLATED", [])
+
+    monkeypatch.setattr("ptflab.pipeline.certify_coefficient_lemma", violated)
+    rows, status = run(preset("gt-lemmas-k6"), tmp_path)
+    assert {r.value for r in rows} == {"VIOLATED"}
+    assert status == 1
 
 
 # ---------------------------------------------------------------------------

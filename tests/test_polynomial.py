@@ -13,7 +13,6 @@ from ptflab import (
     UvAssignment,
     assignment_of_index,
     enumerate_ordered,
-    eval_poly,
     make_hard,
     make_shape,
     symmetric_coefficient,
@@ -101,7 +100,7 @@ def test_gate_top_term_dominates():
 
 def test_eval_empty_polynomial():
     p = IntPolynomial("xy", WEAK23, {})
-    assert eval_poly(p, [0] * WEAK23.n) == 0
+    assert p.evaluate([0] * WEAK23.n) == 0
     assert p.weight == 0 and p.degree == 0
 
 

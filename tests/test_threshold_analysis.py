@@ -21,7 +21,6 @@ from ptflab import (
     make_gt,
     make_hard,
     make_shape,
-    min_l1,
     min_weight,
     sign_degree,
     theorem_bound,
@@ -138,17 +137,6 @@ def test_budget_exhaustion_reports_scaled_incumbent_bounds():
     assert check_witness(prob, res.witness)
     assert sum(abs(v) for v in res.witness) == res.value <= 8 * 15
 
-
-def test_uv_symmetrized_lp_lower_bounds_integer_gate():
-    # the one-group comparator in difference variables: LP <= integer optimum
-    f = make_gt(3)
-    shape = make_shape("weak", (3,))
-    prob = build_representation_problem(f, 1, basis="uv-sym", shape=shape)
-    lp = min_l1(prob.problem)
-    res = ilp_min(prob.problem)
-    assert lp.status == res.status == "optimal"
-    assert lp.value <= res.value
-    assert res.value == 7  # margin comparator needs doubling weights 1,2,4
 
 # ---------------------------------------------------------------------------
 # coefficient lemmas

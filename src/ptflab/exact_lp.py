@@ -1,11 +1,13 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-The solver is a primal simplex over an integer tableau with a running
+The solver is a revised primal simplex over integers with a running
 common denominator (fraction-free pivoting), so every quantity it reports
 is an exact rational.  Feasibility and L1 minimization are one routine:
 the L1 problem over many constraints and few variables is solved through
-its dual, which keeps the working basis small; one solve answers
-feasibility, the L1 optimum and the branch-and-bound root.  The reported
+its dual, which keeps the working basis small (2N for N variables).  Only
+the scaled basis inverse is stored; the columns are priced from the
+sparse integer constraint rows on demand.  One solve answers feasibility,
+the L1 optimum and the branch-and-bound root.  The reported
 witnesses come back out of the simplex multipliers and every outcome is
 re-verified by an independent checker before it is returned:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul
 
 LE, GE, EQ = "<=", ">=", "="
 _RELS = (LE, GE, EQ)
@@ -85,6 +88,8 @@ class LpOutcome:
     value: Fraction | None = None
     farkas: list | None = None
     dual: list | None = None
+    # pivots, den_bits (bit length of the final common denominator) and
+    # bland (whether the stall guard switched to Bland's rule)
     stats: dict = field(default_factory=dict)
     # solved dual tableau of an optimal L1 outcome; branch and bound starts there
     solver: "_DualL1 | None" = field(default=None, repr=False, compare=False)
@@ -156,12 +161,18 @@ def check_farkas(problem: LpProblem, lam) -> bool:
 def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     """Verify that ``value`` lower-bounds sum(|x|) over the feasible set.
 
-    ``dual`` is indexed by the >=-normalized rows (equalities contribute
-    two).  Each inequality multiplier must be nonnegative, the combined
-    coefficient of every variable must lie in [-1, 1], and the combined
-    right-hand side must equal ``value``.
+    ``dual`` is indexed by the >=-normalized rows: one per inequality (a
+    <= row negated), two per equality (as stated, then negated).  Each
+    multiplier must be nonnegative, the combined coefficient of every
+    variable must lie in [-1, 1], and the combined right-hand side must
+    equal ``value``.
     """
-    ge_rows, _ = _ge_normal_form(problem)
+    ge_rows = []  # (coeffs, rhs, sign): sign * (coeffs . x) >= sign * rhs
+    for coeffs, rel, rhs in problem.constraints:
+        if rel in (GE, EQ):
+            ge_rows.append((coeffs, rhs, 1))
+        if rel in (LE, EQ):
+            ge_rows.append((coeffs, rhs, -1))
     if len(dual) != len(ge_rows):
         return False
     dual = [_frac(v) for v in dual]
@@ -169,36 +180,80 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
         return False
     combined = [Fraction(0)] * problem.num_vars
     total = Fraction(0)
-    for mult, (coeffs, rhs) in zip(dual, ge_rows):
+    for mult, (coeffs, rhs, sign) in zip(dual, ge_rows):
+        m = sign * mult
         for j, c in coeffs.items():
-            combined[j] += mult * c
-        total += mult * rhs
+            combined[j] += m * c
+        total += m * rhs
     if any(abs(c) > 1 for c in combined):
         return False
     return total == _frac(value)
 
 
 # ---------------------------------------------------------------------------
-# Integer tableau with fraction-free pivoting
+# Revised integer tableau with fraction-free pivoting
 # ---------------------------------------------------------------------------
 
 
-class _Tableau:
-    """Dense simplex tableau over integers sharing one denominator.
+def _dual_column(coeffs: dict, rhs: int, nvars: int) -> tuple:
+    """A primal >=-row a . x >= rhs as a dual column: (rhs, base, terms).
 
-    Entry (i, j) represents rows[i][j] / den; the running objective is
-    -corner / den.  Pivoting keeps everything integral (the entries are
-    subdeterminants of the original data), which is both exact and much
-    faster than per-entry rationals.
+    a . u is computed as base * sum(u) plus, per distinct value v != base
+    of a, (v - base) times the sum of u over the indices where a equals v.
+    ``base`` is the most frequent value of a (zero unless it beats the
+    zeros), so a row of +-1 costs at most N/2 additions and a sparse row
+    costs its nonzeros.  Each getter returns a sequence (a single index is
+    read as a one-element slice).
+    """
+    groups: dict[int, list] = {}
+    for j, a in coeffs.items():
+        if a:
+            groups.setdefault(a, []).append(j)
+    nnz = sum(len(js) for js in groups.values())
+    base = max(groups, key=lambda a: len(groups[a]), default=0)
+    if base and nvars - len(groups[base]) < nnz:
+        groups[0] = [j for j in range(nvars) if not coeffs.get(j)]
+    else:
+        base = 0
+    terms = tuple(
+        (a - base, itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1)))
+        for a, js in groups.items()
+        if a != base and js
+    )
+    return rhs, base, terms
+
+
+class _Tableau:
+    """Revised simplex tableau of the L1 dual over integers sharing one
+    denominator.
+
+    The rows are the 2N dual constraints.  Columns are numbered as in the
+    full tableau: the initial dual variables, then the 2N slacks, then the
+    dual variables appended by branch and bound.  The dual variable of the
+    primal >=-row a . x >= b has the original column [a; -a] and cost -b.
+
+    Only ``inv`` = den * B^-1 (the block under the slack columns, each row
+    a dict of its nonzero entries), the basic values ``rhs`` / den and the
+    cost row on the slack columns ``w`` are stored.  Any other column is
+    computed on demand from the sparse integer rows: column j is
+    inv . [a_j; -a_j], and its reduced cost is den * (-b_j) + z . a_j with
+    z = w[:N] - w[N:].  These are exactly the integers of the full
+    fraction-free tableau (subdeterminants of the original data), so the
+    pivot path is the same; a pivot updates at most 2N x 2N integers
+    instead of 2N x (rows + 2N).  The dual objective b . y is corner / den.
     """
 
-    def __init__(self, nrows: int):
-        self.rows: list[list[int]] = [[] for _ in range(nrows)]
-        self.rhs: list[int] = [0] * nrows
-        self.cost: list[int] = []
+    def __init__(self, nvars: int, ge_rows: list):
+        m = 2 * nvars
+        self.nvars = nvars
+        self.cols = [_dual_column(ic, ir, nvars) for ic, ir in ge_rows]
+        self.n0 = len(self.cols)
+        self.inv: list[dict[int, int]] = [{i: 1} for i in range(m)]
+        self.rhs: list[int] = [1] * m
+        self.w: list[int] = [0] * m
         self.corner = 0
         self.den = 1
-        self.basis: list[int] = [-1] * nrows
+        self.basis: list[int] = [self.n0 + i for i in range(m)]
         self.pivots = 0
         self.rule = "hybrid"
         self._stall = 0
@@ -206,13 +261,16 @@ class _Tableau:
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.inv)
 
     def clone(self) -> "_Tableau":
         t = _Tableau.__new__(_Tableau)
-        t.rows = [row[:] for row in self.rows]
+        t.nvars = self.nvars
+        t.cols = self.cols[:]  # the columns themselves are immutable and shared
+        t.n0 = self.n0
+        t.inv = [row.copy() for row in self.inv]
         t.rhs = self.rhs[:]
-        t.cost = self.cost[:]
+        t.w = self.w[:]
         t.corner = self.corner
         t.den = self.den
         t.basis = self.basis[:]
@@ -225,10 +283,37 @@ class _Tableau:
     def solution_map(self) -> dict:
         return {b: Fraction(self.rhs[i], self.den) for i, b in enumerate(self.basis)}
 
+    # -- pricing -------------------------------------------------------------
+
+    def prices(self) -> list:
+        """Reduced cost of every column, in column order."""
+        n, den, w = self.nvars, self.den, self.w
+        z = [p - q for p, q in zip(w[:n], w[n:])]
+        total = sum(z)
+        out = []
+        for b, base, terms in self.cols:
+            d = base * total - den * b
+            for a, get in terms:
+                d += a * sum(get(z))
+            out.append(d)
+        return out[: self.n0] + w + out[self.n0 :]
+
+    def column(self, c: int) -> list:
+        """Column c of the full tableau: inv times the original column."""
+        n, n0 = self.nvars, self.n0
+        if n0 <= c < n0 + 2 * n:
+            return [row.get(c - n0, 0) for row in self.inv]
+        _, base, terms = self.cols[c if c < n0 else c - 2 * n]
+        a = [base] * n
+        for v, get in terms:
+            for j in get(range(n)):  # a getter applied to range(n) lists its indices
+                a[j] += v
+        a += [-v for v in a]  # the original column [a; -a]
+        return [sum(map(mul, row.values(), map(a.__getitem__, row))) for row in self.inv]
+
     # -- pivoting ------------------------------------------------------------
 
-    def _entering(self) -> int | None:
-        cost = self.cost
+    def _entering(self, cost: list) -> int | None:
         if self.rule == "bland":
             for j, v in enumerate(cost):
                 if v < 0:
@@ -238,13 +323,12 @@ class _Tableau:
         best = min(range(len(cost)), key=cost.__getitem__, default=None)
         return best if best is not None and cost[best] < 0 else None
 
-    def _leaving(self, c: int) -> int | None:
+    def _leaving(self, col: list) -> int | None:
         best_i = None
         best_num = 0
         best_den = 0
         best_var = -1
-        for i in range(self.m):
-            a = self.rows[i][c]
+        for i, a in enumerate(col):
             if a <= 0:
                 continue
             num = self.rhs[i]
@@ -257,29 +341,38 @@ class _Tableau:
                 best_i, best_num, best_den, best_var = i, num, a, self.basis[i]
         return best_i
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, c: int, col: list, f: int) -> None:
+        """Pivot column c (entries ``col``, reduced cost ``f``) into row r."""
         den = self.den
-        prow = self.rows[r]
-        prhs = self.rhs[r]
-        piv = prow[c]
+        piv = col[r]
         if piv <= 0:
             raise LpError("pivot element must be positive")
+        prow = self.inv[r]
+        pitems = prow.items()
+        prhs = self.rhs[r]
+        inv = self.inv
         for i in range(self.m):
             if i == r:
                 continue
-            row = self.rows[i]
-            f = row[c]
-            if f == 0:
+            row = inv[i]
+            g = col[i]
+            if g == 0:
                 if piv != den:
-                    self.rows[i] = [v * piv // den for v in row]
+                    inv[i] = {k: v * piv // den for k, v in row.items()}
                     self.rhs[i] = self.rhs[i] * piv // den
                 continue
-            self.rows[i] = [(v * piv - f * pv) // den for v, pv in zip(row, prow)]
-            self.rhs[i] = (self.rhs[i] * piv - f * prhs) // den
-        f = self.cost[c]
-        if f != 0 or piv != den:
-            self.cost = [(v * piv - f * pv) // den for v, pv in zip(self.cost, prow)]
-            self.corner = (self.corner * piv - f * prhs) // den
+            # zero where both rows are zero; entries that cancel are dropped
+            get = row.get
+            new = {k: v * piv // den for k, v in row.items() if k not in prow}
+            new.update({k: x for k, pv in pitems if (x := (get(k, 0) * piv - g * pv) // den)})
+            inv[i] = new
+            self.rhs[i] = (self.rhs[i] * piv - g * prhs) // den
+        w = self.w
+        new_w = [v * piv // den for v in w]
+        for k, pv in pitems:
+            new_w[k] = (w[k] * piv - f * pv) // den
+        self.w = new_w
+        self.corner = (self.corner * piv - f * prhs) // den
         self.den = piv
         self.basis[r] = c
         self.pivots += 1
@@ -287,17 +380,19 @@ class _Tableau:
     def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
         stall_limit = 3 * self.m + 30
         while True:
-            c = self._entering()
+            cost = self.prices()
+            c = self._entering(cost)
             if c is None:
                 return "optimal"
-            r = self._leaving(c)
+            col = self.column(c)
+            r = self._leaving(col)
             if r is None:
                 self.ray_col = c
                 return "unbounded"
             if self.pivots >= max_pivots:
                 raise BudgetError(f"pivot budget {max_pivots} exhausted")
             before_num, before_den = self.corner, self.den
-            self.pivot(r, c)
+            self.pivot(r, c, col, cost[c])
             if self.rule == "hybrid":
                 if self.corner * before_den == before_num * self.den:
                     self._stall += 1
@@ -312,41 +407,44 @@ class _Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _ge_normal_form(problem: LpProblem):
-    """Rows as (coeffs, rhs) meaning coeffs . x >= rhs.
-
-    Equalities are split into a >= and a flipped >= row.  The returned map
-    records, per normalized row, (original index, kind) with kind one of
-    "ineq", "eq+", "eq-"; it drives certificate folding.
-    """
-    rows = []
-    rmap = []
-    for idx, (coeffs, rel, rhs) in enumerate(problem.constraints):
-        if rel == GE:
-            rows.append((dict(coeffs), rhs))
-            rmap.append((idx, "ineq"))
-        elif rel == LE:
-            rows.append(({j: -c for j, c in coeffs.items()}, -rhs))
-            rmap.append((idx, "ineq"))
-        else:
-            rows.append((dict(coeffs), rhs))
-            rmap.append((idx, "eq+"))
-            rows.append(({j: -c for j, c in coeffs.items()}, -rhs))
-            rmap.append((idx, "eq-"))
-    return rows, rmap
-
-
-def _scale_ge_row(coeffs: dict, rhs: Fraction):
-    """Positive integer multiple of a rational row."""
-    denoms = [c.denominator for c in coeffs.values()] + [rhs.denominator]
-    mult = 1
-    for dv in denoms:
-        mult = mult * dv // math.gcd(mult, dv)
+def _scale_ge_row(coeffs: dict, rhs) -> tuple:
+    """(integer coeffs, integer rhs, scale): a rational row times the least
+    positive integer that clears its denominators."""
+    rhs = _frac(rhs)
+    mult = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     return (
-        {j: int(c * mult) for j, c in coeffs.items()},
-        int(rhs * mult),
-        Fraction(mult),
+        {j: c.numerator * (mult // c.denominator) for j, c in coeffs.items()},
+        rhs.numerator * (mult // rhs.denominator),
+        mult,
     )
+
+
+def _int_ge_rows(problem: LpProblem):
+    """The constraints as integer rows (coeffs, rhs) meaning coeffs . x >= rhs.
+
+    A >= row is kept, a <= row negated, and an equality split into a >=
+    row and its negation; each is scaled to integers by ``_scale_ge_row``.
+    Unknown relations and out-of-range variables raise ``LpError``.
+    Per row, ``scales`` holds that factor and ``rmap`` (original index,
+    kind) with kind one of "ineq", "eq+", "eq-"; they drive certificate
+    folding.
+    """
+    rows, scales, rmap = [], [], []
+    for idx, (coeffs, rel, rhs) in enumerate(problem.constraints):
+        if rel not in _RELS:
+            raise LpError(f"unknown relation {rel!r}")
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
+            raise LpError(f"variable out of range in constraint {idx}")
+        ic, ir, mult = _scale_ge_row(coeffs, rhs)
+        if rel in (GE, EQ):
+            rows.append((ic, ir))
+            scales.append(mult)
+            rmap.append((idx, "ineq" if rel == GE else "eq+"))
+        if rel in (LE, EQ):
+            rows.append(({j: -a for j, a in ic.items()}, -ir))
+            scales.append(mult)
+            rmap.append((idx, "ineq" if rel == LE else "eq-"))
+    return rows, scales, rmap
 
 
 def _fold_ge_multipliers(problem: LpProblem, rmap, mults: dict) -> list:
@@ -382,36 +480,13 @@ class _DualL1:
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        ge_rows, self.rmap = _ge_normal_form(problem)
+        int_rows, self.scales, self.rmap = _int_ge_rows(problem)
         nvars = self.nvars = problem.num_vars
-        ge_rows += [({j: Fraction(1)}, Fraction(0)) for j in range(nvars) if problem.is_nonneg(j)]
-        self.scales = []
-        self.int_rows = []
-        for coeffs, rhs in ge_rows:
-            ic, ir, mult = _scale_ge_row(coeffs, _frac(rhs))
-            self.int_rows.append((ic, ir))
-            self.scales.append(mult)
-        self._n0 = len(ge_rows)
-        m = 2 * nvars
-        self.t = _Tableau(m)
-        t = self.t
-        ncols_base = self._n0 + m
-        for i in range(m):
-            t.rows[i] = [0] * ncols_base
-            t.rhs[i] = 1
-        for pos, (ic, _) in enumerate(self.int_rows):
-            for j, a in ic.items():
-                t.rows[j][pos] = a
-                t.rows[nvars + j][pos] = -a
-        for i in range(m):
-            t.rows[i][self._n0 + i] = 1
-            t.basis[i] = self._n0 + i
-        t.cost = [-ir for _, ir in self.int_rows] + [0] * m
-        t.corner = 0
-        self.n_dual_vars = self._n0
-
-    def slack_col(self, k: int) -> int:
-        return self._n0 + k
+        for j in range(nvars):
+            if problem.is_nonneg(j):
+                int_rows.append(({j: 1}, 0))
+                self.scales.append(1)
+        self.t = _Tableau(nvars, int_rows)
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
@@ -419,38 +494,18 @@ class _DualL1:
         other.rmap = self.rmap
         other.nvars = self.nvars
         other.scales = self.scales[:]
-        other.int_rows = self.int_rows
-        other._n0 = self._n0
         other.t = self.t.clone()
-        other.n_dual_vars = self.n_dual_vars
         return other
 
     def add_ge_row(self, coeffs: dict, rhs: Fraction) -> None:
         """Append a primal >=-row as a fresh dual column, keeping the basis."""
-        ic, ir, mult = _scale_ge_row(coeffs, _frac(rhs))
+        ic, ir, mult = _scale_ge_row(coeffs, rhs)
         self.scales.append(mult)
-        t = self.t
-        raw = {}
-        for j, a in ic.items():
-            raw[j] = a
-            raw[self.nvars + j] = -a
-        for i in range(t.m):
-            row = t.rows[i]
-            entry = 0
-            for k, a in raw.items():
-                s = row[self.slack_col(k)]
-                if s:
-                    entry += s * a
-            row.append(entry)
-        centry = t.den * (-ir)
-        for k, a in raw.items():
-            centry += t.cost[self.slack_col(k)] * a
-        t.cost.append(centry)
-        self.n_dual_vars += 1
+        self.t.cols.append(_dual_column(ic, ir, self.nvars))
 
     def column_of_dual_var(self, pos: int) -> int:
         # initial dual variables sit before the 2N slacks, appended ones after
-        if pos < self._n0:
+        if pos < self.t.n0:
             return pos
         return 2 * self.nvars + pos
 
@@ -459,22 +514,17 @@ class _DualL1:
 
     def witness(self) -> list:
         t = self.t
-        out = []
-        for m_idx in range(self.nvars):
-            plus = Fraction(t.cost[self.slack_col(m_idx)], t.den)
-            minus = Fraction(t.cost[self.slack_col(self.nvars + m_idx)], t.den)
-            out.append(plus - minus)
-        return out
+        n = self.nvars
+        return [Fraction(t.w[k] - t.w[n + k], t.den) for k in range(n)]
 
     def dual_values(self) -> dict:
         """Scaled dual variable values keyed by normalized-row position."""
         sol = self.t.solution_map()
         out = {}
-        for pos in range(self.n_dual_vars):
-            col = self.column_of_dual_var(pos)
-            v = sol.get(col, Fraction(0))
+        for pos, scale in enumerate(self.scales):
+            v = sol.get(self.column_of_dual_var(pos), Fraction(0))
             if v:
-                out[pos] = v * self.scales[pos]
+                out[pos] = v * scale
         return out
 
     def farkas_from_ray(self) -> dict:
@@ -483,15 +533,14 @@ class _DualL1:
         if col is None:
             raise LpError("no unbounded ray recorded")
         delta: dict[int, Fraction] = {col: Fraction(1)}
-        for i, b in enumerate(t.basis):
-            a = t.rows[i][col]
+        for b, a in zip(t.basis, t.column(col)):
             if a:
                 delta[b] = Fraction(-a, t.den)
         out = {}
-        for pos in range(self.n_dual_vars):
+        for pos, scale in enumerate(self.scales):
             v = delta.get(self.column_of_dual_var(pos), Fraction(0))
             if v:
-                out[pos] = v * self.scales[pos]
+                out[pos] = v * scale
         return out
 
     def certify(self, max_pivots: int) -> LpOutcome:
@@ -503,8 +552,9 @@ class _DualL1:
         this solver, whose tableau branch and bound can start from.
         """
         problem = self.problem
-        status = self.t.optimize(max_pivots)
-        stats = {"pivots": self.t.pivots}
+        t = self.t
+        status = t.optimize(max_pivots)
+        stats = {"pivots": t.pivots, "den_bits": t.den.bit_length(), "bland": t.rule == "bland"}
         if status == "unbounded":
             lam = _fold_ge_multipliers(problem, self.rmap, self.farkas_from_ray())
             if not check_farkas(problem, lam):
@@ -548,12 +598,6 @@ def solve(problem: LpProblem, max_pivots: int = DEFAULT_PIVOT_CAP) -> LpOutcome:
     Runs the L1 routine of ``min_l1``; a feasible outcome's witness is the
     minimum-L1 point.
     """
-    for coeffs, rel, _ in problem.constraints:
-        if rel not in _RELS:
-            raise LpError(f"unknown relation {rel!r}")
-        for j in coeffs:
-            if not 0 <= j < problem.num_vars:
-                raise LpError(f"variable {j} out of range")
     out = _DualL1(problem).certify(max_pivots)
     if out.status == "infeasible":
         return out

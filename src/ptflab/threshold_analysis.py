@@ -27,7 +27,6 @@ from .exact_lp import (
     IlpResult,
     LpOutcome,
     LpProblem,
-    check_farkas,
     check_witness,
     ilp_min,
     min_l1,
@@ -445,8 +444,7 @@ def certify_negated_row(
     out = solve(problem, max_pivots=max_pivots)
     desc = f"{base}(k={k}): adjoin {coeffs} {rel} {desc_rhs}"
     if out.status == "infeasible":
-        if not check_farkas(problem, out.farkas):
-            raise AnalysisError("certificate failed independent re-check")
+        # ``solve`` re-checked the Farkas vector; replay checks it again
         return InequalityCheck(desc, "CERTIFIED", problem, farkas=out.farkas)
     denom = 1
     for v in out.witness:

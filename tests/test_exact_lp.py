@@ -17,11 +17,14 @@ from ptflab import (
     check_witness,
     ilp_min,
     make_gt,
+    make_hard,
+    make_shape,
     min_l1,
     problem_from_text,
     problem_to_text,
     solve,
 )
+from ptflab import exact_lp
 from ptflab.threshold_analysis import build_representation_problem
 
 
@@ -78,6 +81,12 @@ def test_bad_rows_rejected():
         pr.add({5: 1}, ">=", 0)
     with pytest.raises(LpError):
         pr.add({0: 1}, "!=", 0)
+    # rows set directly bypass add(); the solvers reject them as well
+    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0)):
+        pr.constraints = [row]
+        for fn in (solve, min_l1):
+            with pytest.raises(LpError):
+                fn(pr)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +130,52 @@ def test_l1_infeasible_certificate():
     out = min_l1(pr)
     assert out.status == "infeasible"
     assert check_farkas(pr, out.farkas)
+
+
+def _code_names(code) -> set:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _code_names(const)
+    return names
+
+
+def test_l1_checker_shares_no_solver_code():
+    used = _code_names(check_l1_bound.__code__)
+    private = {name for name in vars(exact_lp) if name.startswith("_")}
+    assert "_ge_normal_form" not in used
+    assert used & private <= {"_frac"}  # the number coercion every checker uses
+
+
+def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
+    pr = LpProblem(2)
+    pr.add({0: 1, 1: -1}, "=", -5)
+    pr.add({0: -1}, "<=", -1)
+    pr.add({1: 1}, ">=", 0)
+    out = min_l1(pr)
+    assert out.value == 7 and out.dual == [0, 1, 2, 0]  # the flipped equality and the <= row
+    assert check_l1_bound(pr, out.dual, out.value)
+    d = out.dual
+    assert not check_l1_bound(pr, [d[1], d[0], *d[2:]], out.value)  # equality halves swapped
+    assert not check_l1_bound(pr, [d[0], d[1], d[2] + 1, d[3]], out.value)
+    assert not check_l1_bound(pr, d, out.value + 1)
+    assert not check_l1_bound(pr, d[:-1], out.value)
+
+
+@pytest.mark.parametrize(
+    "variant, ks, value, pivots, den_bits",
+    [
+        ("weak", (2, 3), FR(183, 2), 230, 22),
+        ("strong", (3, 3), FR(15), 185, 103),
+        ("strong", (3, 2), FR(6), 80, 55),
+    ],
+)
+def test_degree2_lp_pivot_path(variant, ks, value, pivots, den_bits):
+    shape = make_shape(variant, ks)
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    out = min_l1(prob)
+    assert out.value == value
+    assert out.stats == {"pivots": pivots, "den_bits": den_bits, "bland": False}
 
 
 def test_l1_rejects_objective_or_nonneg():
@@ -259,6 +314,25 @@ def test_one_solve_serves_feasibility_weight_and_branch_and_bound():
     res = ilp_min(prob, root=out)
     assert res.value == ilp_min(prob).value == 6
     assert out.solver.t.pivots == pivots  # the root tableau is cloned, not re-solved
+
+
+def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
+    # clones share the priced columns; a row added to one must not reach another
+    prob = build_representation_problem(make_gt(2), 1).problem
+    out = min_l1(prob)
+    parent = out.solver
+
+    def state():
+        t = parent.t
+        return parent.value(), parent.witness(), parent.dual_values(), t.prices(), t.pivots
+
+    before = state()
+    child = parent.clone()
+    child.add_ge_row({0: 1}, out.witness[0] + 1)
+    assert child.t.optimize() == "optimal"
+    assert child.t.pivots > parent.t.pivots and child.value() > out.value
+    assert state() == before
+    assert parent.t.optimize() == "optimal" and state() == before
 
 
 # ---------------------------------------------------------------------------

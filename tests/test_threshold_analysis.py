@@ -159,6 +159,22 @@ def test_wrong_inequality_yields_witness_gate():
     assert w[1] <= 2 * w[0]
     assert check_witness(chk.problem, w)
 
+def test_lemma_farkas_vector_checked_once(monkeypatch):
+    from ptflab import exact_lp, threshold_analysis
+
+    calls = []
+    real = exact_lp.check_farkas
+
+    def counted(problem, lam):
+        calls.append(1)
+        return real(problem, lam)
+
+    for module in (exact_lp, threshold_analysis):
+        monkeypatch.setattr(module, "check_farkas", counted, raising=False)
+    chk = certify_negated_row("gt", 3, {0: 1}, "<=", 0)
+    assert chk.status == "CERTIFIED" and check_farkas(chk.problem, chk.farkas)
+    assert len(calls) == 1
+
 def test_lemma_certificates_replayable():
     res = certify_coefficient_lemma("gt_step", 4)
     for chk in res.checks:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .shapes import Convention, GroupShape, ShapeError, Variant
 from .tuple_order import OrderContext, enumerate_ordered, order_bits
 
@@ -173,72 +175,59 @@ def linear_forms(x: tuple[int, ...]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _weak_bits(shape: GroupShape) -> list[int]:
-    ctx = OrderContext(shape)
-    tuples_desc = list(reversed(enumerate_ordered(ctx)))
-    d = shape.d
-    xi = [[shape.x_index(i, j) for j in range(1, shape.ks[i - 1] + 1)] for i in range(1, d + 1)]
-    yi = [[shape.y_index(i, j) for j in range(1, shape.ks[i - 1] + 1)] for i in range(1, d + 1)]
-    bits = []
-    for idx in range(1 << shape.n):
-        out = 1
-        for alpha in tuples_desc:
-            prod = 1
-            for i in range(d):
-                j = alpha[i] - 1
-                u = ((idx >> xi[i][j]) & 1) - ((idx >> yi[i][j]) & 1)
-                if u == 0:
-                    prod = 0
-                    break
-                prod *= u
-            if prod:
-                out = 1 if prod > 0 else 0
-                break
-        bits.append(out)
-    return bits
+# Inputs per block of the whole-cube scan; bounds its working memory.
+_SCAN_BLOCK = 1 << 16
 
 
-def _strong_bits(shape: GroupShape) -> list[int]:
+def _scan_plan(shape: GroupShape) -> tuple[list, list]:
+    """The coordinate factors and, in descending snake order, the terms.
+
+    A factor (p, q, plus) is bit_p - bit_q, or bit_p + bit_q - 1 when
+    ``plus``: the sign of x - y on a (group, coordinate) pair, or of a
+    strong group's linear form L_j (L_0 = x_1 + x_k, L_j = x_j - x_{j+1}).
+    A term is (factor indices of one tuple alpha, strong sign flag).
+    """
     ctx = OrderContext(shape)
-    tuples_desc = list(reversed(enumerate_ordered(ctx)))
     d = shape.d
-    # sign flags depend only on the tuple, never on the input
-    signs = []
-    for alpha in tuples_desc:
-        bits_ = order_bits(ctx, alpha)
-        c = sum(1 for i in range(d - 1) if alpha[i] == 0 and bits_[i] == 0)
-        signs.append(-1 if c % 2 else 1)
-    xd = [shape.x_index(d, j) for j in range(1, shape.ks[-1] + 1)]
-    yd = [shape.y_index(d, j) for j in range(1, shape.ks[-1] + 1)]
-    group_vars = [
-        [shape.x_index(i, j) for j in range(1, shape.ks[i - 1] + 1)] for i in range(1, d)
-    ]
-    bits = []
-    for idx in range(1 << shape.n):
-        ells = []
-        for vars_i in group_vars:
-            block = tuple(1 if (idx >> v) & 1 else -1 for v in vars_i)
-            ells.append(linear_forms(block))
-        out = 1
-        for alpha, sign in zip(tuples_desc, signs):
-            prod = sign
-            for i in range(d - 1):
-                f = ells[i][alpha[i]]
-                if f == 0:
-                    prod = 0
-                    break
-                prod *= f
-            if prod:
-                j = alpha[-1] - 1
-                u = ((idx >> xd[j]) & 1) - ((idx >> yd[j]) & 1)
-                if u == 0:
-                    continue
-                prod *= 2 * u  # x - y on {-1,1} inputs is twice the bit difference
-            if prod:
-                out = 1 if prod > 0 else 0
-                break
-        bits.append(out)
-    return bits
+    strong = shape.variant is Variant.STRONG
+    factors: list = []
+    ids = []  # ids[i][value] -> factor index of coordinate i + 1 at that value
+    for i in range(1, d + 1):
+        k = shape.ks[i - 1]
+        if strong and i < d:
+            xs = [shape.x_index(i, j) for j in range(1, k + 1)]
+            forms = [(xs[0], xs[-1], True)] + [(xs[j - 1], xs[j], False) for j in range(1, k)]
+            values = range(k)
+        else:
+            forms = [(shape.x_index(i, j), shape.y_index(i, j), False) for j in range(1, k + 1)]
+            values = range(1, k + 1)
+        ids.append(dict(zip(values, range(len(factors), len(factors) + k))))
+        factors += forms
+    terms = []
+    for alpha in reversed(enumerate_ordered(ctx)):
+        sign = 1
+        if strong:
+            # sign flags depend only on the tuple, never on the input
+            bits_ = order_bits(ctx, alpha)
+            c = sum(1 for i in range(d - 1) if alpha[i] == 0 and bits_[i] == 0)
+            sign = -1 if c % 2 else 1
+        terms.append(([ids[i][a] for i, a in enumerate(alpha)], sign))
+    return factors, terms
+
+
+def _scan_block(n: int, factors: list, terms: list, lo: int, size: int) -> np.ndarray:
+    """Output bits of inputs lo .. lo + size - 1: the sign of the first
+    nonzero term product, 1 where every product vanishes."""
+    idx = np.arange(lo, lo + size, dtype=np.int64)
+    bits = [((idx >> v) & 1).astype(np.int8) for v in range(n)]
+    vals = [bits[p] + bits[q] - 1 if plus else bits[p] - bits[q] for p, q, plus in factors]
+    first = np.zeros(size, dtype=np.int8)  # first nonzero product so far
+    for fs, sign in terms:
+        prod = vals[fs[0]] if sign > 0 else -vals[fs[0]]
+        for f in fs[1:]:
+            prod = prod * vals[f]
+        np.copyto(first, prod, where=first == 0)
+    return first >= 0
 
 
 def make_hard(shape: GroupShape) -> BoolFun:
@@ -246,14 +235,21 @@ def make_hard(shape: GroupShape) -> BoolFun:
 
     Scans K from the top of the snake order and returns the sign of the
     first nonzero coordinate product; inputs on which every product
-    vanishes get value 1.  Computed by direct scan, independently of the
-    witness polynomial, so the two can cross-check each other.
+    vanishes get value 1.  The scan runs on blocks of inputs at once, as
+    int8 arrays of factor signs (x - y per coordinate; for strong shapes
+    the sign of each linear form of a group before the last, times the
+    tuple's sign flag), and never evaluates the witness polynomial, so the
+    two can cross-check each other.
     """
-    if shape.variant is Variant.WEAK:
-        bits = _weak_bits(shape)
-        convention = Convention.ZERO_ONE
-    else:
-        bits = _strong_bits(shape)
-        convention = Convention.PLUS_MINUS
-    label = f"hard-{shape.describe()}"
-    return from_bits(bits, shape.n, convention, label)
+    factors, terms = _scan_plan(shape)
+    size = 1 << shape.n
+    packed = [
+        np.packbits(
+            _scan_block(shape.n, factors, terms, lo, min(_SCAN_BLOCK, size - lo)),
+            bitorder="little",
+        )
+        for lo in range(0, size, _SCAN_BLOCK)
+    ]
+    table = int.from_bytes(np.concatenate(packed).tobytes(), "little")
+    convention = Convention.ZERO_ONE if shape.variant is Variant.WEAK else Convention.PLUS_MINUS
+    return BoolFun(shape.n, convention, table, f"hard-{shape.describe()}")

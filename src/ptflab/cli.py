@@ -18,6 +18,7 @@ from .harness import PRESET_NAMES, preset, run
 from .polynomial import witness_gate
 from .shapes import make_shape
 from .threshold_analysis import (
+    DEFAULT_INPUT_CAP,
     BudgetError,
     certify_coefficient_lemma,
     check_sign_representation,
@@ -38,8 +39,18 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _over_cap(shape) -> bool:
+    """True, after printing why, when the shape has too many inputs to build."""
+    if shape.n <= DEFAULT_INPUT_CAP:
+        return False
+    print(f"SKIPPED: n = {shape.n} exceeds the input cap {DEFAULT_INPUT_CAP}")
+    return True
+
+
 def _cmd_build(args) -> int:
     shape = make_shape(args.variant, _parse_ks(args.ks))
+    if _over_cap(shape):
+        return 2
     fn = make_hard(shape)
     _write_out(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     return 0
@@ -60,6 +71,8 @@ def _cmd_order(args) -> int:
 
 def _cmd_verify_gate(args) -> int:
     shape = make_shape(args.variant, _parse_ks(args.ks))
+    if _over_cap(shape):
+        return 2
     fn = make_hard(shape)
     gate = witness_gate(shape)
     cx = check_sign_representation(gate, fn)
@@ -76,7 +89,11 @@ def _load_fun(path: str) -> BoolFun:
 
 def _cmd_signdeg(args) -> int:
     fn = _load_fun(args.fn)
-    res = sign_degree(fn, args.dmax)
+    try:
+        res = sign_degree(fn, args.dmax)
+    except BudgetError as exc:
+        print(f"SKIPPED: {exc}")
+        return 2
     if res.value is None:
         print(f"sign degree > {args.dmax}")
         return 1

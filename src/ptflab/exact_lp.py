@@ -111,20 +111,28 @@ class IlpResult:
 
 
 def check_witness(problem: LpProblem, x) -> bool:
-    """Exact substitution check of every constraint and sign restriction."""
+    """Exact substitution check of every constraint and sign restriction.
+
+    Compares integers: x times the lcm of its denominators, and each row
+    times the lcm of its own, which keeps the sign of every comparison.
+    """
     if len(x) != problem.num_vars:
         return False
     x = [_frac(v) for v in x]
     for j in range(problem.num_vars):
         if problem.is_nonneg(j) and x[j] < 0:
             return False
+    scale = math.lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (scale // v.denominator) for v in x]
     for coeffs, rel, rhs in problem.constraints:
-        lhs = sum((c * x[j] for j, c in coeffs.items()), Fraction(0))
-        if rel == LE and lhs > rhs:
+        m = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        lhs = sum(c.numerator * (m // c.denominator) * xs[j] for j, c in coeffs.items())
+        bound = rhs.numerator * (m // rhs.denominator) * scale
+        if rel == LE and lhs > bound:
             return False
-        if rel == GE and lhs < rhs:
+        if rel == GE and lhs < bound:
             return False
-        if rel == EQ and lhs != rhs:
+        if rel == EQ and lhs != bound:
             return False
     return True
 
@@ -135,20 +143,31 @@ def check_farkas(problem: LpProblem, lam) -> bool:
     Multipliers must be >= 0 on inequality rows (free on equalities); the
     combination, read with <= rows as stated and >= rows negated, must have
     zero coefficients on free variables, nonnegative coefficients on
-    nonnegative variables, and a negative right-hand side.
+    nonnegative variables, and a negative right-hand side.  The sums are
+    taken over the integers, times the lcm of the multipliers' and of the
+    used rows' denominators; rows with a zero multiplier are skipped.
     """
     if len(lam) != len(problem.constraints):
         return False
     lam = [_frac(v) for v in lam]
-    combined = [Fraction(0)] * problem.num_vars
-    rhs_total = Fraction(0)
-    for mult, (coeffs, rel, rhs) in zip(lam, problem.constraints):
-        if rel != EQ and mult < 0:
+    scale = math.lcm(*(v.denominator for v in lam))
+    used = []  # (integer multiplier times the read sign, coeffs, rhs)
+    for v, (coeffs, rel, rhs) in zip(lam, problem.constraints):
+        if rel != EQ and v < 0:
             return False
-        sign = -1 if rel == GE else 1
+        if v:
+            mult = v.numerator * (scale // v.denominator)
+            used.append((-mult if rel == GE else mult, coeffs, rhs))
+    m = math.lcm(
+        *(r.denominator for _, _, r in used),
+        *(c.denominator for _, coeffs, _ in used for c in coeffs.values()),
+    )
+    combined = [0] * problem.num_vars
+    rhs_total = 0
+    for mult, coeffs, rhs in used:
         for j, c in coeffs.items():
-            combined[j] += mult * sign * c
-        rhs_total += mult * sign * rhs
+            combined[j] += mult * c.numerator * (m // c.denominator)
+        rhs_total += mult * rhs.numerator * (m // rhs.denominator)
     for j, c in enumerate(combined):
         if problem.is_nonneg(j):
             if c < 0:

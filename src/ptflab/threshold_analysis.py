@@ -86,12 +86,45 @@ def _uv_arrays(shape: GroupShape, convention: Convention) -> dict:
     return arrays
 
 
+def _xy_value_table(p: IntPolynomial, n: int, convention: Convention) -> np.ndarray:
+    """Exact values of an xy polynomial at every input by a fast transform.
+
+    Each monomial is reduced to the bitmask of its variables (a repeated
+    variable counts once over {0,1}; over {-1,1} only variables of odd
+    multiplicity remain) and its coefficient added there.  Then n butterfly
+    steps turn coefficients into values: the subset-sum (zeta) transform
+    for {0,1} inputs, the Walsh-Hadamard transform for {-1,1} inputs, n*2^n
+    additions whatever the number of terms.  Every intermediate is a signed
+    sum of distinct coefficients, so |value| <= weight: int64 while the
+    weight is below 2^62, Python ints (dtype=object) above.
+    """
+    zero_one = convention is Convention.ZERO_ONE
+    reduced: dict = {}
+    for key, c in p.coeffs.items():
+        mask = 0
+        for v in key:
+            mask = mask | (1 << v) if zero_one else mask ^ (1 << v)
+        reduced[mask] = reduced.get(mask, 0) + c
+    vals = np.zeros(1 << n, dtype=np.int64 if p.weight < 2**62 else object)
+    for mask, c in reduced.items():
+        vals[mask] = c
+    for j in range(n):
+        pairs = vals.reshape(-1, 2, 1 << j)  # axis 1 is variable j
+        if zero_one:
+            pairs[:, 1] += pairs[:, 0]
+        else:
+            low = pairs[:, 0].copy()
+            pairs[:, 0] -= pairs[:, 1]
+            pairs[:, 1] += low
+    return vals
+
+
 def _poly_value_table(p: IntPolynomial, n: int, convention: Convention) -> np.ndarray | None:
-    """Exact values of p at every input, or None if int64 could overflow."""
+    """Exact values of p at every input; None for a uv polynomial whose
+    values could overflow int64."""
     if p.basis == "xy":
-        arrays = {j: a for j, a in enumerate(_bit_arrays(n, convention))}
-    else:
-        arrays = _uv_arrays(p.shape, convention)
+        return _xy_value_table(p, n, convention)
+    arrays = _uv_arrays(p.shape, convention)
     maxabs = {k: int(np.max(np.abs(a))) if a.size else 0 for k, a in arrays.items()}
     bound = 0
     for key, c in p.coeffs.items():
@@ -124,19 +157,16 @@ class Counterexample:
     fun_value: int
 
 
-def _poly_value_at(p: IntPolynomial, assignment) -> int:
-    if p.basis == "xy":
-        return p.evaluate(assignment)
-    return p.evaluate(UvAssignment.from_input(p.shape, assignment).values)
-
-
 def check_sign_representation(
     p: IntPolynomial, f: BoolFun, input_cap: int = DEFAULT_INPUT_CAP
 ) -> Counterexample | None:
     """Exhaustive comparison of sign(p) against f; None means PASS.
 
-    Works in either basis: uv polynomials are evaluated at the derived
-    u/v assignment of each raw input.  Returns the first failing input.
+    An xy polynomial is evaluated on the whole cube by one transform
+    (``_xy_value_table``: int64 below weight 2^62, Python ints above).  A uv
+    polynomial is evaluated from the u/v value arrays when its values fit
+    int64, and otherwise at the derived u/v assignment of each raw input.
+    Returns the first failing input.
     """
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the exhaustive-check cap {input_cap}")
@@ -155,7 +185,8 @@ def check_sign_representation(
     else:
         idx = None
         for i in range(f.size):
-            pv = _poly_value_at(p, assignment_of_index(i, f.n, f.convention))
+            uv = UvAssignment.from_input(p.shape, assignment_of_index(i, f.n, f.convention))
+            pv = p.evaluate(uv.values)
             if (pv >= 0) != (f.bit(i) == 1):
                 idx = i
                 break
@@ -196,33 +227,41 @@ def build_representation_problem(
     shape: GroupShape | None = None,
     input_cap: int = DEFAULT_INPUT_CAP,
 ) -> RepresentationProblem:
+    """The sign constraints of f over every monomial of degree <= ``degree``.
+
+    One int8 matrix holds, per input, the value of each monomial and the
+    class of f.  ``np.unique`` drops repeated rows; the first occurrences
+    stay in input order, which fixes the simplex pivot path.  Each
+    constraint is the dict of its row's nonzero monomial values.
+    """
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
-    bits = _fun_bits(f)
-    arrays = _bit_arrays(f.n, f.convention)
     monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
-    cols = []
-    for key in monomials:
-        col = np.ones(f.size, dtype=np.int64)
-        for v in key:
-            col = col * arrays[v]
-        cols.append(col)
+    xs = [a.astype(np.int8) for a in _bit_arrays(f.n, f.convention)]
+    column = {m: i for i, m in enumerate(monomials)}
+    mat = np.empty((f.size, len(monomials) + 1), dtype=np.int8)
+    for i, key in enumerate(monomials):
+        # monomials come by degree, so key[:-1] already has its column
+        mat[:, i] = mat[:, column[key[:-1]]] * xs[key[-1]] if key else 1
+    bits = _fun_bits(f)
+    mat[:, -1] = bits
+    keep = np.sort(np.unique(mat, axis=0, return_index=True)[1])
+    coeffs = mat[keep, :-1]
+    _, cols = np.nonzero(coeffs)
+    value = {1: Fraction(1), -1: Fraction(-1)}
+    vals = [value[v] for v in coeffs[coeffs != 0].tolist()]
+    cols = cols.tolist()
+    ends = np.cumsum(np.count_nonzero(coeffs, axis=1)).tolist()
 
     problem = LpProblem(len(monomials))
-    seen = set()
-    for idx in range(f.size):
-        row = {}
-        for m, col in enumerate(cols):
-            v = int(col[idx])
-            if v:
-                row[m] = Fraction(v)
-        rel = GE if bits[idx] == 1 else LE
-        rhs = Fraction(0) if bits[idx] == 1 else Fraction(-1)
-        sig = (tuple(sorted(row.items())), rel)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        problem.constraints.append((row, rel, rhs))
+    start = 0
+    for idx, end in zip(keep.tolist(), ends):
+        row = dict(zip(cols[start:end], vals[start:end]))
+        start = end
+        if bits[idx]:
+            problem.constraints.append((row, GE, Fraction(0)))
+        else:
+            problem.constraints.append((row, LE, Fraction(-1)))
     return RepresentationProblem(f, degree, monomials, problem, shape)
 
 

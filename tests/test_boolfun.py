@@ -1,6 +1,7 @@
 """Truth tables: comparators, all-equal detectors, and the composite hard
 functions, cross-checked against literal re-implementations."""
 
+import hashlib
 import itertools
 import json
 
@@ -241,10 +242,26 @@ def test_weak_matches_reference(ks):
     assert make_hard(shape).table == reference_weak(shape).table
 
 
-@pytest.mark.parametrize("ks", [(3, 3), (2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("ks", [(3, 3), (2, 2), (3, 2, 2), (3, 3, 3)])
 def test_strong_matches_reference(ks):
     shape = make_shape("strong", ks)
     assert make_hard(shape).table == reference_strong(shape).table
+
+
+# sha256 of the little-endian table bytes, as computed by the per-input scan
+# the array scan replaced
+PINNED_TABLES = {
+    ("weak", (3, 3, 3)): "ca2dfcde03e40b3b3091f1abd3d9faf0cc54c4f0ad03ef959f8ce3bf27f53248",
+    ("weak", (2, 2, 2, 3)): "2da67112c00a63723bf22431ab3a63264c8de02493c984ab8d07e5d86dd53b04",
+    ("strong", (5, 5, 3)): "559e03d7485705ceb15631b69ff6e3091fc0b5ee23612d6f8389de860e525ced",
+}
+
+
+@pytest.mark.parametrize("variant, ks", list(PINNED_TABLES))
+def test_large_hard_tables_match_pinned_digests(variant, ks):
+    f = make_hard(make_shape(variant, ks))
+    digest = hashlib.sha256(f.table.to_bytes(f.size // 8, "little")).hexdigest()
+    assert digest == PINNED_TABLES[(variant, ks)]
 
 
 def test_strong_top_bit_comparison_decides():

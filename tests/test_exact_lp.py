@@ -141,10 +141,26 @@ def _code_names(code) -> set:
 
 
 def test_l1_checker_shares_no_solver_code():
-    used = _code_names(check_l1_bound.__code__)
     private = {name for name in vars(exact_lp) if name.startswith("_")}
-    assert "_ge_normal_form" not in used
-    assert used & private <= {"_frac"}  # the number coercion every checker uses
+    for checker in (check_l1_bound, check_witness, check_farkas):
+        used = _code_names(checker.__code__)
+        assert not used & {"_ge_normal_form", "_scale_ge_row", "_int_ge_rows"}
+        assert used & private <= {"_frac"}  # the number coercion every checker uses
+
+
+def test_checkers_clear_denominators_exactly():
+    pr = LpProblem(2)
+    pr.add({0: FR(1, 3), 1: FR(2, 7)}, ">=", FR(5, 21))  # 7 x0 + 6 x1 >= 5
+    pr.add({0: FR(1, 2)}, "=", FR(1, 4))  # x0 = 1/2
+    assert check_witness(pr, [FR(1, 2), FR(1, 4)])  # 7/2 + 3/2 = 5: tight
+    assert not check_witness(pr, [FR(1, 2), FR(1, 4) - FR(1, 10**30)])
+    assert not check_witness(pr, [FR(1, 2) + FR(1, 10**30), FR(1, 4)])
+    pr.add({1: FR(3, 5)}, "<=", FR(1, 20))  # x1 <= 1/12, but the rows above force x1 >= 1/4
+    lam = [FR(3), FR(2), FR(10, 7)]  # right-hand side -5/7 + 1/2 + 1/14 = -1/7
+    assert check_farkas(pr, lam)
+    assert not check_farkas(pr, [lam[0], lam[1], lam[2] - FR(1, 10**30)])
+    assert not check_farkas(pr, [-lam[0], lam[1], lam[2]])
+    assert not check_farkas(pr, [0, 0, 0])
 
 
 def test_l1_checker_normalizes_every_relation_and_rejects_corruption():

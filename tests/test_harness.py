@@ -174,3 +174,17 @@ def test_cli_reproduce(tmp_path, capsys):
     assert (tmp_path / "strong-3-3.csv").exists()
     out = capsys.readouterr().out
     assert "verify_gate,PASS" in out.replace(" ", "")
+
+
+def test_cli_checks_the_input_cap_before_building(tmp_path, monkeypatch, capsys):
+    def refuse(shape):
+        raise AssertionError("make_hard called past the input cap")
+
+    monkeypatch.setattr("ptflab.cli.make_hard", refuse)
+    for argv in (["build", "weak", "6,7"], ["verify-gate", "6,7"]):  # n = 26
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out.startswith("SKIPPED: n = 26 exceeds the input cap")
+    fn_path = tmp_path / "wide.json"  # constant 0 on 25 inputs
+    fn_path.write_text(json.dumps({"n": 25, "convention": "zero-one", "table_hex": "00"}))
+    assert cli_main(["signdeg", str(fn_path), "--dmax", "1"]) == 2
+    assert capsys.readouterr().out.startswith("SKIPPED: n = 25 exceeds the input cap")

@@ -2,8 +2,11 @@
 certification, and theorem-instance reports."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptflab import (
     BudgetError,
@@ -17,7 +20,6 @@ from ptflab import (
     check_sign_representation,
     check_witness,
     ilp_min,
-
     make_gt,
     make_hard,
     make_shape,
@@ -27,7 +29,9 @@ from ptflab import (
     verify_theorem_instance,
     witness_gate,
 )
-from ptflab.boolfun import from_bits
+from ptflab.boolfun import assignment_of_index, from_bits
+from ptflab.exact_lp import GE, LE, LpProblem
+from ptflab.threshold_analysis import _poly_value_table
 
 def constant_one(n):
     return from_bits([1] * (1 << n), n, Convention.ZERO_ONE, "one")
@@ -68,6 +72,64 @@ def test_big_coefficients_fall_back_to_exact_path():
     assert check_sign_representation(gate, make_gt(2)) is None
     broken = witness_gate(shape).scaled(-(2**80))
     assert check_sign_representation(broken, make_gt(2)) is not None
+
+_terms = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 4), max_size=4),  # variables, repeats allowed
+        st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_terms, convention=st.sampled_from(list(Convention)))
+@example(terms=[([0, 0, 3], 2**62), ([1], -1), ([], 5)], convention=Convention.PLUS_MINUS)
+@example(terms=[([2, 2], 2**62 - 1), ([], 1)], convention=Convention.ZERO_ONE)
+def test_xy_value_table_matches_per_input_evaluation(terms, convention):
+    n = 5
+    p = IntPolynomial("xy", None, {tuple(vs): c for vs, c in terms})
+    vals = _poly_value_table(p, n, convention)
+    assert vals.dtype == (object if p.weight >= 2**62 else "int64")
+    want = [p.evaluate(assignment_of_index(i, n, convention)) for i in range(1 << n)]
+    assert [int(v) for v in vals] == want
+
+
+def reference_representation_problem(f, degree):
+    """The per-input construction: one row per input, repeats dropped."""
+    monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
+    problem = LpProblem(len(monomials))
+    seen = set()
+    for idx in range(f.size):
+        x = assignment_of_index(idx, f.n, f.convention)
+        row = {}
+        for m, key in enumerate(monomials):
+            v = 1
+            for j in key:
+                v *= x[j]
+            if v:
+                row[m] = Fraction(v)
+        positive = f.bit(idx) == 1
+        rel, rhs = (GE, Fraction(0)) if positive else (LE, Fraction(-1))
+        sig = (tuple(sorted(row.items())), rel)
+        if sig not in seen:
+            seen.add(sig)
+            problem.constraints.append((row, rel, rhs))
+    return monomials, problem
+
+
+@pytest.mark.parametrize("variant, ks", [("weak", (2, 3)), ("strong", (3, 3)), ("strong", (3, 2))])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_representation_problem_matches_per_input_reference(variant, ks, degree):
+    f = make_hard(make_shape(variant, ks))
+    monomials, ref = reference_representation_problem(f, degree)
+    got = build_representation_problem(f, degree)
+    assert got.monomials == monomials
+    assert got.problem.num_vars == ref.num_vars
+    # same rows in the same order, each with its keys in the same order
+    assert [(list(r.items()), rel, rhs) for r, rel, rhs in got.problem.constraints] == [
+        (list(r.items()), rel, rhs) for r, rel, rhs in ref.constraints
+    ]
 
 # ---------------------------------------------------------------------------
 # sign-degree

@@ -27,6 +27,7 @@ from .polynomial import (
     IntPolynomial,
     PolynomialError,
     UvAssignment,
+    from_uv,
     symmetric_coefficient,
     symmetrize,
     to_uv,

@@ -22,6 +22,7 @@ exact integer-minimal weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,7 +185,7 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     <= row negated), two per equality (as stated, then negated).  Each
     multiplier must be nonnegative, the combined coefficient of every
     variable must lie in [-1, 1], and the combined right-hand side must
-    equal ``value``.
+    equal ``value``.  The sums are integers, scaled as in ``check_farkas``.
     """
     ge_rows = []  # (coeffs, rhs, sign): sign * (coeffs . x) >= sign * rhs
     for coeffs, rel, rhs in problem.constraints:
@@ -197,16 +198,27 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     dual = [_frac(v) for v in dual]
     if any(v < 0 for v in dual):
         return False
-    combined = [Fraction(0)] * problem.num_vars
-    total = Fraction(0)
-    for mult, (coeffs, rhs, sign) in zip(dual, ge_rows):
-        m = sign * mult
+    scale = math.lcm(*(v.denominator for v in dual))
+    used = [
+        (sign * v.numerator * (scale // v.denominator), coeffs, rhs)
+        for v, (coeffs, rhs, sign) in zip(dual, ge_rows)
+        if v
+    ]
+    m = math.lcm(
+        *(r.denominator for _, _, r in used),
+        *(c.denominator for _, coeffs, _ in used for c in coeffs.values()),
+    )
+    combined = [0] * problem.num_vars
+    total = 0
+    for mult, coeffs, rhs in used:
         for j, c in coeffs.items():
-            combined[j] += m * c
-        total += m * rhs
-    if any(abs(c) > 1 for c in combined):
+            combined[j] += mult * c.numerator * (m // c.denominator)
+        total += mult * rhs.numerator * (m // rhs.denominator)
+    unit = scale * m  # the integer image of 1
+    if any(abs(c) > unit for c in combined):
         return False
-    return total == _frac(value)
+    value = _frac(value)
+    return total * value.denominator == value.numerator * unit
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +783,31 @@ def problem_to_text(problem: LpProblem) -> str:
 
 
 def problem_from_text(text: str) -> LpProblem:
+    """Parse ``problem_to_text`` output; any malformed line raises LpError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("vars "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "vars" or not header[1].isdecimal():
         raise LpError("expected 'vars N' header")
-    n = int(lines[0].split()[1])
+    n = int(header[1])
     problem = LpProblem(n)
+    parse = functools.cache(Fraction)  # dense rows repeat a few values
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "names":
             problem.names = parts[1:]
             continue
         if parts[0] == "nonneg":
+            if len(parts) != n + 1 or not set(parts[1:]) <= {"0", "1"}:
+                raise LpError(f"bad nonneg line: {ln}")
             problem.nonneg = [p == "1" for p in parts[1:]]
             continue
         try:
-            if len(parts) < 2 or parts[-2] not in _RELS:
+            if len(parts) != n + 2 or parts[-2] not in _RELS:
                 raise ValueError
-            coeffs = {j: Fraction(p) for j, p in enumerate(parts[:-2]) if Fraction(p)}
-            rhs = Fraction(parts[-1])
+            coeffs = [parse(p) for p in parts[:-2]]
+            rhs = parse(parts[-1])
         except ValueError:
             raise LpError(f"bad constraint line: {ln}") from None
-        problem.add(coeffs, parts[-2], rhs)
+        row = {j: c for j, c in enumerate(coeffs) if c}
+        problem.constraints.append((row, parts[-2], rhs))
     return problem

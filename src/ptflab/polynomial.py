@@ -5,8 +5,10 @@ canonical input variables of a shape (plain ints).  The "uv" basis is
 indexed by namespaced difference/sum variables: ``("u", i, j)`` is
 x^i_j - y^i_j for weak shapes (and the j-th linear form of group i < d, or
 x^d_j - y^d_j, for strong shapes); ``("v", i, j)`` is the matching sum.
-Monomial keys are sorted tuples *with repetition* — the u/v image of a
-multilinear polynomial need not be multilinear.
+``_uv_forms`` is the one definition of these variables: the witness gate,
+``from_uv`` and ``UvAssignment`` all read it, and ``_substitution_rows``
+is its inverse.  Monomial keys are sorted tuples *with repetition* — the
+u/v image of a multilinear polynomial need not be multilinear.
 
 Coefficients are arbitrary-precision from the start: the witness gates
 carry 2^rank scaling and leave 64-bit range as soon as |K| grows past 30.
@@ -14,11 +16,11 @@ carry 2^rank scaling and leave 64-bit range as soon as |K| grows past 30.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 from .shapes import GroupShape, Variant
-from .boolfun import linear_forms
 from .tuple_order import OrderContext, enumerate_ordered, order_bits
 
 UvVar = tuple[str, int, int]
@@ -103,8 +105,44 @@ class IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Derived u/v assignments
+# The u/v variables
 # ---------------------------------------------------------------------------
+
+
+def _uv_forms(shape: GroupShape) -> dict:
+    """Tag -> xy linear form [(variable, coeff)] of every u/v variable; a
+    strong group i < d has L_0 = x_1 + x_k and L_j = x_j - x_{j+1}."""
+    forms: dict = {}
+    d = shape.d
+    for i in range(1, d + 1):
+        k = shape.ks[i - 1]
+        if shape.variant is Variant.STRONG and i < d:
+            xs = [shape.x_index(i, j) for j in range(1, k + 1)]
+            forms[("u", i, 0)] = [(xs[0], 1), (xs[-1], 1)]
+            for j in range(1, k):
+                forms[("u", i, j)] = [(xs[j - 1], 1), (xs[j], -1)]
+            continue
+        for j in range(1, k + 1):
+            x, y = shape.x_index(i, j), shape.y_index(i, j)
+            forms[("u", i, j)] = [(x, 1), (y, -1)]
+            forms[("v", i, j)] = [(x, 1), (y, 1)]
+    return forms
+
+
+def from_uv(q: IntPolynomial) -> IntPolynomial:
+    """The xy polynomial equal to a uv polynomial at every input; its
+    monomials may repeat a variable."""
+    if q.basis != "uv":
+        raise PolynomialError("from_uv expects a uv polynomial")
+    if q.shape is None:
+        raise PolynomialError("change of basis needs the group shape")
+    forms = _uv_forms(q.shape)
+    out: dict = {}
+    for key, c in q.coeffs.items():
+        for choice in product(*(forms[tag] for tag in key)):
+            mono = _canon(v for v, _ in choice)
+            out[mono] = out.get(mono, 0) + c * math.prod(s for _, s in choice)
+    return IntPolynomial("xy", q.shape, out)
 
 
 @dataclass(frozen=True)
@@ -122,28 +160,10 @@ class UvAssignment:
         assignment = tuple(assignment)
         if len(assignment) != shape.n:
             raise PolynomialError(f"expected {shape.n} values")
-        values: dict = {}
-        d = shape.d
-        if shape.variant is Variant.WEAK:
-            for i in range(1, d + 1):
-                for j in range(1, shape.ks[i - 1] + 1):
-                    x = assignment[shape.x_index(i, j)]
-                    y = assignment[shape.y_index(i, j)]
-                    values[("u", i, j)] = x - y
-                    values[("v", i, j)] = x + y
-        else:
-            for i in range(1, d):
-                block = tuple(
-                    assignment[shape.x_index(i, j)]
-                    for j in range(1, shape.ks[i - 1] + 1)
-                )
-                for j, ell in enumerate(linear_forms(block)):
-                    values[("u", i, j)] = ell
-            for j in range(1, shape.ks[-1] + 1):
-                x = assignment[shape.x_index(d, j)]
-                y = assignment[shape.y_index(d, j)]
-                values[("u", d, j)] = x - y
-                values[("v", d, j)] = x + y
+        values = {
+            tag: sum(s * assignment[v] for v, s in form)
+            for tag, form in _uv_forms(shape).items()
+        }
         return cls(shape, values)
 
 
@@ -152,62 +172,32 @@ class UvAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _weak_term_factors(shape: GroupShape, alpha: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-    return [
-        [(shape.x_index(i, alpha[i - 1]), 1), (shape.y_index(i, alpha[i - 1]), -1)]
-        for i in range(1, shape.d + 1)
-    ]
-
-
-def _strong_term_factors(shape: GroupShape, alpha: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-    d = shape.d
-    factors = []
-    for i in range(1, d):
-        j = alpha[i - 1]
-        k = shape.ks[i - 1]
-        if j == 0:
-            factors.append([(shape.x_index(i, 1), 1), (shape.x_index(i, k), 1)])
-        else:
-            factors.append([(shape.x_index(i, j), 1), (shape.x_index(i, j + 1), -1)])
-    jd = alpha[-1]
-    factors.append([(shape.x_index(d, jd), 1), (shape.y_index(d, jd), -1)])
-    return factors
-
-
 def witness_gate(shape: GroupShape, exponent_cap: int = 64) -> IntPolynomial:
     """Degree-d gate sum(2^rank * t_rank) over the snake enumeration of K.
 
-    Each t is the product of one difference (or linear form) per group, so
-    the top nonzero term strictly dominates everything below it and the
-    gate's sign agrees with the hard function everywhere.  Coefficients
-    reach 2^|K|, hence the cap.
+    Each t is the product of one u variable per group (a difference, or a
+    linear form on the strong groups i < d), so the top nonzero term
+    strictly dominates everything below it and the gate's sign agrees with
+    the hard function everywhere.  Coefficients reach 2^|K|, hence the cap.
+    The gate is returned over the input variables.
     """
     if shape.size_K > exponent_cap:
         raise PolynomialError(
             f"|K| = {shape.size_K} exceeds exponent cap {exponent_cap}"
         )
     ctx = OrderContext(shape)
-    ordered = enumerate_ordered(ctx)
     coeffs: dict = {}
-    for rank, alpha in enumerate(ordered, start=1):
-        if shape.variant is Variant.WEAK:
-            factors = _weak_term_factors(shape, alpha)
-            sign = 1
-        else:
-            factors = _strong_term_factors(shape, alpha)
+    for rank, alpha in enumerate(enumerate_ordered(ctx), start=1):
+        sign = 1
+        if shape.variant is Variant.STRONG:
             bits = order_bits(ctx, alpha)
             c = sum(
                 1 for i in range(shape.d - 1) if alpha[i] == 0 and bits[i] == 0
             )
             sign = -1 if c % 2 else 1
-        scale = sign * (1 << rank)
-        for choice in product(*factors):
-            key = _canon(v for v, _ in choice)
-            coeff = scale
-            for _, s in choice:
-                coeff *= s
-            coeffs[key] = coeffs.get(key, 0) + coeff
-    return IntPolynomial("xy", shape, coeffs)
+        key = tuple(("u", i, a) for i, a in enumerate(alpha, start=1))
+        coeffs[key] = sign * (1 << rank)
+    return from_uv(IntPolynomial("uv", shape, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .exact_lp import (
     min_l1,
     solve,
 )
-from .polynomial import IntPolynomial, UvAssignment
+from .polynomial import IntPolynomial, from_uv
 from .shapes import Convention, GroupShape, Variant
 
 DEFAULT_INPUT_CAP = 24
@@ -49,41 +49,6 @@ class HypothesisError(AnalysisError):
 # ---------------------------------------------------------------------------
 # Evaluating polynomials over entire input cubes
 # ---------------------------------------------------------------------------
-
-
-def _bit_arrays(n: int, convention: Convention) -> list[np.ndarray]:
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = [((idx >> j) & 1).astype(np.int64) for j in range(n)]
-    if convention is Convention.PLUS_MINUS:
-        bits = [2 * b - 1 for b in bits]
-    return bits
-
-
-def _uv_arrays(shape: GroupShape, convention: Convention) -> dict:
-    """Exact value array of every u/v variable over all inputs."""
-    bits = _bit_arrays(shape.n, convention)
-    arrays: dict = {}
-    d = shape.d
-    if shape.variant is Variant.WEAK:
-        for i in range(1, d + 1):
-            for j in range(1, shape.ks[i - 1] + 1):
-                x = bits[shape.x_index(i, j)]
-                y = bits[shape.y_index(i, j)]
-                arrays[("u", i, j)] = x - y
-                arrays[("v", i, j)] = x + y
-        return arrays
-    for i in range(1, d):
-        k = shape.ks[i - 1]
-        block = [bits[shape.x_index(i, j)] for j in range(1, k + 1)]
-        arrays[("u", i, 0)] = block[0] + block[k - 1]
-        for j in range(1, k):
-            arrays[("u", i, j)] = block[j - 1] - block[j]
-    for j in range(1, shape.ks[-1] + 1):
-        x = bits[shape.x_index(d, j)]
-        y = bits[shape.y_index(d, j)]
-        arrays[("u", d, j)] = x - y
-        arrays[("v", d, j)] = x + y
-    return arrays
 
 
 def _xy_value_table(p: IntPolynomial, n: int, convention: Convention) -> np.ndarray:
@@ -119,30 +84,6 @@ def _xy_value_table(p: IntPolynomial, n: int, convention: Convention) -> np.ndar
     return vals
 
 
-def _poly_value_table(p: IntPolynomial, n: int, convention: Convention) -> np.ndarray | None:
-    """Exact values of p at every input; None for a uv polynomial whose
-    values could overflow int64."""
-    if p.basis == "xy":
-        return _xy_value_table(p, n, convention)
-    arrays = _uv_arrays(p.shape, convention)
-    maxabs = {k: int(np.max(np.abs(a))) if a.size else 0 for k, a in arrays.items()}
-    bound = 0
-    for key, c in p.coeffs.items():
-        term = abs(c)
-        for v in key:
-            term *= maxabs[v]
-        bound += term
-    if bound >= 2**62:
-        return None
-    vals = np.zeros(1 << n, dtype=np.int64)
-    for key, c in p.coeffs.items():
-        term = np.full(1 << n, c, dtype=np.int64)
-        for v in key:
-            term = term * arrays[v]
-        vals += term
-    return vals
-
-
 def _fun_bits(f: BoolFun) -> np.ndarray:
     nbytes = max(1, (f.size + 7) // 8)
     raw = np.frombuffer(f.table.to_bytes(nbytes, "little"), dtype=np.uint8)
@@ -162,11 +103,10 @@ def check_sign_representation(
 ) -> Counterexample | None:
     """Exhaustive comparison of sign(p) against f; None means PASS.
 
-    An xy polynomial is evaluated on the whole cube by one transform
-    (``_xy_value_table``: int64 below weight 2^62, Python ints above).  A uv
-    polynomial is evaluated from the u/v value arrays when its values fit
-    int64, and otherwise at the derived u/v assignment of each raw input.
-    Returns the first failing input.
+    The polynomial is evaluated on the whole cube by one transform
+    (``_xy_value_table``: int64 below weight 2^62, Python ints above); a uv
+    polynomial goes through ``from_uv`` first.  Returns the first failing
+    input.
     """
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the exhaustive-check cap {input_cap}")
@@ -174,26 +114,13 @@ def check_sign_representation(
         raise AnalysisError("uv polynomial needs a shape")
     if p.shape is not None and p.shape.n != f.n:
         raise AnalysisError("polynomial and function disagree on n")
-    vals = _poly_value_table(p, f.n, f.convention)
-    if vals is not None:
-        bits = _fun_bits(f)
-        mismatch = (vals >= 0) != (bits == 1)
-        if not mismatch.any():
-            return None
-        idx = int(np.nonzero(mismatch)[0][0])
-        pv = int(vals[idx])
-    else:
-        idx = None
-        for i in range(f.size):
-            uv = UvAssignment.from_input(p.shape, assignment_of_index(i, f.n, f.convention))
-            pv = p.evaluate(uv.values)
-            if (pv >= 0) != (f.bit(i) == 1):
-                idx = i
-                break
-        if idx is None:
-            return None
+    vals = _xy_value_table(from_uv(p) if p.basis == "uv" else p, f.n, f.convention)
+    mismatch = (vals >= 0) != (_fun_bits(f) == 1)
+    if not mismatch.any():
+        return None
+    idx = int(np.nonzero(mismatch)[0][0])
     assignment = assignment_of_index(idx, f.n, f.convention)
-    return Counterexample(idx, assignment, pv, f.value_at(idx))
+    return Counterexample(idx, assignment, int(vals[idx]), f.value_at(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +164,10 @@ def build_representation_problem(
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
     monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
-    xs = [a.astype(np.int8) for a in _bit_arrays(f.n, f.convention)]
+    inputs = np.arange(f.size)
+    xs = [((inputs >> j) & 1).astype(np.int8) for j in range(f.n)]
+    if f.convention is Convention.PLUS_MINUS:
+        xs = [2 * b - 1 for b in xs]
     column = {m: i for i, m in enumerate(monomials)}
     mat = np.empty((f.size, len(monomials) + 1), dtype=np.int8)
     for i, key in enumerate(monomials):

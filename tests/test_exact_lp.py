@@ -161,6 +161,14 @@ def test_checkers_clear_denominators_exactly():
     assert not check_farkas(pr, [lam[0], lam[1], lam[2] - FR(1, 10**30)])
     assert not check_farkas(pr, [-lam[0], lam[1], lam[2]])
     assert not check_farkas(pr, [0, 0, 0])
+    # l1 rows: the >= row, the equality as stated, the equality negated, the <= row negated
+    dual = [FR(3), FR(0), FR(1, 10**30), FR(0)]  # x0 coefficient 1 - 1/(2*10^30)
+    value = FR(5, 7) - FR(1, 4 * 10**30)
+    assert check_l1_bound(pr, dual, value)
+    assert not check_l1_bound(pr, dual, FR(5, 7))
+    assert not check_l1_bound(pr, dual, value - FR(1, 10**30))
+    assert check_l1_bound(pr, [FR(3), 0, 0, 0], FR(5, 7))  # coefficient exactly 1
+    assert not check_l1_bound(pr, [FR(3) + FR(1, 10**30), 0, 0, 0], FR(5, 7) + FR(5, 21 * 10**30))
 
 
 def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
@@ -315,10 +323,23 @@ def test_text_round_trip():
     assert problem_to_text(back) == text
 
 
-@pytest.mark.parametrize("line", ["min 1 0", "min 1 0 >= 0", "1 0", "1 x >= 0"])
-def test_malformed_text_lines_rejected(line):
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"vars 2\n{line}\n", id=line)
+        for line in ("min 1 0", "min 1 0 >= 0", "1 0", "1 x >= 0")
+    ]
+    + [
+        pytest.param("vars x\n", id="vars x"),
+        pytest.param("vars 3\n1 >= 0\n", id="too few coefficients"),
+        pytest.param("vars 1\n1 0 >= 0\n", id="too many coefficients"),
+        pytest.param("vars 2\nnonneg 1\n1 0 >= 0\n", id="short nonneg"),
+        pytest.param("vars 2\nnonneg 1 2\n1 0 >= 0\n", id="nonneg not 0/1"),
+    ],
+)
+def test_malformed_text_lines_rejected(text):
     with pytest.raises(LpError):
-        problem_from_text(f"vars 2\n{line}\n")
+        problem_from_text(text)
 
 
 def test_one_solve_serves_feasibility_weight_and_branch_and_bound():

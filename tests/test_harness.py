@@ -1,13 +1,14 @@
 """Experiment harness: presets, persistence, determinism, certificates,
 and the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
 
 from ptflab import CertifyResult, ExperimentSpec, make_shape, preset, replay_certificate, run
 from ptflab.cli import main as cli_main
-from ptflab.harness import ALL_MODES
+from ptflab.harness import ALL_MODES, PRESET_NAMES, rows_without_timing
 
 
 def test_preset_lookup():
@@ -89,6 +90,33 @@ def test_certificates_replay_and_detect_corruption(tmp_path):
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(blob))
         assert not replay_certificate(bad), kind
+
+
+# sha256[:16] of each preset's CSV without the wall-time column, in
+# PRESET_NAMES order; a change that keeps the results leaves these alone
+PRESET_DIGESTS = (
+    "6aff61227c51db96",
+    "cfdba31bc2fa4793",
+    "567655421e3120d5",
+    "a9dbe3a2582dbb6c",
+    "3b4bfab5e7c1fd3d",
+    "1d83020a3ccf3872",
+    "752e146151def802",
+    "7cc42e5deb6fed9f",
+)
+
+
+def test_preset_results_are_pinned_and_replay(tmp_path):
+    digests = []
+    for name in PRESET_NAMES:
+        _, status = run(preset(name), tmp_path / name)
+        assert status == 0, name
+        csv_text = (tmp_path / name / f"{name}.csv").read_text()
+        digests.append(hashlib.sha256(rows_without_timing(csv_text).encode()).hexdigest()[:16])
+    assert tuple(digests) == PRESET_DIGESTS
+    certs = sorted(tmp_path.glob("*/certs/*.json"))
+    assert len(certs) == 26
+    assert all(replay_certificate(path) for path in certs)
 
 
 def test_budget_marks_skipped_not_fail(tmp_path):

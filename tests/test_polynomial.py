@@ -1,5 +1,6 @@
 """Witness gates, the u/v change of basis, and symmetrization."""
 
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,21 @@ def test_gate_vanishes_when_halves_agree():
     for xbits in range(1 << m):
         a = [(xbits >> j) & 1 for j in range(m)]
         assert gate.evaluate(a + a) == 0
+
+
+@pytest.mark.parametrize(
+    "variant, ks, digest",
+    [
+        ("weak", (3, 3, 3), "5b6894edbdec82e1"),
+        ("weak", (2, 2, 2, 3), "92b17ba419d51224"),
+        ("strong", (5, 3), "325cefccc8e03622"),
+    ],
+)
+def test_gate_coefficients_match_pinned_digests(variant, ks, digest):
+    # digests taken when the gate was expanded from per-shape xy factors, not from_uv
+    gate = witness_gate(make_shape(variant, ks))
+    got = hashlib.sha256(repr(sorted(gate.coeffs.items())).encode()).hexdigest()[:16]
+    assert got == digest
 
 
 def test_gate_exponent_cap():

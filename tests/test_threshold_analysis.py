@@ -31,7 +31,8 @@ from ptflab import (
 )
 from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.exact_lp import GE, LE, LpProblem
-from ptflab.threshold_analysis import _poly_value_table
+from ptflab.polynomial import UvAssignment
+from ptflab.threshold_analysis import _xy_value_table
 
 def constant_one(n):
     return from_bits([1] * (1 << n), n, Convention.ZERO_ONE, "one")
@@ -89,10 +90,57 @@ _terms = st.lists(
 def test_xy_value_table_matches_per_input_evaluation(terms, convention):
     n = 5
     p = IntPolynomial("xy", None, {tuple(vs): c for vs, c in terms})
-    vals = _poly_value_table(p, n, convention)
+    vals = _xy_value_table(p, n, convention)
     assert vals.dtype == (object if p.weight >= 2**62 else "int64")
     want = [p.evaluate(assignment_of_index(i, n, convention)) for i in range(1 << n)]
     assert [int(v) for v in vals] == want
+
+
+def reference_sign_check(p, f):
+    """The per-input check: (index, value) of the first input whose sign
+    disagrees with f, evaluated at its derived u/v assignment."""
+    for i in range(f.size):
+        uv = UvAssignment.from_input(p.shape, assignment_of_index(i, f.n, f.convention))
+        pv = p.evaluate(uv.values)
+        if (pv >= 0) != (f.bit(i) == 1):
+            return i, pv
+    return None
+
+
+_UV_SHAPES = [
+    (make_shape("weak", (2, 2)), Convention.ZERO_ONE),
+    (make_shape("weak", (3,)), Convention.PLUS_MINUS),
+    (make_shape("strong", (3, 2)), Convention.PLUS_MINUS),
+    (make_shape("strong", (3, 3)), Convention.ZERO_ONE),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_uv_sign_check_matches_per_input_reference(data):
+    shape, convention = data.draw(st.sampled_from(_UV_SHAPES))
+    tags = sorted(UvAssignment.from_input(shape, [0] * shape.n).values)
+    terms = data.draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(tags), max_size=3),  # repeats allowed
+                st.one_of(st.integers(-50, 50), st.integers(-(2**70), 2**70)),
+            ),
+            max_size=6,
+        )
+    )
+    p = IntPolynomial("uv", shape, {tuple(vs): c for vs, c in terms})
+    # f follows the reference signs except at the drawn inputs
+    flips = data.draw(st.sets(st.integers(0, (1 << shape.n) - 1), max_size=2))
+    bits = []
+    for i in range(1 << shape.n):
+        uv = UvAssignment.from_input(shape, assignment_of_index(i, shape.n, convention))
+        bits.append(int(p.evaluate(uv.values) >= 0) ^ (i in flips))
+    f = from_bits(bits, shape.n, convention, "ref")
+    want = reference_sign_check(p, f)
+    got = check_sign_representation(p, f)
+    assert want == (None if got is None else (got.index, got.poly_value))
+    assert want == (None if not flips else (min(flips), want[1]))
 
 
 def reference_representation_problem(f, degree):

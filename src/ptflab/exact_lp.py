@@ -5,8 +5,11 @@ common denominator (fraction-free pivoting), so every quantity it reports
 is an exact rational.  Feasibility and L1 minimization are one routine:
 the L1 problem over many constraints and few variables is solved through
 its dual, which keeps the working basis small (2N for N variables).  Only
-the scaled basis inverse is stored; the columns are priced from the
-sparse integer constraint rows on demand.  One solve answers feasibility,
+the scaled basis inverse is stored.  The constraint rows are one integer
+matrix, and every column is priced from it with exact limb arithmetic:
+the multipliers are cut into fixed-width int64 limbs, multiplied with the
+matrix in numpy, and carried, so the entering column is chosen without a
+loop over the columns and with no rounding.  One solve answers feasibility,
 the L1 optimum and the branch-and-bound root.  The reported
 witnesses come back out of the simplex multipliers and every outcome is
 re-verified by an independent checker before it is returned:
@@ -26,7 +29,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
+
+import numpy as np
 
 LE, GE, EQ = "<=", ">=", "="
 _RELS = (LE, GE, EQ)
@@ -226,32 +231,61 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _dual_column(coeffs: dict, rhs: int, nvars: int) -> tuple:
-    """A primal >=-row a . x >= rhs as a dual column: (rhs, base, terms).
+def _layout(ncols: int, cmax: int) -> tuple:
+    """(width, count): how ``_Tableau`` cuts its rows into int64 limbs.
 
-    a . u is computed as base * sum(u) plus, per distinct value v != base
-    of a, (v - base) times the sum of u over the indices where a equals v.
-    ``base`` is the most frequent value of a (zero unless it beats the
-    zeros), so a row of +-1 costs at most N/2 additions and a sparse row
-    costs its nonzeros.  Each getter returns a sequence (a single index is
-    read as a one-element slice).
+    A price is the dot product of a vector cut into ``width``-bit limbs
+    (each below 2^width in magnitude) with a row of ``ncols`` integers
+    bounded by ``cmax``, the row kept whole (count 1) or cut into
+    ``count`` limbs of the same width.  Either way each limb of the
+    product sums below 2^61, so it and the carries it takes stay in int64.
+    A whole row bounds that sum by ncols * cmax * 2^width, a cut one by
+    count * ncols * 2^(2 * width); the wider layout is used.
     """
-    groups: dict[int, list] = {}
-    for j, a in coeffs.items():
-        if a:
-            groups.setdefault(a, []).append(j)
-    nnz = sum(len(js) for js in groups.values())
-    base = max(groups, key=lambda a: len(groups[a]), default=0)
-    if base and nvars - len(groups[base]) < nnz:
-        groups[0] = [j for j in range(nvars) if not coeffs.get(j)]
-    else:
-        base = 0
-    terms = tuple(
-        (a - base, itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1)))
-        for a, js in groups.items()
-        if a != base and js
-    )
-    return rhs, base, terms
+    whole = 61 - (ncols * cmax).bit_length()
+    width = 30
+    while 2 * width + (ncols * (cmax.bit_length() // width + 1)).bit_length() > 61:
+        width -= 1
+    if whole >= width:
+        return whole, 1
+    return width, cmax.bit_length() // width + 1
+
+
+def _limbs(x: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The integers of ``x`` as ``count`` int64 limbs of ``width`` bits,
+    limb axis first: v = sum(limb[l] << (l * width)), the lower limbs in
+    [0, 2^width) and the top limb signed, holding the rest of v.  The top
+    limb is below 2^(width - 1) in magnitude when count exceeds
+    bit_length(v) // width."""
+    out = np.empty((count, *x.shape), np.int64)
+    mask = (1 << width) - 1
+    for limb in range(count - 1):
+        out[limb] = (x >> (limb * width)) & mask
+    out[-1] = x >> ((count - 1) * width)
+    return out
+
+
+def _join(limbs: np.ndarray, width: int):
+    """The exact Python integers that ``_limbs`` split (a scalar for one)."""
+    x = limbs.astype(object)
+    out = x[-1]
+    for part in x[-2::-1]:
+        out = (out << width) + part
+    return out
+
+
+def _row_limbs(rows: list, nvars: int, cmax: int) -> tuple:
+    """(cmax, width, limbs) of the dual columns [a | -b] of the integer
+    rows a . x >= b, laid out by ``_layout``; ``cmax`` enters as a floor."""
+    ncols = nvars + 1
+    ri = np.repeat(np.arange(len(rows)), [len(a) + 1 for a, _ in rows])
+    ci = [j for a, _ in rows for j in (*a, nvars)]
+    vals = [v for a, b in rows for v in (*a.values(), -b)]
+    cmax = max([cmax, *map(abs, vals)])
+    width, count = _layout(ncols, cmax)
+    exact = np.zeros((len(rows), ncols), np.int64 if count == 1 else object)
+    exact[ri, ci] = np.array(vals, dtype=exact.dtype)
+    return cmax, width, _limbs(exact, width, count)
 
 
 class _Tableau:
@@ -265,20 +299,25 @@ class _Tableau:
 
     Only ``inv`` = den * B^-1 (the block under the slack columns, each row
     a dict of its nonzero entries), the basic values ``rhs`` / den and the
-    cost row on the slack columns ``w`` are stored.  Any other column is
-    computed on demand from the sparse integer rows: column j is
-    inv . [a_j; -a_j], and its reduced cost is den * (-b_j) + z . a_j with
-    z = w[:N] - w[N:].  These are exactly the integers of the full
-    fraction-free tableau (subdeterminants of the original data), so the
-    pivot path is the same; a pivot updates at most 2N x 2N integers
-    instead of 2N x (rows + 2N).  The dual objective b . y is corner / den.
+    cost row on the slack columns ``w`` are stored.  The primal rows are
+    one integer matrix ``A`` with a row [a | -b] per dual variable, in
+    int64 limbs of ``width`` bits (limb axis first; one limb unless an
+    entry is too wide, see ``_layout``).  Any other column is computed on
+    demand: column j is inv . [a_j; -a_j], and its reduced cost is
+    [z | den] . [a_j | -b_j] with z = w[:N] - w[N:].  Pricing cuts
+    [z | den] into limbs too, so every reduced cost is a few int64 matrix
+    products plus carries, exact however large the integers grow.  These
+    are exactly the integers of the full fraction-free tableau
+    (subdeterminants of the original data), so the pivot path is the
+    same; a pivot updates at most 2N x 2N integers instead of
+    2N x (rows + 2N).  The dual objective b . y is corner / den.
     """
 
     def __init__(self, nvars: int, ge_rows: list):
         m = 2 * nvars
         self.nvars = nvars
-        self.cols = [_dual_column(ic, ir, nvars) for ic, ir in ge_rows]
-        self.n0 = len(self.cols)
+        self.n0 = len(ge_rows)
+        self.cmax, self.width, self.A = _row_limbs(ge_rows, nvars, 1)
         self.inv: list[dict[int, int]] = [{i: 1} for i in range(m)]
         self.rhs: list[int] = [1] * m
         self.w: list[int] = [0] * m
@@ -297,8 +336,8 @@ class _Tableau:
     def clone(self) -> "_Tableau":
         t = _Tableau.__new__(_Tableau)
         t.nvars = self.nvars
-        t.cols = self.cols[:]  # the columns themselves are immutable and shared
         t.n0 = self.n0
+        t.cmax, t.width, t.A = self.cmax, self.width, self.A  # A is never written
         t.inv = [row.copy() for row in self.inv]
         t.rhs = self.rhs[:]
         t.w = self.w[:]
@@ -311,48 +350,72 @@ class _Tableau:
         t.ray_col = None
         return t
 
-    def solution_map(self) -> dict:
-        return {b: Fraction(self.rhs[i], self.den) for i, b in enumerate(self.basis)}
+    def add_row(self, coeffs: dict, rhs: int) -> None:
+        """Append the dual column of the integer row coeffs . x >= rhs.
+
+        The rows go into a new array, so clones keep sharing the old one.
+        """
+        cmax, width, row = _row_limbs([(coeffs, rhs)], self.nvars, self.cmax)
+        # whole rows fit any width, and ``_layout`` gives cut rows one width per count
+        if len(row) == len(self.A):
+            self.A = np.concatenate((self.A, row), axis=1)
+        else:  # the layout changed: cut every row again
+            exact = np.concatenate((_join(self.A, self.width), _join(row, width)))
+            self.A = _limbs(exact, width, len(row))
+        self.cmax, self.width = cmax, width
 
     # -- pricing -------------------------------------------------------------
 
-    def prices(self) -> list:
-        """Reduced cost of every column, in column order."""
-        n, den, w = self.nvars, self.den, self.w
-        z = [p - q for p, q in zip(w[:n], w[n:])]
-        total = sum(z)
-        out = []
-        for b, base, terms in self.cols:
-            d = base * total - den * b
-            for a, get in terms:
-                d += a * sum(get(z))
-            out.append(d)
-        return out[: self.n0] + w + out[self.n0 :]
+    def _priced(self) -> np.ndarray:
+        """Every reduced cost in column order as limbs, limb axis first.
+
+        After the carries the lower limbs lie in [0, 2^width), so the top
+        limb has the sign of the cost and the limbs compare lexicographically.
+        """
+        n, n0, width, A = self.nvars, self.n0, self.width, self.A
+        vals = [p - q for p, q in zip(self.w[:n], self.w[n:])] + [self.den] + self.w
+        k = max(v.bit_length() for v in vals) // width + 1
+        limbs = _limbs(np.array(vals, dtype=object), width, k)
+        q = np.zeros((k + len(A) - 1, A.shape[1]), np.int64)
+        for j, part in enumerate(A):
+            q[j : j + k] += limbs[:, : n + 1] @ part.T
+        slack = np.zeros((len(q), 2 * n), np.int64)
+        slack[:k] = limbs[:, n + 1 :]
+        p = np.concatenate((q[:, :n0], slack, q[:, n0:]), axis=1)
+        mask = (1 << width) - 1
+        for lo, hi in zip(p, p[1:]):
+            hi += lo >> width
+            lo &= mask
+        return p
 
     def column(self, c: int) -> list:
         """Column c of the full tableau: inv times the original column."""
         n, n0 = self.nvars, self.n0
         if n0 <= c < n0 + 2 * n:
             return [row.get(c - n0, 0) for row in self.inv]
-        _, base, terms = self.cols[c if c < n0 else c - 2 * n]
-        a = [base] * n
-        for v, get in terms:
-            for j in get(range(n)):  # a getter applied to range(n) lists its indices
-                a[j] += v
+        a = _join(self.A[:, c if c < n0 else c - 2 * n, :n], self.width).tolist()
         a += [-v for v in a]  # the original column [a; -a]
         return [sum(map(mul, row.values(), map(a.__getitem__, row))) for row in self.inv]
 
     # -- pivoting ------------------------------------------------------------
 
-    def _entering(self, cost: list) -> int | None:
+    def _entering(self) -> tuple | None:
+        """(column, exact reduced cost) of the entering column, or None."""
+        p = self._priced()
+        top = p[-1]
         if self.rule == "bland":
-            for j, v in enumerate(cost):
-                if v < 0:
-                    return j
-            return None
-        # most negative reduced cost, least index on ties
-        best = min(range(len(cost)), key=cost.__getitem__, default=None)
-        return best if best is not None and cost[best] < 0 else None
+            negative = np.flatnonzero(top < 0)
+            if not len(negative):
+                return None
+            c = int(negative[0])
+        else:
+            low = top.min()
+            if low >= 0:
+                return None
+            # most negative reduced cost, least index on ties (lexsort is stable)
+            ties = np.flatnonzero(top == low)
+            c = int(ties[np.lexsort(p[:, ties])[0]])
+        return c, _join(p[:, c], self.width)
 
     def _leaving(self, col: list) -> int | None:
         best_i = None
@@ -411,10 +474,10 @@ class _Tableau:
     def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
         stall_limit = 3 * self.m + 30
         while True:
-            cost = self.prices()
-            c = self._entering(cost)
-            if c is None:
+            entering = self._entering()
+            if entering is None:
                 return "optimal"
+            c, f = entering
             col = self.column(c)
             r = self._leaving(col)
             if r is None:
@@ -423,7 +486,7 @@ class _Tableau:
             if self.pivots >= max_pivots:
                 raise BudgetError(f"pivot budget {max_pivots} exhausted")
             before_num, before_den = self.corner, self.den
-            self.pivot(r, c, col, cost[c])
+            self.pivot(r, c, col, f)
             if self.rule == "hybrid":
                 if self.corner * before_den == before_num * self.den:
                     self._stall += 1
@@ -479,16 +542,15 @@ def _int_ge_rows(problem: LpProblem):
 
 
 def _fold_ge_multipliers(problem: LpProblem, rmap, mults: dict) -> list:
-    """Translate >=-row multipliers into per-constraint certificate values."""
+    """Translate >=-row multipliers into per-constraint certificate values.
+
+    Positions past ``rmap`` (rows the solver added) carry no constraint.
+    """
     lam = [Fraction(0)] * len(problem.constraints)
-    for pos, (idx, kind) in enumerate(rmap):
-        v = mults.get(pos, Fraction(0))
-        if kind == "ineq":
-            lam[idx] += v
-        elif kind == "eq+":
-            lam[idx] -= v
-        else:
-            lam[idx] += v
+    for pos, v in mults.items():
+        if pos < len(rmap):
+            idx, kind = rmap[pos]
+            lam[idx] += -v if kind == "eq+" else v
     return lam
 
 
@@ -532,13 +594,19 @@ class _DualL1:
         """Append a primal >=-row as a fresh dual column, keeping the basis."""
         ic, ir, mult = _scale_ge_row(coeffs, rhs)
         self.scales.append(mult)
-        self.t.cols.append(_dual_column(ic, ir, self.nvars))
+        self.t.add_row(ic, ir)
 
-    def column_of_dual_var(self, pos: int) -> int:
-        # initial dual variables sit before the 2N slacks, appended ones after
-        if pos < self.t.n0:
-            return pos
-        return 2 * self.nvars + pos
+    def _scaled(self, values: dict) -> dict:
+        """Nonzero column values as multipliers of the unscaled >=-rows, keyed
+        by row position.  Initial dual variables sit before the 2N slacks,
+        appended ones after; slack columns are dropped."""
+        n0, m = self.t.n0, 2 * self.nvars
+        out = {}
+        for col, v in values.items():
+            if v and not n0 <= col < n0 + m:
+                pos = col if col < n0 else col - m
+                out[pos] = v * self.scales[pos]
+        return out
 
     def value(self) -> Fraction:
         return Fraction(self.t.corner, self.t.den)
@@ -550,13 +618,8 @@ class _DualL1:
 
     def dual_values(self) -> dict:
         """Scaled dual variable values keyed by normalized-row position."""
-        sol = self.t.solution_map()
-        out = {}
-        for pos, scale in enumerate(self.scales):
-            v = sol.get(self.column_of_dual_var(pos), Fraction(0))
-            if v:
-                out[pos] = v * scale
-        return out
+        t = self.t
+        return self._scaled({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs)})
 
     def farkas_from_ray(self) -> dict:
         t = self.t
@@ -567,12 +630,7 @@ class _DualL1:
         for b, a in zip(t.basis, t.column(col)):
             if a:
                 delta[b] = Fraction(-a, t.den)
-        out = {}
-        for pos, scale in enumerate(self.scales):
-            v = delta.get(self.column_of_dual_var(pos), Fraction(0))
-            if v:
-                out[pos] = v * scale
-        return out
+        return self._scaled(delta)
 
     def certify(self, max_pivots: int) -> LpOutcome:
         """Solve once and return the independently re-checked outcome.
@@ -776,8 +834,13 @@ def problem_to_text(problem: LpProblem) -> str:
         lines.append("names " + " ".join(problem.names))
     if problem.nonneg and any(problem.nonneg):
         lines.append("nonneg " + " ".join("1" if b else "0" for b in problem.nonneg))
+    # rows repeat a few values; a pair of ints hashes faster than a Fraction
+    text = functools.cache(lambda num, den: str(Fraction(num, den)))
+    zero = text(0, 1)
     for coeffs, rel, rhs in problem.constraints:
-        dense = [str(_frac(coeffs.get(j, 0))) for j in range(problem.num_vars)]
+        dense = [zero] * problem.num_vars
+        for j, c in coeffs.items():
+            dense[j] = text(c.numerator, c.denominator)
         lines.append(" ".join(dense) + f" {rel} {rhs}")
     return "\n".join(lines) + "\n"
 

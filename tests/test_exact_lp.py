@@ -361,7 +361,8 @@ def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
 
     def state():
         t = parent.t
-        return parent.value(), parent.witness(), parent.dual_values(), t.prices(), t.pivots
+        prices = t._entering(), t._priced().tolist()
+        return parent.value(), parent.witness(), parent.dual_values(), prices, t.pivots
 
     before = state()
     child = parent.clone()
@@ -370,6 +371,110 @@ def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
     assert child.t.pivots > parent.t.pivots and child.value() > out.value
     assert state() == before
     assert parent.t.optimize() == "optimal" and state() == before
+
+
+def test_branch_and_bound_path_is_pinned():
+    # appended rows go through the priced integer matrix; this pins the search
+    shape = make_shape("strong", (3, 2))
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    pivots = 0
+    pivot = exact_lp._Tableau.pivot
+
+    def counted(self, *args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(self, *args)
+
+    exact_lp._Tableau.pivot = counted
+    try:
+        res = ilp_min(prob, node_budget=20)
+    finally:
+        exact_lp._Tableau.pivot = pivot
+    assert (res.status, res.nodes, pivots) == ("budget", 21, 462)
+    assert (res.value, res.lower_bound, res.relaxation) == (24, 6, 6)
+    assert res.witness == [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, -2, -2, 0] + [
+        1, 2, -1, -2, -2, -2, 2, 2, 0, 1, 0, 0, 0, 0
+    ]
+
+
+# ---------------------------------------------------------------------------
+# limb pricing against the per-column loop
+# ---------------------------------------------------------------------------
+
+
+def reference_entering(t, rows, rule):
+    """The pricing loop the limbs replace: den * (-b) + z . a per row, the
+    slack costs w between the initial and the appended rows, then Dantzig's
+    rule (most negative, least index on ties) or Bland's (first negative)."""
+    n = t.nvars
+    z = [p - q for p, q in zip(t.w[:n], t.w[n:])]
+    out = [sum(a.get(j, 0) * z[j] for j in range(n)) - t.den * b for a, b in rows]
+    cost = out[: t.n0] + t.w + out[t.n0 :]
+    if rule == "bland":
+        return next(((j, v) for j, v in enumerate(cost) if v < 0), None)
+    best = min(range(len(cost)), key=cost.__getitem__)
+    return (best, cost[best]) if cost[best] < 0 else None
+
+
+def priced_tableau(nvars, rows, appended, w, den, rule):
+    t = exact_lp._Tableau(nvars, rows)
+    for a, b in appended:
+        t.add_row(a, b)
+    t.w, t.den, t.rule = w, den, rule
+    return t
+
+
+COEFFS = {
+    "pm1": st.sampled_from([-1, 1]),
+    "small": st.integers(-9, 9),
+    "past 2^62": st.integers(-(2**63), 2**63),
+    "past 2^70": st.integers(-(2**72), 2**72),
+}
+VALUES = st.integers(-3, 3) | st.integers(-(2**300), 2**300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_limb_pricing_matches_the_per_column_loop(data):
+    nvars = data.draw(st.integers(1, 5))
+    coeff = COEFFS[data.draw(st.sampled_from(sorted(COEFFS)))]
+    row = st.tuples(
+        st.dictionaries(st.integers(0, nvars - 1), coeff),
+        coeff | st.integers(-3, 3),
+    )
+    drawn = data.draw(st.lists(row, max_size=6))
+    # repeated rows price equally, so ties between columns are common
+    rows = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3)) if drawn else []
+    appended = data.draw(st.lists(row, max_size=3))
+    w = data.draw(st.lists(VALUES, min_size=2 * nvars, max_size=2 * nvars))
+    den = data.draw(st.integers(1, 3) | st.integers(1, 2**300))
+    rule = data.draw(st.sampled_from(["hybrid", "bland"]))
+    t = priced_tableau(nvars, rows, appended, w, den, rule)
+    assert t._entering() == reference_entering(t, rows + appended, rule)
+    # a fresh tableau's inverse is the identity, so a row's column is [a; -a]
+    cols = [*range(t.n0), *range(t.n0 + 2 * nvars, t.n0 + 2 * nvars + len(appended))]
+    for c, (a, _) in zip(cols, rows + appended):
+        a = [a.get(j, 0) for j in range(nvars)]
+        assert t.column(c) == a + [-v for v in a]
+
+
+@pytest.mark.parametrize(
+    "rows, appended, w, den, rule, expected",
+    [
+        # equal most negative costs: rows 1 and 2, then appended row 5 -> 1
+        ([({0: 1}, 0), ({0: -1}, 1), ({0: -1}, 1)], [({0: -1}, 1)], [0, 0], 2, "hybrid", (1, -2)),
+        # a slack ties with a row; the row comes first
+        ([({0: 1}, 0)], [], [-(2**70), 0], 1, "hybrid", (0, -(2**70))),
+        # Bland takes the first negative, not the most negative
+        ([({0: 1}, 1), ({0: 1}, 5)], [], [0, 0], 1, "bland", (0, -1)),
+        # every price nonnegative
+        ([({0: 2**80}, -1)], [({0: 1}, -5)], [2**200, 3], 7, "hybrid", None),
+        ([({0: 2**80}, -1)], [({0: 1}, -5)], [2**200, 3], 7, "bland", None),
+    ],
+)
+def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expected):
+    t = priced_tableau(1, rows, appended, w, den, rule)
+    assert t._entering() == expected == reference_entering(t, rows + appended, rule)
 
 
 # ---------------------------------------------------------------------------

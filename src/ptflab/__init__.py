@@ -26,7 +26,6 @@ from .tuple_order import (
 from .polynomial import (
     IntPolynomial,
     PolynomialError,
-    UvAssignment,
     from_uv,
     symmetric_coefficient,
     symmetrize,

@@ -70,6 +70,23 @@ class LpProblem:
     constraints: list = field(default_factory=list)
     names: list | None = None
     nonneg: list | None = None
+    # the problem this one extends, and what ``_shared`` derived from its rows
+    _base: "LpProblem | None" = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def extended(self, coeffs: dict, rel: str, rhs) -> "LpProblem":
+        """A new problem: these constraints plus one more, added last.
+
+        The new problem shares this one's rows.  What the solver and the
+        text format derive from them (integer >=-rows, text lines) is
+        computed once here and reused by every problem extended from it.
+        """
+        nonneg = None if self.nonneg is None else list(self.nonneg)
+        names = None if self.names is None else list(self.names)
+        child = LpProblem(self.num_vars, self.constraints[:], names, nonneg)
+        child.add(coeffs, rel, rhs)
+        child._base = self
+        return child
 
     def add(self, coeffs: dict, rel: str, rhs) -> None:
         if rel not in _RELS:
@@ -85,6 +102,30 @@ class LpProblem:
 
     def is_nonneg(self, j: int) -> bool:
         return bool(self.nonneg and self.nonneg[j])
+
+
+def _shared(problem: LpProblem, key: str, build, join):
+    """``build(problem, 0)``, with the part over the rows that ``problem``
+    shares with the problem it extends computed once, on that base.
+
+    ``build(p, start)`` derives something from the constraints of ``p``
+    from ``start`` on, and ``join`` puts two such parts together.  The
+    base keeps its part beside a copy of the rows and variable count it
+    came from.  The part is used only while the base still has exactly
+    those rows and they are the first rows of ``problem``; otherwise
+    ``problem`` is built afresh, or the base's part again.
+    """
+    base = problem._base
+    if base is None:
+        return build(problem, 0)
+    n = len(base.constraints)
+    if base.num_vars != problem.num_vars or problem.constraints[:n] != base.constraints:
+        return build(problem, 0)
+    source, part = base._memo.get(key, (None, None))
+    if source != (base.num_vars, base.constraints):
+        part = _shared(base, key, build, join)
+        base._memo[key] = ((base.num_vars, base.constraints[:]), part)
+    return join(part, build(problem, n))
 
 
 @dataclass
@@ -159,10 +200,11 @@ def check_farkas(problem: LpProblem, lam) -> bool:
     scale = math.lcm(*(v.denominator for v in lam))
     used = []  # (integer multiplier times the read sign, coeffs, rhs)
     for v, (coeffs, rel, rhs) in zip(lam, problem.constraints):
-        if rel != EQ and v < 0:
+        num = v.numerator  # carries the sign; integers compare faster than a Fraction
+        if rel != EQ and num < 0:
             return False
-        if v:
-            mult = v.numerator * (scale // v.denominator)
+        if num:
+            mult = num * (scale // v.denominator)
             used.append((-mult if rel == GE else mult, coeffs, rhs))
     m = math.lcm(
         *(r.denominator for _, _, r in used),
@@ -274,17 +316,24 @@ def _join(limbs: np.ndarray, width: int):
     return out
 
 
-def _row_limbs(rows: list, nvars: int, cmax: int) -> tuple:
-    """(cmax, width, limbs) of the dual columns [a | -b] of the integer
-    rows a . x >= b, laid out by ``_layout``; ``cmax`` enters as a floor."""
-    ncols = nvars + 1
+def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
+    """The dual columns [a | -b] of the integer rows a . x >= b, one matrix
+    row each: int64, or Python ints once an entry needs more than 62 bits."""
     ri = np.repeat(np.arange(len(rows)), [len(a) + 1 for a, _ in rows])
     ci = [j for a, _ in rows for j in (*a, nvars)]
     vals = [v for a, b in rows for v in (*a.values(), -b)]
-    cmax = max([cmax, *map(abs, vals)])
-    width, count = _layout(ncols, cmax)
-    exact = np.zeros((len(rows), ncols), np.int64 if count == 1 else object)
+    wide = max(map(abs, vals), default=0).bit_length() > 62
+    exact = np.zeros((len(rows), nvars + 1), object if wide else np.int64)
     exact[ri, ci] = np.array(vals, dtype=exact.dtype)
+    return exact
+
+
+def _cut(exact: np.ndarray, cmax: int) -> tuple:
+    """(cmax, width, limbs) of a ``_ge_matrix`` laid out by ``_layout``;
+    ``cmax`` enters as a floor."""
+    if exact.size:
+        cmax = max(cmax, int(abs(exact).max()))
+    width, count = _layout(exact.shape[1], cmax)
     return cmax, width, _limbs(exact, width, count)
 
 
@@ -313,11 +362,12 @@ class _Tableau:
     2N x (rows + 2N).  The dual objective b . y is corner / den.
     """
 
-    def __init__(self, nvars: int, ge_rows: list):
+    def __init__(self, nvars: int, exact: np.ndarray):
+        """``exact``: the ``_ge_matrix`` of the initial rows."""
         m = 2 * nvars
         self.nvars = nvars
-        self.n0 = len(ge_rows)
-        self.cmax, self.width, self.A = _row_limbs(ge_rows, nvars, 1)
+        self.n0 = len(exact)
+        self.cmax, self.width, self.A = _cut(exact, 1)
         self.inv: list[dict[int, int]] = [{i: 1} for i in range(m)]
         self.rhs: list[int] = [1] * m
         self.w: list[int] = [0] * m
@@ -355,7 +405,7 @@ class _Tableau:
 
         The rows go into a new array, so clones keep sharing the old one.
         """
-        cmax, width, row = _row_limbs([(coeffs, rhs)], self.nvars, self.cmax)
+        cmax, width, row = _cut(_ge_matrix([(coeffs, rhs)], self.nvars), self.cmax)
         # whole rows fit any width, and ``_layout`` gives cut rows one width per count
         if len(row) == len(self.A):
             self.A = np.concatenate((self.A, row), axis=1)
@@ -513,18 +563,26 @@ def _scale_ge_row(coeffs: dict, rhs) -> tuple:
     )
 
 
-def _int_ge_rows(problem: LpProblem):
-    """The constraints as integer rows (coeffs, rhs) meaning coeffs . x >= rhs.
+def _int_ge_rows(problem: LpProblem) -> tuple:
+    """The constraints as integer rows coeffs . x >= rhs: (matrix, scales,
+    rmap), the rows' ``_ge_matrix`` and two lists with one entry per row.
 
     A >= row is kept, a <= row negated, and an equality split into a >=
     row and its negation; each is scaled to integers by ``_scale_ge_row``.
     Unknown relations and out-of-range variables raise ``LpError``.
     Per row, ``scales`` holds that factor and ``rmap`` (original index,
     kind) with kind one of "ineq", "eq+", "eq-"; they drive certificate
-    folding.
+    folding.  The rows a problem shares with the one it extends are
+    normalized once, on that base (see ``_shared``).
     """
+    return _shared(problem, "ge", _int_ge_tail, _join_ge)
+
+
+def _int_ge_tail(problem: LpProblem, start: int) -> tuple:
+    """``_int_ge_rows`` of the constraints from index ``start`` on."""
     rows, scales, rmap = [], [], []
-    for idx, (coeffs, rel, rhs) in enumerate(problem.constraints):
+    for idx in range(start, len(problem.constraints)):
+        coeffs, rel, rhs = problem.constraints[idx]
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
@@ -538,7 +596,11 @@ def _int_ge_rows(problem: LpProblem):
             rows.append(({j: -a for j, a in ic.items()}, -ir))
             scales.append(mult)
             rmap.append((idx, "ineq" if rel == LE else "eq-"))
-    return rows, scales, rmap
+    return _ge_matrix(rows, problem.num_vars), scales, rmap
+
+
+def _join_ge(head: tuple, tail: tuple) -> tuple:
+    return np.concatenate((head[0], tail[0])), head[1] + tail[1], head[2] + tail[2]
 
 
 def _fold_ge_multipliers(problem: LpProblem, rmap, mults: dict) -> list:
@@ -573,13 +635,13 @@ class _DualL1:
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        int_rows, self.scales, self.rmap = _int_ge_rows(problem)
+        exact, scales, self.rmap = _int_ge_rows(problem)
         nvars = self.nvars = problem.num_vars
-        for j in range(nvars):
-            if problem.is_nonneg(j):
-                int_rows.append(({j: 1}, 0))
-                self.scales.append(1)
-        self.t = _Tableau(nvars, int_rows)
+        signs = [({j: 1}, 0) for j in range(nvars) if problem.is_nonneg(j)]
+        if signs:
+            exact = np.concatenate((exact, _ge_matrix(signs, nvars)))
+        self.scales = scales + [1] * len(signs)
+        self.t = _Tableau(nvars, exact)
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
@@ -834,15 +896,23 @@ def problem_to_text(problem: LpProblem) -> str:
         lines.append("names " + " ".join(problem.names))
     if problem.nonneg and any(problem.nonneg):
         lines.append("nonneg " + " ".join("1" if b else "0" for b in problem.nonneg))
+    # the lines of rows shared with a base problem are formatted once, on it
+    lines += _shared(problem, "text", _constraint_lines, list.__add__)
+    return "\n".join(lines) + "\n"
+
+
+def _constraint_lines(problem: LpProblem, start: int) -> list:
+    """The text line of each constraint from index ``start`` on."""
     # rows repeat a few values; a pair of ints hashes faster than a Fraction
     text = functools.cache(lambda num, den: str(Fraction(num, den)))
     zero = text(0, 1)
-    for coeffs, rel, rhs in problem.constraints:
+    lines = []
+    for coeffs, rel, rhs in problem.constraints[start:]:
         dense = [zero] * problem.num_vars
         for j, c in coeffs.items():
             dense[j] = text(c.numerator, c.denominator)
         lines.append(" ".join(dense) + f" {rel} {rhs}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def problem_from_text(text: str) -> LpProblem:
@@ -853,7 +923,10 @@ def problem_from_text(text: str) -> LpProblem:
         raise LpError("expected 'vars N' header")
     n = int(header[1])
     problem = LpProblem(n)
-    parse = functools.cache(Fraction)  # dense rows repeat a few values
+    # dense rows repeat a few values: each distinct token is parsed once,
+    # and a coefficient that is zero, however spelled, becomes None
+    parse = functools.cache(Fraction)
+    coeff = functools.cache(lambda p: parse(p) or None)
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "names":
@@ -867,10 +940,10 @@ def problem_from_text(text: str) -> LpProblem:
         try:
             if len(parts) != n + 2 or parts[-2] not in _RELS:
                 raise ValueError
-            coeffs = [parse(p) for p in parts[:-2]]
+            coeffs = list(map(coeff, parts[:-2]))
             rhs = parse(parts[-1])
         except ValueError:
             raise LpError(f"bad constraint line: {ln}") from None
-        row = {j: c for j, c in enumerate(coeffs) if c}
+        row = {j: c for j, c in enumerate(coeffs) if c is not None}
         problem.constraints.append((row, parts[-2], rhs))
     return problem

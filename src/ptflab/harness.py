@@ -11,6 +11,7 @@ content hash.  Reruns are byte-identical up to the wall-time column.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -104,7 +105,8 @@ class CertStore:
 
 def _check_item(kind: str, item: dict, value) -> bool:
     problem = problem_from_text(item["problem"])
-    vector = [Fraction(v) for v in item["vector"]]
+    parse = functools.cache(Fraction)  # a vector repeats a few values, mostly 0
+    vector = list(map(parse, item["vector"]))
     if kind == "farkas":
         return check_farkas(problem, vector)
     if kind == "witness":

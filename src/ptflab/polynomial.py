@@ -5,10 +5,10 @@ canonical input variables of a shape (plain ints).  The "uv" basis is
 indexed by namespaced difference/sum variables: ``("u", i, j)`` is
 x^i_j - y^i_j for weak shapes (and the j-th linear form of group i < d, or
 x^d_j - y^d_j, for strong shapes); ``("v", i, j)`` is the matching sum.
-``_uv_forms`` is the one definition of these variables: the witness gate,
-``from_uv`` and ``UvAssignment`` all read it, and ``_substitution_rows``
-is its inverse.  Monomial keys are sorted tuples *with repetition* — the
-u/v image of a multilinear polynomial need not be multilinear.
+``_uv_forms`` is the one definition of these variables: the witness gate
+and ``from_uv`` read it, and ``_substitution_rows`` is its inverse.
+Monomial keys are sorted tuples *with repetition* — the u/v image of a
+multilinear polynomial need not be multilinear.
 
 Coefficients are arbitrary-precision from the start: the witness gates
 carry 2^rank scaling and leave 64-bit range as soon as |K| grows past 30.
@@ -23,7 +23,6 @@ from itertools import product
 from .shapes import GroupShape, Variant
 from .tuple_order import OrderContext, enumerate_ordered, order_bits
 
-UvVar = tuple[str, int, int]
 Monomial = tuple  # sorted, possibly with repeated variables
 
 
@@ -143,28 +142,6 @@ def from_uv(q: IntPolynomial) -> IntPolynomial:
             mono = _canon(v for v, _ in choice)
             out[mono] = out.get(mono, 0) + c * math.prod(s for _, s in choice)
     return IntPolynomial("xy", q.shape, out)
-
-
-@dataclass(frozen=True)
-class UvAssignment:
-    """Values of the u/v variables derived from one raw input."""
-
-    shape: GroupShape
-    values: dict
-
-    def __getitem__(self, tag: UvVar) -> int:
-        return self.values[tag]
-
-    @classmethod
-    def from_input(cls, shape: GroupShape, assignment) -> "UvAssignment":
-        assignment = tuple(assignment)
-        if len(assignment) != shape.n:
-            raise PolynomialError(f"expected {shape.n} values")
-        values = {
-            tag: sum(s * assignment[v] for v, s in form)
-            for tag, form in _uv_forms(shape).items()
-        }
-        return cls(shape, values)
 
 
 # ---------------------------------------------------------------------------

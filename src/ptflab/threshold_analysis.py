@@ -372,12 +372,16 @@ def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, Fraction]]:
     return rows
 
 
-def _base_rows(base: str, k: int) -> list:
+def _base_problem(base: str, k: int) -> LpProblem:
+    """The sign constraints of a base function over its k coefficients."""
+    problem = LpProblem(k)
     if base == "gt":
-        return _gt_u_rows(k)
-    if base in ("g1", "g0"):
-        return _g_u_rows(base, k)
-    raise AnalysisError(f"unknown base function {base!r}")
+        problem.constraints = _gt_u_rows(k)
+    elif base in ("g1", "g0"):
+        problem.constraints = _g_u_rows(base, k)
+    else:
+        raise AnalysisError(f"unknown base function {base!r}")
+    return problem
 
 
 @dataclass
@@ -406,12 +410,17 @@ def certify_negated_row(
     Feasibility instead yields an explicit integer gate violating the
     claim (the LP witness scaled by the common denominator).
     """
-    problem = LpProblem(k)
-    problem.constraints = list(_base_rows(base, k))
-    desc_rhs = Fraction(rhs)
-    problem.add(coeffs, rel, desc_rhs)
+    desc = f"{base}(k={k}): adjoin {coeffs} {rel} {Fraction(rhs)}"
+    return _certify_negation(_base_problem(base, k), desc, coeffs, rel, rhs, max_pivots)
+
+
+def _certify_negation(
+    base: LpProblem, desc: str, coeffs: dict, rel: str, rhs, max_pivots: int
+) -> InequalityCheck:
+    """``certify_negated_row`` on a built base problem, which is left as it
+    is: the negated row goes last in a problem extended from it."""
+    problem = base.extended(coeffs, rel, rhs)
     out = solve(problem, max_pivots=max_pivots)
-    desc = f"{base}(k={k}): adjoin {coeffs} {rel} {desc_rhs}"
     if out.status == "infeasible":
         # ``solve`` re-checked the Farkas vector; replay checks it again
         return InequalityCheck(desc, "CERTIFIED", problem, farkas=out.farkas)
@@ -492,16 +501,22 @@ _LEMMA_BASE = {
 def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> CertifyResult:
     """CERTIFIED iff no integer gate for the base function violates any of
     the lemma's coefficient inequalities; each inequality gets its own
-    Farkas certificate, independently re-checked."""
+    Farkas certificate, independently re-checked.
+
+    The inequalities share one base LP: the base function's sign rows are
+    built, normalized and formatted once per call, and each negated
+    inequality's LP is that base plus its one row, solved on its own.
+    """
     base = _LEMMA_BASE.get(lemma)
     if base is None:
         raise AnalysisError(f"unknown lemma {lemma!r}")
     if k < 2:
         raise AnalysisError("need k >= 2")
-    checks = []
-    for desc, coeffs, rel, rhs in _lemma_negations(lemma, k):
-        chk = certify_negated_row(base, k, coeffs, rel, rhs, max_pivots=max_pivots)
-        checks.append(replace(chk, description=desc))
+    shared = _base_problem(base, k)
+    checks = [
+        _certify_negation(shared, desc, coeffs, rel, rhs, max_pivots)
+        for desc, coeffs, rel, rhs in _lemma_negations(lemma, k)
+    ]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
     return CertifyResult(lemma, k, status, checks)
 

@@ -323,6 +323,52 @@ def test_text_round_trip():
     assert problem_to_text(back) == text
 
 
+def cold_copy(problem):
+    """The same problem built afresh: its rows, and no base to share."""
+    return LpProblem(problem.num_vars, list(problem.constraints), problem.names, problem.nonneg)
+
+
+def assert_derives_like_a_cold_copy(problem):
+    exact, scales, rmap = exact_lp._int_ge_rows(problem)
+    cold_exact, cold_scales, cold_rmap = exact_lp._int_ge_rows(cold_copy(problem))
+    assert exact.tolist() == cold_exact.tolist() and exact.dtype == cold_exact.dtype
+    assert (scales, rmap) == (cold_scales, cold_rmap)
+    assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
+    assert solve(problem) == solve(cold_copy(problem))
+
+
+def test_extended_problems_derive_what_a_cold_copy_does():
+    base = LpProblem(3, names=["a", "b", "c"])
+    base.add({0: FR(1, 2), 1: -1}, ">=", FR(7, 2))
+    base.add({1: 1, 2: 3}, "=", 1)
+    base.add({2: 2**70}, "<=", 5)  # a row too wide for int64
+    first = base.extended({0: 1}, "<=", 0)
+    second = base.extended({0: FR(2, 3), 2: 1}, "=", FR(1, 3))
+    grandchild = second.extended({1: 1}, ">=", -4)
+    for problem in (first, second, grandchild):
+        assert problem.constraints[:3] == base.constraints
+        assert_derives_like_a_cold_copy(problem)
+    assert len(base.constraints) == 3  # extending leaves the base as it was
+
+    # the base changes after its rows were derived: no child may see the
+    # old part, nor may a new child see rows the base no longer has
+    children = [first, second, grandchild]
+    changes = [
+        lambda: base.add({1: 1}, ">=", 2),
+        lambda: base.constraints.__setitem__(0, ({0: FR(1)}, ">=", FR(0))),
+        lambda: setattr(base, "num_vars", 4),
+    ]
+    for change, row in zip(changes, [{2: 1}, {1: -1}, {3: 1}]):
+        change()
+        children.append(base.extended(row, ">=", 1))
+        for problem in children:
+            assert_derives_like_a_cold_copy(problem)
+
+    nonneg = LpProblem(2, nonneg=[True, False])
+    nonneg.add({0: 1, 1: 1}, ">=", 1)
+    assert_derives_like_a_cold_copy(nonneg.extended({0: 1}, "<=", FR(1, 2)))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -417,7 +463,7 @@ def reference_entering(t, rows, rule):
 
 
 def priced_tableau(nvars, rows, appended, w, den, rule):
-    t = exact_lp._Tableau(nvars, rows)
+    t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
     for a, b in appended:
         t.add_row(a, b)
     t.w, t.den, t.rule = w, den, rule

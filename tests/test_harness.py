@@ -6,9 +6,20 @@ import json
 
 import pytest
 
-from ptflab import CertifyResult, ExperimentSpec, make_shape, preset, replay_certificate, run
+from ptflab import (
+    CertifyResult,
+    ExperimentSpec,
+    LpProblem,
+    certify_coefficient_lemma,
+    make_shape,
+    preset,
+    problem_to_text,
+    replay_certificate,
+    run,
+)
 from ptflab.cli import main as cli_main
 from ptflab.harness import ALL_MODES, PRESET_NAMES, rows_without_timing
+from ptflab.pipeline import Certificate
 
 
 def test_preset_lookup():
@@ -90,6 +101,26 @@ def test_certificates_replay_and_detect_corruption(tmp_path):
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(blob))
         assert not replay_certificate(bad), kind
+
+
+def test_farkas_batch_payload_joins_per_item_text():
+    # the items of a lemma share one base problem; each item's text must be
+    # what the item alone formats to, also after the base gains a row
+    res = certify_coefficient_lemma("g0_all", 5)
+    base = res.checks[0].problem._base
+    items = [(c.problem, c.farkas) for c in res.checks]
+    first = base.extended({0: 1}, ">=", 1)
+    items.append((first, [1] * len(first.constraints)))
+    Certificate("farkas-batch", "warm", tuple(items)).payload()  # the base's lines are now formatted
+    base.add({1: 1}, "<=", 2)
+    second = base.extended({2: -1}, ">=", 0)
+    items.append((second, [2] * len(second.constraints)))
+    payload = Certificate("farkas-batch", "g0_all k=5", tuple(items)).payload()
+    want = [
+        {"problem": problem_to_text(LpProblem(p.num_vars, list(p.constraints))), "vector": [str(v) for v in vec]}
+        for p, vec in items
+    ]
+    assert json.dumps(payload["items"]) == json.dumps(want)
 
 
 # sha256[:16] of each preset's CSV without the wall-time column, in

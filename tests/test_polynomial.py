@@ -11,7 +11,6 @@ from ptflab import (
     IntPolynomial,
     OrderContext,
     PolynomialError,
-    UvAssignment,
     assignment_of_index,
     enumerate_ordered,
     make_hard,
@@ -22,6 +21,7 @@ from ptflab import (
     witness_gate,
 )
 from ptflab.threshold_analysis import check_sign_representation
+from uv_reference import uv_values
 
 WEAK23 = make_shape("weak", (2, 3))
 
@@ -164,8 +164,8 @@ def test_uv_substitution_identity_weak(data):
     q = to_uv(p)
     idx = data.draw(st.integers(0, (1 << shape.n) - 1))
     a = assignment_of_index(idx, shape.n, Convention.ZERO_ONE)
-    uv = UvAssignment.from_input(shape, a)
-    assert q.evaluate(uv.values) == (1 << shape.d) * p.evaluate(a)
+    uv = uv_values(shape, a)
+    assert q.evaluate(uv) == (1 << shape.d) * p.evaluate(a)
     assert q.weight <= (1 << shape.d) * p.weight
 
 
@@ -177,8 +177,8 @@ def test_uv_substitution_identity_strong(data):
     q = to_uv(p)
     idx = data.draw(st.integers(0, (1 << shape.n) - 1))
     a = assignment_of_index(idx, shape.n, Convention.PLUS_MINUS)
-    uv = UvAssignment.from_input(shape, a)
-    assert q.evaluate(uv.values) == (1 << shape.d) * p.evaluate(a)
+    uv = uv_values(shape, a)
+    assert q.evaluate(uv) == (1 << shape.d) * p.evaluate(a)
     assert q.weight <= shape.n**shape.d * p.weight
 
 
@@ -194,17 +194,17 @@ def test_uv_weight_bounds_on_gates():
 def test_uv_assignment_ranges():
     shape = WEAK23
     for idx in range(1 << shape.n):
-        uv = UvAssignment.from_input(shape, assignment_of_index(idx, shape.n, Convention.ZERO_ONE))
-        for (kind, i, j), v in uv.values.items():
+        uv = uv_values(shape, assignment_of_index(idx, shape.n, Convention.ZERO_ONE))
+        for (kind, i, j), v in uv.items():
             if kind == "u":
                 assert v in (-1, 0, 1)
             else:
                 assert v in (0, 1, 2)
-                assert (v - uv.values[("u", i, j)]) % 2 == 0
+                assert (v - uv[("u", i, j)]) % 2 == 0
     strong = make_shape("strong", (3, 3))
     for idx in range(1 << strong.n):
-        uv = UvAssignment.from_input(strong, assignment_of_index(idx, strong.n, Convention.PLUS_MINUS))
-        for (kind, i, j), v in uv.values.items():
+        uv = uv_values(strong, assignment_of_index(idx, strong.n, Convention.PLUS_MINUS))
+        for (kind, i, j), v in uv.items():
             assert v in (-2, 0, 2)
 
 
@@ -277,8 +277,8 @@ def test_symmetrized_gate_zero_on_matching_halves():
     m = sum(shape.ks)
     for xbits in range(1 << m):
         a = [(xbits >> j) & 1 for j in range(m)]
-        uv = UvAssignment.from_input(shape, a + a)
-        assert q.evaluate(uv.values) == 0
+        uv = uv_values(shape, a + a)
+        assert q.evaluate(uv) == 0
 
 
 def test_dominance_chain_on_gate_coefficients():

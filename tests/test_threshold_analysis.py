@@ -1,6 +1,7 @@
 """Sign-representation checking, sign-degree, minimal weight, lemma
 certification, and theorem-instance reports."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,10 +30,11 @@ from ptflab import (
     verify_theorem_instance,
     witness_gate,
 )
+from ptflab import exact_lp, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
-from ptflab.exact_lp import GE, LE, LpProblem
-from ptflab.polynomial import UvAssignment
+from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
+from uv_reference import uv_values
 
 def constant_one(n):
     return from_bits([1] * (1 << n), n, Convention.ZERO_ONE, "one")
@@ -100,8 +102,8 @@ def reference_sign_check(p, f):
     """The per-input check: (index, value) of the first input whose sign
     disagrees with f, evaluated at its derived u/v assignment."""
     for i in range(f.size):
-        uv = UvAssignment.from_input(p.shape, assignment_of_index(i, f.n, f.convention))
-        pv = p.evaluate(uv.values)
+        uv = uv_values(p.shape, assignment_of_index(i, f.n, f.convention))
+        pv = p.evaluate(uv)
         if (pv >= 0) != (f.bit(i) == 1):
             return i, pv
     return None
@@ -119,7 +121,7 @@ _UV_SHAPES = [
 @given(st.data())
 def test_uv_sign_check_matches_per_input_reference(data):
     shape, convention = data.draw(st.sampled_from(_UV_SHAPES))
-    tags = sorted(UvAssignment.from_input(shape, [0] * shape.n).values)
+    tags = sorted(uv_values(shape, [0] * shape.n))
     terms = data.draw(
         st.lists(
             st.tuples(
@@ -134,8 +136,8 @@ def test_uv_sign_check_matches_per_input_reference(data):
     flips = data.draw(st.sets(st.integers(0, (1 << shape.n) - 1), max_size=2))
     bits = []
     for i in range(1 << shape.n):
-        uv = UvAssignment.from_input(shape, assignment_of_index(i, shape.n, convention))
-        bits.append(int(p.evaluate(uv.values) >= 0) ^ (i in flips))
+        uv = uv_values(shape, assignment_of_index(i, shape.n, convention))
+        bits.append(int(p.evaluate(uv) >= 0) ^ (i in flips))
     f = from_bits(bits, shape.n, convention, "ref")
     want = reference_sign_check(p, f)
     got = check_sign_representation(p, f)
@@ -290,6 +292,61 @@ def test_lemma_certificates_replayable():
     for chk in res.checks:
         assert chk.farkas is not None
         assert check_farkas(chk.problem, chk.farkas)
+
+def cold_lemma_reference(lemma, k):
+    """Each negated inequality on its own: a freshly built base, the
+    negated row added last, one ``solve``.  Nothing is shared between the
+    inequalities.  (status, problem text, vector) per inequality."""
+    base = threshold_analysis._LEMMA_BASE[lemma]
+    out = []
+    for _, coeffs, rel, rhs in threshold_analysis._lemma_negations(lemma, k):
+        problem = LpProblem(k)
+        problem.constraints = list(threshold_analysis._base_problem(base, k).constraints)
+        problem.add(coeffs, rel, rhs)
+        got = exact_lp.solve(problem)
+        if got.status == "infeasible":
+            out.append(("CERTIFIED", problem_to_text(problem), got.farkas))
+        else:
+            denom = math.lcm(*(v.denominator for v in got.witness))
+            out.append(("VIOLATED", problem_to_text(problem), [int(v * denom) for v in got.witness]))
+    return out
+
+
+SHARED_BASE_LEMMAS = [(lemma, k) for k in range(2, 7) for lemma in ("gt_exp", "gt_step")] + [
+    (lemma, k) for k in (3, 5) for lemma in ("g1_pos", "g1_mono", "g0_all")
+]
+
+
+@pytest.mark.parametrize("lemma, k", SHARED_BASE_LEMMAS)
+def test_shared_base_lemma_matches_cold_reference(lemma, k):
+    res = certify_coefficient_lemma(lemma, k)
+    got = [
+        (c.status, problem_to_text(c.problem), c.farkas if c.status == "CERTIFIED" else c.witness)
+        for c in res.checks
+    ]
+    assert got == cold_lemma_reference(lemma, k)
+
+
+def test_lemma_builds_its_base_once_and_solves_once_per_inequality(monkeypatch):
+    solves, builds = [], []
+    real_solve, real_rows = threshold_analysis.solve, threshold_analysis._gt_u_rows
+
+    def counted_solve(problem, *args, **kwargs):
+        solves.append(problem)
+        return real_solve(problem, *args, **kwargs)
+
+    def counted_rows(k):
+        builds.append(k)
+        return real_rows(k)
+
+    monkeypatch.setattr(threshold_analysis, "solve", counted_solve)
+    monkeypatch.setattr(threshold_analysis, "_gt_u_rows", counted_rows)
+    res = certify_coefficient_lemma("gt_exp", 5)
+    assert res.status == "CERTIFIED"
+    assert len(solves) == len(res.checks) == len(threshold_analysis._lemma_negations("gt_exp", 5)) == 5
+    assert [id(p) for p in solves] == [id(c.problem) for c in res.checks]
+    assert builds == [5]
+
 
 def test_unknown_lemma_rejected():
     with pytest.raises(Exception):

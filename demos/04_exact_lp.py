@@ -21,7 +21,7 @@ from ptflab import (
 )
 
 print("=== infeasibility with a combination certificate ===")
-pr = LpProblem(1, names=["x"])
+pr = LpProblem(1)
 pr.add({0: 1}, ">=", 1)
 pr.add({0: 1}, "<=", 0)
 out = solve(pr)
@@ -30,7 +30,7 @@ print("re-checked by exact row combination:", check_farkas(pr, out.farkas))
 
 print()
 print("=== L1 minimization through the dual ===")
-pr = LpProblem(2, names=["c1", "c2"])
+pr = LpProblem(2)
 pr.add({0: 1, 1: 1}, ">=", 2)
 pr.add({0: 1, 1: -1}, ">=", 2)
 out = min_l1(pr)
@@ -47,6 +47,6 @@ print(f"relaxation {res.relaxation} -> integer optimum {res.value} at {res.witne
 
 print()
 print("=== plain-text serialization for replay ===")
-pr = LpProblem(2, names=["a", "b"])
+pr = LpProblem(2)
 pr.add({0: Fraction(1, 2), 1: 1}, ">=", Fraction(5, 2))
 print(problem_to_text(pr), end="")

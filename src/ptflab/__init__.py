@@ -6,7 +6,6 @@ from .boolfun import (
     EvalError,
     assignment_of_index,
     index_of_assignment,
-    linear_forms,
     make_g,
     make_gt,
     make_hard,

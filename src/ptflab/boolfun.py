@@ -164,12 +164,6 @@ def make_g(k: int, variant: str = "g1") -> BoolFun:
     return BoolFun(n=k, convention=Convention.PLUS_MINUS, table=table, label=f"{variant}-k{k}")
 
 
-def linear_forms(x: tuple[int, ...]) -> list[int]:
-    """L_0(x) = x_1 + x_k and L_j(x) = x_j - x_{j+1} for j = 1..k-1."""
-    k = len(x)
-    return [x[0] + x[k - 1]] + [x[j - 1] - x[j] for j in range(1, k)]
-
-
 # ---------------------------------------------------------------------------
 # The composite hard functions
 # ---------------------------------------------------------------------------

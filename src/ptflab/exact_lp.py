@@ -19,6 +19,9 @@ re-verified by an independent checker before it is returned:
   * infeasible outcomes carry nonnegative combination multipliers that
     collapse the constraints into an exact contradiction.
 
+Every problem has one shape: free rational variables and >= / <= rows.
+Each certificate vector holds one multiplier per row.
+
 A small depth-first branch-and-bound on top of the L1 solver computes
 exact integer-minimal weights.
 """
@@ -33,8 +36,8 @@ from operator import mul
 
 import numpy as np
 
-LE, GE, EQ = "<=", ">=", "="
-_RELS = (LE, GE, EQ)
+LE, GE = "<=", ">="
+_RELS = (LE, GE)
 
 DEFAULT_PIVOT_CAP = 200_000
 
@@ -61,15 +64,16 @@ def _ceil(x: Fraction) -> int:
 
 @dataclass
 class LpProblem:
-    """Constraints over named rational variables, free unless flagged.
+    """Constraints over ``num_vars`` free rational variables.
 
-    Each constraint is a (sparse coefficient dict, relation, rhs) triple.
+    Each constraint is a (sparse coefficient dict, relation, rhs) triple,
+    the relation ``>=`` or ``<=``.
     """
 
     num_vars: int
     constraints: list = field(default_factory=list)
-    names: list | None = None
-    nonneg: list | None = None
+    # no variable is sign-restricted; kept readable for callers that digest it
+    nonneg = None
     # the problem this one extends, and what ``_shared`` derived from its rows
     _base: "LpProblem | None" = field(default=None, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -81,9 +85,7 @@ class LpProblem:
         text format derive from them (integer >=-rows, text lines) is
         computed once here and reused by every problem extended from it.
         """
-        nonneg = None if self.nonneg is None else list(self.nonneg)
-        names = None if self.names is None else list(self.names)
-        child = LpProblem(self.num_vars, self.constraints[:], names, nonneg)
+        child = LpProblem(self.num_vars, self.constraints[:])
         child.add(coeffs, rel, rhs)
         child._base = self
         return child
@@ -99,9 +101,6 @@ class LpProblem:
             if c:
                 row[j] = c
         self.constraints.append((row, rel, _frac(rhs)))
-
-    def is_nonneg(self, j: int) -> bool:
-        return bool(self.nonneg and self.nonneg[j])
 
 
 def _shared(problem: LpProblem, key: str, build, join):
@@ -158,7 +157,8 @@ class IlpResult:
 
 
 def check_witness(problem: LpProblem, x) -> bool:
-    """Exact substitution check of every constraint and sign restriction.
+    """Exact substitution check of every constraint; a row whose relation
+    is neither >= nor <= fails.
 
     Compares integers: x times the lcm of its denominators, and each row
     times the lcm of its own, which keeps the sign of every comparison.
@@ -166,20 +166,13 @@ def check_witness(problem: LpProblem, x) -> bool:
     if len(x) != problem.num_vars:
         return False
     x = [_frac(v) for v in x]
-    for j in range(problem.num_vars):
-        if problem.is_nonneg(j) and x[j] < 0:
-            return False
     scale = math.lcm(*(v.denominator for v in x))
     xs = [v.numerator * (scale // v.denominator) for v in x]
     for coeffs, rel, rhs in problem.constraints:
         m = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
         lhs = sum(c.numerator * (m // c.denominator) * xs[j] for j, c in coeffs.items())
         bound = rhs.numerator * (m // rhs.denominator) * scale
-        if rel == LE and lhs > bound:
-            return False
-        if rel == GE and lhs < bound:
-            return False
-        if rel == EQ and lhs != bound:
+        if not (lhs <= bound if rel == LE else rel == GE and lhs >= bound):
             return False
     return True
 
@@ -187,10 +180,9 @@ def check_witness(problem: LpProblem, x) -> bool:
 def check_farkas(problem: LpProblem, lam) -> bool:
     """Verify an infeasibility certificate by exact row combination.
 
-    Multipliers must be >= 0 on inequality rows (free on equalities); the
-    combination, read with <= rows as stated and >= rows negated, must have
-    zero coefficients on free variables, nonnegative coefficients on
-    nonnegative variables, and a negative right-hand side.  The sums are
+    One multiplier per row, each >= 0, and every relation >= or <=.  The
+    combination, read with <= rows as stated and >= rows negated, must
+    have zero coefficients and a negative right-hand side.  The sums are
     taken over the integers, times the lcm of the multipliers' and of the
     used rows' denominators; rows with a zero multiplier are skipped.
     """
@@ -201,7 +193,7 @@ def check_farkas(problem: LpProblem, lam) -> bool:
     used = []  # (integer multiplier times the read sign, coeffs, rhs)
     for v, (coeffs, rel, rhs) in zip(lam, problem.constraints):
         num = v.numerator  # carries the sign; integers compare faster than a Fraction
-        if rel != EQ and num < 0:
+        if num < 0 or rel not in (LE, GE):
             return False
         if num:
             mult = num * (scale // v.denominator)
@@ -216,39 +208,27 @@ def check_farkas(problem: LpProblem, lam) -> bool:
         for j, c in coeffs.items():
             combined[j] += mult * c.numerator * (m // c.denominator)
         rhs_total += mult * rhs.numerator * (m // rhs.denominator)
-    for j, c in enumerate(combined):
-        if problem.is_nonneg(j):
-            if c < 0:
-                return False
-        elif c != 0:
-            return False
-    return rhs_total < 0
+    return not any(combined) and rhs_total < 0
 
 
 def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     """Verify that ``value`` lower-bounds sum(|x|) over the feasible set.
 
-    ``dual`` is indexed by the >=-normalized rows: one per inequality (a
-    <= row negated), two per equality (as stated, then negated).  Each
-    multiplier must be nonnegative, the combined coefficient of every
-    variable must lie in [-1, 1], and the combined right-hand side must
-    equal ``value``.  The sums are integers, scaled as in ``check_farkas``.
+    ``dual`` holds one multiplier per row, each nonnegative, and combines
+    the rows read as >= (a <= row negated; any other relation fails).
+    The combined coefficient of every variable must lie in [-1, 1], and
+    the combined right-hand side must equal ``value``.  The sums are
+    integers, scaled as in ``check_farkas``.
     """
-    ge_rows = []  # (coeffs, rhs, sign): sign * (coeffs . x) >= sign * rhs
-    for coeffs, rel, rhs in problem.constraints:
-        if rel in (GE, EQ):
-            ge_rows.append((coeffs, rhs, 1))
-        if rel in (LE, EQ):
-            ge_rows.append((coeffs, rhs, -1))
-    if len(dual) != len(ge_rows):
+    if len(dual) != len(problem.constraints):
         return False
     dual = [_frac(v) for v in dual]
-    if any(v < 0 for v in dual):
+    if any(v < 0 or rel not in (LE, GE) for v, (_, rel, _) in zip(dual, problem.constraints)):
         return False
     scale = math.lcm(*(v.denominator for v in dual))
     used = [
-        (sign * v.numerator * (scale // v.denominator), coeffs, rhs)
-        for v, (coeffs, rhs, sign) in zip(dual, ge_rows)
+        ((1 if rel == GE else -1) * v.numerator * (scale // v.denominator), coeffs, rhs)
+        for v, (coeffs, rel, rhs) in zip(dual, problem.constraints)
         if v
     ]
     m = math.lcm(
@@ -564,23 +544,21 @@ def _scale_ge_row(coeffs: dict, rhs) -> tuple:
 
 
 def _int_ge_rows(problem: LpProblem) -> tuple:
-    """The constraints as integer rows coeffs . x >= rhs: (matrix, scales,
-    rmap), the rows' ``_ge_matrix`` and two lists with one entry per row.
+    """The constraints as integer rows coeffs . x >= rhs: (matrix, scales),
+    the rows' ``_ge_matrix`` and the factor each row was scaled by.
 
-    A >= row is kept, a <= row negated, and an equality split into a >=
-    row and its negation; each is scaled to integers by ``_scale_ge_row``.
-    Unknown relations and out-of-range variables raise ``LpError``.
-    Per row, ``scales`` holds that factor and ``rmap`` (original index,
-    kind) with kind one of "ineq", "eq+", "eq-"; they drive certificate
-    folding.  The rows a problem shares with the one it extends are
-    normalized once, on that base (see ``_shared``).
+    A >= row is kept and a <= row negated, then scaled to integers by
+    ``_scale_ge_row``, so row i is constraint i.  Unknown relations and
+    out-of-range variables raise ``LpError``.  The rows a problem shares
+    with the one it extends are normalized once, on that base (see
+    ``_shared``).
     """
     return _shared(problem, "ge", _int_ge_tail, _join_ge)
 
 
 def _int_ge_tail(problem: LpProblem, start: int) -> tuple:
     """``_int_ge_rows`` of the constraints from index ``start`` on."""
-    rows, scales, rmap = [], [], []
+    rows, scales = [], []
     for idx in range(start, len(problem.constraints)):
         coeffs, rel, rhs = problem.constraints[idx]
         if rel not in _RELS:
@@ -588,32 +566,15 @@ def _int_ge_tail(problem: LpProblem, start: int) -> tuple:
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
             raise LpError(f"variable out of range in constraint {idx}")
         ic, ir, mult = _scale_ge_row(coeffs, rhs)
-        if rel in (GE, EQ):
-            rows.append((ic, ir))
-            scales.append(mult)
-            rmap.append((idx, "ineq" if rel == GE else "eq+"))
-        if rel in (LE, EQ):
-            rows.append(({j: -a for j, a in ic.items()}, -ir))
-            scales.append(mult)
-            rmap.append((idx, "ineq" if rel == LE else "eq-"))
-    return _ge_matrix(rows, problem.num_vars), scales, rmap
+        if rel == LE:
+            ic, ir = {j: -a for j, a in ic.items()}, -ir
+        rows.append((ic, ir))
+        scales.append(mult)
+    return _ge_matrix(rows, problem.num_vars), scales
 
 
 def _join_ge(head: tuple, tail: tuple) -> tuple:
-    return np.concatenate((head[0], tail[0])), head[1] + tail[1], head[2] + tail[2]
-
-
-def _fold_ge_multipliers(problem: LpProblem, rmap, mults: dict) -> list:
-    """Translate >=-row multipliers into per-constraint certificate values.
-
-    Positions past ``rmap`` (rows the solver added) carry no constraint.
-    """
-    lam = [Fraction(0)] * len(problem.constraints)
-    for pos, v in mults.items():
-        if pos < len(rmap):
-            idx, kind = rmap[pos]
-            lam[idx] += -v if kind == "eq+" else v
-    return lam
+    return np.concatenate((head[0], tail[0])), head[1] + tail[1]
 
 
 # ---------------------------------------------------------------------------
@@ -625,28 +586,22 @@ class _DualL1:
     """min sum|c| subject to the problem's rows, solved as its always-feasible
     dual.
 
-    The dual has one variable per >=-normalized row and two rows per primal
-    variable (|combined coefficient| <= 1), so the basis stays at 2N even
-    when the constraint count is in the thousands.  The primal witness is
-    read off the reduced costs of the dual slacks; an unbounded dual ray is
-    exactly an infeasibility certificate for the primal rows.  Nonnegative
-    variables enter as extra rows x_j >= 0 after the problem's own.
+    The dual has one variable per row and two rows per primal variable
+    (|combined coefficient| <= 1), so the basis stays at 2N even when the
+    constraint count is in the thousands.  The primal witness is read off
+    the reduced costs of the dual slacks; an unbounded dual ray is exactly
+    an infeasibility certificate for the primal rows.
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        exact, scales, self.rmap = _int_ge_rows(problem)
-        nvars = self.nvars = problem.num_vars
-        signs = [({j: 1}, 0) for j in range(nvars) if problem.is_nonneg(j)]
-        if signs:
-            exact = np.concatenate((exact, _ge_matrix(signs, nvars)))
-        self.scales = scales + [1] * len(signs)
-        self.t = _Tableau(nvars, exact)
+        exact, self.scales = _int_ge_rows(problem)
+        self.nvars = problem.num_vars
+        self.t = _Tableau(self.nvars, exact)
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
         other.problem = self.problem
-        other.rmap = self.rmap
         other.nvars = self.nvars
         other.scales = self.scales[:]
         other.t = self.t.clone()
@@ -659,7 +614,7 @@ class _DualL1:
         self.t.add_row(ic, ir)
 
     def _scaled(self, values: dict) -> dict:
-        """Nonzero column values as multipliers of the unscaled >=-rows, keyed
+        """Nonzero column values as multipliers of the unscaled rows, keyed
         by row position.  Initial dual variables sit before the 2N slacks,
         appended ones after; slack columns are dropped."""
         n0, m = self.t.n0, 2 * self.nvars
@@ -679,7 +634,7 @@ class _DualL1:
         return [Fraction(t.w[k] - t.w[n + k], t.den) for k in range(n)]
 
     def dual_values(self) -> dict:
-        """Scaled dual variable values keyed by normalized-row position."""
+        """Scaled dual variable values keyed by row position."""
         t = self.t
         return self._scaled({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs)})
 
@@ -694,20 +649,25 @@ class _DualL1:
                 delta[b] = Fraction(-a, t.den)
         return self._scaled(delta)
 
+    def _per_row(self, mults: dict) -> list:
+        """One multiplier per problem row; rows the solver added carry none."""
+        zero = Fraction(0)
+        return [mults.get(pos, zero) for pos in range(len(self.problem.constraints))]
+
     def certify(self, max_pivots: int) -> LpOutcome:
         """Solve once and return the independently re-checked outcome.
 
         Infeasible rows give a Farkas vector over the problem's constraints.
         Otherwise the outcome is optimal: the minimum-L1 witness, its value,
-        the dual multipliers proving the bound (free variables only), and
-        this solver, whose tableau branch and bound can start from.
+        the dual multipliers proving the bound, and this solver, whose
+        tableau branch and bound can start from.
         """
         problem = self.problem
         t = self.t
         status = t.optimize(max_pivots)
         stats = {"pivots": t.pivots, "den_bits": t.den.bit_length(), "bland": t.rule == "bland"}
         if status == "unbounded":
-            lam = _fold_ge_multipliers(problem, self.rmap, self.farkas_from_ray())
+            lam = self._per_row(self.farkas_from_ray())
             if not check_farkas(problem, lam):
                 raise LpError("internal error: infeasibility certificate failed")
             return LpOutcome(status="infeasible", farkas=lam, stats=stats)
@@ -717,12 +677,9 @@ class _DualL1:
             raise LpError("internal error: optimal witness failed substitution")
         if sum(abs(v) for v in witness) != value:
             raise LpError("internal error: witness weight disagrees with optimum")
-        dual = None
-        if not (problem.nonneg and any(problem.nonneg)):
-            dual_by_pos = self.dual_values()
-            dual = [dual_by_pos.get(pos, Fraction(0)) for pos in range(len(self.rmap))]
-            if not check_l1_bound(problem, dual, value):
-                raise LpError("internal error: dual bound certificate failed")
+        dual = self._per_row(self.dual_values())
+        if not check_l1_bound(problem, dual, value):
+            raise LpError("internal error: dual bound certificate failed")
         return LpOutcome(
             status="optimal", witness=witness, value=value, dual=dual, stats=stats, solver=self
         )
@@ -734,12 +691,10 @@ def min_l1(
 ) -> LpOutcome:
     """Exact minimum of sum(|x_j|) under the problem's constraints.
 
-    Free variables only.  Returns Optimal with the minimizing witness, dual
-    multipliers certifying the bound and the solved tableau, or Infeasible
-    with a verified combination certificate.
+    Returns Optimal with the minimizing witness, dual multipliers (one per
+    row) certifying the bound and the solved tableau, or Infeasible with a
+    verified combination certificate.
     """
-    if problem.nonneg and any(problem.nonneg):
-        raise LpError("min_l1 expects free variables")
     return _DualL1(problem).certify(max_pivots)
 
 
@@ -786,13 +741,10 @@ def ilp_min(
         return IlpResult(status="infeasible", nodes=1)
     relaxation = root.value
 
-    # margin-style systems (>= with nonnegative rhs, <= with nonpositive,
-    # equalities through zero) stay feasible under scaling by any factor
-    # >= 1, so fractional witnesses round up to integer incumbents
-    scalable = all(
-        (rel == GE and rhs >= 0) or (rel == LE and rhs <= 0) or (rel == EQ and rhs == 0)
-        for _, rel, rhs in problem.constraints
-    )
+    # margin-style systems (>= with nonnegative rhs, <= with nonpositive)
+    # stay feasible under scaling by any factor >= 1, so fractional
+    # witnesses round up to integer incumbents
+    scalable = all((rhs >= 0) if rel == GE else (rhs <= 0) for _, rel, rhs in problem.constraints)
 
     best_w: int | None = None
     best_c: list | None = None
@@ -891,11 +843,9 @@ def ilp_min(
 
 
 def problem_to_text(problem: LpProblem) -> str:
+    """The ``vars N`` header, then one line per row: its N coefficients,
+    the relation and the right-hand side."""
     lines = [f"vars {problem.num_vars}"]
-    if problem.names:
-        lines.append("names " + " ".join(problem.names))
-    if problem.nonneg and any(problem.nonneg):
-        lines.append("nonneg " + " ".join("1" if b else "0" for b in problem.nonneg))
     # the lines of rows shared with a base problem are formatted once, on it
     lines += _shared(problem, "text", _constraint_lines, list.__add__)
     return "\n".join(lines) + "\n"
@@ -916,7 +866,8 @@ def _constraint_lines(problem: LpProblem, start: int) -> list:
 
 
 def problem_from_text(text: str) -> LpProblem:
-    """Parse ``problem_to_text`` output; any malformed line raises LpError."""
+    """Parse ``problem_to_text`` output; any malformed line raises LpError,
+    a relation other than >= or <= included."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "vars" or not header[1].isdecimal():
@@ -929,20 +880,12 @@ def problem_from_text(text: str) -> LpProblem:
     coeff = functools.cache(lambda p: parse(p) or None)
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "names":
-            problem.names = parts[1:]
-            continue
-        if parts[0] == "nonneg":
-            if len(parts) != n + 1 or not set(parts[1:]) <= {"0", "1"}:
-                raise LpError(f"bad nonneg line: {ln}")
-            problem.nonneg = [p == "1" for p in parts[1:]]
-            continue
         try:
             if len(parts) != n + 2 or parts[-2] not in _RELS:
                 raise ValueError
             coeffs = list(map(coeff, parts[:-2]))
             rhs = parse(parts[-1])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise LpError(f"bad constraint line: {ln}") from None
         row = {j: c for j, c in enumerate(coeffs) if c is not None}
         problem.constraints.append((row, parts[-2], rhs))

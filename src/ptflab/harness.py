@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_lp import check_farkas, check_l1_bound, check_witness, problem_from_text
+from .exact_lp import LpError, check_farkas, check_l1_bound, check_witness, problem_from_text
 from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
 
@@ -121,12 +121,17 @@ def replay_certificate(path) -> bool:
 
     Kinds: ``farkas`` (no solution), ``witness`` (a solution), ``l1-bound``
     (a lower bound on sum |x|), and ``farkas-batch`` (one Farkas vector per
-    item, all of which must check).
+    item, all of which must check).  A malformed file is rejected (False);
+    only an ``OSError`` from reading it is raised.
     """
-    obj = json.loads(Path(path).read_text())
-    if obj["kind"] == "farkas-batch":
-        return bool(obj["items"]) and all(_check_item("farkas", i, None) for i in obj["items"])
-    return _check_item(obj["kind"], obj, obj.get("value"))
+    data = Path(path).read_bytes()
+    try:
+        obj = json.loads(data)
+        if obj["kind"] == "farkas-batch":
+            return bool(obj["items"]) and all(_check_item("farkas", i, None) for i in obj["items"])
+        return _check_item(obj["kind"], obj, obj.get("value"))
+    except (ArithmeticError, AttributeError, KeyError, LpError, TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------

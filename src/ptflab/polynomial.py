@@ -108,18 +108,22 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _strong_forms(xs) -> list:
+    """The linear forms [(variable, coeff)] L_0, ..., L_{k-1} of a strong
+    group on the k variables ``xs``: L_0 = x_1 + x_k, L_j = x_j - x_{j+1}."""
+    return [[(xs[0], 1), (xs[-1], 1)]] + [[(xs[j - 1], 1), (xs[j], -1)] for j in range(1, len(xs))]
+
+
 def _uv_forms(shape: GroupShape) -> dict:
     """Tag -> xy linear form [(variable, coeff)] of every u/v variable; a
-    strong group i < d has L_0 = x_1 + x_k and L_j = x_j - x_{j+1}."""
+    strong group i < d has the ``_strong_forms`` of its x variables."""
     forms: dict = {}
     d = shape.d
     for i in range(1, d + 1):
         k = shape.ks[i - 1]
         if shape.variant is Variant.STRONG and i < d:
             xs = [shape.x_index(i, j) for j in range(1, k + 1)]
-            forms[("u", i, 0)] = [(xs[0], 1), (xs[-1], 1)]
-            for j in range(1, k):
-                forms[("u", i, j)] = [(xs[j - 1], 1), (xs[j], -1)]
+            forms.update((("u", i, j), form) for j, form in enumerate(_strong_forms(xs)))
             continue
         for j in range(1, k + 1):
             x, y = shape.x_index(i, j), shape.y_index(i, j)

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .boolfun import BoolFun, assignment_of_index, linear_forms, make_g
+from .boolfun import BoolFun, assignment_of_index, make_g
 from .exact_lp import (
     DEFAULT_PIVOT_CAP,
     GE,
@@ -32,7 +32,7 @@ from .exact_lp import (
     min_l1,
     solve,
 )
-from .polynomial import IntPolynomial, from_uv
+from .polynomial import IntPolynomial, _strong_forms, from_uv
 from .shapes import Convention, GroupShape, Variant
 
 DEFAULT_INPUT_CAP = 24
@@ -359,11 +359,13 @@ def _gt_u_rows(k: int) -> list[tuple[dict, str, Fraction]]:
 
 
 def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, Fraction]]:
-    """Sign constraints of the all-equal detector over its linear forms."""
+    """Sign constraints of the all-equal detector over its linear forms
+    (``polynomial._strong_forms``)."""
     fun = make_g(k, which)
+    forms = _strong_forms(range(k))
     rows = []
     for x in product((-1, 1), repeat=k):
-        u = linear_forms(x)
+        u = [a * x[v] + b * x[w] for (v, a), (w, b) in forms]  # two terms each
         row = {j: Fraction(u[j]) for j in range(k) if u[j]}
         if fun.eval(x) == 1:
             rows.append((row, GE, Fraction(0)))

@@ -17,7 +17,6 @@ from ptflab import (
     ShapeError,
     assignment_of_index,
     index_of_assignment,
-    linear_forms,
     make_g,
     make_gt,
     make_hard,
@@ -26,6 +25,7 @@ from ptflab import (
 )
 from ptflab.boolfun import from_bits
 from ptflab.tuple_order import order_bits_partial
+from uv_reference import linear_forms
 
 
 # ---------------------------------------------------------------------------

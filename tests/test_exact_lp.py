@@ -55,19 +55,6 @@ def test_feasibility_with_witness_for_comparator():
     assert check_witness(prob, out.witness)
 
 
-def test_nonneg_feasibility_paths():
-    pr = LpProblem(1, nonneg=[True])
-    pr.add({0: 1}, "<=", -1)
-    out = solve(pr)
-    assert out.status == "infeasible"
-    assert check_farkas(pr, out.farkas)
-    pr2 = LpProblem(1, nonneg=[True])
-    pr2.add({0: 1}, ">=", 3)
-    out2 = solve(pr2)
-    assert out2.status == "feasible"
-    assert out2.witness[0] >= 3
-
-
 def test_pivot_budget_reported():
     f = make_gt(3)
     prob = build_representation_problem(f, 1).problem
@@ -79,14 +66,19 @@ def test_bad_rows_rejected():
     pr = LpProblem(2)
     with pytest.raises(LpError):
         pr.add({5: 1}, ">=", 0)
-    with pytest.raises(LpError):
-        pr.add({0: 1}, "!=", 0)
+    for rel in ("!=", "="):  # an equality is written as a >= / <= pair
+        with pytest.raises(LpError):
+            pr.add({0: 1}, rel, 0)
     # rows set directly bypass add(); the solvers reject them as well
-    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0)):
+    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0), ({0: FR(1)}, "=", FR(0))):
         pr.constraints = [row]
         for fn in (solve, min_l1):
             with pytest.raises(LpError):
                 fn(pr)
+    # and no checker accepts a row whose relation is not >= or <=
+    assert not check_witness(pr, [0, 0])
+    assert not check_farkas(pr, [1])
+    assert not check_l1_bound(pr, [1], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +107,9 @@ def test_l1_ball_geometry():
 
 def test_l1_with_equality_rows():
     pr = LpProblem(2)
-    pr.add({0: 1, 1: 1}, "=", 3)
-    pr.add({0: 1, 1: -1}, "=", 1)
+    for coeffs, rhs in (({0: 1, 1: 1}, 3), ({0: 1, 1: -1}, 1)):  # each equality as a pair
+        pr.add(coeffs, ">=", rhs)
+        pr.add(coeffs, "<=", rhs)
     out = min_l1(pr)
     assert out.value == FR(3)
     assert out.witness == [FR(2), FR(1)]
@@ -151,17 +144,21 @@ def test_l1_checker_shares_no_solver_code():
 def test_checkers_clear_denominators_exactly():
     pr = LpProblem(2)
     pr.add({0: FR(1, 3), 1: FR(2, 7)}, ">=", FR(5, 21))  # 7 x0 + 6 x1 >= 5
-    pr.add({0: FR(1, 2)}, "=", FR(1, 4))  # x0 = 1/2
+    pr.add({0: FR(1, 2)}, ">=", FR(1, 4))  # x0 = 1/2, as a >= / <= pair
+    pr.add({0: FR(1, 2)}, "<=", FR(1, 4))
     assert check_witness(pr, [FR(1, 2), FR(1, 4)])  # 7/2 + 3/2 = 5: tight
     assert not check_witness(pr, [FR(1, 2), FR(1, 4) - FR(1, 10**30)])
     assert not check_witness(pr, [FR(1, 2) + FR(1, 10**30), FR(1, 4)])
+    assert not check_witness(pr, [FR(1, 2) - FR(1, 10**30), FR(1, 4) + FR(1, 10**29)])
     pr.add({1: FR(3, 5)}, "<=", FR(1, 20))  # x1 <= 1/12, but the rows above force x1 >= 1/4
-    lam = [FR(3), FR(2), FR(10, 7)]  # right-hand side -5/7 + 1/2 + 1/14 = -1/7
+    lam = [FR(3), FR(0), FR(2), FR(10, 7)]  # right-hand side -5/7 + 1/2 + 1/14 = -1/7
     assert check_farkas(pr, lam)
-    assert not check_farkas(pr, [lam[0], lam[1], lam[2] - FR(1, 10**30)])
-    assert not check_farkas(pr, [-lam[0], lam[1], lam[2]])
-    assert not check_farkas(pr, [0, 0, 0])
-    # l1 rows: the >= row, the equality as stated, the equality negated, the <= row negated
+    assert not check_farkas(pr, [lam[0], lam[1], lam[2], lam[3] - FR(1, 10**30)])
+    assert not check_farkas(pr, [-lam[0], lam[1], lam[2], lam[3]])
+    # the same combination through the >= half of the pair needs a negative multiplier
+    assert not check_farkas(pr, [lam[0], -lam[2], lam[1], lam[3]])
+    assert not check_farkas(pr, [0, 0, 0, 0])
+    # l1 rows read as >=: the >= rows as stated, the <= rows negated
     dual = [FR(3), FR(0), FR(1, 10**30), FR(0)]  # x0 coefficient 1 - 1/(2*10^30)
     value = FR(5, 7) - FR(1, 4 * 10**30)
     assert check_l1_bound(pr, dual, value)
@@ -173,14 +170,15 @@ def test_checkers_clear_denominators_exactly():
 
 def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
     pr = LpProblem(2)
-    pr.add({0: 1, 1: -1}, "=", -5)
+    pr.add({0: 1, 1: -1}, ">=", -5)  # x0 - x1 = -5, as a >= / <= pair
+    pr.add({0: 1, 1: -1}, "<=", -5)
     pr.add({0: -1}, "<=", -1)
     pr.add({1: 1}, ">=", 0)
     out = min_l1(pr)
-    assert out.value == 7 and out.dual == [0, 1, 2, 0]  # the flipped equality and the <= row
+    assert out.value == 7 and out.dual == [0, 1, 2, 0]  # the two <= rows, negated
     assert check_l1_bound(pr, out.dual, out.value)
     d = out.dual
-    assert not check_l1_bound(pr, [d[1], d[0], *d[2:]], out.value)  # equality halves swapped
+    assert not check_l1_bound(pr, [d[1], d[0], *d[2:]], out.value)  # the pair's halves swapped
     assert not check_l1_bound(pr, [d[0], d[1], d[2] + 1, d[3]], out.value)
     assert not check_l1_bound(pr, d, out.value + 1)
     assert not check_l1_bound(pr, d[:-1], out.value)
@@ -203,12 +201,14 @@ def test_degree2_lp_pivot_path(variant, ks, value, pivots, den_bits):
 
 
 def test_l1_rejects_objective_or_nonneg():
-    # problems carry no objective row: min_l1 minimizes sum |x| only
+    # problems carry no objective row, no sign restriction and no variable
+    # names: min_l1 minimizes sum |x| over free variables only
     with pytest.raises(TypeError):
         LpProblem(1, objective={0: FR(1)})
-    pr2 = LpProblem(1, nonneg=[True])
-    with pytest.raises(LpError):
-        min_l1(pr2)
+    with pytest.raises(TypeError):
+        LpProblem(1, nonneg=[True])
+    with pytest.raises(TypeError):
+        LpProblem(1, names=["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,48 +311,51 @@ def test_ilp_incumbent_seed():
 
 
 def test_text_round_trip():
-    pr = LpProblem(3, nonneg=[False, False, True])
-    pr.names = ["a", "b", "c"]
+    pr = LpProblem(3)
     pr.add({0: FR(1, 2), 1: -1}, ">=", FR(7, 2))
-    pr.add({2: 1}, "=", 0)
+    pr.add({2: 1}, ">=", 0)  # x2 = 0, as a >= / <= pair
+    pr.add({2: 1}, "<=", 0)
     text = problem_to_text(pr)
+    assert text == "vars 3\n1/2 -1 0 >= 7/2\n0 0 1 >= 0\n0 0 1 <= 0\n"
     back = problem_from_text(text)
     assert back.num_vars == 3
-    assert back.nonneg == pr.nonneg
     assert back.constraints == pr.constraints
     assert problem_to_text(back) == text
 
 
 def cold_copy(problem):
     """The same problem built afresh: its rows, and no base to share."""
-    return LpProblem(problem.num_vars, list(problem.constraints), problem.names, problem.nonneg)
+    return LpProblem(problem.num_vars, list(problem.constraints))
 
 
 def assert_derives_like_a_cold_copy(problem):
-    exact, scales, rmap = exact_lp._int_ge_rows(problem)
-    cold_exact, cold_scales, cold_rmap = exact_lp._int_ge_rows(cold_copy(problem))
+    exact, scales = exact_lp._int_ge_rows(problem)
+    cold_exact, cold_scales = exact_lp._int_ge_rows(cold_copy(problem))
     assert exact.tolist() == cold_exact.tolist() and exact.dtype == cold_exact.dtype
-    assert (scales, rmap) == (cold_scales, cold_rmap)
+    assert scales == cold_scales
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
     assert solve(problem) == solve(cold_copy(problem))
 
 
 def test_extended_problems_derive_what_a_cold_copy_does():
-    base = LpProblem(3, names=["a", "b", "c"])
+    base = LpProblem(3)
     base.add({0: FR(1, 2), 1: -1}, ">=", FR(7, 2))
-    base.add({1: 1, 2: 3}, "=", 1)
+    base.add({1: 1, 2: 3}, ">=", 1)  # x1 + 3 x2 = 1, as a >= / <= pair
+    base.add({1: 1, 2: 3}, "<=", 1)
     base.add({2: 2**70}, "<=", 5)  # a row too wide for int64
     first = base.extended({0: 1}, "<=", 0)
-    second = base.extended({0: FR(2, 3), 2: 1}, "=", FR(1, 3))
-    grandchild = second.extended({1: 1}, ">=", -4)
-    for problem in (first, second, grandchild):
-        assert problem.constraints[:3] == base.constraints
+    # an equality split over two extensions, then one more row
+    second = base.extended({0: FR(2, 3), 2: 1}, ">=", FR(1, 3))
+    grandchild = second.extended({0: FR(2, 3), 2: 1}, "<=", FR(1, 3))
+    great = grandchild.extended({1: 1}, ">=", -4)
+    for problem in (first, second, grandchild, great):
+        assert problem.constraints[:4] == base.constraints
         assert_derives_like_a_cold_copy(problem)
-    assert len(base.constraints) == 3  # extending leaves the base as it was
+    assert len(base.constraints) == 4  # extending leaves the base as it was
 
     # the base changes after its rows were derived: no child may see the
     # old part, nor may a new child see rows the base no longer has
-    children = [first, second, grandchild]
+    children = [first, second, grandchild, great]
     changes = [
         lambda: base.add({1: 1}, ">=", 2),
         lambda: base.constraints.__setitem__(0, ({0: FR(1)}, ">=", FR(0))),
@@ -363,10 +366,6 @@ def test_extended_problems_derive_what_a_cold_copy_does():
         children.append(base.extended(row, ">=", 1))
         for problem in children:
             assert_derives_like_a_cold_copy(problem)
-
-    nonneg = LpProblem(2, nonneg=[True, False])
-    nonneg.add({0: 1, 1: 1}, ">=", 1)
-    assert_derives_like_a_cold_copy(nonneg.extended({0: 1}, "<=", FR(1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -381,6 +380,12 @@ def test_extended_problems_derive_what_a_cold_copy_does():
         pytest.param("vars 1\n1 0 >= 0\n", id="too many coefficients"),
         pytest.param("vars 2\nnonneg 1\n1 0 >= 0\n", id="short nonneg"),
         pytest.param("vars 2\nnonneg 1 2\n1 0 >= 0\n", id="nonneg not 0/1"),
+        # every variable is free, unnamed, and every row is >= or <=
+        pytest.param("vars 2\nnonneg 1 0\n1 0 >= 0\n", id="nonneg"),
+        pytest.param("vars 2\nnames a b\n1 0 >= 0\n", id="names"),
+        pytest.param("vars 2\n1 0 = 0\n", id="equality row"),
+        pytest.param("vars 2\n1/0 0 >= 0\n", id="zero-denominator coefficient"),
+        pytest.param("vars 2\n1 0 >= 1/0\n", id="zero-denominator rhs"),
     ],
 )
 def test_malformed_text_lines_rejected(text):

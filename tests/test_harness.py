@@ -103,6 +103,48 @@ def test_certificates_replay_and_detect_corruption(tmp_path):
         assert not replay_certificate(bad), kind
 
 
+# x0 >= 0 with x = [0] (a witness), and the same row with dual [0] proving
+# sum |x| >= 0 (an l1-bound); each body below breaks one of them
+WITNESS = {"kind": "witness", "problem": "vars 1\n1 >= 0\n", "vector": ["0"]}
+L1_BOUND = {"kind": "l1-bound", "problem": "vars 1\n1 >= 0\n", "vector": ["0"], "value": "0"}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("{not json", id="not json"),
+        pytest.param(b"\xff\xfe{", id="not text"),
+        pytest.param("[]", id="json list"),
+        pytest.param(json.dumps(_without(WITNESS, "kind")), id="missing kind"),
+        pytest.param(json.dumps({**WITNESS, "kind": "proof"}), id="unknown kind"),
+        pytest.param(json.dumps({"kind": "farkas-batch", "items": "abc"}), id="items a string"),
+        pytest.param(json.dumps({"kind": "farkas-batch", "items": WITNESS}), id="items a dict"),
+        pytest.param(json.dumps({**WITNESS, "problem": ""}), id="empty problem"),
+        pytest.param(json.dumps({**WITNESS, "problem": "vars 1\n1 = 0\n"}), id="malformed problem"),
+        pytest.param(json.dumps({**WITNESS, "vector": ["x"]}), id="vector entry x"),
+        pytest.param(json.dumps({**WITNESS, "vector": ["1/0"]}), id="vector entry 1/0"),
+        pytest.param(json.dumps(_without(L1_BOUND, "value")), id="l1-bound without value"),
+    ],
+)
+def test_malformed_certificate_files_are_rejected(tmp_path, body):
+    path = tmp_path / "cert.json"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    assert replay_certificate(path) is False
+
+
+def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_path):
+    for obj in (WITNESS, L1_BOUND):
+        path = tmp_path / f"{obj['kind']}.json"
+        path.write_text(json.dumps(obj))
+        assert replay_certificate(path) is True
+    with pytest.raises(OSError):
+        replay_certificate(tmp_path / "missing.json")
+
+
 def test_farkas_batch_payload_joins_per_item_text():
     # the items of a lemma share one base problem; each item's text must be
     # what the item alone formats to, also after the base gains a row

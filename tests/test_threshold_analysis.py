@@ -3,7 +3,7 @@ certification, and theorem-instance reports."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,11 +30,11 @@ from ptflab import (
     verify_theorem_instance,
     witness_gate,
 )
-from ptflab import exact_lp, threshold_analysis
+from ptflab import exact_lp, make_g, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
-from uv_reference import uv_values
+from uv_reference import linear_forms, uv_values
 
 def constant_one(n):
     return from_bits([1] * (1 << n), n, Convention.ZERO_ONE, "one")
@@ -292,6 +292,18 @@ def test_lemma_certificates_replayable():
     for chk in res.checks:
         assert chk.farkas is not None
         assert check_farkas(chk.problem, chk.farkas)
+
+@pytest.mark.parametrize("which", ["g1", "g0"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_g_lemma_rows_match_per_input_linear_forms(which, k):
+    # one row per input in product order: L(x) >= 0 where g(x) = 1, else L(x) <= -1
+    fun = make_g(k, which)
+    want = []
+    for x in product((-1, 1), repeat=k):
+        row = {j: Fraction(v) for j, v in enumerate(linear_forms(x)) if v}
+        want.append((row, GE, Fraction(0)) if fun.eval(x) == 1 else (row, LE, Fraction(-1)))
+    assert threshold_analysis._g_u_rows(which, k) == want
+
 
 def cold_lemma_reference(lemma, k):
     """Each negated inequality on its own: a freshly built base, the

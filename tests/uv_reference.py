@@ -1,6 +1,6 @@
 """The u/v values of one raw input: the per-input reference that the
-whole-cube u/v paths (``to_uv``, ``from_uv``, the uv sign check) are
-tested against."""
+whole-cube u/v paths (``to_uv``, ``from_uv``, the uv sign check) and the
+all-equal detector's lemma rows are tested against."""
 
 from ptflab.polynomial import PolynomialError, _uv_forms
 
@@ -11,3 +11,9 @@ def uv_values(shape, assignment) -> dict:
     if len(assignment) != shape.n:
         raise PolynomialError(f"expected {shape.n} values")
     return {tag: sum(s * assignment[v] for v, s in form) for tag, form in _uv_forms(shape).items()}
+
+
+def linear_forms(x: tuple[int, ...]) -> list[int]:
+    """L_0(x) = x_1 + x_k and L_j(x) = x_j - x_{j+1} for j = 1..k-1."""
+    k = len(x)
+    return [x[0] + x[k - 1]] + [x[j - 1] - x[j] for j in range(1, k)]

@@ -4,8 +4,11 @@ The solver is a revised primal simplex over integers with a running
 common denominator (fraction-free pivoting), so every quantity it reports
 is an exact rational.  Feasibility and L1 minimization are one routine:
 the L1 problem over many constraints and few variables is solved through
-its dual, which keeps the working basis small (2N for N variables).  Only
-the scaled basis inverse is stored.  The constraint rows are one integer
+its dual, which keeps the working basis small (2N for N variables).  Of
+the scaled basis inverse only the columns under the nonbasic slacks are
+stored (a basic slack's column is a unit vector), at most N of the 2N,
+beside the basic values and the cost row in one integer matrix that each
+pivot updates in whole-array steps.  The constraint rows are one integer
 matrix, and every column is priced from it with exact limb arithmetic:
 the multipliers are cut into fixed-width int64 limbs, multiplied with the
 matrix in numpy, and carried, so the entering column is chosen without a
@@ -32,7 +35,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -182,33 +184,36 @@ def check_farkas(problem: LpProblem, lam) -> bool:
 
     One multiplier per row, each >= 0, and every relation >= or <=.  The
     combination, read with <= rows as stated and >= rows negated, must
-    have zero coefficients and a negative right-hand side.  The sums are
-    taken over the integers, times the lcm of the multipliers' and of the
-    used rows' denominators; rows with a zero multiplier are skipped.
+    have zero coefficients and a negative right-hand side.  Every row is
+    checked, but only the rows with a nonzero multiplier are coerced and
+    combined, over the variables they touch (one out of range fails), so
+    the work is bounded by the rows and not by ``num_vars``.  The sums are
+    integers, times the lcm of those multipliers' and rows' denominators.
     """
     if len(lam) != len(problem.constraints):
         return False
-    lam = [_frac(v) for v in lam]
-    scale = math.lcm(*(v.denominator for v in lam))
-    used = []  # (integer multiplier times the read sign, coeffs, rhs)
+    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
     for v, (coeffs, rel, rhs) in zip(lam, problem.constraints):
-        num = v.numerator  # carries the sign; integers compare faster than a Fraction
+        num = v.numerator  # ints and Fractions both have one; it compares fast
         if num < 0 or rel not in (LE, GE):
             return False
         if num:
-            mult = num * (scale // v.denominator)
-            used.append((-mult if rel == GE else mult, coeffs, rhs))
+            used.append((_frac(v), coeffs, rel == GE, rhs))
+    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
     m = math.lcm(
-        *(r.denominator for _, _, r in used),
-        *(c.denominator for _, coeffs, _ in used for c in coeffs.values()),
+        *(r.denominator for _, _, _, r in used),
+        *(c.denominator for _, coeffs, _, _ in used for c in coeffs.values()),
     )
-    combined = [0] * problem.num_vars
+    combined: dict[int, int] = {}
     rhs_total = 0
-    for mult, coeffs, rhs in used:
+    for v, coeffs, negated, rhs in used:
+        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
         for j, c in coeffs.items():
-            combined[j] += mult * c.numerator * (m // c.denominator)
+            combined[j] = combined.get(j, 0) + mult * c.numerator * (m // c.denominator)
         rhs_total += mult * rhs.numerator * (m // rhs.denominator)
-    return not any(combined) and rhs_total < 0
+    if not all(0 <= j < problem.num_vars for j in combined):
+        return False
+    return not any(combined.values()) and rhs_total < 0
 
 
 def check_l1_bound(problem: LpProblem, dual, value) -> bool:
@@ -217,32 +222,34 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     ``dual`` holds one multiplier per row, each nonnegative, and combines
     the rows read as >= (a <= row negated; any other relation fails).
     The combined coefficient of every variable must lie in [-1, 1], and
-    the combined right-hand side must equal ``value``.  The sums are
-    integers, scaled as in ``check_farkas``.
+    the combined right-hand side must equal ``value``.  Rows are checked,
+    coerced and combined as in ``check_farkas``.
     """
     if len(dual) != len(problem.constraints):
         return False
-    dual = [_frac(v) for v in dual]
-    if any(v < 0 or rel not in (LE, GE) for v, (_, rel, _) in zip(dual, problem.constraints)):
-        return False
-    scale = math.lcm(*(v.denominator for v in dual))
-    used = [
-        ((1 if rel == GE else -1) * v.numerator * (scale // v.denominator), coeffs, rhs)
-        for v, (coeffs, rel, rhs) in zip(dual, problem.constraints)
-        if v
-    ]
+    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
+    for v, (coeffs, rel, rhs) in zip(dual, problem.constraints):
+        num = v.numerator
+        if num < 0 or rel not in (LE, GE):
+            return False
+        if num:
+            used.append((_frac(v), coeffs, rel == LE, rhs))
+    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
     m = math.lcm(
-        *(r.denominator for _, _, r in used),
-        *(c.denominator for _, coeffs, _ in used for c in coeffs.values()),
+        *(r.denominator for _, _, _, r in used),
+        *(c.denominator for _, coeffs, _, _ in used for c in coeffs.values()),
     )
-    combined = [0] * problem.num_vars
+    combined: dict[int, int] = {}
     total = 0
-    for mult, coeffs, rhs in used:
+    for v, coeffs, negated, rhs in used:
+        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
         for j, c in coeffs.items():
-            combined[j] += mult * c.numerator * (m // c.denominator)
+            combined[j] = combined.get(j, 0) + mult * c.numerator * (m // c.denominator)
         total += mult * rhs.numerator * (m // rhs.denominator)
     unit = scale * m  # the integer image of 1
-    if any(abs(c) > unit for c in combined):
+    if not all(0 <= j < problem.num_vars for j in combined):
+        return False
+    if any(abs(c) > unit for c in combined.values()):
         return False
     value = _frac(value)
     return total * value.denominator == value.numerator * unit
@@ -326,20 +333,29 @@ class _Tableau:
     dual variables appended by branch and bound.  The dual variable of the
     primal >=-row a . x >= b has the original column [a; -a] and cost -b.
 
-    Only ``inv`` = den * B^-1 (the block under the slack columns, each row
-    a dict of its nonzero entries), the basic values ``rhs`` / den and the
-    cost row on the slack columns ``w`` are stored.  The primal rows are
-    one integer matrix ``A`` with a row [a | -b] per dual variable, in
-    int64 limbs of ``width`` bits (limb axis first; one limb unless an
-    entry is too wide, see ``_layout``).  Any other column is computed on
-    demand: column j is inv . [a_j; -a_j], and its reduced cost is
-    [z | den] . [a_j | -b_j] with z = w[:N] - w[N:].  Pricing cuts
-    [z | den] into limbs too, so every reduced cost is a few int64 matrix
-    products plus carries, exact however large the integers grow.  These
-    are exactly the integers of the full fraction-free tableau
+    The state is one object-dtype matrix ``T`` of Python integers, the
+    block of the full fraction-free tableau that any other column is
+    computed from.  Its columns are the columns of den * B^-1 under the
+    nonbasic slacks, named by ``slacks``, then the basic values (rhs);
+    its rows are the 2N dual rows, then the cost row (the slack costs,
+    and the dual objective b . y = corner / den in the rhs column).  A
+    basic slack j needs no column: B^-1 e_j is the unit vector of its
+    row, so its column is den there and 0 elsewhere, and its cost is 0.
+    Each pair +-(A^T y)_k <= 1 keeps a slack basic (the pair's two slacks
+    sum to 2, so one is positive), so at most N slacks are nonbasic and
+    ``T`` is at most (2N+1) x (N+1).
+
+    The primal rows are one integer matrix ``A`` with a row [a | -b] per
+    dual variable, in int64 limbs of ``width`` bits (limb axis first; one
+    limb unless an entry is too wide, see ``_layout``).  Column j is
+    den * B^-1 [a_j; -a_j], and its reduced cost is [z | den] . [a_j | -b_j]
+    with z = w[:N] - w[N:] for the slack costs w.  Pricing cuts [z | den]
+    into limbs too, so every reduced cost is a few int64 matrix products
+    plus carries, exact however large the integers grow.  These are
+    exactly the integers of the full fraction-free tableau
     (subdeterminants of the original data), so the pivot path is the
-    same; a pivot updates at most 2N x 2N integers instead of
-    2N x (rows + 2N).  The dual objective b . y is corner / den.
+    same; a pivot updates at most (2N+1) x (N+1) integers in whole-array
+    steps instead of 2N x (rows + 2N) one at a time.
     """
 
     def __init__(self, nvars: int, exact: np.ndarray):
@@ -348,10 +364,9 @@ class _Tableau:
         self.nvars = nvars
         self.n0 = len(exact)
         self.cmax, self.width, self.A = _cut(exact, 1)
-        self.inv: list[dict[int, int]] = [{i: 1} for i in range(m)]
-        self.rhs: list[int] = [1] * m
-        self.w: list[int] = [0] * m
-        self.corner = 0
+        # every slack basic: no stored column, the basic values all 1
+        self.T = np.array([[1]] * m + [[0]], dtype=object)
+        self.slacks: list[int] = []
         self.den = 1
         self.basis: list[int] = [self.n0 + i for i in range(m)]
         self.pivots = 0
@@ -361,17 +376,30 @@ class _Tableau:
 
     @property
     def m(self) -> int:
-        return len(self.inv)
+        return 2 * self.nvars
+
+    @property
+    def corner(self) -> int:
+        return self.T[-1, -1]
+
+    def rhs(self) -> list:
+        """den times the basic values, one per row."""
+        return self.T[:-1, -1].tolist()
+
+    def costs(self) -> list:
+        """The cost row on the 2N slack columns; a basic slack's is 0."""
+        w = [0] * self.m
+        for j, v in zip(self.slacks, self.T[-1, :-1].tolist()):
+            w[j] = v
+        return w
 
     def clone(self) -> "_Tableau":
         t = _Tableau.__new__(_Tableau)
         t.nvars = self.nvars
         t.n0 = self.n0
         t.cmax, t.width, t.A = self.cmax, self.width, self.A  # A is never written
-        t.inv = [row.copy() for row in self.inv]
-        t.rhs = self.rhs[:]
-        t.w = self.w[:]
-        t.corner = self.corner
+        t.T = self.T.copy()  # the integers are immutable, so a shallow copy
+        t.slacks = self.slacks[:]
         t.den = self.den
         t.basis = self.basis[:]
         t.pivots = self.pivots
@@ -403,8 +431,9 @@ class _Tableau:
         limb has the sign of the cost and the limbs compare lexicographically.
         """
         n, n0, width, A = self.nvars, self.n0, self.width, self.A
-        vals = [p - q for p, q in zip(self.w[:n], self.w[n:])] + [self.den] + self.w
-        k = max(v.bit_length() for v in vals) // width + 1
+        w = self.costs()
+        vals = [p - q for p, q in zip(w[:n], w[n:])] + [self.den] + w
+        k = max(map(int.bit_length, vals)) // width + 1
         limbs = _limbs(np.array(vals, dtype=object), width, k)
         q = np.zeros((k + len(A) - 1, A.shape[1]), np.int64)
         for j, part in enumerate(A):
@@ -419,13 +448,21 @@ class _Tableau:
         return p
 
     def column(self, c: int) -> list:
-        """Column c of the full tableau: inv times the original column."""
-        n, n0 = self.nvars, self.n0
-        if n0 <= c < n0 + 2 * n:
-            return [row.get(c - n0, 0) for row in self.inv]
-        a = _join(self.A[:, c if c < n0 else c - 2 * n, :n], self.width).tolist()
-        a += [-v for v in a]  # the original column [a; -a]
-        return [sum(map(mul, row.values(), map(a.__getitem__, row))) for row in self.inv]
+        """Column c of the full tableau: den * B^-1 times the original column,
+        the stored block times its entries under the nonbasic slacks plus
+        den times its entry under each basic slack, in that slack's row."""
+        n, n0, m = self.nvars, self.n0, self.m
+        if n0 <= c < n0 + m:
+            a = [0] * m
+            a[c - n0] = 1
+        else:
+            a = _join(self.A[:, c if c < n0 else c - m, :n], self.width).tolist()
+            a += [-v for v in a]  # the original column [a; -a]
+        out = (self.T[:-1, :-1] @ np.array([a[j] for j in self.slacks], dtype=object)).tolist()
+        for i, b in enumerate(self.basis):
+            if 0 <= b - n0 < m and a[b - n0]:
+                out[i] += self.den * a[b - n0]
+        return out
 
     # -- pivoting ------------------------------------------------------------
 
@@ -452,10 +489,11 @@ class _Tableau:
         best_num = 0
         best_den = 0
         best_var = -1
+        values = self.rhs()
         for i, a in enumerate(col):
             if a <= 0:
                 continue
-            num = self.rhs[i]
+            num = values[i]
             if best_i is None:
                 best_i, best_num, best_den, best_var = i, num, a, self.basis[i]
                 continue
@@ -466,37 +504,34 @@ class _Tableau:
         return best_i
 
     def pivot(self, r: int, c: int, col: list, f: int) -> None:
-        """Pivot column c (entries ``col``, reduced cost ``f``) into row r."""
-        den = self.den
+        """Pivot column c (entries ``col``, reduced cost ``f``) into row r.
+
+        Every row but r becomes (row * piv - g * row r) / den, exactly, with
+        g the column's entry in that row (``f`` in the cost row).  The
+        entering slack's column would become the new den in row r, so it is
+        dropped first; the leaving slack's column, den in row r before,
+        becomes -g with the old den in row r, and is stored.
+        """
+        den, T, m, n0 = self.den, self.T, self.m, self.n0
         piv = col[r]
         if piv <= 0:
             raise LpError("pivot element must be positive")
-        prow = self.inv[r]
-        pitems = prow.items()
-        prhs = self.rhs[r]
-        inv = self.inv
-        for i in range(self.m):
-            if i == r:
-                continue
-            row = inv[i]
-            g = col[i]
-            if g == 0:
-                if piv != den:
-                    inv[i] = {k: v * piv // den for k, v in row.items()}
-                    self.rhs[i] = self.rhs[i] * piv // den
-                continue
-            # zero where both rows are zero; entries that cancel are dropped
-            get = row.get
-            new = {k: v * piv // den for k, v in row.items() if k not in prow}
-            new.update({k: x for k, pv in pitems if (x := (get(k, 0) * piv - g * pv) // den)})
-            inv[i] = new
-            self.rhs[i] = (self.rhs[i] * piv - g * prhs) // den
-        w = self.w
-        new_w = [v * piv // den for v in w]
-        for k, pv in pitems:
-            new_w[k] = (w[k] * piv - f * pv) // den
-        self.w = new_w
-        self.corner = (self.corner * piv - f * prhs) // den
+        if 0 <= c - n0 < m:
+            k = self.slacks.index(c - n0)
+            T = np.concatenate((T[:, :k], T[:, k + 1 :]), axis=1)
+            del self.slacks[k]
+        g = np.array([*col, f], dtype=object)
+        new = T * piv
+        rows = np.flatnonzero(g)  # the other rows are only rescaled
+        new[rows] -= np.multiply.outer(g[rows], T[r])
+        new //= den
+        new[r] = T[r]
+        if 0 <= self.basis[r] - n0 < m:
+            g = -g
+            g[r] = den
+            new = np.concatenate((new[:, :-1], g[:, None], new[:, -1:]), axis=1)  # before the rhs
+            self.slacks.append(self.basis[r] - n0)
+        self.T = new
         self.den = piv
         self.basis[r] = c
         self.pivots += 1
@@ -631,12 +666,13 @@ class _DualL1:
     def witness(self) -> list:
         t = self.t
         n = self.nvars
-        return [Fraction(t.w[k] - t.w[n + k], t.den) for k in range(n)]
+        w = t.costs()
+        return [Fraction(w[k] - w[n + k], t.den) for k in range(n)]
 
     def dual_values(self) -> dict:
         """Scaled dual variable values keyed by row position."""
         t = self.t
-        return self._scaled({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs)})
+        return self._scaled({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())})
 
     def farkas_from_ray(self) -> dict:
         t = self.t

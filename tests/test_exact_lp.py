@@ -4,6 +4,7 @@ bound, and a float-solver cross-check on random instances."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from ptflab import (
 )
 from ptflab import exact_lp
 from ptflab.threshold_analysis import build_representation_problem
+from tableau_reference import reference_entering
 
 
 def FR(x, y=None):
@@ -139,6 +141,24 @@ def test_l1_checker_shares_no_solver_code():
         used = _code_names(checker.__code__)
         assert not used & {"_ge_normal_form", "_scale_ge_row", "_int_ge_rows"}
         assert used & private <= {"_frac"}  # the number coercion every checker uses
+
+
+def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
+    pr = LpProblem(2)
+    pr.add({0: 1}, ">=", 1)
+    pr.add({0: 1}, "<=", 0)
+    pr.add({1: 1}, ">=", 0)
+    assert check_farkas(pr, [1, 1, 0]) and check_l1_bound(pr, [1, 0, 0], 1)
+    # a negative multiplier or an unknown relation fails wherever it is
+    assert not check_farkas(pr, [1, 1, -1]) and not check_l1_bound(pr, [1, 0, -1], 1)
+    for rel in ("=", "!="):
+        bad = LpProblem(2, pr.constraints[:2] + [({1: FR(1)}, rel, FR(0))])
+        assert not check_farkas(bad, [1, 1, 0]) and not check_l1_bound(bad, [1, 0, 0], 1)
+    # a variable out of range fails in a combined row and is never read in an unused one
+    for j in (-1, 2):
+        bad = LpProblem(2, pr.constraints[:2] + [({j: FR(1)}, ">=", FR(0))])
+        assert check_farkas(bad, [1, 1, 0]) and check_l1_bound(bad, [1, 0, 0], 1)
+        assert not check_farkas(bad, [1, 1, 1]) and not check_l1_bound(bad, [1, 0, 1], 1)
 
 
 def test_checkers_clear_denominators_exactly():
@@ -453,25 +473,22 @@ def test_branch_and_bound_path_is_pinned():
 # ---------------------------------------------------------------------------
 
 
-def reference_entering(t, rows, rule):
-    """The pricing loop the limbs replace: den * (-b) + z . a per row, the
-    slack costs w between the initial and the appended rows, then Dantzig's
-    rule (most negative, least index on ties) or Bland's (first negative)."""
-    n = t.nvars
-    z = [p - q for p, q in zip(t.w[:n], t.w[n:])]
-    out = [sum(a.get(j, 0) * z[j] for j in range(n)) - t.den * b for a, b in rows]
-    cost = out[: t.n0] + t.w + out[t.n0 :]
-    if rule == "bland":
-        return next(((j, v) for j, v in enumerate(cost) if v < 0), None)
-    best = min(range(len(cost)), key=cost.__getitem__)
-    return (best, cost[best]) if cost[best] < 0 else None
-
-
 def priced_tableau(nvars, rows, appended, w, den, rule):
+    """A tableau over these rows whose inverse is den * I and whose cost row
+    on the 2N slacks is ``w``: every slack column is stored, so no basic
+    variable is a slack (a state no pivot reaches; pricing reads only the
+    cost row and den)."""
     t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
     for a, b in appended:
         t.add_row(a, b)
-    t.w, t.den, t.rule = w, den, rule
+    m = 2 * nvars
+    t.T = np.zeros((m + 1, m + 1), dtype=object)
+    t.T[:m, :m] = np.identity(m, dtype=object) * den
+    t.T[:m, m] = den  # the basic values, 1 each
+    t.T[m, :m] = w
+    t.slacks = list(range(m))
+    t.basis = [-1] * m
+    t.den, t.rule = den, rule
     return t
 
 
@@ -501,11 +518,11 @@ def test_limb_pricing_matches_the_per_column_loop(data):
     den = data.draw(st.integers(1, 3) | st.integers(1, 2**300))
     rule = data.draw(st.sampled_from(["hybrid", "bland"]))
     t = priced_tableau(nvars, rows, appended, w, den, rule)
-    assert t._entering() == reference_entering(t, rows + appended, rule)
-    # a fresh tableau's inverse is the identity, so a row's column is [a; -a]
+    assert t._entering() == reference_entering(nvars, t.n0, w, den, rows + appended, rule)
+    # the inverse is den * I, so a row's column is den * [a; -a]
     cols = [*range(t.n0), *range(t.n0 + 2 * nvars, t.n0 + 2 * nvars + len(appended))]
     for c, (a, _) in zip(cols, rows + appended):
-        a = [a.get(j, 0) for j in range(nvars)]
+        a = [den * a.get(j, 0) for j in range(nvars)]
         assert t.column(c) == a + [-v for v in a]
 
 
@@ -525,7 +542,7 @@ def test_limb_pricing_matches_the_per_column_loop(data):
 )
 def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expected):
     t = priced_tableau(1, rows, appended, w, den, rule)
-    assert t._entering() == expected == reference_entering(t, rows + appended, rule)
+    assert t._entering() == expected == reference_entering(1, t.n0, w, den, rows + appended, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +572,6 @@ def test_l1_against_scipy(data):
             b_ub.append(rhs)
     out = min_l1(pr)
     # scipy: split c = p - q, minimize sum(p + q)
-    import numpy as np
-
     c = np.ones(2 * nvars)
     A = np.array([[*row, *[-v for v in row]] for row in A_ub], dtype=float)
     ref = scipy_opt.linprog(c, A_ub=A, b_ub=np.array(b_ub, dtype=float), method="highs")

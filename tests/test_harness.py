@@ -3,6 +3,7 @@ and the command-line interface."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,28 @@ def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_pa
         assert replay_certificate(path) is True
     with pytest.raises(OSError):
         replay_certificate(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        pytest.param({"kind": "farkas", "problem": "vars 10000000\n", "vector": []}, id="farkas"),
+        pytest.param(
+            {"kind": "l1-bound", "problem": "vars 10000000\n", "vector": [], "value": "1"}, id="l1-bound"
+        ),
+    ],
+)
+def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj):
+    # a 62-byte file must not make the checkers allocate one slot per declared variable
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        assert replay_certificate(path) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_farkas_batch_payload_joins_per_item_text():

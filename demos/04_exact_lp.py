@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Exact rational LP with certificates you can re-check by hand.
+"""Exact LP over integer rows with certificates you can re-check by hand.
 
+Rows are integers; witnesses, multipliers and optima are exact rationals.
 Every answer the solver gives comes with evidence: feasible systems yield
 a witness (verified by substitution), infeasible ones a nonnegative
 combination of rows that adds up to an impossibility, and L1 optima carry
@@ -10,6 +11,7 @@ dual multipliers proving no feasible point weighs less.
 from fractions import Fraction
 
 from ptflab import (
+    LpError,
     LpProblem,
     check_farkas,
     check_l1_bound,
@@ -41,12 +43,16 @@ print("witness satisfies every row:", check_witness(pr, out.witness))
 print()
 print("=== integer minimum by branch and bound ===")
 pr = LpProblem(1)
-pr.add({0: 1}, ">=", Fraction(3, 2))
+pr.add({0: 2}, ">=", 3)  # 2x >= 3
 res = ilp_min(pr)
 print(f"relaxation {res.relaxation} -> integer optimum {res.value} at {res.witness}")
 
 print()
 print("=== plain-text serialization for replay ===")
 pr = LpProblem(2)
-pr.add({0: Fraction(1, 2), 1: 1}, ">=", Fraction(5, 2))
+pr.add({0: 1, 1: 2}, ">=", 5)
 print(problem_to_text(pr), end="")
+try:
+    pr.add({0: Fraction(1, 2)}, ">=", 0)
+except LpError as err:
+    print("a rational row entry is refused:", err)

@@ -34,7 +34,6 @@ from .polynomial import (
 from .exact_lp import (
     BudgetError,
     IlpResult,
-    LpBudgetError,
     LpError,
     LpOutcome,
     LpProblem,

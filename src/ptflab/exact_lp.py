@@ -1,6 +1,9 @@
-"""Exact rational linear programming with machine-checkable certificates.
+"""Exact linear programming over integer rows with machine-checkable
+certificates.
 
-The solver is a revised primal simplex over integers with a running
+Every row is integers: coefficients and right-hand side (``LpProblem.add``
+turns an integer-valued rational into an int and refuses any other).  The
+solver is a revised primal simplex over integers with a running
 common denominator (fraction-free pivoting), so every quantity it reports
 is an exact rational.  Feasibility and L1 minimization are one routine:
 the L1 problem over many constraints and few variables is solved through
@@ -22,8 +25,9 @@ re-verified by an independent checker before it is returned:
   * infeasible outcomes carry nonnegative combination multipliers that
     collapse the constraints into an exact contradiction.
 
-Every problem has one shape: free rational variables and >= / <= rows.
-Each certificate vector holds one multiplier per row.
+Every problem has one shape: free rational variables and >= / <= rows of
+integers.  Each certificate vector holds one multiplier per row; witnesses,
+multipliers and values are exact rationals.
 
 A small depth-first branch-and-bound on top of the L1 solver computes
 exact integer-minimal weights.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,11 +58,18 @@ class BudgetError(LpError):
     the result so far is reported, never faked."""
 
 
-LpBudgetError = BudgetError  # the LP layer's name for it
-
-
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int(x) -> int:
+    """A row entry as an int: an integer, or a Fraction whose denominator
+    is 1.  Anything else (1/2, 0.5, 2.0) raises ``LpError``."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise LpError(f"row entry {x!r} is not an integer")
 
 
 def _ceil(x: Fraction) -> int:
@@ -69,7 +81,9 @@ class LpProblem:
     """Constraints over ``num_vars`` free rational variables.
 
     Each constraint is a (sparse coefficient dict, relation, rhs) triple,
-    the relation ``>=`` or ``<=``.
+    the relation ``>=`` or ``<=``, the coefficients and rhs Python ints.
+    ``add`` converts and checks them; rows placed in ``constraints``
+    directly must already be ints, or the solvers raise ``LpError``.
     """
 
     num_vars: int
@@ -99,10 +113,10 @@ class LpProblem:
         for j, c in coeffs.items():
             if not 0 <= j < self.num_vars:
                 raise LpError(f"variable {j} out of range")
-            c = _frac(c)
+            c = _int(c)
             if c:
                 row[j] = c
-        self.constraints.append((row, rel, _frac(rhs)))
+        self.constraints.append((row, rel, _int(rhs)))
 
 
 def _shared(problem: LpProblem, key: str, build, join):
@@ -160,23 +174,57 @@ class IlpResult:
 
 def check_witness(problem: LpProblem, x) -> bool:
     """Exact substitution check of every constraint; a row whose relation
-    is neither >= nor <= fails.
+    is neither >= nor <=, or over a variable out of range, fails.
 
-    Compares integers: x times the lcm of its denominators, and each row
-    times the lcm of its own, which keeps the sign of every comparison.
+    Compares integers: the integer rows against x times the lcm of its
+    denominators, which keeps the sign of every comparison.
     """
-    if len(x) != problem.num_vars:
+    n = problem.num_vars
+    if len(x) != n:
         return False
     x = [_frac(v) for v in x]
     scale = math.lcm(*(v.denominator for v in x))
     xs = [v.numerator * (scale // v.denominator) for v in x]
     for coeffs, rel, rhs in problem.constraints:
-        m = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        lhs = sum(c.numerator * (m // c.denominator) * xs[j] for j, c in coeffs.items())
-        bound = rhs.numerator * (m // rhs.denominator) * scale
-        if not (lhs <= bound if rel == LE else rel == GE and lhs >= bound):
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
+            return False
+        lhs = sum(c * xs[j] for j, c in coeffs.items())
+        if not (lhs <= rhs * scale if rel == LE else rel == GE and lhs >= rhs * scale):
             return False
     return True
+
+
+def _combine_rows(problem: LpProblem, mults, negate: str):
+    """(coefficients, rhs, scale): the rows combined with ``mults``, the
+    rows whose relation is ``negate`` negated, all times ``scale``, the lcm
+    of the multipliers' denominators, so the sums are integers.  None when
+    the vector is not one nonnegative multiplier per row, a relation is
+    neither >= nor <=, or a combined row reads a variable out of range.
+
+    Every row is checked, but only the rows with a nonzero multiplier are
+    coerced and combined, over the variables they touch, so the work is
+    bounded by the rows and not by ``num_vars``.  Only the checkers call it.
+    """
+    if len(mults) != len(problem.constraints):
+        return None
+    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
+    for v, (coeffs, rel, rhs) in zip(mults, problem.constraints):
+        num = v.numerator  # ints and Fractions both have one; it compares fast
+        if num < 0 or rel not in (LE, GE):
+            return None
+        if num:
+            used.append((_frac(v), coeffs, rel == negate, rhs))
+    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
+    combined: dict[int, int] = {}
+    total = 0
+    for v, coeffs, negated, rhs in used:
+        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
+        for j, c in coeffs.items():
+            combined[j] = combined.get(j, 0) + mult * c
+        total += mult * rhs
+    if not all(0 <= j < problem.num_vars for j in combined):
+        return None
+    return combined, total, scale
 
 
 def check_farkas(problem: LpProblem, lam) -> bool:
@@ -184,36 +232,13 @@ def check_farkas(problem: LpProblem, lam) -> bool:
 
     One multiplier per row, each >= 0, and every relation >= or <=.  The
     combination, read with <= rows as stated and >= rows negated, must
-    have zero coefficients and a negative right-hand side.  Every row is
-    checked, but only the rows with a nonzero multiplier are coerced and
-    combined, over the variables they touch (one out of range fails), so
-    the work is bounded by the rows and not by ``num_vars``.  The sums are
-    integers, times the lcm of those multipliers' and rows' denominators.
+    have zero coefficients and a negative right-hand side.
     """
-    if len(lam) != len(problem.constraints):
+    combination = _combine_rows(problem, lam, GE)
+    if combination is None:
         return False
-    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
-    for v, (coeffs, rel, rhs) in zip(lam, problem.constraints):
-        num = v.numerator  # ints and Fractions both have one; it compares fast
-        if num < 0 or rel not in (LE, GE):
-            return False
-        if num:
-            used.append((_frac(v), coeffs, rel == GE, rhs))
-    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
-    m = math.lcm(
-        *(r.denominator for _, _, _, r in used),
-        *(c.denominator for _, coeffs, _, _ in used for c in coeffs.values()),
-    )
-    combined: dict[int, int] = {}
-    rhs_total = 0
-    for v, coeffs, negated, rhs in used:
-        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
-        for j, c in coeffs.items():
-            combined[j] = combined.get(j, 0) + mult * c.numerator * (m // c.denominator)
-        rhs_total += mult * rhs.numerator * (m // rhs.denominator)
-    if not all(0 <= j < problem.num_vars for j in combined):
-        return False
-    return not any(combined.values()) and rhs_total < 0
+    combined, total, _ = combination
+    return not any(combined.values()) and total < 0
 
 
 def check_l1_bound(problem: LpProblem, dual, value) -> bool:
@@ -222,33 +247,12 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     ``dual`` holds one multiplier per row, each nonnegative, and combines
     the rows read as >= (a <= row negated; any other relation fails).
     The combined coefficient of every variable must lie in [-1, 1], and
-    the combined right-hand side must equal ``value``.  Rows are checked,
-    coerced and combined as in ``check_farkas``.
+    the combined right-hand side must equal ``value``.
     """
-    if len(dual) != len(problem.constraints):
+    combination = _combine_rows(problem, dual, LE)
+    if combination is None:
         return False
-    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
-    for v, (coeffs, rel, rhs) in zip(dual, problem.constraints):
-        num = v.numerator
-        if num < 0 or rel not in (LE, GE):
-            return False
-        if num:
-            used.append((_frac(v), coeffs, rel == LE, rhs))
-    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
-    m = math.lcm(
-        *(r.denominator for _, _, _, r in used),
-        *(c.denominator for _, coeffs, _, _ in used for c in coeffs.values()),
-    )
-    combined: dict[int, int] = {}
-    total = 0
-    for v, coeffs, negated, rhs in used:
-        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
-        for j, c in coeffs.items():
-            combined[j] = combined.get(j, 0) + mult * c.numerator * (m // c.denominator)
-        total += mult * rhs.numerator * (m // rhs.denominator)
-    unit = scale * m  # the integer image of 1
-    if not all(0 <= j < problem.num_vars for j in combined):
-        return False
+    combined, total, unit = combination  # unit: the integer image of 1
     if any(abs(c) > unit for c in combined.values()):
         return False
     value = _frac(value)
@@ -305,10 +309,13 @@ def _join(limbs: np.ndarray, width: int):
 
 def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
     """The dual columns [a | -b] of the integer rows a . x >= b, one matrix
-    row each: int64, or Python ints once an entry needs more than 62 bits."""
+    row each: int64, or Python ints once an entry needs more than 62 bits.
+    An entry that is not an int raises ``LpError``; numpy would truncate it."""
     ri = np.repeat(np.arange(len(rows)), [len(a) + 1 for a, _ in rows])
     ci = [j for a, _ in rows for j in (*a, nvars)]
     vals = [v for a, b in rows for v in (*a.values(), -b)]
+    if not set(map(type, vals)) <= {int}:
+        raise LpError("a row entry is not an int")
     wide = max(map(abs, vals), default=0).bit_length() > 62
     exact = np.zeros((len(rows), nvars + 1), object if wide else np.int64)
     exact[ri, ci] = np.array(vals, dtype=exact.dtype)
@@ -566,50 +573,28 @@ class _Tableau:
 # ---------------------------------------------------------------------------
 
 
-def _scale_ge_row(coeffs: dict, rhs) -> tuple:
-    """(integer coeffs, integer rhs, scale): a rational row times the least
-    positive integer that clears its denominators."""
-    rhs = _frac(rhs)
-    mult = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-    return (
-        {j: c.numerator * (mult // c.denominator) for j, c in coeffs.items()},
-        rhs.numerator * (mult // rhs.denominator),
-        mult,
-    )
+def _int_ge_rows(problem: LpProblem) -> np.ndarray:
+    """The ``_ge_matrix`` of the constraints as integer rows coeffs . x >= rhs.
 
-
-def _int_ge_rows(problem: LpProblem) -> tuple:
-    """The constraints as integer rows coeffs . x >= rhs: (matrix, scales),
-    the rows' ``_ge_matrix`` and the factor each row was scaled by.
-
-    A >= row is kept and a <= row negated, then scaled to integers by
-    ``_scale_ge_row``, so row i is constraint i.  Unknown relations and
-    out-of-range variables raise ``LpError``.  The rows a problem shares
-    with the one it extends are normalized once, on that base (see
-    ``_shared``).
+    A >= row is kept and a <= row negated, so row i is constraint i.
+    Unknown relations, out-of-range variables and entries that are not
+    ints raise ``LpError``.  The rows a problem shares with the one it
+    extends are normalized once, on that base (see ``_shared``).
     """
-    return _shared(problem, "ge", _int_ge_tail, _join_ge)
+    return _shared(problem, "ge", _int_ge_tail, lambda head, tail: np.concatenate((head, tail)))
 
 
-def _int_ge_tail(problem: LpProblem, start: int) -> tuple:
+def _int_ge_tail(problem: LpProblem, start: int) -> np.ndarray:
     """``_int_ge_rows`` of the constraints from index ``start`` on."""
-    rows, scales = [], []
-    for idx in range(start, len(problem.constraints)):
-        coeffs, rel, rhs = problem.constraints[idx]
+    rows = problem.constraints[start:]
+    for idx, (coeffs, rel, _) in enumerate(rows, start):
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
             raise LpError(f"variable out of range in constraint {idx}")
-        ic, ir, mult = _scale_ge_row(coeffs, rhs)
-        if rel == LE:
-            ic, ir = {j: -a for j, a in ic.items()}, -ir
-        rows.append((ic, ir))
-        scales.append(mult)
-    return _ge_matrix(rows, problem.num_vars), scales
-
-
-def _join_ge(head: tuple, tail: tuple) -> tuple:
-    return np.concatenate((head[0], tail[0])), head[1] + tail[1]
+    exact = _ge_matrix([(coeffs, rhs) for coeffs, _, rhs in rows], problem.num_vars)
+    exact[[rel == LE for _, rel, _ in rows]] *= -1
+    return exact
 
 
 # ---------------------------------------------------------------------------
@@ -630,35 +615,31 @@ class _DualL1:
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        exact, self.scales = _int_ge_rows(problem)
         self.nvars = problem.num_vars
-        self.t = _Tableau(self.nvars, exact)
+        self.t = _Tableau(self.nvars, _int_ge_rows(problem))
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
         other.problem = self.problem
         other.nvars = self.nvars
-        other.scales = self.scales[:]
         other.t = self.t.clone()
         return other
 
-    def add_ge_row(self, coeffs: dict, rhs: Fraction) -> None:
-        """Append a primal >=-row as a fresh dual column, keeping the basis."""
-        ic, ir, mult = _scale_ge_row(coeffs, rhs)
-        self.scales.append(mult)
-        self.t.add_row(ic, ir)
+    def add_ge_row(self, coeffs: dict, rhs) -> None:
+        """Append a primal >=-row as a fresh dual column, keeping the basis;
+        its entries are converted to ints as ``LpProblem.add`` does."""
+        self.t.add_row({j: _int(c) for j, c in coeffs.items()}, _int(rhs))
 
-    def _scaled(self, values: dict) -> dict:
-        """Nonzero column values as multipliers of the unscaled rows, keyed
-        by row position.  Initial dual variables sit before the 2N slacks,
-        appended ones after; slack columns are dropped."""
+    def _by_row(self, values: dict) -> dict:
+        """Nonzero column values keyed by row position.  Initial dual
+        variables sit before the 2N slacks, appended ones after; slack
+        columns are dropped."""
         n0, m = self.t.n0, 2 * self.nvars
-        out = {}
-        for col, v in values.items():
-            if v and not n0 <= col < n0 + m:
-                pos = col if col < n0 else col - m
-                out[pos] = v * self.scales[pos]
-        return out
+        return {
+            col if col < n0 else col - m: v
+            for col, v in values.items()
+            if v and not n0 <= col < n0 + m
+        }
 
     def value(self) -> Fraction:
         return Fraction(self.t.corner, self.t.den)
@@ -670,9 +651,9 @@ class _DualL1:
         return [Fraction(w[k] - w[n + k], t.den) for k in range(n)]
 
     def dual_values(self) -> dict:
-        """Scaled dual variable values keyed by row position."""
+        """Dual variable values keyed by row position."""
         t = self.t
-        return self._scaled({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())})
+        return self._by_row({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())})
 
     def farkas_from_ray(self) -> dict:
         t = self.t
@@ -683,7 +664,7 @@ class _DualL1:
         for b, a in zip(t.basis, t.column(col)):
             if a:
                 delta[b] = Fraction(-a, t.den)
-        return self._scaled(delta)
+        return self._by_row(delta)
 
     def _per_row(self, mults: dict) -> list:
         """One multiplier per problem row; rows the solver added carry none."""
@@ -839,7 +820,7 @@ def ilp_min(
             key=lambda j: (abs(fracs[j] - half), j),
         )
         floor_v = witness[pick].numerator // witness[pick].denominator
-        children = [(-1, Fraction(-floor_v)), (1, Fraction(floor_v + 1))]
+        children = [(-1, -floor_v), (1, floor_v + 1)]
         if fracs[pick] > half:
             children.reverse()
         # LIFO stack: push the preferred child last so it is explored first
@@ -889,21 +870,19 @@ def problem_to_text(problem: LpProblem) -> str:
 
 def _constraint_lines(problem: LpProblem, start: int) -> list:
     """The text line of each constraint from index ``start`` on."""
-    # rows repeat a few values; a pair of ints hashes faster than a Fraction
-    text = functools.cache(lambda num, den: str(Fraction(num, den)))
-    zero = text(0, 1)
     lines = []
     for coeffs, rel, rhs in problem.constraints[start:]:
-        dense = [zero] * problem.num_vars
+        dense = ["0"] * problem.num_vars
         for j, c in coeffs.items():
-            dense[j] = text(c.numerator, c.denominator)
+            dense[j] = str(c)
         lines.append(" ".join(dense) + f" {rel} {rhs}")
     return lines
 
 
 def problem_from_text(text: str) -> LpProblem:
     """Parse ``problem_to_text`` output; any malformed line raises LpError,
-    a relation other than >= or <= included."""
+    a relation other than >= or <= and a token that is not an integer
+    (1/2, 1.0) included."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "vars" or not header[1].isdecimal():
@@ -912,7 +891,7 @@ def problem_from_text(text: str) -> LpProblem:
     problem = LpProblem(n)
     # dense rows repeat a few values: each distinct token is parsed once,
     # and a coefficient that is zero, however spelled, becomes None
-    parse = functools.cache(Fraction)
+    parse = functools.cache(int)
     coeff = functools.cache(lambda p: parse(p) or None)
     for ln in lines[1:]:
         parts = ln.split()
@@ -921,7 +900,7 @@ def problem_from_text(text: str) -> LpProblem:
                 raise ValueError
             coeffs = list(map(coeff, parts[:-2]))
             rhs = parse(parts[-1])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise LpError(f"bad constraint line: {ln}") from None
         row = {j: c for j, c in enumerate(coeffs) if c is not None}
         problem.constraints.append((row, parts[-2], rhs))

@@ -178,8 +178,7 @@ def build_representation_problem(
     keep = np.sort(np.unique(mat, axis=0, return_index=True)[1])
     coeffs = mat[keep, :-1]
     _, cols = np.nonzero(coeffs)
-    value = {1: Fraction(1), -1: Fraction(-1)}
-    vals = [value[v] for v in coeffs[coeffs != 0].tolist()]
+    vals = coeffs[coeffs != 0].tolist()
     cols = cols.tolist()
     ends = np.cumsum(np.count_nonzero(coeffs, axis=1)).tolist()
 
@@ -189,9 +188,9 @@ def build_representation_problem(
         row = dict(zip(cols[start:end], vals[start:end]))
         start = end
         if bits[idx]:
-            problem.constraints.append((row, GE, Fraction(0)))
+            problem.constraints.append((row, GE, 0))
         else:
-            problem.constraints.append((row, LE, Fraction(-1)))
+            problem.constraints.append((row, LE, -1))
     return RepresentationProblem(f, degree, monomials, problem, shape)
 
 
@@ -340,7 +339,7 @@ def min_weight(
 # ---------------------------------------------------------------------------
 
 
-def _gt_u_rows(k: int) -> list[tuple[dict, str, Fraction]]:
+def _gt_u_rows(k: int) -> list[tuple[dict, str, int]]:
     """Sign constraints of the comparator over u = x - y in {-1,0,1}^k,
     for a pure linear gate sum(w_j u_j).  Most significant coordinate last."""
     rows = []
@@ -350,15 +349,15 @@ def _gt_u_rows(k: int) -> list[tuple[dict, str, Fraction]]:
             if u[j]:
                 cls = 1 if u[j] > 0 else 0
                 break
-        row = {j: Fraction(u[j]) for j in range(k) if u[j]}
+        row = {j: u[j] for j in range(k) if u[j]}
         if cls:
-            rows.append((row, GE, Fraction(0)))
+            rows.append((row, GE, 0))
         else:
-            rows.append((row, LE, Fraction(-1)))
+            rows.append((row, LE, -1))
     return rows
 
 
-def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, Fraction]]:
+def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, int]]:
     """Sign constraints of the all-equal detector over its linear forms
     (``polynomial._strong_forms``)."""
     fun = make_g(k, which)
@@ -366,11 +365,11 @@ def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, Fraction]]:
     rows = []
     for x in product((-1, 1), repeat=k):
         u = [a * x[v] + b * x[w] for (v, a), (w, b) in forms]  # two terms each
-        row = {j: Fraction(u[j]) for j in range(k) if u[j]}
+        row = {j: u[j] for j in range(k) if u[j]}
         if fun.eval(x) == 1:
-            rows.append((row, GE, Fraction(0)))
+            rows.append((row, GE, 0))
         else:
-            rows.append((row, LE, Fraction(-1)))
+            rows.append((row, LE, -1))
     return rows
 
 
@@ -412,7 +411,7 @@ def certify_negated_row(
     Feasibility instead yields an explicit integer gate violating the
     claim (the LP witness scaled by the common denominator).
     """
-    desc = f"{base}(k={k}): adjoin {coeffs} {rel} {Fraction(rhs)}"
+    desc = f"{base}(k={k}): adjoin {coeffs} {rel} {rhs}"
     return _certify_negation(_base_problem(base, k), desc, coeffs, rel, rhs, max_pivots)
 
 
@@ -435,57 +434,29 @@ def _certify_negation(
     return InequalityCheck(desc, "VIOLATED", problem, witness=scaled)
 
 
-def _lemma_negations(lemma: str, k: int) -> list[tuple[str, dict, str, Fraction]]:
+def _lemma_negations(lemma: str, k: int) -> list[tuple[str, dict, str, int]]:
     """(description, negated row) per inequality the lemma asserts."""
     out = []
     if lemma == "gt_exp":
-        out.append(("w1 >= 1", {0: Fraction(1)}, LE, Fraction(0)))
+        out.append(("w1 >= 1", {0: 1}, LE, 0))
         for j in range(2, k + 1):
             c = 1 << (j - 2)
-            out.append(
-                (
-                    f"w{j} >= {c}*w1",
-                    {j - 1: Fraction(1), 0: Fraction(-c)},
-                    LE,
-                    Fraction(-1),
-                )
-            )
+            out.append((f"w{j} >= {c}*w1", {j - 1: 1, 0: -c}, LE, -1))
     elif lemma == "gt_step":
         for j in range(2, k + 1):
-            out.append(
-                (
-                    f"w{j} >= w{j-1}",
-                    {j - 1: Fraction(1), j - 2: Fraction(-1)},
-                    LE,
-                    Fraction(-1),
-                )
-            )
+            out.append((f"w{j} >= w{j-1}", {j - 1: 1, j - 2: -1}, LE, -1))
     elif lemma == "g1_pos":
         for j in range(k):
-            out.append((f"w{j} > 0", {j: Fraction(1)}, LE, Fraction(0)))
+            out.append((f"w{j} > 0", {j: 1}, LE, 0))
     elif lemma == "g1_mono":
         for j in range(2, k):
-            out.append(
-                (
-                    f"w{j} > w{j-1}",
-                    {j: Fraction(1), j - 1: Fraction(-1)},
-                    LE,
-                    Fraction(0),
-                )
-            )
+            out.append((f"w{j} > w{j-1}", {j: 1, j - 1: -1}, LE, 0))
     elif lemma == "g0_all":
-        out.append(("w0 < 0", {0: Fraction(1)}, GE, Fraction(0)))
+        out.append(("w0 < 0", {0: 1}, GE, 0))
         for j in range(1, k):
-            out.append((f"w{j} > 0", {j: Fraction(1)}, LE, Fraction(0)))
+            out.append((f"w{j} > 0", {j: 1}, LE, 0))
         for j in range(2, k):
-            out.append(
-                (
-                    f"w{j-1} > w{j}",
-                    {j - 1: Fraction(1), j: Fraction(-1)},
-                    LE,
-                    Fraction(0),
-                )
-            )
+            out.append((f"w{j-1} > w{j}", {j - 1: 1, j: -1}, LE, 0))
     else:
         raise AnalysisError(f"unknown lemma {lemma!r}")
     return out

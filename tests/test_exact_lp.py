@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptflab import (
-    LpBudgetError,
+    BudgetError,
     LpError,
     LpProblem,
     check_farkas,
@@ -60,7 +60,7 @@ def test_feasibility_with_witness_for_comparator():
 def test_pivot_budget_reported():
     f = make_gt(3)
     prob = build_representation_problem(f, 1).problem
-    with pytest.raises(LpBudgetError):
+    with pytest.raises(BudgetError):
         solve(prob, max_pivots=2)
 
 
@@ -72,7 +72,7 @@ def test_bad_rows_rejected():
         with pytest.raises(LpError):
             pr.add({0: 1}, rel, 0)
     # rows set directly bypass add(); the solvers reject them as well
-    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0), ({0: FR(1)}, "=", FR(0))):
+    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0), ({0: 1}, "=", 0)):
         pr.constraints = [row]
         for fn in (solve, min_l1):
             with pytest.raises(LpError):
@@ -137,10 +137,27 @@ def _code_names(code) -> set:
 
 def test_l1_checker_shares_no_solver_code():
     private = {name for name in vars(exact_lp) if name.startswith("_")}
-    for checker in (check_l1_bound, check_witness, check_farkas):
-        used = _code_names(checker.__code__)
-        assert not used & {"_ge_normal_form", "_scale_ge_row", "_int_ge_rows"}
-        assert used & private <= {"_frac"}  # the number coercion every checker uses
+    # the checkers, and the row combination that check_farkas and
+    # check_l1_bound share, reach only the number coercion and each other
+    checker_code = {"_frac", "_combine_rows"}
+    for checker in (check_l1_bound, check_witness, check_farkas, exact_lp._combine_rows):
+        assert _code_names(checker.__code__) & private <= checker_code
+    # and the solver reaches none of the checkers' own code
+    solver = [
+        f
+        for name, obj in vars(exact_lp).items()
+        if name not in ("check_witness", "check_farkas", "check_l1_bound", *checker_code)
+        for f in (vars(obj).values() if isinstance(obj, type) else [obj])
+        if hasattr(f, "__code__")
+    ]
+    assert solver and not any("_combine_rows" in _code_names(f.__code__) for f in solver)
+
+
+def test_check_witness_rejects_a_variable_out_of_range():
+    assert check_witness(LpProblem(2, [({1: 1}, ">=", 1)]), [0, 1])
+    # variable -1 must not read x_1, nor variable 2 raise
+    assert not check_witness(LpProblem(2, [({-1: 1}, ">=", 1)]), [0, 1])
+    assert not check_witness(LpProblem(2, [({2: 1}, ">=", 1)]), [0, 1])
 
 
 def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
@@ -152,26 +169,26 @@ def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
     # a negative multiplier or an unknown relation fails wherever it is
     assert not check_farkas(pr, [1, 1, -1]) and not check_l1_bound(pr, [1, 0, -1], 1)
     for rel in ("=", "!="):
-        bad = LpProblem(2, pr.constraints[:2] + [({1: FR(1)}, rel, FR(0))])
+        bad = LpProblem(2, pr.constraints[:2] + [({1: 1}, rel, 0)])
         assert not check_farkas(bad, [1, 1, 0]) and not check_l1_bound(bad, [1, 0, 0], 1)
     # a variable out of range fails in a combined row and is never read in an unused one
     for j in (-1, 2):
-        bad = LpProblem(2, pr.constraints[:2] + [({j: FR(1)}, ">=", FR(0))])
+        bad = LpProblem(2, pr.constraints[:2] + [({j: 1}, ">=", 0)])
         assert check_farkas(bad, [1, 1, 0]) and check_l1_bound(bad, [1, 0, 0], 1)
         assert not check_farkas(bad, [1, 1, 1]) and not check_l1_bound(bad, [1, 0, 1], 1)
 
 
 def test_checkers_clear_denominators_exactly():
     pr = LpProblem(2)
-    pr.add({0: FR(1, 3), 1: FR(2, 7)}, ">=", FR(5, 21))  # 7 x0 + 6 x1 >= 5
-    pr.add({0: FR(1, 2)}, ">=", FR(1, 4))  # x0 = 1/2, as a >= / <= pair
-    pr.add({0: FR(1, 2)}, "<=", FR(1, 4))
+    pr.add({0: 7, 1: 6}, ">=", 5)
+    pr.add({0: 2}, ">=", 1)  # x0 = 1/2, as a >= / <= pair
+    pr.add({0: 2}, "<=", 1)
     assert check_witness(pr, [FR(1, 2), FR(1, 4)])  # 7/2 + 3/2 = 5: tight
     assert not check_witness(pr, [FR(1, 2), FR(1, 4) - FR(1, 10**30)])
     assert not check_witness(pr, [FR(1, 2) + FR(1, 10**30), FR(1, 4)])
     assert not check_witness(pr, [FR(1, 2) - FR(1, 10**30), FR(1, 4) + FR(1, 10**29)])
-    pr.add({1: FR(3, 5)}, "<=", FR(1, 20))  # x1 <= 1/12, but the rows above force x1 >= 1/4
-    lam = [FR(3), FR(0), FR(2), FR(10, 7)]  # right-hand side -5/7 + 1/2 + 1/14 = -1/7
+    pr.add({1: 12}, "<=", 1)  # x1 <= 1/12, but the rows above force x1 >= 1/4
+    lam = [FR(1), FR(0), FR(7, 2), FR(1, 2)]  # right-hand side -5 + 7/2 + 1/2 = -1
     assert check_farkas(pr, lam)
     assert not check_farkas(pr, [lam[0], lam[1], lam[2], lam[3] - FR(1, 10**30)])
     assert not check_farkas(pr, [-lam[0], lam[1], lam[2], lam[3]])
@@ -179,13 +196,13 @@ def test_checkers_clear_denominators_exactly():
     assert not check_farkas(pr, [lam[0], -lam[2], lam[1], lam[3]])
     assert not check_farkas(pr, [0, 0, 0, 0])
     # l1 rows read as >=: the >= rows as stated, the <= rows negated
-    dual = [FR(3), FR(0), FR(1, 10**30), FR(0)]  # x0 coefficient 1 - 1/(2*10^30)
-    value = FR(5, 7) - FR(1, 4 * 10**30)
+    dual = [FR(1, 7), FR(0), FR(1, 10**30), FR(0)]  # x0 coefficient 1 - 2/10^30
+    value = FR(5, 7) - FR(1, 10**30)
     assert check_l1_bound(pr, dual, value)
     assert not check_l1_bound(pr, dual, FR(5, 7))
     assert not check_l1_bound(pr, dual, value - FR(1, 10**30))
-    assert check_l1_bound(pr, [FR(3), 0, 0, 0], FR(5, 7))  # coefficient exactly 1
-    assert not check_l1_bound(pr, [FR(3) + FR(1, 10**30), 0, 0, 0], FR(5, 7) + FR(5, 21 * 10**30))
+    assert check_l1_bound(pr, [FR(1, 7), 0, 0, 0], FR(5, 7))  # coefficient exactly 1
+    assert not check_l1_bound(pr, [FR(1, 7) + FR(1, 10**30), 0, 0, 0], FR(5, 7) + FR(5, 10**30))
 
 
 def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
@@ -249,9 +266,10 @@ def test_ilp_returns_integral_relaxation():
 
 def test_ilp_rounds_up_single_bound():
     pr = LpProblem(1)
-    pr.add({0: 1}, ">=", FR(3, 2))
+    pr.add({0: 2}, ">=", 3)
     res = ilp_min(pr)
     assert res.status == "optimal"
+    assert res.relaxation == FR(3, 2)
     assert res.value == 2
     assert res.witness == [2]
 
@@ -320,7 +338,7 @@ def test_ilp_budget_reported():
 
 def test_ilp_incumbent_seed():
     pr = LpProblem(1)
-    pr.add({0: 1}, ">=", FR(3, 2))
+    pr.add({0: 2}, ">=", 3)
     res = ilp_min(pr, incumbent=[5])
     assert res.value == 2
 
@@ -332,15 +350,40 @@ def test_ilp_incumbent_seed():
 
 def test_text_round_trip():
     pr = LpProblem(3)
-    pr.add({0: FR(1, 2), 1: -1}, ">=", FR(7, 2))
+    pr.add({0: FR(4, 2), 1: -1}, ">=", FR(-14, 2))  # integer-valued Fractions are stored as ints
     pr.add({2: 1}, ">=", 0)  # x2 = 0, as a >= / <= pair
     pr.add({2: 1}, "<=", 0)
+    pr.add({0: 2**70}, "<=", -(2**70))
     text = problem_to_text(pr)
-    assert text == "vars 3\n1/2 -1 0 >= 7/2\n0 0 1 >= 0\n0 0 1 <= 0\n"
+    assert text == f"vars 3\n2 -1 0 >= -7\n0 0 1 >= 0\n0 0 1 <= 0\n{2**70} 0 0 <= {-(2**70)}\n"
     back = problem_from_text(text)
     assert back.num_vars == 3
     assert back.constraints == pr.constraints
     assert problem_to_text(back) == text
+
+
+def test_rational_row_entries_rejected():
+    pr = LpProblem(2)
+    for bad in (FR(1, 2), 0.5, 2.0, FR(1, 10**30)):
+        with pytest.raises(LpError):
+            pr.add({0: bad}, ">=", 0)
+        with pytest.raises(LpError):
+            pr.add({0: 1}, ">=", bad)
+    assert pr.constraints == []
+    for line in ("1/2 0 >= 0", "1 0 >= 1/2", "0.5 0 >= 0", "1 0 >= 2/2"):
+        with pytest.raises(LpError):
+            problem_from_text(f"vars 2\n{line}\n")
+    # rows placed directly: refused, where numpy would truncate 1/2 to 0
+    for row in (
+        ({0: FR(1, 2)}, ">=", 1),
+        ({0: 1}, "<=", FR(1, 2)),
+        ({0: 0.5}, ">=", 0),
+        ({0: 2**70, 1: FR(1, 2)}, ">=", 0),  # wider than int64
+    ):
+        pr.constraints = [({1: 1}, ">=", 1), row]
+        for fn in (solve, min_l1):
+            with pytest.raises(LpError):
+                fn(pr)
 
 
 def cold_copy(problem):
@@ -349,24 +392,23 @@ def cold_copy(problem):
 
 
 def assert_derives_like_a_cold_copy(problem):
-    exact, scales = exact_lp._int_ge_rows(problem)
-    cold_exact, cold_scales = exact_lp._int_ge_rows(cold_copy(problem))
+    exact = exact_lp._int_ge_rows(problem)
+    cold_exact = exact_lp._int_ge_rows(cold_copy(problem))
     assert exact.tolist() == cold_exact.tolist() and exact.dtype == cold_exact.dtype
-    assert scales == cold_scales
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
     assert solve(problem) == solve(cold_copy(problem))
 
 
 def test_extended_problems_derive_what_a_cold_copy_does():
     base = LpProblem(3)
-    base.add({0: FR(1, 2), 1: -1}, ">=", FR(7, 2))
+    base.add({0: 1, 1: -2}, ">=", 7)
     base.add({1: 1, 2: 3}, ">=", 1)  # x1 + 3 x2 = 1, as a >= / <= pair
     base.add({1: 1, 2: 3}, "<=", 1)
     base.add({2: 2**70}, "<=", 5)  # a row too wide for int64
     first = base.extended({0: 1}, "<=", 0)
     # an equality split over two extensions, then one more row
-    second = base.extended({0: FR(2, 3), 2: 1}, ">=", FR(1, 3))
-    grandchild = second.extended({0: FR(2, 3), 2: 1}, "<=", FR(1, 3))
+    second = base.extended({0: 2, 2: 3}, ">=", 1)
+    grandchild = second.extended({0: 2, 2: 3}, "<=", 1)
     great = grandchild.extended({1: 1}, ">=", -4)
     for problem in (first, second, grandchild, great):
         assert problem.constraints[:4] == base.constraints
@@ -378,7 +420,7 @@ def test_extended_problems_derive_what_a_cold_copy_does():
     children = [first, second, grandchild, great]
     changes = [
         lambda: base.add({1: 1}, ">=", 2),
-        lambda: base.constraints.__setitem__(0, ({0: FR(1)}, ">=", FR(0))),
+        lambda: base.constraints.__setitem__(0, ({0: 1}, ">=", 0)),
         lambda: setattr(base, "num_vars", 4),
     ]
     for change, row in zip(changes, [{2: 1}, {1: -1}, {3: 1}]):

@@ -290,7 +290,8 @@ def test_cli_verify_gate(capsys):
 
 def test_cli_check_lemma(capsys):
     assert cli_main(["check-lemma", "gt_step", "--k", "3"]) == 0
-    assert "CERTIFIED" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["CERTIFIED: w2 >= w1", "CERTIFIED: w3 >= w2", "CERTIFIED: gt_step at k=3"]
 
 
 def test_cli_reproduce(tmp_path, capsys):

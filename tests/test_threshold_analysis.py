@@ -158,9 +158,9 @@ def reference_representation_problem(f, degree):
             for j in key:
                 v *= x[j]
             if v:
-                row[m] = Fraction(v)
+                row[m] = v
         positive = f.bit(idx) == 1
-        rel, rhs = (GE, Fraction(0)) if positive else (LE, Fraction(-1))
+        rel, rhs = (GE, 0) if positive else (LE, -1)
         sig = (tuple(sorted(row.items())), rel)
         if sig not in seen:
             seen.add(sig)
@@ -267,6 +267,7 @@ def test_wrong_inequality_yields_witness_gate():
     # claim w2 >= 2 w1 + 1; the doubling gate has w2 = 2 w1 exactly
     chk = certify_negated_row("gt", 3, {1: 1, 0: -2}, "<=", 0)
     assert chk.status == "VIOLATED"
+    assert chk.description == "gt(k=3): adjoin {1: 1, 0: -2} <= 0"
     w = chk.witness
     assert w[1] <= 2 * w[0]
     assert check_witness(chk.problem, w)
@@ -300,8 +301,8 @@ def test_g_lemma_rows_match_per_input_linear_forms(which, k):
     fun = make_g(k, which)
     want = []
     for x in product((-1, 1), repeat=k):
-        row = {j: Fraction(v) for j, v in enumerate(linear_forms(x)) if v}
-        want.append((row, GE, Fraction(0)) if fun.eval(x) == 1 else (row, LE, Fraction(-1)))
+        row = {j: v for j, v in enumerate(linear_forms(x)) if v}
+        want.append((row, GE, 0) if fun.eval(x) == 1 else (row, LE, -1))
     assert threshold_analysis._g_u_rows(which, k) == want
 
 

@@ -11,7 +11,10 @@ its dual, which keeps the working basis small (2N for N variables).  Of
 the scaled basis inverse only the columns under the nonbasic slacks are
 stored (a basic slack's column is a unit vector), at most N of the 2N,
 beside the basic values and the cost row in one integer matrix that each
-pivot updates in whole-array steps.  The constraint rows are one integer
+pivot updates in whole-array steps: in int64 while a bound on the step
+proves it exact there (directly, or by Hensel division of the wrapped
+numerator with a float64 estimate for the high bits), over Python
+integers otherwise.  The constraint rows are one integer
 matrix, and every column is priced from it with exact limb arithmetic:
 the multipliers are cut into fixed-width int64 limbs, multiplied with the
 matrix in numpy, and carried, so the entering column is chosen without a
@@ -150,8 +153,9 @@ class LpOutcome:
     value: Fraction | None = None
     farkas: list | None = None
     dual: list | None = None
-    # pivots, den_bits (bit length of the final common denominator) and
-    # bland (whether the stall guard switched to Bland's rule)
+    # pivots, wide_pivots (those done over Python integers, not int64),
+    # den_bits (bit length of the final common denominator) and bland
+    # (whether the stall guard switched to Bland's rule)
     stats: dict = field(default_factory=dict)
     # solved dual tableau of an optimal L1 outcome; branch and bound starts there
     solver: "_DualL1 | None" = field(default=None, repr=False, compare=False)
@@ -325,10 +329,63 @@ def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
 def _cut(exact: np.ndarray, cmax: int) -> tuple:
     """(cmax, width, limbs) of a ``_ge_matrix`` laid out by ``_layout``;
     ``cmax`` enters as a floor."""
-    if exact.size:
-        cmax = max(cmax, int(abs(exact).max()))
+    cmax = max(cmax, _abs_max(exact))
     width, count = _layout(exact.shape[1], cmax)
     return cmax, width, _limbs(exact, width, count)
+
+
+_I64 = 1 << 63  # int64 holds every integer of magnitude below this
+
+
+def _abs_max(x: np.ndarray) -> int:
+    """max |x| as a Python int; 0 for an empty array."""
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _step64(T: np.ndarray, r: int, g: list, den: int) -> np.ndarray | None:
+    """The fraction-free step (T * piv - g (x) T[r]) // den, piv = g[r], of an
+    int64 block ``T``, in int64; None when no bound proves it exact there.
+
+    ``den`` (below 2^63) divides every entry of the numerator, so the
+    quotient q is an integer.  The numerator is bounded entrywise by
+    top = max|T| * piv + max|g| * max|T[r]|, and q by top / den.
+
+      * top < 2^63: the numerator cannot wrap, and ``//`` is exact.
+      * top // den < 2^62 and k = v2(den) <= 48: the numerator wraps, but
+        it is still exact mod 2^64, and 2^k divides it, so shifting it
+        right by k and multiplying by the inverse of the odd part of den
+        mod 2^64 gives q mod 2^(64 - k) (Hensel division).  The high bits
+        come from a float64 estimate.  Each product rounds its two inputs
+        and itself (3 roundings against its own size, at most top), the
+        difference rounds once more, and the quotient rounds den and
+        itself; every rounding is off by at most 2^-53 relative, so the
+        estimate is off by under 6.01 * 2^-53 * top / den < 2^-50 * 2^62
+        = 2^12, and its nearest integer e has |q - e| <= 2^12 < 2^(63 - k).
+        So q - e is the low 64 - k bits of low - e, sign-extended, and
+        q = e + that; the steps wrap mod 2^64 and |q| < 2^62, so the
+        result is exact.
+      * otherwise (an entry of g past int64, den with more than 48 factors
+        of 2, or a quotient that may reach 2^62): None.
+    """
+    piv = g[r]
+    gmax = max(map(abs, g))
+    if gmax >= _I64:
+        return None
+    top = _abs_max(T) * piv + gmax * _abs_max(T[r])
+    gv = np.array(g, dtype=np.int64)
+    num = T * piv - np.multiply.outer(gv, T[r])  # numpy arrays wrap mod 2^64
+    if top < _I64:
+        return num // den
+    k = (den & -den).bit_length() - 1
+    if k > 48 or top // den >= 1 << 62:
+        return None
+    inv = pow(den >> k, -1, 1 << 64)
+    low = (num >> k) * (inv - (inv >> 63 << 64))  # the inverse as a signed int64
+    Tf = T.astype(np.float64)
+    estimate = np.rint((Tf * piv - np.multiply.outer(gv.astype(np.float64), Tf[r])) / den)
+    estimate = estimate.astype(np.int64)
+    diff = ((low - estimate).view(np.uint64) << k).view(np.int64) >> k
+    return estimate + diff
 
 
 class _Tableau:
@@ -340,9 +397,11 @@ class _Tableau:
     dual variables appended by branch and bound.  The dual variable of the
     primal >=-row a . x >= b has the original column [a; -a] and cost -b.
 
-    The state is one object-dtype matrix ``T`` of Python integers, the
-    block of the full fraction-free tableau that any other column is
-    computed from.  Its columns are the columns of den * B^-1 under the
+    The state is one integer matrix ``T``, the block of the full
+    fraction-free tableau that any other column is computed from: int64
+    while a bound proves each pivot exact there (see ``pivot``), Python
+    integers in an object array otherwise; its readers return Python ints
+    either way.  Its columns are the columns of den * B^-1 under the
     nonbasic slacks, named by ``slacks``, then the basic values (rhs);
     its rows are the 2N dual rows, then the cost row (the slack costs,
     and the dual objective b . y = corner / den in the rhs column).  A
@@ -372,11 +431,12 @@ class _Tableau:
         self.n0 = len(exact)
         self.cmax, self.width, self.A = _cut(exact, 1)
         # every slack basic: no stored column, the basic values all 1
-        self.T = np.array([[1]] * m + [[0]], dtype=object)
+        self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
         self.den = 1
         self.basis: list[int] = [self.n0 + i for i in range(m)]
         self.pivots = 0
+        self.wide_pivots = 0  # pivots done over Python integers
         self.rule = "hybrid"
         self._stall = 0
         self.ray_col: int | None = None
@@ -387,7 +447,7 @@ class _Tableau:
 
     @property
     def corner(self) -> int:
-        return self.T[-1, -1]
+        return int(self.T[-1, -1])
 
     def rhs(self) -> list:
         """den times the basic values, one per row."""
@@ -410,6 +470,7 @@ class _Tableau:
         t.den = self.den
         t.basis = self.basis[:]
         t.pivots = self.pivots
+        t.wide_pivots = self.wide_pivots
         t.rule = self.rule
         t._stall = self._stall
         t.ray_col = None
@@ -457,7 +518,11 @@ class _Tableau:
     def column(self, c: int) -> list:
         """Column c of the full tableau: den * B^-1 times the original column,
         the stored block times its entries under the nonbasic slacks plus
-        den times its entry under each basic slack, in that slack's row."""
+        den times its entry under each basic slack, in that slack's row.
+
+        The product is taken in int64 when max|block| * sum|entries| bounds
+        it below 2^63 (a stored column is never zero, so the entries fit
+        too), over Python integers otherwise."""
         n, n0, m = self.nvars, self.n0, self.m
         if n0 <= c < n0 + m:
             a = [0] * m
@@ -465,7 +530,11 @@ class _Tableau:
         else:
             a = _join(self.A[:, c if c < n0 else c - m, :n], self.width).tolist()
             a += [-v for v in a]  # the original column [a; -a]
-        out = (self.T[:-1, :-1] @ np.array([a[j] for j in self.slacks], dtype=object)).tolist()
+        sub = [a[j] for j in self.slacks]
+        B = self.T[:-1, :-1]
+        if B.dtype != object and _abs_max(B) * sum(map(abs, sub)) >= _I64:
+            B = B.astype(object)
+        out = (B @ np.array(sub, dtype=B.dtype)).tolist()
         for i, b in enumerate(self.basis):
             if 0 <= b - n0 < m and a[b - n0]:
                 out[i] += self.den * a[b - n0]
@@ -518,6 +587,15 @@ class _Tableau:
         entering slack's column would become the new den in row r, so it is
         dropped first; the leaving slack's column, den in row r before,
         becomes -g with the old den in row r, and is stored.
+
+        An int64 block is updated in int64 when ``_step64`` proves the step
+        exact there.  Otherwise the block turns into Python integers for the
+        step (counted in ``wide_pivots``), and back into int64 after it when
+        the new den and every new entry are below 2^62 (den is tested first:
+        some basic slack holds at least 1, so its rhs den * value already
+        rules out a wider den, and a block that stays wide pays no scan).
+        While the block is int64, den is below 2^63: it was 1, a pivot of an
+        int64 step, or below 2^62 at the conversion.
         """
         den, T, m, n0 = self.den, self.T, self.m, self.n0
         piv = col[r]
@@ -527,17 +605,26 @@ class _Tableau:
             k = self.slacks.index(c - n0)
             T = np.concatenate((T[:, :k], T[:, k + 1 :]), axis=1)
             del self.slacks[k]
-        g = np.array([*col, f], dtype=object)
-        new = T * piv
-        rows = np.flatnonzero(g)  # the other rows are only rescaled
-        new[rows] -= np.multiply.outer(g[rows], T[r])
-        new //= den
+        g = [*col, f]
+        new = None if T.dtype == object else _step64(T, r, g, den)
+        if new is None:
+            self.wide_pivots += 1
+            T = T.astype(object, copy=False)
+            wide = np.array(g, dtype=object)
+            new = T * piv
+            rows = np.flatnonzero(wide)  # the other rows are only rescaled
+            new[rows] -= np.multiply.outer(wide[rows], T[r])
+            new //= den
         new[r] = T[r]
         if 0 <= self.basis[r] - n0 < m:
-            g = -g
+            g = [-v for v in g]
             g[r] = den
-            new = np.concatenate((new[:, :-1], g[:, None], new[:, -1:]), axis=1)  # before the rhs
+            # an int64 step had |g| < 2^63, and den < 2^63 with the block int64
+            slack = np.array(g, dtype=new.dtype)[:, None]
+            new = np.concatenate((new[:, :-1], slack, new[:, -1:]), axis=1)  # before the rhs
             self.slacks.append(self.basis[r] - n0)
+        if new.dtype == object and piv < 1 << 62 and _abs_max(new) < 1 << 62:
+            new = new.astype(np.int64)
         self.T = new
         self.den = piv
         self.basis[r] = c
@@ -682,7 +769,12 @@ class _DualL1:
         problem = self.problem
         t = self.t
         status = t.optimize(max_pivots)
-        stats = {"pivots": t.pivots, "den_bits": t.den.bit_length(), "bland": t.rule == "bland"}
+        stats = {
+            "pivots": t.pivots,
+            "wide_pivots": t.wide_pivots,
+            "den_bits": t.den.bit_length(),
+            "bland": t.rule == "bland",
+        }
         if status == "unbounded":
             lam = self._per_row(self.farkas_from_ray())
             if not check_farkas(problem, lam):

@@ -68,24 +68,6 @@ class IntPolynomial:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def evaluate(self, assignment) -> int:
-        """Exact value at an assignment: a sequence indexed by variable id
-        in the xy basis, a mapping from uv tags in the uv basis."""
-        total = 0
-        for key, c in self.coeffs.items():
-            term = c
-            for v in key:
-                term *= assignment[v]
-                if term == 0:
-                    break
-            total += term
-        return total
-
-    def scaled(self, factor: int) -> "IntPolynomial":
-        return IntPolynomial(
-            self.basis, self.shape, {k: c * factor for k, c in self.coeffs.items()}
-        )
-
     def to_json(self) -> list[dict]:
         """Monomial list; variable tags are ints (xy) or [kind, i, j] (uv)."""
         out = []

@@ -221,6 +221,10 @@ def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
     assert not check_l1_bound(pr, d[:-1], out.value)
 
 
+# pivots done over Python integers: weak(2,3) stays in int64 throughout
+WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 132, ("strong", (3, 2)): 32}
+
+
 @pytest.mark.parametrize(
     "variant, ks, value, pivots, den_bits",
     [
@@ -234,7 +238,8 @@ def test_degree2_lp_pivot_path(variant, ks, value, pivots, den_bits):
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
     out = min_l1(prob)
     assert out.value == value
-    assert out.stats == {"pivots": pivots, "den_bits": den_bits, "bland": False}
+    wide = WIDE_PIVOTS[variant, ks]
+    assert out.stats == {"pivots": pivots, "wide_pivots": wide, "den_bits": den_bits, "bland": False}
 
 
 def test_l1_rejects_objective_or_nonneg():

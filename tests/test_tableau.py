@@ -1,15 +1,91 @@
 """The block tableau of ``exact_lp._Tableau`` against the dict-row tableau it
-replaced (``tableau_reference``), pivot by pivot."""
+replaced (``tableau_reference``), pivot by pivot, and its int64 step
+against the same step over Python integers."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import exact_lp
 from tableau_reference import DictTableau
 
+
+def signed(bits: int):
+    """Integers of up to ``bits`` bits, either sign, their size log-uniform."""
+    return st.integers(0, bits).flatmap(lambda b: st.integers(-(2**b) + 1, 2**b - 1))
+
+
+def exactly(n: int, elements):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def fraction_free_steps(draw):
+    """(T, r, g, den) of one exact step: den divides T, or every entry of g.
+
+    The sizes spread from no wrap past 2^63 to quotients of 62 bits, and
+    den from odd to 2^62."""
+    k = draw(st.just(0) | st.integers(0, 62))
+    den = draw(st.integers(0, (2**63 - 1) >> k >> 1).map(lambda o: 2 * o + 1)) << k
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    r = draw(st.integers(0, rows - 1))
+    bits = ((2**63 - 1) // den).bit_length() - 1  # of an entry to scale by den
+    if draw(st.booleans()):  # den divides T
+        T = [den * v for v in draw(exactly(rows * cols, signed(min(62, bits))))]
+        g = draw(exactly(rows, signed(63)))
+        g[r] = draw(st.integers(1, 2**62))
+    else:  # den divides g, and the pivot
+        T = draw(exactly(rows * cols, signed(62)))
+        g = [den * v for v in draw(exactly(rows, signed(bits)))]
+        g[r] = den * draw(st.integers(1, 2**bits))
+    return np.array(T, dtype=np.int64).reshape(rows, cols), r, g, den
+
+
+@st.composite
+def steps_near_2_62(draw):
+    """Steps whose quotient bound top // den is 2^62 or 2^62 - 1: entries of
+    T in {-1, 0, 1} times den, the pivot p and one entry 2^62 - p - delta."""
+    den = draw(st.integers(1, 2**12).map(lambda o: 2 * o + 1)) << draw(st.integers(0, 48))
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    r, i = draw(st.permutations(range(rows)))[:2]
+    T = np.array(draw(exactly(rows * cols, st.integers(-1, 1)))).reshape(rows, cols)
+    T[r, 0] = draw(st.sampled_from([-1, 1]))
+    g = draw(exactly(rows, st.integers(-(2**40), 2**40)))
+    g[r] = draw(st.integers(1, 2**61 - 1))
+    g[i] = draw(st.sampled_from([-1, 1])) * (2**62 - g[r] - draw(st.integers(0, 1)))
+    return (den * T).astype(np.int64), r, g, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(fraction_free_steps() | steps_near_2_62())
+@example((np.array([[3, -5], [7, 2]], dtype=np.int64), 0, [4, -6], 2))  # no wrap
+@example((np.array([[2], [3]], dtype=np.int64), 0, [1, -(2**63)], 1))  # g past int64
+@example((np.array([[2**55], [-(2**55)]], dtype=np.int64), 0, [1, 2**10], 2**55))  # k = 55
+def test_int64_step_matches_python_integers(step):
+    """``_step64`` returns the exact quotient, and None exactly when its bound
+    does not prove the step: an entry of g past int64, or a numerator that
+    may wrap with den carrying more than 48 factors of 2 or a quotient
+    bound top // den of 2^62 or more."""
+    T, r, g, den = step
+    rows = T.tolist()
+    piv = g[r]
+    num = [[t * piv - gi * tr for t, tr in zip(row, rows[r])] for gi, row in zip(g, rows)]
+    assert all(v % den == 0 for row in num for v in row)
+    gmax = max(map(abs, g))
+    top = max(abs(v) for row in rows for v in row) * piv + gmax * max(map(abs, rows[r]))
+    k = (den & -den).bit_length() - 1
+    proven = gmax < 2**63 and (top < 2**63 or (k <= 48 and top // den < 2**62))
+    out = exact_lp._step64(T, r, g, den)
+    assert (out is not None) == proven
+    if proven:
+        assert out.dtype == np.int64
+        assert out.tolist() == [[v // den for v in row] for row in num]
+
+
 COEFFS = {
     "pm1": st.sampled_from([-1, 1]),
     "small": st.integers(-9, 9),
+    "2^20 to 2^40": st.tuples(st.sampled_from([-1, 1]), st.integers(2**20, 2**40)).map(lambda p: p[0] * p[1]),
     "past 2^62": st.integers(-(2**63), 2**63),
 }
 STEPS = 60  # per solve; Bland's rule is forced before this many pivots
@@ -25,6 +101,11 @@ def assert_same(t, ref) -> None:
     assert len(t.slacks) <= t.nvars and t.T.shape == (m + 1, len(t.slacks) + 1)
     for c in range(len(ref.rows) + m):
         assert t.column(c) == ref.column(c)
+
+
+def times_2_to(row: tuple, j: int) -> tuple:
+    coeffs, b = row
+    return {i: v << j for i, v in coeffs.items()}, b << j
 
 
 def drive(t, ref, bland_at: int) -> str:
@@ -60,6 +141,8 @@ def test_block_tableau_matches_the_dict_rows(data):
     # enough for slacks to leave and re-enter the basis
     dense = st.lists(coeff, min_size=nvars, max_size=nvars)
     row = st.tuples(dense.map(lambda a: {j: v for j, v in enumerate(a) if v}), st.integers(-3, 6) | coeff)
+    if data.draw(st.booleans()):  # each row times its own 2^j: even dens, and blocks past int64
+        row = st.tuples(row, st.integers(0, 40)).map(lambda p: times_2_to(*p))
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
     t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
     ref = DictTableau(nvars, rows)

@@ -34,7 +34,7 @@ from ptflab import exact_lp, make_g, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
-from uv_reference import linear_forms, uv_values
+from uv_reference import evaluate, linear_forms, scaled, uv_values
 
 def constant_one(n):
     return from_bits([1] * (1 << n), n, Convention.ZERO_ONE, "one")
@@ -71,9 +71,9 @@ def test_input_cap_enforced():
 def test_big_coefficients_fall_back_to_exact_path():
     # force the bignum branch: coefficients beyond int64
     shape = make_shape("weak", (2,))
-    gate = witness_gate(shape).scaled(2**80)
+    gate = scaled(witness_gate(shape), 2**80)
     assert check_sign_representation(gate, make_gt(2)) is None
-    broken = witness_gate(shape).scaled(-(2**80))
+    broken = scaled(witness_gate(shape), -(2**80))
     assert check_sign_representation(broken, make_gt(2)) is not None
 
 _terms = st.lists(
@@ -94,7 +94,7 @@ def test_xy_value_table_matches_per_input_evaluation(terms, convention):
     p = IntPolynomial("xy", None, {tuple(vs): c for vs, c in terms})
     vals = _xy_value_table(p, n, convention)
     assert vals.dtype == (object if p.weight >= 2**62 else "int64")
-    want = [p.evaluate(assignment_of_index(i, n, convention)) for i in range(1 << n)]
+    want = [evaluate(p, assignment_of_index(i, n, convention)) for i in range(1 << n)]
     assert [int(v) for v in vals] == want
 
 
@@ -103,7 +103,7 @@ def reference_sign_check(p, f):
     disagrees with f, evaluated at its derived u/v assignment."""
     for i in range(f.size):
         uv = uv_values(p.shape, assignment_of_index(i, f.n, f.convention))
-        pv = p.evaluate(uv)
+        pv = evaluate(p, uv)
         if (pv >= 0) != (f.bit(i) == 1):
             return i, pv
     return None
@@ -137,7 +137,7 @@ def test_uv_sign_check_matches_per_input_reference(data):
     bits = []
     for i in range(1 << shape.n):
         uv = uv_values(shape, assignment_of_index(i, shape.n, convention))
-        bits.append(int(p.evaluate(uv) >= 0) ^ (i in flips))
+        bits.append(int(evaluate(p, uv) >= 0) ^ (i in flips))
     f = from_bits(bits, shape.n, convention, "ref")
     want = reference_sign_check(p, f)
     got = check_sign_representation(p, f)

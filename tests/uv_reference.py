@@ -1,8 +1,28 @@
-"""The u/v values of one raw input: the per-input reference that the
-whole-cube u/v paths (``to_uv``, ``from_uv``, the uv sign check) and the
-all-equal detector's lemma rows are tested against."""
+"""The u/v values of one raw input, and a polynomial's value at one input:
+the per-input reference that the whole-cube u/v paths (``to_uv``,
+``from_uv``, the uv sign check, the cube value table) and the all-equal
+detector's lemma rows are tested against."""
 
-from ptflab.polynomial import PolynomialError, _uv_forms
+from ptflab.polynomial import IntPolynomial, PolynomialError, _uv_forms
+
+
+def evaluate(p: IntPolynomial, assignment) -> int:
+    """Exact value of ``p`` at an assignment: a sequence indexed by variable
+    id in the xy basis, a mapping from uv tags in the uv basis."""
+    total = 0
+    for key, c in p.coeffs.items():
+        term = c
+        for v in key:
+            term *= assignment[v]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def scaled(p: IntPolynomial, factor: int) -> IntPolynomial:
+    """``p`` with every coefficient times ``factor``."""
+    return IntPolynomial(p.basis, p.shape, {k: c * factor for k, c in p.coeffs.items()})
 
 
 def uv_values(shape, assignment) -> dict:

@@ -14,12 +14,13 @@ beside the basic values and the cost row in one integer matrix that each
 pivot updates in whole-array steps: in int64 while a bound on the step
 proves it exact there (directly, or by Hensel division of the wrapped
 numerator with a float64 estimate for the high bits), over Python
-integers otherwise.  The constraint rows are one integer
-matrix, and every column is priced from it with exact limb arithmetic:
-the multipliers are cut into fixed-width int64 limbs, multiplied with the
-matrix in numpy, and carried, so the entering column is chosen without a
-loop over the columns and with no rounding.  One solve answers feasibility,
-the L1 optimum and the branch-and-bound root.  The reported
+integers otherwise.  The constraint rows are one integer matrix, and
+every column is priced from it in numpy, with no loop over the columns
+and no rounding: in one int64 matrix product while a bound proves it
+exact, otherwise with the multipliers cut into fixed-width int64 limbs
+and the limb products carried.  The entering column is an int64 array
+under the same kind of bound too (see ``_Tableau``).  One solve answers
+feasibility, the L1 optimum and the branch-and-bound root.  The reported
 witnesses come back out of the simplex multipliers and every outcome is
 re-verified by an independent checker before it is returned:
 
@@ -38,6 +39,7 @@ exact integer-minimal weights.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import numbers
@@ -202,14 +204,14 @@ def _combine_rows(problem: LpProblem, mults, negate: str):
     """(coefficients, rhs, scale): the rows combined with ``mults``, the
     rows whose relation is ``negate`` negated, all times ``scale``, the lcm
     of the multipliers' denominators, so the sums are integers.  None when
-    the vector is not one nonnegative multiplier per row, a relation is
-    neither >= nor <=, or a combined row reads a variable out of range.
+    the vector is not one nonnegative int or Fraction per row, a relation
+    is neither >= nor <=, or a combined row reads a variable out of range.
 
     Every row is checked, but only the rows with a nonzero multiplier are
     coerced and combined, over the variables they touch, so the work is
     bounded by the rows and not by ``num_vars``.  Only the checkers call it.
     """
-    if len(mults) != len(problem.constraints):
+    if len(mults) != len(problem.constraints) or not set(map(type, mults)) <= {int, Fraction}:
         return None
     used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
     for v, (coeffs, rel, rhs) in zip(mults, problem.constraints):
@@ -326,12 +328,15 @@ def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
     return exact
 
 
-def _cut(exact: np.ndarray, cmax: int) -> tuple:
-    """(cmax, width, limbs) of a ``_ge_matrix`` laid out by ``_layout``;
-    ``cmax`` enters as a floor."""
+def _cut(exact: np.ndarray, cmax: int, l1: int) -> tuple:
+    """(cmax, l1, width, limbs) of a ``_ge_matrix`` laid out by ``_layout``:
+    its largest |entry|, its largest row L1 norm, and its limbs; ``cmax``
+    and ``l1`` enter as floors."""
     cmax = max(cmax, _abs_max(exact))
+    wide = cmax * exact.shape[1] >= _I64  # a row sum may not fit in int64
+    l1 = max(l1, _abs_max(np.abs(exact).astype(object if wide else np.int64, copy=False).sum(axis=1)))
     width, count = _layout(exact.shape[1], cmax)
-    return cmax, width, _limbs(exact, width, count)
+    return cmax, l1, width, _limbs(exact, width, count)
 
 
 _I64 = 1 << 63  # int64 holds every integer of magnitude below this
@@ -339,12 +344,13 @@ _I64 = 1 << 63  # int64 holds every integer of magnitude below this
 
 def _abs_max(x: np.ndarray) -> int:
     """max |x| as a Python int; 0 for an empty array."""
-    return int(np.abs(x).max()) if x.size else 0
+    return int(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0
 
 
-def _step64(T: np.ndarray, r: int, g: list, den: int) -> np.ndarray | None:
+def _step64(T: np.ndarray, r: int, g: np.ndarray, den: int, tmax: int) -> np.ndarray | None:
     """The fraction-free step (T * piv - g (x) T[r]) // den, piv = g[r], of an
-    int64 block ``T``, in int64; None when no bound proves it exact there.
+    int64 block ``T`` with max|T| = ``tmax`` and an int64 column ``g`` below
+    2^63 in magnitude, in int64; None when no bound proves it exact there.
 
     ``den`` (below 2^63) divides every entry of the numerator, so the
     quotient q is an integer.  The numerator is bounded entrywise by
@@ -355,25 +361,22 @@ def _step64(T: np.ndarray, r: int, g: list, den: int) -> np.ndarray | None:
         it is still exact mod 2^64, and 2^k divides it, so shifting it
         right by k and multiplying by the inverse of the odd part of den
         mod 2^64 gives q mod 2^(64 - k) (Hensel division).  The high bits
-        come from a float64 estimate.  Each product rounds its two inputs
-        and itself (3 roundings against its own size, at most top), the
-        difference rounds once more, and the quotient rounds den and
-        itself; every rounding is off by at most 2^-53 relative, so the
-        estimate is off by under 6.01 * 2^-53 * top / den < 2^-50 * 2^62
-        = 2^12, and its nearest integer e has |q - e| <= 2^12 < 2^(63 - k).
+        come from a float64 estimate T * (piv / den) - (g / den) (x) T[r].
+        Its first term rounds T, piv / den and the product, its second g,
+        den, the quotient, T[r] and the product (3 and 5 roundings against
+        their own sizes, at most top / den), and the difference rounds once
+        more; every rounding is off by at most 2^-53 relative, so the
+        estimate is off by under 9.01 * 2^-53 * top / den < 2^-49 * 2^62
+        = 2^13, and its truncation e has |q - e| < 2^14 <= 2^(63 - k).
         So q - e is the low 64 - k bits of low - e, sign-extended, and
         q = e + that; the steps wrap mod 2^64 and |q| < 2^62, so the
         result is exact.
-      * otherwise (an entry of g past int64, den with more than 48 factors
-        of 2, or a quotient that may reach 2^62): None.
+      * otherwise (den with more than 48 factors of 2, or a quotient that
+        may reach 2^62): None.
     """
-    piv = g[r]
-    gmax = max(map(abs, g))
-    if gmax >= _I64:
-        return None
-    top = _abs_max(T) * piv + gmax * _abs_max(T[r])
-    gv = np.array(g, dtype=np.int64)
-    num = T * piv - np.multiply.outer(gv, T[r])  # numpy arrays wrap mod 2^64
+    piv = int(g[r])
+    top = tmax * piv + _abs_max(g) * _abs_max(T[r])
+    num = T * piv - np.multiply.outer(g, T[r])  # numpy arrays wrap mod 2^64
     if top < _I64:
         return num // den
     k = (den & -den).bit_length() - 1
@@ -382,8 +385,7 @@ def _step64(T: np.ndarray, r: int, g: list, den: int) -> np.ndarray | None:
     inv = pow(den >> k, -1, 1 << 64)
     low = (num >> k) * (inv - (inv >> 63 << 64))  # the inverse as a signed int64
     Tf = T.astype(np.float64)
-    estimate = np.rint((Tf * piv - np.multiply.outer(gv.astype(np.float64), Tf[r])) / den)
-    estimate = estimate.astype(np.int64)
+    estimate = (Tf * (piv / den) - np.multiply.outer(g / den, Tf[r])).astype(np.int64)
     diff = ((low - estimate).view(np.uint64) << k).view(np.int64) >> k
     return estimate + diff
 
@@ -406,22 +408,39 @@ class _Tableau:
     its rows are the 2N dual rows, then the cost row (the slack costs,
     and the dual objective b . y = corner / den in the rhs column).  A
     basic slack j needs no column: B^-1 e_j is the unit vector of its
-    row, so its column is den there and 0 elsewhere, and its cost is 0.
+    row (``basic_slack`` names the slack basic in each row), so its
+    column is den there and 0 elsewhere, and its cost is 0.
     Each pair +-(A^T y)_k <= 1 keeps a slack basic (the pair's two slacks
     sum to 2, so one is positive), so at most N slacks are nonbasic and
     ``T`` is at most (2N+1) x (N+1).
 
     The primal rows are one integer matrix ``A`` with a row [a | -b] per
     dual variable, in int64 limbs of ``width`` bits (limb axis first; one
-    limb unless an entry is too wide, see ``_layout``).  Column j is
+    limb unless an entry is too wide, see ``_layout``); ``l1`` is the
+    largest L1 norm of a row, or 1.  Column j is
     den * B^-1 [a_j; -a_j], and its reduced cost is [z | den] . [a_j | -b_j]
-    with z = w[:N] - w[N:] for the slack costs w.  Pricing cuts [z | den]
-    into limbs too, so every reduced cost is a few int64 matrix products
-    plus carries, exact however large the integers grow.  These are
+    with z = w[:N] - w[N:] for the slack costs w.  These are
     exactly the integers of the full fraction-free tableau
     (subdeterminants of the original data), so the pivot path is the
     same; a pivot updates at most (2N+1) x (N+1) integers in whole-array
     steps instead of 2N x (rows + 2N) one at a time.
+
+    One iteration (``_entering``, ``column``, ``_leaving``, ``pivot``)
+    hands numpy arrays from step to step, int64 where a bound on
+    tmax = max|T| (taken once per block), den (below 2^63 while the block
+    is int64) and ``l1`` proves a step exact there, Python integers
+    otherwise:
+
+      * pricing forms [z | den | w] in int64 when tmax < 2^62, every entry
+        then below max(2 * tmax, den).  One int64 product with a one-limb
+        ``A`` prices every row when that bound times ``l1`` is below 2^63;
+        otherwise the vector is cut into limbs, one int64 product per
+        limb, and carries make the sums exact however large they grow;
+      * a column is int64 when max(tmax, den) * 2 * l1 < 2^63, as each
+        entry sums the block or den times distinct entries of [a; -a];
+      * the ratio test picks the rows with a positive entry in numpy and
+        compares their ratios exactly over Python integers;
+      * a pivot is an int64 step when ``_step64`` proves it exact.
     """
 
     def __init__(self, nvars: int, exact: np.ndarray):
@@ -429,16 +448,19 @@ class _Tableau:
         m = 2 * nvars
         self.nvars = nvars
         self.n0 = len(exact)
-        self.cmax, self.width, self.A = _cut(exact, 1)
+        self.cmax, self.l1, self.width, self.A = _cut(exact, 1, 1)
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
         self.den = 1
         self.basis: list[int] = [self.n0 + i for i in range(m)]
+        # the slack basic in each row, or m where the basic variable is no slack
+        self.basic_slack = np.arange(m)
         self.pivots = 0
         self.wide_pivots = 0  # pivots done over Python integers
         self.rule = "hybrid"
         self._stall = 0
+        self._max = (None, 0)  # (T, max|T|) once taken
         self.ray_col: int | None = None
 
     @property
@@ -460,19 +482,16 @@ class _Tableau:
             w[j] = v
         return w
 
+    def _block_max(self) -> int:
+        """max|T| as a Python int, taken once per block."""
+        if self._max[0] is not self.T:
+            self._max = self.T, _abs_max(self.T)
+        return self._max[1]
+
     def clone(self) -> "_Tableau":
-        t = _Tableau.__new__(_Tableau)
-        t.nvars = self.nvars
-        t.n0 = self.n0
-        t.cmax, t.width, t.A = self.cmax, self.width, self.A  # A is never written
-        t.T = self.T.copy()  # the integers are immutable, so a shallow copy
-        t.slacks = self.slacks[:]
-        t.den = self.den
-        t.basis = self.basis[:]
-        t.pivots = self.pivots
-        t.wide_pivots = self.wide_pivots
-        t.rule = self.rule
-        t._stall = self._stall
+        t = copy.copy(self)  # A is never written, so the clones share it
+        # the integers are immutable, so shallow copies
+        t.T, t.slacks, t.basis, t.basic_slack = self.T.copy(), self.slacks[:], self.basis[:], self.basic_slack.copy()
         t.ray_col = None
         return t
 
@@ -481,14 +500,15 @@ class _Tableau:
 
         The rows go into a new array, so clones keep sharing the old one.
         """
-        cmax, width, row = _cut(_ge_matrix([(coeffs, rhs)], self.nvars), self.cmax)
+        exact = _ge_matrix([(coeffs, rhs)], self.nvars)
+        cmax, l1, width, row = _cut(exact, self.cmax, self.l1)
         # whole rows fit any width, and ``_layout`` gives cut rows one width per count
         if len(row) == len(self.A):
             self.A = np.concatenate((self.A, row), axis=1)
         else:  # the layout changed: cut every row again
             exact = np.concatenate((_join(self.A, self.width), _join(row, width)))
             self.A = _limbs(exact, width, len(row))
-        self.cmax, self.width = cmax, width
+        self.cmax, self.l1, self.width = cmax, l1, width
 
     # -- pricing -------------------------------------------------------------
 
@@ -496,18 +516,28 @@ class _Tableau:
         """Every reduced cost in column order as limbs, limb axis first.
 
         After the carries the lower limbs lie in [0, 2^width), so the top
-        limb has the sign of the cost and the limbs compare lexicographically.
+        limb has the sign of the cost and the limbs compare lexicographically;
+        a single limb is the cost itself.
         """
-        n, n0, width, A = self.nvars, self.n0, self.width, self.A
-        w = self.costs()
-        vals = [p - q for p, q in zip(w[:n], w[n:])] + [self.den] + w
-        k = max(map(int.bit_length, vals)) // width + 1
-        limbs = _limbs(np.array(vals, dtype=object), width, k)
-        q = np.zeros((k + len(A) - 1, A.shape[1]), np.int64)
-        for j, part in enumerate(A):
-            q[j : j + k] += limbs[:, : n + 1] @ part.T
-        slack = np.zeros((len(q), 2 * n), np.int64)
-        slack[:k] = limbs[:, n + 1 :]
+        n, n0, width, A, T, den = self.nvars, self.n0, self.width, self.A, self.T, self.den
+        wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
+        w = np.zeros(2 * n, object if wide else np.int64)
+        w[self.slacks] = T[-1, :-1]
+        vals = np.concatenate((w[:n] - w[n:], [den], w))  # [z | den | w]
+        top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
+        if len(A) == 1 and top * self.l1 < _I64:  # no product can wrap: one limb
+            limbs = vals.astype(np.int64)[None]
+        else:
+            limbs = _limbs(vals, width, top.bit_length() // width + 1)
+        k = len(limbs)
+        if len(A) == 1:
+            q, slack = (A[0] @ limbs[:, : n + 1].T).T, limbs[:, n + 1 :]
+        else:  # the limb products of a cut row overlap
+            q = np.zeros((k + len(A) - 1, A.shape[1]), np.int64)
+            for j, part in enumerate(A):
+                q[j : j + k] += (part @ limbs[:, : n + 1].T).T
+            slack = np.zeros((len(q), 2 * n), np.int64)
+            slack[:k] = limbs[:, n + 1 :]
         p = np.concatenate((q[:, :n0], slack, q[:, n0:]), axis=1)
         mask = (1 << width) - 1
         for lo, hi in zip(p, p[1:]):
@@ -515,35 +545,36 @@ class _Tableau:
             lo &= mask
         return p
 
-    def column(self, c: int) -> list:
-        """Column c of the full tableau: den * B^-1 times the original column,
-        the stored block times its entries under the nonbasic slacks plus
+    def column(self, c: int) -> np.ndarray:
+        """Column c of the full tableau: den * B^-1 times the original column
+        a, the stored block times its entries under the nonbasic slacks plus
         den times its entry under each basic slack, in that slack's row.
 
-        The product is taken in int64 when max|block| * sum|entries| bounds
-        it below 2^63 (a stored column is never zero, so the entries fit
-        too), over Python integers otherwise."""
-        n, n0, m = self.nvars, self.n0, self.m
+        An entry sums the block or den times distinct entries of a, so it
+        is below max(max|T|, den) * sum|a|; the column is int64 when that
+        bound is below 2^63 (sum|a| is 1 for a slack, at most 2 * l1 for a
+        row), Python integers otherwise."""
+        n, n0, m, T = self.nvars, self.n0, self.m, self.T
         if n0 <= c < n0 + m:
-            a = [0] * m
+            a = np.zeros(m + 1, np.int64)
             a[c - n0] = 1
+            norm = 1
         else:
-            a = _join(self.A[:, c if c < n0 else c - m, :n], self.width).tolist()
-            a += [-v for v in a]  # the original column [a; -a]
-        sub = [a[j] for j in self.slacks]
-        B = self.T[:-1, :-1]
-        if B.dtype != object and _abs_max(B) * sum(map(abs, sub)) >= _I64:
-            B = B.astype(object)
-        out = (B @ np.array(sub, dtype=B.dtype)).tolist()
-        for i, b in enumerate(self.basis):
-            if 0 <= b - n0 < m and a[b - n0]:
-                out[i] += self.den * a[b - n0]
-        return out
+            row = c if c < n0 else c - m
+            a = self.A[0, row, :n] if len(self.A) == 1 else _join(self.A[:, row, :n], self.width)
+            a = np.concatenate((a, -a, [0]))  # [a; -a], then 0 for rows whose basic variable is no slack
+            norm = 2 * self.l1
+        wide = T.dtype == object or max(self._block_max(), self.den) * norm >= _I64
+        dtype = object if wide else np.int64
+        a = a.astype(dtype, copy=False)
+        return T[:-1, :-1].astype(dtype, copy=False) @ a[self.slacks] + self.den * a[self.basic_slack]
 
     # -- pivoting ------------------------------------------------------------
 
     def _entering(self) -> tuple | None:
-        """(column, exact reduced cost) of the entering column, or None."""
+        """(column, exact reduced cost) of the entering column, or None:
+        the most negative cost, least index on ties, under Dantzig's rule,
+        the first negative one under Bland's."""
         p = self._priced()
         top = p[-1]
         if self.rule == "bland":
@@ -551,6 +582,10 @@ class _Tableau:
             if not len(negative):
                 return None
             c = int(negative[0])
+        elif len(p) == 1:  # the costs themselves
+            c = int(top.argmin())
+            if top[c] >= 0:
+                return None
         else:
             low = top.min()
             if low >= 0:
@@ -558,28 +593,22 @@ class _Tableau:
             # most negative reduced cost, least index on ties (lexsort is stable)
             ties = np.flatnonzero(top == low)
             c = int(ties[np.lexsort(p[:, ties])[0]])
-        return c, _join(p[:, c], self.width)
+        return c, int(p[0, c]) if len(p) == 1 else _join(p[:, c], self.width)
 
-    def _leaving(self, col: list) -> int | None:
-        best_i = None
-        best_num = 0
-        best_den = 0
-        best_var = -1
-        values = self.rhs()
-        for i, a in enumerate(col):
-            if a <= 0:
-                continue
-            num = values[i]
-            if best_i is None:
-                best_i, best_num, best_den, best_var = i, num, a, self.basis[i]
-                continue
-            lhs = num * best_den
-            rhs = best_num * a
-            if lhs < rhs or (lhs == rhs and self.basis[i] < best_var):
-                best_i, best_num, best_den, best_var = i, num, a, self.basis[i]
-        return best_i
+    def _leaving(self, col: np.ndarray) -> int | None:
+        """The row of the least ratio rhs_i / col_i over the rows with
+        col_i > 0, the least basis index on ties; None when there is none.
 
-    def pivot(self, r: int, c: int, col: list, f: int) -> None:
+        numpy picks those rows; their ratios are compared exactly, by
+        cross products of Python integers."""
+        rows = (col > 0).nonzero()[0]
+        best = None  # (row, rhs, entry, basis index)
+        for i, num, a in zip(rows.tolist(), self.T[rows, -1].tolist(), col[rows].tolist()):
+            if best is None or (num * best[2], self.basis[i]) < (best[1] * a, best[3]):
+                best = i, num, a, self.basis[i]
+        return None if best is None else best[0]
+
+    def pivot(self, r: int, c: int, col: np.ndarray, f: int) -> None:
         """Pivot column c (entries ``col``, reduced cost ``f``) into row r.
 
         Every row but r becomes (row * piv - g * row r) / den, exactly, with
@@ -588,46 +617,53 @@ class _Tableau:
         dropped first; the leaving slack's column, den in row r before,
         becomes -g with the old den in row r, and is stored.
 
-        An int64 block is updated in int64 when ``_step64`` proves the step
-        exact there.  Otherwise the block turns into Python integers for the
-        step (counted in ``wide_pivots``), and back into int64 after it when
-        the new den and every new entry are below 2^62 (den is tested first:
-        some basic slack holds at least 1, so its rhs den * value already
-        rules out a wider den, and a block that stays wide pays no scan).
-        While the block is int64, den is below 2^63: it was 1, a pivot of an
-        int64 step, or below 2^62 at the conversion.
+        An int64 block is updated in int64 when every entry of g is below
+        2^63 and ``_step64`` proves the step exact there.  Otherwise the
+        block turns into Python integers for the step (counted in
+        ``wide_pivots``), and back into int64 after it when the new den and
+        every new entry are below 2^62 (den is tested first: some basic
+        slack holds at least 1, so its rhs den * value already rules out a
+        wider den, and a block that stays wide pays no scan).  While the
+        block is int64, den is below 2^63: it was 1, a pivot of an int64
+        step, or below 2^62 at the conversion.
         """
         den, T, m, n0 = self.den, self.T, self.m, self.n0
-        piv = col[r]
+        piv = int(col[r])
         if piv <= 0:
             raise LpError("pivot element must be positive")
         if 0 <= c - n0 < m:
             k = self.slacks.index(c - n0)
             T = np.concatenate((T[:, :k], T[:, k + 1 :]), axis=1)
             del self.slacks[k]
-        g = [*col, f]
-        new = None if T.dtype == object else _step64(T, r, g, den)
+        g = np.empty(len(col) + 1, col.dtype if -_I64 < f < _I64 else object)
+        g[:-1], g[-1] = col, f
+        new = None
+        if T.dtype != object:
+            if g.dtype == object and _abs_max(g) < _I64:
+                g = g.astype(np.int64)
+            if g.dtype != object:
+                new = _step64(T, r, g, den, self._block_max() if T is self.T else _abs_max(T))
         if new is None:
             self.wide_pivots += 1
             T = T.astype(object, copy=False)
-            wide = np.array(g, dtype=object)
+            g = g.astype(object, copy=False)
             new = T * piv
-            rows = np.flatnonzero(wide)  # the other rows are only rescaled
-            new[rows] -= np.multiply.outer(wide[rows], T[r])
+            rows = np.flatnonzero(g)  # the other rows are only rescaled
+            new[rows] -= np.multiply.outer(g[rows], T[r])
             new //= den
         new[r] = T[r]
         if 0 <= self.basis[r] - n0 < m:
-            g = [-v for v in g]
-            g[r] = den
             # an int64 step had |g| < 2^63, and den < 2^63 with the block int64
-            slack = np.array(g, dtype=new.dtype)[:, None]
-            new = np.concatenate((new[:, :-1], slack, new[:, -1:]), axis=1)  # before the rhs
+            slack = (-g).astype(new.dtype, copy=False)
+            slack[r] = den
+            new = np.concatenate((new[:, :-1], slack[:, None], new[:, -1:]), axis=1)  # before the rhs
             self.slacks.append(self.basis[r] - n0)
         if new.dtype == object and piv < 1 << 62 and _abs_max(new) < 1 << 62:
             new = new.astype(np.int64)
         self.T = new
         self.den = piv
         self.basis[r] = c
+        self.basic_slack[r] = c - n0 if 0 <= c - n0 < m else m
         self.pivots += 1
 
     def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
@@ -748,7 +784,7 @@ class _DualL1:
         if col is None:
             raise LpError("no unbounded ray recorded")
         delta: dict[int, Fraction] = {col: Fraction(1)}
-        for b, a in zip(t.basis, t.column(col)):
+        for b, a in zip(t.basis, t.column(col).tolist()):
             if a:
                 delta[b] = Fraction(-a, t.den)
         return self._by_row(delta)

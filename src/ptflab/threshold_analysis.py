@@ -157,9 +157,11 @@ def build_representation_problem(
     """The sign constraints of f over every monomial of degree <= ``degree``.
 
     One int8 matrix holds, per input, the value of each monomial and the
-    class of f.  ``np.unique`` drops repeated rows; the first occurrences
-    stay in input order, which fixes the simplex pivot path.  Each
-    constraint is the dict of its row's nonzero monomial values.
+    class of f.  Above degree 0 the degree-1 monomials are the input bits,
+    so no two rows are equal and every input gives a row, in input order.
+    At degree 0 a row is only the class, and the first input of each class
+    gives it, in input order.  The order fixes the simplex pivot path.
+    Each constraint is the dict of its row's nonzero monomial values.
     """
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
@@ -175,7 +177,7 @@ def build_representation_problem(
         mat[:, i] = mat[:, column[key[:-1]]] * xs[key[-1]] if key else 1
     bits = _fun_bits(f)
     mat[:, -1] = bits
-    keep = np.sort(np.unique(mat, axis=0, return_index=True)[1])
+    keep = inputs if degree else np.sort(np.unique(bits, return_index=True)[1])
     coeffs = mat[keep, :-1]
     _, cols = np.nonzero(coeffs)
     vals = coeffs[coeffs != 0].tolist()

@@ -178,6 +178,16 @@ def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
         assert not check_farkas(bad, [1, 1, 1]) and not check_l1_bound(bad, [1, 0, 1], 1)
 
 
+def test_checkers_reject_a_multiplier_that_is_not_an_int_or_a_fraction():
+    pr = LpProblem(1)
+    pr.add({0: 1}, ">=", 1)
+    pr.add({0: 1}, "<=", 0)
+    assert check_farkas(pr, [FR(1, 2), FR(1, 2)]) and check_l1_bound(pr, [1, 0], 1)
+    for bad in (0.5, 0.0, np.float64(0.5), np.int64(1), "1", None):
+        assert not check_farkas(pr, [bad, FR(1, 2)]) and not check_farkas(pr, [FR(1, 2), bad])
+        assert not check_l1_bound(pr, [bad, 0], 1) and not check_l1_bound(pr, [1, bad], 1)
+
+
 def test_checkers_clear_denominators_exactly():
     pr = LpProblem(2)
     pr.add({0: 7, 1: 6}, ">=", 5)
@@ -535,6 +545,7 @@ def priced_tableau(nvars, rows, appended, w, den, rule):
     t.T[m, :m] = w
     t.slacks = list(range(m))
     t.basis = [-1] * m
+    t.basic_slack = np.full(m, m)
     t.den, t.rule = den, rule
     return t
 
@@ -570,7 +581,7 @@ def test_limb_pricing_matches_the_per_column_loop(data):
     cols = [*range(t.n0), *range(t.n0 + 2 * nvars, t.n0 + 2 * nvars + len(appended))]
     for c, (a, _) in zip(cols, rows + appended):
         a = [den * a.get(j, 0) for j in range(nvars)]
-        assert t.column(c) == a + [-v for v in a]
+        assert list(map(int, t.column(c))) == a + [-v for v in a]
 
 
 @pytest.mark.parametrize(

@@ -59,13 +59,14 @@ def steps_near_2_62(draw):
 @settings(max_examples=400, deadline=None)
 @given(fraction_free_steps() | steps_near_2_62())
 @example((np.array([[3, -5], [7, 2]], dtype=np.int64), 0, [4, -6], 2))  # no wrap
-@example((np.array([[2], [3]], dtype=np.int64), 0, [1, -(2**63)], 1))  # g past int64
+@example((np.array([[2], [3]], dtype=np.int64), 0, [1, -(2**63) + 1], 1))  # g at the int64 edge
 @example((np.array([[2**55], [-(2**55)]], dtype=np.int64), 0, [1, 2**10], 2**55))  # k = 55
 def test_int64_step_matches_python_integers(step):
     """``_step64`` returns the exact quotient, and None exactly when its bound
-    does not prove the step: an entry of g past int64, or a numerator that
-    may wrap with den carrying more than 48 factors of 2 or a quotient
-    bound top // den of 2^62 or more."""
+    does not prove the step: a numerator that may wrap with den carrying
+    more than 48 factors of 2 or a quotient bound top // den of 2^62 or
+    more.  (An entry of g past int64 never reaches it: ``pivot`` takes the
+    wide step, see ``test_one_iteration_is_the_same_in_int64_and_object``.)"""
     T, r, g, den = step
     rows = T.tolist()
     piv = g[r]
@@ -74,8 +75,8 @@ def test_int64_step_matches_python_integers(step):
     gmax = max(map(abs, g))
     top = max(abs(v) for row in rows for v in row) * piv + gmax * max(map(abs, rows[r]))
     k = (den & -den).bit_length() - 1
-    proven = gmax < 2**63 and (top < 2**63 or (k <= 48 and top // den < 2**62))
-    out = exact_lp._step64(T, r, g, den)
+    proven = top < 2**63 or (k <= 48 and top // den < 2**62)
+    out = exact_lp._step64(T, r, np.array(g, dtype=np.int64), den, exact_lp._abs_max(T))
     assert (out is not None) == proven
     if proven:
         assert out.dtype == np.int64
@@ -98,9 +99,10 @@ def assert_same(t, ref) -> None:
     m = 2 * t.nvars
     basic = {b - t.n0 for b in t.basis if 0 <= b - t.n0 < m}
     assert sorted(t.slacks) == sorted(set(range(m)) - basic)
-    assert len(t.slacks) <= t.nvars and t.T.shape == (m + 1, len(t.slacks) + 1)
+    assert t.T.shape == (m + 1, len(t.slacks) + 1)
     for c in range(len(ref.rows) + m):
-        assert t.column(c) == ref.column(c)
+        col = t.column(c)
+        assert col.dtype in (np.int64, object) and list(map(int, col)) == ref.column(c)
 
 
 def times_2_to(row: tuple, j: int) -> tuple:
@@ -115,21 +117,33 @@ def drive(t, ref, bland_at: int) -> str:
     for _ in range(STEPS):
         if t.pivots >= bland_at:
             t.rule = "bland"
-        entering = t._entering()
-        assert entering == ref.entering(t.rule)
-        if entering is None:
-            return "optimal"
-        c, f = entering
-        col = t.column(c)
-        assert col == ref.column(c)
-        r = t._leaving(col)
-        assert r == ref.leaving(col)
-        if r is None:
-            return "unbounded"
-        t.pivot(r, c, col, f)
-        ref.pivot(r, c, col, f)
-        assert_same(t, ref)
+        end = iterate(t, ref)
+        if end:
+            return end
+        assert len(t.slacks) <= t.nvars  # each pair of dual rows keeps a slack basic
     raise AssertionError("Bland's rule did not terminate")
+
+
+def iterate(t, ref) -> str | None:
+    """One iteration of both, comparing the entering column and its cost,
+    its entries, the leaving row and the state after the pivot; "optimal"
+    or "unbounded" when there is no pivot."""
+    entering = t._entering()
+    assert entering == ref.entering(t.rule)
+    if entering is None:
+        return "optimal"
+    c, f = entering
+    col = t.column(c)
+    entries = list(map(int, col))
+    assert entries == ref.column(c)
+    r = t._leaving(col)
+    assert r == ref.leaving(entries)
+    if r is None:
+        return "unbounded"
+    t.pivot(r, c, col, f)
+    ref.pivot(r, c, entries, f)
+    assert_same(t, ref)
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,3 +176,78 @@ def test_block_tableau_matches_the_dict_rows(data):
             T, slacks, den, basis, pivots = before
             assert T.shape == parent.T.shape and (T == parent.T).all()
             assert (slacks, den, basis, pivots) == (parent.slacks, parent.den, parent.basis, parent.pivots)
+
+
+@st.composite
+def lane_states(draw):
+    """A tableau state whose cost, rhs and stored entries lie at and just
+    past one of the bounds that choose int64 (2^60, 2^61, 2^62, 2^63 - 1),
+    next to 2^36 or 2^48 (where an int64 step wraps and divides by Hensel
+    division), or are all small.
+
+    den = 2^k or 3 * 2^k divides every entry of the block, so each step is
+    exact whatever row and column the iteration picks."""
+    nvars = draw(st.integers(1, 3))
+    m = 2 * nvars
+    den = draw(st.sampled_from([1, 3])) << draw(st.integers(0, 61))
+    most = (2**63 - 1) // den  # of den in an int64 entry
+    small = st.integers(-min(9, most), min(9, most)).map(lambda v: den * v)
+    bound = draw(st.sampled_from([None, 2**36, 2**48, 2**60, 2**61, 2**62, 2**63 - 1]))
+    near = st.integers(-1, 1).map(lambda d: den * min(bound // den + d, most))  # a multiple of den next to it
+    entry = small if bound is None else small | near
+    signed_entry = st.tuples(entry, st.sampled_from([-1, 1])).map(lambda p: p[0] * p[1])
+    coeff = st.integers(-2, 2)
+    if draw(st.booleans()):  # rows past one limb
+        coeff |= st.sampled_from([-(2**40), 2**40])
+    row = st.tuples(exactly(nvars, coeff).map(lambda a: {j: v for j, v in enumerate(a) if v}), st.integers(-3, 3))
+    rows = draw(st.lists(row, min_size=nvars, max_size=6))
+    pick, count = draw(st.permutations(range(m))), draw(st.integers(0, nvars))
+    pair = count >= 2 and draw(st.booleans())  # both slacks of a pair, first
+    if pair:
+        j = pick[0] % nvars
+        pick = [j, j + nvars] + [s for s in pick if s % nvars != j]
+    slacks = pick[:count]
+    # the basic slacks in rows of their own; every other row holds an initial row's variable
+    order = draw(st.permutations(range(m)))
+    basic = sorted(set(range(m)) - set(slacks))
+    basis = [0] * m
+    for i, s in zip(order, basic):
+        basis[i] = len(rows) + s
+    for i, v in zip(order[len(basic) :], draw(st.permutations(range(len(rows))))):
+        basis[i] = v
+    block = [draw(exactly(len(slacks), signed_entry)) + [abs(draw(entry))] for _ in range(m)]
+    block.append(draw(exactly(len(slacks), signed_entry)) + [draw(signed_entry)])
+    if pair:  # costs of opposite signs: z = w_j - w_(j+N) may pass 2^63
+        block[-1][:2] = abs(block[-1][0]), -abs(block[-1][1])
+    rule = draw(st.sampled_from(["hybrid", "bland"]))
+    t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
+    t.T = np.array(block, dtype=np.int64).reshape(m + 1, len(slacks) + 1)
+    t.slacks, t.basis, t.den, t.rule = list(slacks), basis, den, rule
+    t.basic_slack = np.array([b - len(rows) if b >= len(rows) else m for b in basis])
+    return t, rows
+
+
+def dict_rows(t, rows: list) -> DictTableau:
+    """The dict-row tableau in the state of ``t``, whose initial rows are ``rows``."""
+    ref = DictTableau(t.nvars, rows)
+    T = t.T.tolist()
+    ref.inv = [{s: v for s, v in zip(t.slacks, row) if v} for row in T[:-1]]
+    for inv, s in zip(ref.inv, t.basic_slack.tolist()):
+        if s < t.m:
+            inv[s] = t.den
+    ref.rhs, ref.w, ref.corner = [row[-1] for row in T[:-1]], t.costs(), T[-1][-1]
+    ref.den, ref.basis = t.den, t.basis[:]
+    return ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_states())
+def test_one_iteration_is_the_same_in_int64_and_object(state):
+    """One iteration from an int64 block (costs, column and step in int64
+    where a bound proves them exact) and from the same block as Python
+    integers gives what the dict-row tableau gives, under both rules."""
+    t, rows = state
+    wide = t.clone()
+    wide.T = t.T.astype(object)
+    ref = dict_rows(t, rows)
+    assert iterate(t, ref.clone()) == iterate(wide, ref)

@@ -1,6 +1,7 @@
 """Sign-representation checking, sign-degree, minimal weight, lemma
 certification, and theorem-instance reports."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -171,15 +172,16 @@ def reference_representation_problem(f, degree):
 @pytest.mark.parametrize("variant, ks", [("weak", (2, 3)), ("strong", (3, 3)), ("strong", (3, 2))])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_representation_problem_matches_per_input_reference(variant, ks, degree):
-    f = make_hard(make_shape(variant, ks))
-    monomials, ref = reference_representation_problem(f, degree)
-    got = build_representation_problem(f, degree)
-    assert got.monomials == monomials
-    assert got.problem.num_vars == ref.num_vars
-    # same rows in the same order, each with its keys in the same order
-    assert [(list(r.items()), rel, rhs) for r, rel, rhs in got.problem.constraints] == [
-        (list(r.items()), rel, rhs) for r, rel, rhs in ref.constraints
-    ]
+    for convention in Convention:  # both input alphabets
+        f = dataclasses.replace(make_hard(make_shape(variant, ks)), convention=convention)
+        monomials, ref = reference_representation_problem(f, degree)
+        got = build_representation_problem(f, degree)
+        assert got.monomials == monomials
+        assert got.problem.num_vars == ref.num_vars
+        # same rows in the same order, each with its keys in the same order
+        assert [(list(r.items()), rel, rhs) for r, rel, rhs in got.problem.constraints] == [
+            (list(r.items()), rel, rhs) for r, rel, rhs in ref.constraints
+        ]
 
 # ---------------------------------------------------------------------------
 # sign-degree

@@ -3,17 +3,18 @@ certificates.
 
 Every row is integers: coefficients and right-hand side (``LpProblem.add``
 turns an integer-valued rational into an int and refuses any other).  The
-solver is a revised primal simplex over integers with a running
-common denominator (fraction-free pivoting), so every quantity it reports
-is an exact rational.  Feasibility and L1 minimization are one routine:
-the L1 problem over many constraints and few variables is solved through
-its dual, which keeps the working basis small (2N for N variables).  Of
-the scaled basis inverse only the columns under the nonbasic slacks are
-stored (a basic slack's column is a unit vector), at most N of the 2N,
-beside the basic values and the cost row in one integer matrix that each
-pivot updates in whole-array steps: in int64 while a bound on the step
-proves it exact there (directly, or by Hensel division of the wrapped
-numerator with a float64 estimate for the high bits), over Python
+solver is a revised primal simplex over integers with a running common
+denominator (fraction-free pivoting, with the power of two common to the
+whole state divided out once a step needs it), so every quantity it
+reports is an exact rational.  Feasibility and L1 minimization are one
+routine: the L1 problem over many constraints and few variables is
+solved through its dual, which keeps the working basis small (2N for N
+variables).  Of the scaled basis inverse only the columns under the
+nonbasic slacks are stored (a basic slack's column is a unit vector), at
+most N of the 2N, beside the basic values and the cost row in one
+integer matrix that each pivot updates in whole-array steps: in int64
+while a bound on the step proves it exact there (directly, or by Hensel
+division of the wrapped numerator by an odd divisor), over Python
 integers otherwise.  The constraint rows are one integer matrix, and
 every column is priced from it in numpy, with no loop over the columns
 and no rounding: in one int64 matrix product while a bound proves it
@@ -75,10 +76,6 @@ def _int(x) -> int:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise LpError(f"row entry {x!r} is not an integer")
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass
@@ -347,47 +344,49 @@ def _abs_max(x: np.ndarray) -> int:
     return int(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0
 
 
-def _step64(T: np.ndarray, r: int, g: np.ndarray, den: int, tmax: int) -> np.ndarray | None:
-    """The fraction-free step (T * piv - g (x) T[r]) // den, piv = g[r], of an
+def _step64(T: np.ndarray, r: int, g: np.ndarray, div: int, tmax: int) -> np.ndarray | None:
+    """The fraction-free step (T * piv - g (x) T[r]) / div, piv = g[r], of an
     int64 block ``T`` with max|T| = ``tmax`` and an int64 column ``g`` below
     2^63 in magnitude, in int64; None when no bound proves it exact there.
 
-    ``den`` (below 2^63) divides every entry of the numerator, so the
+    ``div`` (below 2^63) divides every entry of the numerator, so the
     quotient q is an integer.  The numerator is bounded entrywise by
-    top = max|T| * piv + max|g| * max|T[r]|, and q by top / den.
+    top = max|T| * piv + max|g| * max|T[r]|, and q by top / div.
 
       * top < 2^63: the numerator cannot wrap, and ``//`` is exact.
-      * top // den < 2^62 and k = v2(den) <= 48: the numerator wraps, but
-        it is still exact mod 2^64, and 2^k divides it, so shifting it
-        right by k and multiplying by the inverse of the odd part of den
-        mod 2^64 gives q mod 2^(64 - k) (Hensel division).  The high bits
-        come from a float64 estimate T * (piv / den) - (g / den) (x) T[r].
-        Its first term rounds T, piv / den and the product, its second g,
-        den, the quotient, T[r] and the product (3 and 5 roundings against
-        their own sizes, at most top / den), and the difference rounds once
-        more; every rounding is off by at most 2^-53 relative, so the
-        estimate is off by under 9.01 * 2^-53 * top / den < 2^-49 * 2^62
-        = 2^13, and its truncation e has |q - e| < 2^14 <= 2^(63 - k).
-        So q - e is the low 64 - k bits of low - e, sign-extended, and
-        q = e + that; the steps wrap mod 2^64 and |q| < 2^62, so the
-        result is exact.
-      * otherwise (den with more than 48 factors of 2, or a quotient that
-        may reach 2^62): None.
+      * div odd and top // div < 2^63: the numerator wraps, but it is
+        still exact mod 2^64, and an odd div is invertible mod 2^64, so
+        the wrapped product num * inv(div) is q mod 2^64 (Hensel
+        division); |q| < 2^63 makes that residue q itself.
+      * otherwise (an even div, or a quotient that may reach 2^63): None.
     """
     piv = int(g[r])
     top = tmax * piv + _abs_max(g) * _abs_max(T[r])
+    if top >= _I64 and (div % 2 == 0 or top // div >= _I64):
+        return None
     num = T * piv - np.multiply.outer(g, T[r])  # numpy arrays wrap mod 2^64
     if top < _I64:
-        return num // den
-    k = (den & -den).bit_length() - 1
-    if k > 48 or top // den >= 1 << 62:
-        return None
-    inv = pow(den >> k, -1, 1 << 64)
-    low = (num >> k) * (inv - (inv >> 63 << 64))  # the inverse as a signed int64
-    Tf = T.astype(np.float64)
-    estimate = (Tf * (piv / den) - np.multiply.outer(g / den, Tf[r])).astype(np.int64)
-    diff = ((low - estimate).view(np.uint64) << k).view(np.int64) >> k
-    return estimate + diff
+        return num // div
+    inv = pow(div, -1, 1 << 64)
+    return num * (inv - (inv >> 63 << 64))  # the inverse as a signed int64
+
+
+def _twos(x: np.ndarray) -> int:
+    """The bitwise or of every entry of ``x`` as a Python int: its lowest
+    set bit is the largest power of two dividing them all, and it is 0
+    when they are all 0."""
+    return int(np.bitwise_or.reduce(x, axis=None))
+
+
+def _v2(x: int) -> int:
+    """The exponent of the largest power of two dividing the nonzero int x."""
+    return (x & -x).bit_length() - 1
+
+
+def _shift(x, k: int):
+    """x times 2^k, exactly: a left shift, a right shift when k < 0 (then
+    2^-k divides x), or x itself when k = 0."""
+    return x << k if k > 0 else x >> -k if k < 0 else x
 
 
 class _Tableau:
@@ -419,11 +418,21 @@ class _Tableau:
     limb unless an entry is too wide, see ``_layout``); ``l1`` is the
     largest L1 norm of a row, or 1.  Column j is
     den * B^-1 [a_j; -a_j], and its reduced cost is [z | den] . [a_j | -b_j]
-    with z = w[:N] - w[N:] for the slack costs w.  These are
-    exactly the integers of the full fraction-free tableau
-    (subdeterminants of the original data), so the pivot path is the
-    same; a pivot updates at most (2N+1) x (N+1) integers in whole-array
-    steps instead of 2N x (rows + 2N) one at a time.
+    with z = w[:N] - w[N:] for the slack costs w.  A pivot updates at
+    most (2N+1) x (N+1) integers in whole-array steps instead of
+    2N x (rows + 2N) one at a time.
+
+    ``T`` and ``den`` are any integers that hold these rationals over
+    one den, not necessarily the full fraction-free tableau's.  They are
+    that tableau's (subdeterminants of the original data, the Bareiss
+    state) until a step needs more than a direct int64 division by den;
+    from then on (``stripped``) den is no longer a subdeterminant: each
+    step divides by den's odd part and takes out the power of two common
+    to the whole state (see ``pivot``).  On +-1 rows, whose
+    subdeterminants carry large powers of two, that keeps den and the
+    block far smaller.  Every choice of the simplex compares rationals
+    that all scale by the same positive factor, so the pivot path is
+    that of the fraction-free tableau either way.
 
     One iteration (``_entering``, ``column``, ``_leaving``, ``pivot``)
     hands numpy arrays from step to step, int64 where a bound on
@@ -458,6 +467,8 @@ class _Tableau:
         self.basic_slack = np.arange(m)
         self.pivots = 0
         self.wide_pivots = 0  # pivots done over Python integers
+        # whether a step has divided by den's odd part and stripped the state
+        self.stripped = False
         self.rule = "hybrid"
         self._stall = 0
         self._max = (None, 0)  # (T, max|T|) once taken
@@ -611,21 +622,41 @@ class _Tableau:
     def pivot(self, r: int, c: int, col: np.ndarray, f: int) -> None:
         """Pivot column c (entries ``col``, reduced cost ``f``) into row r.
 
-        Every row but r becomes (row * piv - g * row r) / den, exactly, with
-        g the column's entry in that row (``f`` in the cost row).  The
+        With g the column's entry in each row (``f`` in the cost row), the
+        new state holds the rationals of row (row * piv - g * row r) / piv
+        for every row but r, and row r / piv, over one new den.  The
         entering slack's column would become the new den in row r, so it is
         dropped first; the leaving slack's column, den in row r before,
         becomes -g with the old den in row r, and is stored.
 
+        While the state is the Bareiss one (``stripped`` unset: every stored
+        integer a subdeterminant of the data, den dividing every numerator
+        row * piv - g * row r), a step that ``_step64`` proves exact with
+        divisor den is the plain fraction-free step: the new rows are the
+        numerators // den, row r and the slack column stay, and the new den
+        is piv.  Every other step writes den = 2^a * o, o odd, and divides
+        the numerators by o alone, which divides them whenever the state
+        is the Bareiss one times 2^-j (as a stripped state is); the new den
+        is piv * 2^a, so row r and the slack column are shifted left by a.
+        The whole state, den included, is then divided by the largest power
+        of two common to all of it (found from the bitwise or of its
+        entries) and marked ``stripped``: no power of two divides every
+        stored integer, and each is at most its Bareiss counterpart.  Every
+        choice the simplex makes compares rationals, and all of them scale
+        by the same positive factor, so the pivot path does not change.
+
         An int64 block is updated in int64 when every entry of g is below
-        2^63 and ``_step64`` proves the step exact there.  Otherwise the
+        2^63 and ``_step64`` proves the step exact there; its Hensel
+        division needs an odd divisor, which o always is.  Otherwise the
         block turns into Python integers for the step (counted in
         ``wide_pivots``), and back into int64 after it when the new den and
         every new entry are below 2^62 (den is tested first: some basic
         slack holds at least 1, so its rhs den * value already rules out a
-        wider den, and a block that stays wide pays no scan).  While the
-        block is int64, den is below 2^63: it was 1, a pivot of an int64
-        step, or below 2^62 at the conversion.
+        wider den, and a block that stays wide pays no scan).  A shift left
+        that would pass 2^63 also leaves the block in Python integers.
+        While the block is int64, den is below 2^63: it was 1, a pivot of
+        an int64 step shifted within that bound, or below 2^62 at the
+        conversion.
         """
         den, T, m, n0 = self.den, self.T, self.m, self.n0
         piv = int(col[r])
@@ -637,31 +668,51 @@ class _Tableau:
             del self.slacks[k]
         g = np.empty(len(col) + 1, col.dtype if -_I64 < f < _I64 else object)
         g[:-1], g[-1] = col, f
-        new = None
-        if T.dtype != object:
-            if g.dtype == object and _abs_max(g) < _I64:
-                g = g.astype(np.int64)
-            if g.dtype != object:
-                new = _step64(T, r, g, den, self._block_max() if T is self.T else _abs_max(T))
+        if T.dtype != object and g.dtype == object and _abs_max(g) < _I64:
+            g = g.astype(np.int64)
+        narrow = T.dtype != object and g.dtype != object
+        tmax = (self._block_max() if T is self.T else _abs_max(T)) if narrow else 0
+        leaving = 0 <= self.basis[r] - n0 < m
+        new = None if self.stripped or not narrow else _step64(T, r, g, den, tmax)
+        shift = 0  # row r, the leaving slack's column and the new den piv go times 2^shift
         if new is None:
-            self.wide_pivots += 1
-            T = T.astype(object, copy=False)
-            g = g.astype(object, copy=False)
-            new = T * piv
-            rows = np.flatnonzero(g)  # the other rows are only rescaled
-            new[rows] -= np.multiply.outer(g[rows], T[r])
-            new //= den
-        new[r] = T[r]
-        if 0 <= self.basis[r] - n0 < m:
+            a = _v2(den)
+            div = den >> a  # odd, and it divides the numerators
+            new = _step64(T, r, g, div, tmax) if narrow else None
+            if new is None:
+                self.wide_pivots += 1
+                T, g = T.astype(object, copy=False), g.astype(object, copy=False)
+                new = T * piv
+                rows = np.flatnonzero(g)  # the other rows are only rescaled
+                new[rows] -= np.multiply.outer(g[rows], T[r])
+            else:
+                div = 1  # _step64 has divided
+            # the power of two common to the quotient (0 in row r; div is odd, so
+            # the numerator's is the same) and to row r, the slack column and
+            # piv, these three shifted left by a
+            s = _v2(_twos(new) | (_twos(T[r]) | piv | (_twos(g) | den if leaving else 0)) << a)
+            if div > 1:
+                new //= div << s  # the odd part and 2^s in one pass
+            elif s:
+                new >>= s
+            shift = a - s
+            if new.dtype != object and shift > 0:
+                grown = max(_abs_max(T[r]), piv, *((_abs_max(g), den) if leaving else ()))
+                if grown << shift >= _I64:
+                    new = new.astype(object)
+            self.stripped = True
+        new[r] = _shift(T[r].astype(new.dtype, copy=False), shift)
+        if leaving:
             # an int64 step had |g| < 2^63, and den < 2^63 with the block int64
             slack = (-g).astype(new.dtype, copy=False)
             slack[r] = den
-            new = np.concatenate((new[:, :-1], slack[:, None], new[:, -1:]), axis=1)  # before the rhs
+            new = np.concatenate((new[:, :-1], _shift(slack, shift)[:, None], new[:, -1:]), axis=1)  # before the rhs
             self.slacks.append(self.basis[r] - n0)
-        if new.dtype == object and piv < 1 << 62 and _abs_max(new) < 1 << 62:
+        den = _shift(piv, shift)
+        if new.dtype == object and den < 1 << 62 and _abs_max(new) < 1 << 62:
             new = new.astype(np.int64)
         self.T = new
-        self.den = piv
+        self.den = den
         self.basis[r] = c
         self.basic_slack[r] = c - n0 if 0 <= c - n0 < m else m
         self.pivots += 1
@@ -767,11 +818,14 @@ class _DualL1:
     def value(self) -> Fraction:
         return Fraction(self.t.corner, self.t.den)
 
-    def witness(self) -> list:
-        t = self.t
+    def numerators(self) -> list:
+        """The witness times den: its coordinates are these over ``t.den``."""
         n = self.nvars
-        w = t.costs()
-        return [Fraction(w[k] - w[n + k], t.den) for k in range(n)]
+        w = self.t.costs()
+        return [w[k] - w[n + k] for k in range(n)]
+
+    def witness(self) -> list:
+        return [Fraction(v, self.t.den) for v in self.numerators()]
 
     def dual_values(self) -> dict:
         """Dual variable values keyed by row position."""
@@ -860,10 +914,6 @@ def solve(problem: LpProblem, max_pivots: int = DEFAULT_PIVOT_CAP) -> LpOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _round_nearest(v: Fraction) -> int:
-    return (2 * v.numerator + v.denominator) // (2 * v.denominator)
-
-
 def ilp_min(
     problem: LpProblem,
     node_budget: int = 2000,
@@ -879,6 +929,11 @@ def ilp_min(
     may seed the search with a known integer-feasible point.  ``root`` is
     the problem's ``min_l1`` outcome when the caller already solved it; the
     search then starts from its tableau instead of solving again.
+
+    A node's witness and value are read as integers over the tableau's den
+    (``_DualL1.numerators`` and ``corner``), and every choice is made on
+    them: each choice depends only on the rationals, so any den gives the
+    same picks and candidates.
     """
     if root is None:
         root = min_l1(problem, max_pivots)
@@ -895,12 +950,9 @@ def ilp_min(
     best_c: list | None = None
     tried: set = set()
 
-    def consider(cand) -> None:
+    def consider(ints: list) -> None:
         nonlocal best_w, best_c
-        ints = [int(v) for v in cand]
-        if any(iv != v for iv, v in zip(ints, cand)):
-            return
-        w = sum(abs(v) for v in ints)
+        w = sum(map(abs, ints))
         if best_w is not None and w >= best_w:
             return
         key = tuple(ints)
@@ -912,11 +964,12 @@ def ilp_min(
         best_w, best_c = w, ints
 
     if incumbent is not None:
-        consider([Fraction(v) for v in incumbent])
+        seed = [Fraction(v) for v in incumbent]
+        if all(v.denominator == 1 for v in seed):
+            consider([v.numerator for v in seed])
 
     nodes = 0
     exhausted = False
-    half = Fraction(1, 2)
     stack: list[_DualL1] = [root.solver]
 
     while stack:
@@ -925,31 +978,27 @@ def ilp_min(
         if nodes > node_budget:
             exhausted = True
             break
-        witness = solver.witness()
-        value = solver.value()
-        if best_w is not None and _ceil(value) >= best_w:
+        nums, den = solver.numerators(), solver.t.den
+        bound = -(-solver.t.corner // den)  # ceil of the LP value
+        if best_w is not None and bound >= best_w:
             continue
-        fracs = [(v - (v.numerator // v.denominator)) for v in witness]
-        if all(f == 0 for f in fracs):
-            consider(witness)
+        fracs = [v % den for v in nums]  # den times the fractional parts
+        if not any(fracs):
+            consider([v // den for v in nums])
             continue
-        consider([Fraction(_round_nearest(v)) for v in witness])
+        consider([(2 * v + den) // (2 * den) for v in nums])  # each rounded to nearest, halves up
         if scalable:
-            mult = 1
-            for v in witness:
-                mult = mult * v.denominator // math.gcd(mult, v.denominator)
-            if 1 < mult <= 64:
-                consider([v * mult for v in witness])
-        if best_w is not None and _ceil(value) >= best_w:
+            # the lcm of the witness's reduced denominators
+            mult = den // math.gcd(den, *nums)
+            if mult <= 64:
+                consider([v // (den // mult) for v in nums])
+        if best_w is not None and bound >= best_w:
             continue
         # most fractional coordinate, least index on ties
-        pick = min(
-            (j for j, f in enumerate(fracs) if f != 0),
-            key=lambda j: (abs(fracs[j] - half), j),
-        )
-        floor_v = witness[pick].numerator // witness[pick].denominator
+        pick = min((j for j, fr in enumerate(fracs) if fr), key=lambda j: (abs(2 * fracs[j] - den), j))
+        floor_v = nums[pick] // den
         children = [(-1, -floor_v), (1, floor_v + 1)]
-        if fracs[pick] > half:
+        if 2 * fracs[pick] > den:
             children.reverse()
         # LIFO stack: push the preferred child last so it is explored first
         ready = []

@@ -245,8 +245,10 @@ def preset(name: str) -> ExperimentSpec:
     }
     if name == "weak-2-3":
         return ExperimentSpec(name, shapes[name], modes=ALL_MODES)
-    if name in ("weak-2-2-3", "weak-4-3", "strong-5-3"):
+    if name in ("weak-2-2-3", "weak-4-3"):
         return ExperimentSpec(name, shapes[name], modes=("verify-gate", "theorem"))
+    if name == "strong-5-3":
+        return ExperimentSpec(name, shapes[name], modes=("verify-gate", "signdeg", "minweight-lp", "theorem"))
     if name == "strong-3-3":
         return ExperimentSpec(name, shapes[name], modes=("verify-gate", "signdeg"))
     if name == "gt-lemmas-k6":

@@ -231,16 +231,18 @@ def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
     assert not check_l1_bound(pr, d[:-1], out.value)
 
 
-# pivots done over Python integers: weak(2,3) stays in int64 throughout
-WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 132, ("strong", (3, 2)): 32}
+# pivots done over Python integers: weak(2,3) stays in int64 throughout, and
+# the +-1 strong LPs with the common power of two stripped nearly so
+WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 1, ("strong", (3, 2)): 1, ("strong", (5, 3)): 4}
 
 
 @pytest.mark.parametrize(
     "variant, ks, value, pivots, den_bits",
     [
-        ("weak", (2, 3), FR(183, 2), 230, 22),
-        ("strong", (3, 3), FR(15), 185, 103),
-        ("strong", (3, 2), FR(6), 80, 55),
+        ("weak", (2, 3), FR(183, 2), 230, 19),
+        ("strong", (3, 3), FR(15), 185, 19),
+        ("strong", (3, 2), FR(6), 80, 9),
+        ("strong", (5, 3), FR(93), 385, 36),
     ],
 )
 def test_degree2_lp_pivot_path(variant, ks, value, pivots, den_bits):

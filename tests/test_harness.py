@@ -195,7 +195,7 @@ PRESET_DIGESTS = (
     "cfdba31bc2fa4793",
     "567655421e3120d5",
     "a9dbe3a2582dbb6c",
-    "3b4bfab5e7c1fd3d",
+    "53a6879404c7f845",
     "1d83020a3ccf3872",
     "752e146151def802",
     "7cc42e5deb6fed9f",
@@ -211,7 +211,7 @@ def test_preset_results_are_pinned_and_replay(tmp_path):
         digests.append(hashlib.sha256(rows_without_timing(csv_text).encode()).hexdigest()[:16])
     assert tuple(digests) == PRESET_DIGESTS
     certs = sorted(tmp_path.glob("*/certs/*.json"))
-    assert len(certs) == 26
+    assert len(certs) == 29
     assert all(replay_certificate(path) for path in certs)
 
 

@@ -21,66 +21,67 @@ def exactly(n: int, elements):
 
 @st.composite
 def fraction_free_steps(draw):
-    """(T, r, g, den) of one exact step: den divides T, or every entry of g.
+    """(T, r, g, div) of one exact step: div divides T, or every entry of g.
 
-    The sizes spread from no wrap past 2^63 to quotients of 62 bits, and
-    den from odd to 2^62."""
+    The sizes spread from no wrap past 2^63 to quotients of 63 bits.  div
+    is odd, as every divisor of a wrapping step is, or carries up to 62
+    factors of 2, which only a step that cannot wrap may divide by."""
     k = draw(st.just(0) | st.integers(0, 62))
-    den = draw(st.integers(0, (2**63 - 1) >> k >> 1).map(lambda o: 2 * o + 1)) << k
+    div = draw(st.integers(0, (2**63 - 1) >> k >> 1).map(lambda o: 2 * o + 1)) << k
     rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     r = draw(st.integers(0, rows - 1))
-    bits = ((2**63 - 1) // den).bit_length() - 1  # of an entry to scale by den
-    if draw(st.booleans()):  # den divides T
-        T = [den * v for v in draw(exactly(rows * cols, signed(min(62, bits))))]
+    bits = ((2**63 - 1) // div).bit_length() - 1  # of an entry to scale by div
+    if draw(st.booleans()):  # div divides T
+        T = [div * v for v in draw(exactly(rows * cols, signed(bits)))]
         g = draw(exactly(rows, signed(63)))
-        g[r] = draw(st.integers(1, 2**62))
-    else:  # den divides g, and the pivot
-        T = draw(exactly(rows * cols, signed(62)))
-        g = [den * v for v in draw(exactly(rows, signed(bits)))]
-        g[r] = den * draw(st.integers(1, 2**bits))
-    return np.array(T, dtype=np.int64).reshape(rows, cols), r, g, den
+        g[r] = draw(st.integers(1, 2**63 - 1))
+    else:  # div divides g, and the pivot
+        T = draw(exactly(rows * cols, signed(63)))
+        g = [div * v for v in draw(exactly(rows, signed(bits)))]
+        g[r] = div * draw(st.integers(1, 2**bits))
+    return np.array(T, dtype=np.int64).reshape(rows, cols), r, g, div
 
 
 @st.composite
-def steps_near_2_62(draw):
-    """Steps whose quotient bound top // den is 2^62 or 2^62 - 1: entries of
-    T in {-1, 0, 1} times den, the pivot p and one entry 2^62 - p - delta."""
-    den = draw(st.integers(1, 2**12).map(lambda o: 2 * o + 1)) << draw(st.integers(0, 48))
+def steps_near_2_63(draw):
+    """Steps whose quotient bound top // div is 2^63 or 2^63 - 1, div odd:
+    entries of T in {-1, 0, 1} times div, the pivot p and one entry
+    2^63 - p - delta."""
+    div = draw(st.integers(0, 2**12).map(lambda o: 2 * o + 1))
     rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
     r, i = draw(st.permutations(range(rows)))[:2]
     T = np.array(draw(exactly(rows * cols, st.integers(-1, 1)))).reshape(rows, cols)
     T[r, 0] = draw(st.sampled_from([-1, 1]))
     g = draw(exactly(rows, st.integers(-(2**40), 2**40)))
-    g[r] = draw(st.integers(1, 2**61 - 1))
-    g[i] = draw(st.sampled_from([-1, 1])) * (2**62 - g[r] - draw(st.integers(0, 1)))
-    return (den * T).astype(np.int64), r, g, den
+    g[r] = draw(st.integers(1, 2**62 - 1))
+    g[i] = draw(st.sampled_from([-1, 1])) * (2**63 - g[r] - draw(st.integers(0, 1)))
+    return (div * T).astype(np.int64), r, g, div
 
 
 @settings(max_examples=400, deadline=None)
-@given(fraction_free_steps() | steps_near_2_62())
+@given(fraction_free_steps() | steps_near_2_63())
 @example((np.array([[3, -5], [7, 2]], dtype=np.int64), 0, [4, -6], 2))  # no wrap
 @example((np.array([[2], [3]], dtype=np.int64), 0, [1, -(2**63) + 1], 1))  # g at the int64 edge
-@example((np.array([[2**55], [-(2**55)]], dtype=np.int64), 0, [1, 2**10], 2**55))  # k = 55
+@example((np.array([[2**55], [-(2**55)]], dtype=np.int64), 0, [1, 2**10], 2**55))  # wraps, div even
 def test_int64_step_matches_python_integers(step):
     """``_step64`` returns the exact quotient, and None exactly when its bound
-    does not prove the step: a numerator that may wrap with den carrying
-    more than 48 factors of 2 or a quotient bound top // den of 2^62 or
-    more.  (An entry of g past int64 never reaches it: ``pivot`` takes the
-    wide step, see ``test_one_iteration_is_the_same_in_int64_and_object``.)"""
-    T, r, g, den = step
+    does not prove the step: a numerator that may wrap with an even
+    divisor, or a quotient bound top // div of 2^63 or more.  (An entry of
+    g past int64 never reaches it: ``pivot`` takes the wide step, see
+    ``test_one_iteration_is_the_same_in_int64_and_object``.)"""
+    T, r, g, div = step
     rows = T.tolist()
     piv = g[r]
     num = [[t * piv - gi * tr for t, tr in zip(row, rows[r])] for gi, row in zip(g, rows)]
-    assert all(v % den == 0 for row in num for v in row)
+    assert all(v % div == 0 for row in num for v in row)
     gmax = max(map(abs, g))
     top = max(abs(v) for row in rows for v in row) * piv + gmax * max(map(abs, rows[r]))
-    k = (den & -den).bit_length() - 1
-    proven = top < 2**63 or (k <= 48 and top // den < 2**62)
-    out = exact_lp._step64(T, r, np.array(g, dtype=np.int64), den, exact_lp._abs_max(T))
+    proven = top < 2**63 or (div % 2 == 1 and top // div < 2**63)
+    out = exact_lp._step64(T, r, np.array(g, dtype=np.int64), div, exact_lp._abs_max(T))
     assert (out is not None) == proven
     if proven:
         assert out.dtype == np.int64
-        assert out.tolist() == [[v // den for v in row] for row in num]
+        assert out.tolist() == [[v // div for v in row] for row in num]
 
 
 COEFFS = {
@@ -92,17 +93,30 @@ COEFFS = {
 STEPS = 60  # per solve; Bland's rule is forced before this many pivots
 
 
+def scale(t, ref) -> int:
+    """2^j with ref.den = t.den * 2^j, j >= 0: the stored den is the
+    reference's, the fraction-free one, with some factors of 2 taken out."""
+    j = ref.den // t.den
+    assert ref.den == t.den * j and j & (j - 1) == 0
+    return j
+
+
 def assert_same(t, ref) -> None:
-    """Same integers, and the stored block is exactly the nonbasic slacks."""
-    assert (t.den, t.rhs(), t.costs(), t.corner) == (ref.den, ref.rhs, ref.w, ref.corner)
+    """The rationals of the reference over a den that is it divided by some
+    2^j; no factor of 2 common to a stripped state; and the stored block is
+    exactly the nonbasic slacks."""
+    j = scale(t, ref)
+    assert ([v * j for v in t.rhs()], [v * j for v in t.costs()], t.corner * j) == (ref.rhs, ref.w, ref.corner)
     assert t.basis == ref.basis
+    if t.stripped:
+        assert (exact_lp._twos(t.T) | t.den) & 1
     m = 2 * t.nvars
     basic = {b - t.n0 for b in t.basis if 0 <= b - t.n0 < m}
     assert sorted(t.slacks) == sorted(set(range(m)) - basic)
     assert t.T.shape == (m + 1, len(t.slacks) + 1)
     for c in range(len(ref.rows) + m):
         col = t.column(c)
-        assert col.dtype in (np.int64, object) and list(map(int, col)) == ref.column(c)
+        assert col.dtype in (np.int64, object) and [int(v) * j for v in col] == ref.column(c)
 
 
 def times_2_to(row: tuple, j: int) -> tuple:
@@ -125,23 +139,25 @@ def drive(t, ref, bland_at: int) -> str:
 
 
 def iterate(t, ref) -> str | None:
-    """One iteration of both, comparing the entering column and its cost,
-    its entries, the leaving row and the state after the pivot; "optimal"
-    or "unbounded" when there is no pivot."""
-    entering = t._entering()
-    assert entering == ref.entering(t.rule)
+    """One iteration of both, comparing the entering column, and its cost
+    and entries as rationals, the leaving row and the state after the
+    pivot; "optimal" or "unbounded" when there is no pivot."""
+    j = scale(t, ref)
+    entering, expected = t._entering(), ref.entering(t.rule)
+    assert (entering is None) == (expected is None)
     if entering is None:
         return "optimal"
     c, f = entering
+    assert (c, f * j) == expected
     col = t.column(c)
-    entries = list(map(int, col))
-    assert entries == ref.column(c)
+    entries = ref.column(c)
+    assert [int(v) * j for v in col] == entries
     r = t._leaving(col)
     assert r == ref.leaving(entries)
     if r is None:
         return "unbounded"
     t.pivot(r, c, col, f)
-    ref.pivot(r, c, entries, f)
+    ref.pivot(r, c, entries, expected[1])
     assert_same(t, ref)
     return None
 
@@ -165,7 +181,7 @@ def test_block_tableau_matches_the_dict_rows(data):
     # branch and bound: clone, append a row, solve again; the parent keeps its state
     for appended in data.draw(st.lists(row, max_size=3)):
         if data.draw(st.booleans()):
-            parent, before = t, (t.T.copy(), t.slacks[:], t.den, t.basis[:], t.pivots)
+            parent, before = t, (t.T.copy(), t.slacks[:], t.den, t.basis[:], t.pivots, t.stripped)
             t, ref = t.clone(), ref.clone()
         else:
             parent = None
@@ -173,9 +189,9 @@ def test_block_tableau_matches_the_dict_rows(data):
         ref.add_row(*appended)
         drive(t, ref, bland_at)
         if parent is not None:
-            T, slacks, den, basis, pivots = before
+            T, *rest = before
             assert T.shape == parent.T.shape and (T == parent.T).all()
-            assert (slacks, den, basis, pivots) == (parent.slacks, parent.den, parent.basis, parent.pivots)
+            assert rest == [parent.slacks, parent.den, parent.basis, parent.pivots, parent.stripped]
 
 
 @st.composite
@@ -186,7 +202,9 @@ def lane_states(draw):
     division), or are all small.
 
     den = 2^k or 3 * 2^k divides every entry of the block, so each step is
-    exact whatever row and column the iteration picks."""
+    exact whatever row and column the iteration picks, in either lane of
+    ``pivot``: the state is drawn as the Bareiss one or as ``stripped``,
+    whose steps divide by the odd part of den."""
     nvars = draw(st.integers(1, 3))
     m = 2 * nvars
     den = draw(st.sampled_from([1, 3])) << draw(st.integers(0, 61))
@@ -222,7 +240,7 @@ def lane_states(draw):
     rule = draw(st.sampled_from(["hybrid", "bland"]))
     t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
     t.T = np.array(block, dtype=np.int64).reshape(m + 1, len(slacks) + 1)
-    t.slacks, t.basis, t.den, t.rule = list(slacks), basis, den, rule
+    t.slacks, t.basis, t.den, t.rule, t.stripped = list(slacks), basis, den, rule, draw(st.booleans())
     t.basic_slack = np.array([b - len(rows) if b >= len(rows) else m for b in basis])
     return t, rows
 

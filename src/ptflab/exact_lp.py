@@ -34,6 +34,16 @@ Every problem has one shape: free rational variables and >= / <= rows of
 integers.  Each certificate vector holds one multiplier per row; witnesses,
 multipliers and values are exact rationals.
 
+Problems that extend one base by one row each (a lemma's negated
+inequalities) are solved by ``solve_extensions`` on one walk of the base's
+pivot path.  A problem's path is the base's until its own row's column
+would first enter: it prices below the base's entering column (or ties
+with an entering slack, which comes after it), or prices negative where
+the base is optimal.  The problem forks off the base tableau there, with
+its row put in as the last initial row so the columns are numbered as in
+its own tableau, and is solved and certified on its own from that state.
+Its pivot path, stats and certificate are those of a cold solve.
+
 A small depth-first branch-and-bound on top of the L1 solver computes
 exact integer-minimal weights.
 """
@@ -99,9 +109,10 @@ class LpProblem:
     def extended(self, coeffs: dict, rel: str, rhs) -> "LpProblem":
         """A new problem: these constraints plus one more, added last.
 
-        The new problem shares this one's rows.  What the solver and the
-        text format derive from them (integer >=-rows, text lines) is
-        computed once here and reused by every problem extended from it.
+        The new problem shares this one's rows.  The text lines of them
+        are formatted once here and reused by every problem extended from
+        it; ``solve_extensions`` solves such problems on one walk of this
+        one's pivot path.
         """
         child = LpProblem(self.num_vars, self.constraints[:])
         child.add(coeffs, rel, rhs)
@@ -507,7 +518,8 @@ class _Tableau:
         return t
 
     def add_row(self, coeffs: dict, rhs: int) -> None:
-        """Append the dual column of the integer row coeffs . x >= rhs.
+        """Append the dual column of the integer row coeffs . x >= rhs, after
+        the slacks (as branch and bound adds its rows).
 
         The rows go into a new array, so clones keep sharing the old one.
         """
@@ -520,6 +532,25 @@ class _Tableau:
             exact = np.concatenate((_join(self.A, self.width), _join(row, width)))
             self.A = _limbs(exact, width, len(row))
         self.cmax, self.l1, self.width = cmax, l1, width
+
+    def insert_row(self, coeffs: dict, rhs: int) -> None:
+        """Add the dual column of the integer row coeffs . x >= rhs as the
+        last initial row, numbered n0: the tableau of the problem with that
+        row added last numbers its columns this way.
+
+        The slacks move up one, so only the ``basis`` entries naming a
+        slack change.  ``T``, ``den``, ``slacks`` and ``basic_slack`` are
+        keyed by slack offset and stay as they are.  The new column goes
+        in nonbasic: this is the state a tableau of the larger problem
+        reaches on the same pivots, as long as the new column never
+        entered (see ``solve_extensions``).  Refused after ``add_row``,
+        whose columns would have to move too.
+        """
+        if self.A.shape[1] > self.n0:
+            raise LpError("insert_row after add_row")
+        self.add_row(coeffs, rhs)  # with no row appended, A's last row is the new initial one
+        self.basis = [b + 1 if b >= self.n0 else b for b in self.basis]
+        self.n0 += 1
 
     # -- pricing -------------------------------------------------------------
 
@@ -717,29 +748,35 @@ class _Tableau:
         self.basic_slack[r] = c - n0 if 0 <= c - n0 < m else m
         self.pivots += 1
 
+    def step(self, c: int, f: int, max_pivots: int) -> bool:
+        """One iteration on the entering column c of reduced cost f: its
+        column, the leaving row, the budget check, the pivot and the stall
+        count that switches to Bland's rule.  False, with ``ray_col`` set,
+        when no row leaves (the dual is unbounded); ``BudgetError`` when a
+        pivot is due and ``max_pivots`` are spent."""
+        col = self.column(c)
+        r = self._leaving(col)
+        if r is None:
+            self.ray_col = c
+            return False
+        if self.pivots >= max_pivots:
+            raise BudgetError(f"pivot budget {max_pivots} exhausted")
+        before_num, before_den = self.corner, self.den
+        self.pivot(r, c, col, f)
+        if self.rule == "hybrid":
+            if self.corner * before_den == before_num * self.den:
+                self._stall += 1
+                if self._stall > 3 * self.m + 30:
+                    self.rule = "bland"
+            else:
+                self._stall = 0
+        return True
+
     def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
-        stall_limit = 3 * self.m + 30
-        while True:
-            entering = self._entering()
-            if entering is None:
-                return "optimal"
-            c, f = entering
-            col = self.column(c)
-            r = self._leaving(col)
-            if r is None:
-                self.ray_col = c
+        while (entering := self._entering()) is not None:
+            if not self.step(*entering, max_pivots):
                 return "unbounded"
-            if self.pivots >= max_pivots:
-                raise BudgetError(f"pivot budget {max_pivots} exhausted")
-            before_num, before_den = self.corner, self.den
-            self.pivot(r, c, col, f)
-            if self.rule == "hybrid":
-                if self.corner * before_den == before_num * self.den:
-                    self._stall += 1
-                    if self._stall > stall_limit:
-                        self.rule = "bland"
-                else:
-                    self._stall = 0
+        return "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -752,16 +789,10 @@ def _int_ge_rows(problem: LpProblem) -> np.ndarray:
 
     A >= row is kept and a <= row negated, so row i is constraint i.
     Unknown relations, out-of-range variables and entries that are not
-    ints raise ``LpError``.  The rows a problem shares with the one it
-    extends are normalized once, on that base (see ``_shared``).
+    ints raise ``LpError``.
     """
-    return _shared(problem, "ge", _int_ge_tail, lambda head, tail: np.concatenate((head, tail)))
-
-
-def _int_ge_tail(problem: LpProblem, start: int) -> np.ndarray:
-    """``_int_ge_rows`` of the constraints from index ``start`` on."""
-    rows = problem.constraints[start:]
-    for idx, (coeffs, rel, _) in enumerate(rows, start):
+    rows = problem.constraints
+    for idx, (coeffs, rel, _) in enumerate(rows):
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
         if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
@@ -774,6 +805,14 @@ def _int_ge_tail(problem: LpProblem, start: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # L1 minimization through the dual
 # ---------------------------------------------------------------------------
+
+
+def _ge_row(constraint: tuple) -> tuple[dict, int]:
+    """(coeffs, rhs) of an integer constraint read as coeffs . x >= rhs: a
+    <= row negated."""
+    coeffs, rel, rhs = constraint
+    sign = 1 if rel == GE else -1
+    return {j: sign * c for j, c in coeffs.items()}, sign * rhs
 
 
 class _DualL1:
@@ -798,6 +837,15 @@ class _DualL1:
         other.nvars = self.nvars
         other.t = self.t.clone()
         return other
+
+    def fork(self, problem: LpProblem) -> "_DualL1":
+        """A clone that solves ``problem``, this one's problem with one more
+        row last: that row's dual column goes in as the last initial one
+        (``_Tableau.insert_row``)."""
+        child = self.clone()
+        child.problem = problem
+        child.t.insert_row(*_ge_row(problem.constraints[-1]))
+        return child
 
     def add_ge_row(self, coeffs: dict, rhs) -> None:
         """Append a primal >=-row as a fresh dual column, keeping the basis;
@@ -903,10 +951,76 @@ def solve(problem: LpProblem, max_pivots: int = DEFAULT_PIVOT_CAP) -> LpOutcome:
     Runs the L1 routine of ``min_l1``; a feasible outcome's witness is the
     minimum-L1 point.
     """
-    out = _DualL1(problem).certify(max_pivots)
+    return _feasibility(_DualL1(problem).certify(max_pivots))
+
+
+def _feasibility(out: LpOutcome) -> LpOutcome:
+    """``solve``'s view of a certified outcome: an optimum is reported as
+    feasible, with its witness and stats only."""
     if out.status == "infeasible":
         return out
     return LpOutcome(status="feasible", witness=out.witness, stats=out.stats)
+
+
+def solve_extensions(
+    base: LpProblem, rows: list, max_pivots: int = DEFAULT_PIVOT_CAP
+) -> list[tuple[LpProblem, LpOutcome]]:
+    """``solve`` of the base problem plus each one of ``rows``, walking the
+    base's pivot path once.
+
+    One (problem, outcome) pair per (coeffs, rel, rhs) row, in order: the
+    problem is ``base.extended(*row)``, and the outcome equals ``solve`` of
+    it, pivot path, stats and certificate included.
+
+    A tableau of base + row numbers the row's dual column n0, after the
+    base's rows and before the slacks.  While that column is nonbasic,
+    every other column, price and ratio is the base's, and ties on the
+    leaving row keep their order, so the path is the base's up to the
+    first state where the new column would enter.  The walk solves the
+    base.  At each state it prices every pending row's column exactly, as
+    p = z . a - den * b (z read from the cost row, a . x >= b the row read
+    as >=).  The row forks there (a clone of the base tableau, the row put
+    in by ``_DualL1.fork``, then certified on its own) when p < 0 and:
+
+      * the base is optimal at this state;
+      * under Dantzig's rule, p < f, the base's entering cost, or p = f
+        and the base enters a slack (on the tie the new column n0 comes
+        before every slack, after every base row);
+      * under Bland's rule, the base enters a slack (its first negative
+        column would come after n0).
+
+    Rows still pending when the base stops fork at its final state.  The
+    fork state lies on the row's own cold path, so the rest of its solve
+    is that path too.  Forking early is always safe (the fork then takes
+    the shared pivots itself); only a fork after the new column would
+    have entered changes a path.  A budget stop raises ``BudgetError``
+    exactly when some cold solve would: a pending row's next pivot is
+    the base's.
+    """
+    problems = [base.extended(*row) for row in rows]
+    walk = _DualL1(base)
+    t, n = walk.t, base.num_vars
+    pending = {i: _ge_row(p.constraints[-1]) for i, p in enumerate(problems)}
+    outcomes = {}
+
+    def fork(i: int) -> None:
+        outcomes[i] = _feasibility(walk.fork(problems[i]).certify(max_pivots))
+        del pending[i]
+
+    while pending and (entering := t._entering()) is not None:
+        c, f = entering
+        slack = c >= t.n0  # the base has no appended row: every column from n0 is a slack
+        w = t.costs()
+        z = [w[j] - w[n + j] for j in range(n)]
+        for i, (a, b) in list(pending.items()):
+            p = sum(z[j] * v for j, v in a.items()) - t.den * b
+            if p < 0 and (slack if t.rule == "bland" else p < f or p == f and slack):
+                fork(i)
+        if pending and not t.step(c, f, max_pivots):
+            break
+    for i in list(pending):
+        fork(i)
+    return [(problem, outcomes[i]) for i, problem in enumerate(problems)]
 
 
 # ---------------------------------------------------------------------------

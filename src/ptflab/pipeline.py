@@ -66,7 +66,10 @@ class Certificate:
 
     def payload(self) -> dict:
         def item(problem: LpProblem, vector) -> dict:
-            return {"problem": problem_to_text(problem), "vector": [str(v) for v in vector]}
+            # most multipliers are 0: write those without Fraction.__str__
+            # (ints and Fractions both have a numerator; it tests fast)
+            vector = [str(v) if v.numerator else "0" for v in vector]
+            return {"problem": problem_to_text(problem), "vector": vector}
 
         if self.kind == "farkas-batch":
             return {"kind": self.kind, "claim": self.claim, "items": [item(*i) for i in self.items]}

@@ -30,7 +30,7 @@ from .exact_lp import (
     check_witness,
     ilp_min,
     min_l1,
-    solve,
+    solve_extensions,
 )
 from .polynomial import IntPolynomial, _strong_forms, from_uv
 from .shapes import Convention, GroupShape, Variant
@@ -361,14 +361,15 @@ def _gt_u_rows(k: int) -> list[tuple[dict, str, int]]:
 
 def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, int]]:
     """Sign constraints of the all-equal detector over its linear forms
-    (``polynomial._strong_forms``)."""
-    fun = make_g(k, which)
+    (``polynomial._strong_forms``).  The detector's output at x is bit
+    sum((x_j = 1) << j) of its truth table."""
+    table = make_g(k, which).table
     forms = _strong_forms(range(k))
     rows = []
     for x in product((-1, 1), repeat=k):
         u = [a * x[v] + b * x[w] for (v, a), (w, b) in forms]  # two terms each
         row = {j: u[j] for j in range(k) if u[j]}
-        if fun.eval(x) == 1:
+        if table >> sum(1 << j for j, v in enumerate(x) if v == 1) & 1:
             rows.append((row, GE, 0))
         else:
             rows.append((row, LE, -1))
@@ -414,18 +415,15 @@ def certify_negated_row(
     claim (the LP witness scaled by the common denominator).
     """
     desc = f"{base}(k={k}): adjoin {coeffs} {rel} {rhs}"
-    return _certify_negation(_base_problem(base, k), desc, coeffs, rel, rhs, max_pivots)
+    [(problem, out)] = solve_extensions(_base_problem(base, k), [(coeffs, rel, rhs)], max_pivots)
+    return _inequality_check(desc, problem, out)
 
 
-def _certify_negation(
-    base: LpProblem, desc: str, coeffs: dict, rel: str, rhs, max_pivots: int
-) -> InequalityCheck:
-    """``certify_negated_row`` on a built base problem, which is left as it
-    is: the negated row goes last in a problem extended from it."""
-    problem = base.extended(coeffs, rel, rhs)
-    out = solve(problem, max_pivots=max_pivots)
+def _inequality_check(desc: str, problem: LpProblem, out: LpOutcome) -> InequalityCheck:
+    """The check of one negated inequality from the ``solve`` outcome of
+    its problem (the base's rows, the negated row last)."""
     if out.status == "infeasible":
-        # ``solve`` re-checked the Farkas vector; replay checks it again
+        # the solver re-checked the Farkas vector; replay checks it again
         return InequalityCheck(desc, "CERTIFIED", problem, farkas=out.farkas)
     denom = 1
     for v in out.witness:
@@ -480,18 +478,21 @@ def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> 
 
     The inequalities share one base LP: the base function's sign rows are
     built, normalized and formatted once per call, and each negated
-    inequality's LP is that base plus its one row, solved on its own.
+    inequality's LP is that base plus its one row.  ``solve_extensions``
+    walks the base's pivot path once, and each inequality's LP forks off
+    it at the first state where its own column would enter, the last
+    state its pivot path shares with the base's.  Each is then solved and
+    certified on its own, so the pivot path, stats and certificate are
+    those of a cold solve of that LP.
     """
     base = _LEMMA_BASE.get(lemma)
     if base is None:
         raise AnalysisError(f"unknown lemma {lemma!r}")
     if k < 2:
         raise AnalysisError("need k >= 2")
-    shared = _base_problem(base, k)
-    checks = [
-        _certify_negation(shared, desc, coeffs, rel, rhs, max_pivots)
-        for desc, coeffs, rel, rhs in _lemma_negations(lemma, k)
-    ]
+    negations = _lemma_negations(lemma, k)
+    solved = solve_extensions(_base_problem(base, k), [row for _, *row in negations], max_pivots)
+    checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
     return CertifyResult(lemma, k, status, checks)
 

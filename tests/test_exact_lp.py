@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import (
@@ -26,6 +26,7 @@ from ptflab import (
     solve,
 )
 from ptflab import exact_lp
+from ptflab.exact_lp import GE, LE
 from ptflab.threshold_analysis import build_representation_problem
 from tableau_reference import reference_entering
 
@@ -525,6 +526,123 @@ def test_branch_and_bound_path_is_pinned():
     assert res.witness == [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, -2, -2, 0] + [
         1, 2, -1, -2, -2, -2, 2, 2, 0, 1, 0, 0, 0, 0
     ]
+
+
+# ---------------------------------------------------------------------------
+# extensions forked off one walk of their base
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sign_rows(draw):
+    """The sign rows of a random function of k inputs, over 0/1 or +-1 and
+    with or without a bias: gate-like LPs whose slacks enter again."""
+    k = draw(st.integers(2, 3))
+    inputs = itertools.product(draw(st.sampled_from([(0, 1), (-1, 1)])), repeat=k)
+    bias = draw(st.booleans())
+    rows = []
+    for x in inputs:
+        a = {j: v for j, v in enumerate(x) if v} | ({k: 1} if bias else {})
+        rows.append((a, GE, 0) if draw(st.booleans()) else (a, LE, -1))
+    return k + bias, rows
+
+
+@st.composite
+def extension_lps(draw):
+    """A small integer base, feasible or not, and 1-6 rows to add to it one
+    at a time.  Unit rows price like the slacks, and duplicates and
+    flips of base rows like the base's own columns, so ties are common."""
+    random_rows = st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(lp_rows(n), min_size=1, max_size=7))
+    )
+    base = problem_of(*draw(random_rows | sign_rows()))
+
+    def variants(r):
+        coeffs, rel, rhs = r
+        other = LE if rel == GE else GE
+        negated = {j: -c for j, c in coeffs.items()}
+        # the same row, the same row read the other way, its negation
+        return st.sampled_from([r, (negated, other, -rhs), (coeffs, other, rhs)])
+
+    from_base = st.sampled_from(base.constraints).flatmap(variants)
+    return base, draw(st.lists(lp_rows(base.num_vars) | from_base, min_size=1, max_size=6))
+
+
+def lp_rows(nvars):
+    """Rows over ``nvars`` variables: small integer ones, and unit rows
+    with a right-hand side in -1..1."""
+    rel = st.sampled_from([GE, LE])
+    row = st.tuples(
+        st.dictionaries(st.integers(0, nvars - 1), st.integers(-3, 3)), rel, st.integers(-4, 4)
+    )
+    unit = st.builds(
+        lambda j, c, r, b: ({j: c}, r, b),
+        st.integers(0, nvars - 1), st.sampled_from([-1, 1]), rel, st.integers(-1, 1),
+    )
+    return row | unit
+
+
+def cold_or_budget(problem, max_pivots):
+    try:
+        return solve(problem, max_pivots)
+    except BudgetError:
+        return None
+
+
+def problem_of(nvars, rows):
+    problem = LpProblem(nvars)
+    for r in rows:
+        problem.add(*r)
+    return problem
+
+
+# the base enters a slack whose cost ties with the new row's: the row forks there
+TIE_WITH_A_SLACK = (
+    problem_of(3, [({0: -1, 1: -1, 2: 1}, GE, 0), ({0: -1, 1: 1, 2: 1}, LE, -1),
+                ({0: 1, 1: -1, 2: 1}, LE, -1), ({0: 1, 1: 1, 2: 1}, LE, -1)]),
+    [({1: -1}, GE, 1)],
+)
+
+
+@pytest.mark.parametrize("rule, max_pivots", [("hybrid", 200_000), ("bland", 200_000), ("hybrid", 4)])
+@settings(max_examples=150, deadline=None)
+@given(lp=extension_lps())
+@example(lp=TIE_WITH_A_SLACK)
+def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
+    base, rows = lp
+    real_init = exact_lp._Tableau.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        self.rule = rule
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_lp._Tableau, "__init__", init)
+        cold = [cold_or_budget(base.extended(*r), max_pivots) for r in rows]
+        if None in cold:  # some cold solve ran out of pivots
+            with pytest.raises(BudgetError):
+                exact_lp.solve_extensions(base, rows, max_pivots)
+            return
+        walked = exact_lp.solve_extensions(base, rows, max_pivots)
+    assert [problem_to_text(p) for p, _ in walked] == [problem_to_text(base.extended(*r)) for r in rows]
+    for (_, got), want in zip(walked, cold):
+        assert (got.status, got.farkas, got.witness, got.stats) == (
+            want.status, want.farkas, want.witness, want.stats
+        )
+
+
+def test_insert_row_renumbers_the_slacks_and_refuses_after_add_row():
+    prob = build_representation_problem(make_gt(2), 1).problem
+    t = exact_lp._Tableau(prob.num_vars, exact_lp._int_ge_rows(prob))
+    t.optimize()
+    before = t.basis[:]
+    child = t.clone()
+    child.insert_row({0: 1}, 5)
+    assert child.n0 == t.n0 + 1
+    assert child.basis == [b + (b >= t.n0) for b in before] and t.basis == before
+    child.add_row({1: 1}, 0)
+    with pytest.raises(LpError):
+        child.insert_row({0: 1}, 0)
 
 
 # ---------------------------------------------------------------------------

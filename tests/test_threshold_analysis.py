@@ -342,25 +342,49 @@ def test_shared_base_lemma_matches_cold_reference(lemma, k):
     assert got == cold_lemma_reference(lemma, k)
 
 
-def test_lemma_builds_its_base_once_and_solves_once_per_inequality(monkeypatch):
-    solves, builds = [], []
-    real_solve, real_rows = threshold_analysis.solve, threshold_analysis._gt_u_rows
-
-    def counted_solve(problem, *args, **kwargs):
-        solves.append(problem)
-        return real_solve(problem, *args, **kwargs)
+@pytest.mark.parametrize("k, walked, cold", [(5, 15, 47), (7, 21, 93)])
+def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, walked, cold):
+    builds, solvers, certified, pivots = [], [], [], []
+    real_rows, real_init = threshold_analysis._gt_u_rows, exact_lp._DualL1.__init__
+    real_certify, real_pivot = exact_lp._DualL1.certify, exact_lp._Tableau.pivot
 
     def counted_rows(k):
         builds.append(k)
         return real_rows(k)
 
-    monkeypatch.setattr(threshold_analysis, "solve", counted_solve)
+    def counted_init(self, problem):
+        solvers.append(problem)
+        real_init(self, problem)
+
+    def recorded_certify(self, max_pivots):
+        out = real_certify(self, max_pivots)
+        certified.append((self.problem, out))
+        return out
+
+    def counted_pivot(self, *args):
+        pivots.append(1)
+        return real_pivot(self, *args)
+
     monkeypatch.setattr(threshold_analysis, "_gt_u_rows", counted_rows)
-    res = certify_coefficient_lemma("gt_exp", 5)
+    monkeypatch.setattr(exact_lp._DualL1, "__init__", counted_init)
+    monkeypatch.setattr(exact_lp._DualL1, "certify", recorded_certify)
+    monkeypatch.setattr(exact_lp._Tableau, "pivot", counted_pivot)
+    res = certify_coefficient_lemma("gt_exp", k)
+    monkeypatch.undo()
     assert res.status == "CERTIFIED"
-    assert len(solves) == len(res.checks) == len(threshold_analysis._lemma_negations("gt_exp", 5)) == 5
-    assert [id(p) for p in solves] == [id(c.problem) for c in res.checks]
-    assert builds == [5]
+    assert builds == [k]
+    assert len(solvers) == 1  # the base's; each inequality's tableau is a fork of it
+    negations = threshold_analysis._lemma_negations("gt_exp", k)
+    by_problem = {id(problem): out for problem, out in certified}
+    assert len(res.checks) == len(by_problem) == len(certified) == len(negations) == k
+    base_rows = solvers[0].constraints
+    for chk, (_, coeffs, rel, rhs) in zip(res.checks, negations):
+        out = by_problem[id(chk.problem)]  # the problem certified for this inequality
+        assert chk.problem.constraints == [*base_rows, (coeffs, rel, rhs)]
+        assert chk.farkas == out.farkas
+        assert out.stats == exact_lp.solve(chk.problem).stats  # the cold solve's pivots
+    assert len(pivots) == walked
+    assert sum(out.stats["pivots"] for _, out in certified) == cold
 
 
 def test_unknown_lemma_rejected():

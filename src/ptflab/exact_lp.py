@@ -4,26 +4,28 @@ certificates.
 Every row is integers: coefficients and right-hand side (``LpProblem.add``
 turns an integer-valued rational into an int and refuses any other).  The
 solver is a revised primal simplex over integers with a running common
-denominator (fraction-free pivoting, with the power of two common to the
-whole state divided out once a step needs it), so every quantity it
-reports is an exact rational.  Feasibility and L1 minimization are one
-routine: the L1 problem over many constraints and few variables is
-solved through its dual, which keeps the working basis small (2N for N
-variables).  Of the scaled basis inverse only the columns under the
-nonbasic slacks are stored (a basic slack's column is a unit vector), at
-most N of the 2N, beside the basic values and the cost row in one
-integer matrix that each pivot updates in whole-array steps: in int64
-while a bound on the step proves it exact there (directly, or by Hensel
-division of the wrapped numerator by an odd divisor), over Python
-integers otherwise.  The constraint rows are one integer matrix, and
-every column is priced from it in numpy, with no loop over the columns
-and no rounding: in one int64 matrix product while a bound proves it
-exact, otherwise with the multipliers cut into fixed-width int64 limbs
-and the limb products carried.  The entering column is an int64 array
-under the same kind of bound too (see ``_Tableau``).  One solve answers
-feasibility, the L1 optimum and the branch-and-bound root.  The reported
-witnesses come back out of the simplex multipliers and every outcome is
-re-verified by an independent checker before it is returned:
+denominator (fraction-free pivoting: each step divides by the odd part of
+the denominator, then divides the whole state by the power of two common
+to all of it), so every quantity it reports is an exact rational.
+Feasibility and L1 minimization are one routine: the L1 problem over many
+constraints and few variables is solved through its dual, which keeps the
+working basis small (2N for N variables).  Of the scaled basis inverse
+only the columns under the nonbasic slacks are stored (a basic slack's
+column is a unit vector), at most N of the 2N, beside the basic values
+and the cost row in one integer matrix that each pivot updates in
+whole-array steps: in int64 while a bound on the quotient proves it exact
+there (Hensel division of the numerator, wrapped or not, by the odd
+divisor), over Python integers otherwise.  The constraint rows are one
+integer matrix, and every column is priced from it in numpy, with no loop
+over the columns and no rounding: in one int64 matrix product while a
+bound proves it exact, otherwise with the multipliers cut into
+fixed-width int64 limbs and the limb products carried, or in one product
+over Python integers when the rows leave no limb width.  The entering
+column is an int64 array under the same kind of bound too (see
+``_Tableau``).  One solve answers feasibility, the L1 optimum and the
+branch-and-bound root.  The reported witnesses come back out of the
+simplex multipliers and every outcome is re-verified by an independent
+checker before it is returned:
 
   * feasible / optimal outcomes carry a witness checked by substitution,
   * L1 optima additionally carry dual multipliers proving the lower bound,
@@ -278,24 +280,17 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _layout(ncols: int, cmax: int) -> tuple:
-    """(width, count): how ``_Tableau`` cuts its rows into int64 limbs.
+def _limb_width(ncols: int, cmax: int) -> int:
+    """The width of the int64 limbs that pricing cuts its vector into.
 
-    A price is the dot product of a vector cut into ``width``-bit limbs
-    (each below 2^width in magnitude) with a row of ``ncols`` integers
-    bounded by ``cmax``, the row kept whole (count 1) or cut into
-    ``count`` limbs of the same width.  Either way each limb of the
-    product sums below 2^61, so it and the carries it takes stay in int64.
-    A whole row bounds that sum by ncols * cmax * 2^width, a cut one by
-    count * ncols * 2^(2 * width); the wider layout is used.
+    A price is the dot product of the vector, cut into ``width``-bit limbs
+    (each below 2^width in magnitude), with a row of ``ncols`` integers
+    bounded by ``cmax``.  Each limb of the product then sums below
+    ncols * cmax * 2^width <= 2^61, so it and the carries it takes stay in
+    int64.  Below 1, no width does: rows that wide are priced over Python
+    integers.
     """
-    whole = 61 - (ncols * cmax).bit_length()
-    width = 30
-    while 2 * width + (ncols * (cmax.bit_length() // width + 1)).bit_length() > 61:
-        width -= 1
-    if whole >= width:
-        return whole, 1
-    return width, cmax.bit_length() // width + 1
+    return 61 - (ncols * cmax).bit_length()
 
 
 def _limbs(x: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -336,15 +331,12 @@ def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
     return exact
 
 
-def _cut(exact: np.ndarray, cmax: int, l1: int) -> tuple:
-    """(cmax, l1, width, limbs) of a ``_ge_matrix`` laid out by ``_layout``:
-    its largest |entry|, its largest row L1 norm, and its limbs; ``cmax``
-    and ``l1`` enter as floors."""
+def _norms(exact: np.ndarray, cmax: int, l1: int) -> tuple:
+    """(cmax, l1) of a ``_ge_matrix``: its largest |entry| and its largest
+    row L1 norm, each at least the floor it enters with."""
     cmax = max(cmax, _abs_max(exact))
     wide = cmax * exact.shape[1] >= _I64  # a row sum may not fit in int64
-    l1 = max(l1, _abs_max(np.abs(exact).astype(object if wide else np.int64, copy=False).sum(axis=1)))
-    width, count = _layout(exact.shape[1], cmax)
-    return cmax, l1, width, _limbs(exact, width, count)
+    return cmax, max(l1, _abs_max(np.abs(exact).astype(object if wide else np.int64, copy=False).sum(axis=1)))
 
 
 _I64 = 1 << 63  # int64 holds every integer of magnitude below this
@@ -358,27 +350,21 @@ def _abs_max(x: np.ndarray) -> int:
 def _step64(T: np.ndarray, r: int, g: np.ndarray, div: int, tmax: int) -> np.ndarray | None:
     """The fraction-free step (T * piv - g (x) T[r]) / div, piv = g[r], of an
     int64 block ``T`` with max|T| = ``tmax`` and an int64 column ``g`` below
-    2^63 in magnitude, in int64; None when no bound proves it exact there.
+    2^63 in magnitude, in int64; None when its quotient may reach 2^63.
 
-    ``div`` (below 2^63) divides every entry of the numerator, so the
+    ``div`` is odd and divides every entry of the numerator, so the
     quotient q is an integer.  The numerator is bounded entrywise by
-    top = max|T| * piv + max|g| * max|T[r]|, and q by top / div.
-
-      * top < 2^63: the numerator cannot wrap, and ``//`` is exact.
-      * div odd and top // div < 2^63: the numerator wraps, but it is
-        still exact mod 2^64, and an odd div is invertible mod 2^64, so
-        the wrapped product num * inv(div) is q mod 2^64 (Hensel
-        division); |q| < 2^63 makes that residue q itself.
-      * otherwise (an even div, or a quotient that may reach 2^63): None.
+    top = max|T| * piv + max|g| * max|T[r]|, and q by top / div.  The
+    numerator may wrap in int64, but it is still exact mod 2^64, and the
+    odd div is invertible mod 2^64, so the product num * inv(div) is
+    q mod 2^64 (Hensel division); top // div < 2^63 makes that residue q
+    itself.
     """
     piv = int(g[r])
-    top = tmax * piv + _abs_max(g) * _abs_max(T[r])
-    if top >= _I64 and (div % 2 == 0 or top // div >= _I64):
+    if (tmax * piv + _abs_max(g) * _abs_max(T[r])) // div >= _I64:
         return None
-    num = T * piv - np.multiply.outer(g, T[r])  # numpy arrays wrap mod 2^64
-    if top < _I64:
-        return num // div
     inv = pow(div, -1, 1 << 64)
+    num = T * piv - np.multiply.outer(g, T[r])  # numpy arrays wrap mod 2^64
     return num * (inv - (inv >> 63 << 64))  # the inverse as a signed int64
 
 
@@ -424,26 +410,27 @@ class _Tableau:
     sum to 2, so one is positive), so at most N slacks are nonbasic and
     ``T`` is at most (2N+1) x (N+1).
 
-    The primal rows are one integer matrix ``A`` with a row [a | -b] per
-    dual variable, in int64 limbs of ``width`` bits (limb axis first; one
-    limb unless an entry is too wide, see ``_layout``); ``l1`` is the
-    largest L1 norm of a row, or 1.  Column j is
-    den * B^-1 [a_j; -a_j], and its reduced cost is [z | den] . [a_j | -b_j]
-    with z = w[:N] - w[N:] for the slack costs w.  A pivot updates at
-    most (2N+1) x (N+1) integers in whole-array steps instead of
-    2N x (rows + 2N) one at a time.
+    The primal rows are one integer matrix ``A``, the ``_ge_matrix`` with
+    a row [a | -b] per dual variable: int64, or Python integers once an
+    entry passes 2^62.  ``cmax`` is its largest |entry|, ``l1`` the
+    largest L1 norm of a row (each at least 1), and ``width`` the
+    ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
+    its reduced cost is [z | den] . [a_j | -b_j] with z = w[:N] - w[N:]
+    for the slack costs w.  A pivot updates at most (2N+1) x (N+1)
+    integers in whole-array steps instead of 2N x (rows + 2N) one at a
+    time.
 
-    ``T`` and ``den`` are any integers that hold these rationals over
-    one den, not necessarily the full fraction-free tableau's.  They are
-    that tableau's (subdeterminants of the original data, the Bareiss
-    state) until a step needs more than a direct int64 division by den;
-    from then on (``stripped``) den is no longer a subdeterminant: each
-    step divides by den's odd part and takes out the power of two common
-    to the whole state (see ``pivot``).  On +-1 rows, whose
-    subdeterminants carry large powers of two, that keeps den and the
-    block far smaller.  Every choice of the simplex compares rationals
-    that all scale by the same positive factor, so the pivot path is
-    that of the fraction-free tableau either way.
+    ``T`` and ``den`` are any integers that hold these rationals over one
+    den, not necessarily the full fraction-free tableau's (the Bareiss
+    state, whose integers are subdeterminants of the data).  Each pivot
+    divides by den's odd part and takes out the power of two common to
+    the whole state (see ``pivot``), so the state is the Bareiss one
+    times 2^-j for some j >= 0: no power of two divides every stored
+    integer, and each is at most its Bareiss counterpart.  On +-1 rows,
+    whose subdeterminants carry large powers of two, that keeps den and
+    the block far smaller.  Every choice of the simplex compares
+    rationals that all scale by the same positive factor, so the pivot
+    path is that of the fraction-free tableau.
 
     One iteration (``_entering``, ``column``, ``_leaving``, ``pivot``)
     hands numpy arrays from step to step, int64 where a bound on
@@ -452,10 +439,13 @@ class _Tableau:
     otherwise:
 
       * pricing forms [z | den | w] in int64 when tmax < 2^62, every entry
-        then below max(2 * tmax, den).  One int64 product with a one-limb
-        ``A`` prices every row when that bound times ``l1`` is below 2^63;
-        otherwise the vector is cut into limbs, one int64 product per
-        limb, and carries make the sums exact however large they grow;
+        then below max(2 * tmax, den).  One int64 product with ``A``
+        prices every row when that bound times ``l1`` is below 2^63;
+        otherwise the vector is cut into ``width``-bit limbs, one int64
+        product per limb, and carries make the sums exact however large
+        they grow; rows too wide for any limb (``width`` below 1, as for
+        an ``A`` of Python integers) are priced in one product over
+        Python integers;
       * a column is int64 when max(tmax, den) * 2 * l1 < 2^63, as each
         entry sums the block or den times distinct entries of [a; -a];
       * the ratio test picks the rows with a positive entry in numpy and
@@ -468,7 +458,8 @@ class _Tableau:
         m = 2 * nvars
         self.nvars = nvars
         self.n0 = len(exact)
-        self.cmax, self.l1, self.width, self.A = _cut(exact, 1, 1)
+        self.A = exact
+        self.cmax, self.l1 = _norms(exact, 1, 1)
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
@@ -478,8 +469,6 @@ class _Tableau:
         self.basic_slack = np.arange(m)
         self.pivots = 0
         self.wide_pivots = 0  # pivots done over Python integers
-        # whether a step has divided by den's odd part and stripped the state
-        self.stripped = False
         self.rule = "hybrid"
         self._stall = 0
         self._max = (None, 0)  # (T, max|T|) once taken
@@ -488,6 +477,10 @@ class _Tableau:
     @property
     def m(self) -> int:
         return 2 * self.nvars
+
+    @property
+    def width(self) -> int:
+        return _limb_width(self.A.shape[1], self.cmax)
 
     @property
     def corner(self) -> int:
@@ -524,14 +517,8 @@ class _Tableau:
         The rows go into a new array, so clones keep sharing the old one.
         """
         exact = _ge_matrix([(coeffs, rhs)], self.nvars)
-        cmax, l1, width, row = _cut(exact, self.cmax, self.l1)
-        # whole rows fit any width, and ``_layout`` gives cut rows one width per count
-        if len(row) == len(self.A):
-            self.A = np.concatenate((self.A, row), axis=1)
-        else:  # the layout changed: cut every row again
-            exact = np.concatenate((_join(self.A, self.width), _join(row, width)))
-            self.A = _limbs(exact, width, len(row))
-        self.cmax, self.l1, self.width = cmax, l1, width
+        self.A = np.concatenate((self.A, exact))
+        self.cmax, self.l1 = _norms(exact, self.cmax, self.l1)
 
     def insert_row(self, coeffs: dict, rhs: int) -> None:
         """Add the dual column of the integer row coeffs . x >= rhs as the
@@ -546,7 +533,7 @@ class _Tableau:
         entered (see ``solve_extensions``).  Refused after ``add_row``,
         whose columns would have to move too.
         """
-        if self.A.shape[1] > self.n0:
+        if len(self.A) > self.n0:
             raise LpError("insert_row after add_row")
         self.add_row(coeffs, rhs)  # with no row appended, A's last row is the new initial one
         self.basis = [b + 1 if b >= self.n0 else b for b in self.basis]
@@ -555,11 +542,12 @@ class _Tableau:
     # -- pricing -------------------------------------------------------------
 
     def _priced(self) -> np.ndarray:
-        """Every reduced cost in column order as limbs, limb axis first.
+        """Every reduced cost in column order as limbs, limb axis first: one
+        limb, the cost itself (int64 or a Python integer), or ``width``-bit
+        limbs, the lowest first.
 
         After the carries the lower limbs lie in [0, 2^width), so the top
-        limb has the sign of the cost and the limbs compare lexicographically;
-        a single limb is the cost itself.
+        limb has the sign of the cost and the limbs compare lexicographically.
         """
         n, n0, width, A, T, den = self.nvars, self.n0, self.width, self.A, self.T, self.den
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
@@ -567,24 +555,17 @@ class _Tableau:
         w[self.slacks] = T[-1, :-1]
         vals = np.concatenate((w[:n] - w[n:], [den], w))  # [z | den | w]
         top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
-        if len(A) == 1 and top * self.l1 < _I64:  # no product can wrap: one limb
+        if top * self.l1 < _I64:  # no product can wrap: one limb
             limbs = vals.astype(np.int64)[None]
+        elif width < 1:  # rows too wide for any limb: one limb of Python integers
+            limbs = vals.astype(object)[None]
         else:
             limbs = _limbs(vals, width, top.bit_length() // width + 1)
-        k = len(limbs)
-        if len(A) == 1:
-            q, slack = (A[0] @ limbs[:, : n + 1].T).T, limbs[:, n + 1 :]
-        else:  # the limb products of a cut row overlap
-            q = np.zeros((k + len(A) - 1, A.shape[1]), np.int64)
-            for j, part in enumerate(A):
-                q[j : j + k] += (part @ limbs[:, : n + 1].T).T
-            slack = np.zeros((len(q), 2 * n), np.int64)
-            slack[:k] = limbs[:, n + 1 :]
-        p = np.concatenate((q[:, :n0], slack, q[:, n0:]), axis=1)
-        mask = (1 << width) - 1
+        q = A @ limbs[:, : n + 1].T
+        p = np.concatenate((q[:n0].T, limbs[:, n + 1 :], q[n0:].T), axis=1)
         for lo, hi in zip(p, p[1:]):
             hi += lo >> width
-            lo &= mask
+            lo &= (1 << width) - 1
         return p
 
     def column(self, c: int) -> np.ndarray:
@@ -602,8 +583,7 @@ class _Tableau:
             a[c - n0] = 1
             norm = 1
         else:
-            row = c if c < n0 else c - m
-            a = self.A[0, row, :n] if len(self.A) == 1 else _join(self.A[:, row, :n], self.width)
+            a = self.A[c if c < n0 else c - m, :n]
             a = np.concatenate((a, -a, [0]))  # [a; -a], then 0 for rows whose basic variable is no slack
             norm = 2 * self.l1
         wide = T.dtype == object or max(self._block_max(), self.den) * norm >= _I64
@@ -660,34 +640,28 @@ class _Tableau:
         dropped first; the leaving slack's column, den in row r before,
         becomes -g with the old den in row r, and is stored.
 
-        While the state is the Bareiss one (``stripped`` unset: every stored
-        integer a subdeterminant of the data, den dividing every numerator
-        row * piv - g * row r), a step that ``_step64`` proves exact with
-        divisor den is the plain fraction-free step: the new rows are the
-        numerators // den, row r and the slack column stay, and the new den
-        is piv.  Every other step writes den = 2^a * o, o odd, and divides
-        the numerators by o alone, which divides them whenever the state
-        is the Bareiss one times 2^-j (as a stripped state is); the new den
-        is piv * 2^a, so row r and the slack column are shifted left by a.
-        The whole state, den included, is then divided by the largest power
-        of two common to all of it (found from the bitwise or of its
-        entries) and marked ``stripped``: no power of two divides every
-        stored integer, and each is at most its Bareiss counterpart.  Every
-        choice the simplex makes compares rationals, and all of them scale
-        by the same positive factor, so the pivot path does not change.
+        The state is the Bareiss one times 2^-j (see ``_Tableau``).  With
+        den = 2^a * o, o odd, the Bareiss den divides every Bareiss
+        numerator, so o divides every numerator row * piv - g * row r
+        here; the step divides by o alone, and the new den is piv * 2^a,
+        so row r and the slack column are shifted left by a.  The whole
+        state, den included, is then divided by the largest power of two
+        common to all of it (found from the bitwise or of its entries).
+        Every choice the simplex makes compares rationals, and all of them
+        scale by the same positive factor, so the pivot path does not
+        change.
 
         An int64 block is updated in int64 when every entry of g is below
-        2^63 and ``_step64`` proves the step exact there; its Hensel
-        division needs an odd divisor, which o always is.  Otherwise the
-        block turns into Python integers for the step (counted in
-        ``wide_pivots``), and back into int64 after it when the new den and
-        every new entry are below 2^62 (den is tested first: some basic
-        slack holds at least 1, so its rhs den * value already rules out a
-        wider den, and a block that stays wide pays no scan).  A shift left
-        that would pass 2^63 also leaves the block in Python integers.
-        While the block is int64, den is below 2^63: it was 1, a pivot of
-        an int64 step shifted within that bound, or below 2^62 at the
-        conversion.
+        2^63 and ``_step64`` proves that the quotient by o fits there.
+        Otherwise the block turns into Python integers for the step
+        (counted in ``wide_pivots``), and back into int64 after it when the
+        new den and every new entry are below 2^62 (den is tested first:
+        some basic slack holds at least 1, so its rhs den * value already
+        rules out a wider den, and a block that stays wide pays no scan).
+        A shift left that would pass 2^63 also leaves the block in Python
+        integers.  While the block is int64, den is below 2^63: it was 1,
+        a pivot of an int64 step shifted within that bound, or below 2^62
+        at the conversion.
         """
         den, T, m, n0 = self.den, self.T, self.m, self.n0
         piv = int(col[r])
@@ -701,37 +675,33 @@ class _Tableau:
         g[:-1], g[-1] = col, f
         if T.dtype != object and g.dtype == object and _abs_max(g) < _I64:
             g = g.astype(np.int64)
-        narrow = T.dtype != object and g.dtype != object
-        tmax = (self._block_max() if T is self.T else _abs_max(T)) if narrow else 0
         leaving = 0 <= self.basis[r] - n0 < m
-        new = None if self.stripped or not narrow else _step64(T, r, g, den, tmax)
-        shift = 0  # row r, the leaving slack's column and the new den piv go times 2^shift
+        a = _v2(den)
+        div = den >> a  # odd, and it divides the numerators
+        new = None
+        if T.dtype != object and g.dtype != object:
+            new = _step64(T, r, g, div, self._block_max() if T is self.T else _abs_max(T))
         if new is None:
-            a = _v2(den)
-            div = den >> a  # odd, and it divides the numerators
-            new = _step64(T, r, g, div, tmax) if narrow else None
-            if new is None:
-                self.wide_pivots += 1
-                T, g = T.astype(object, copy=False), g.astype(object, copy=False)
-                new = T * piv
-                rows = np.flatnonzero(g)  # the other rows are only rescaled
-                new[rows] -= np.multiply.outer(g[rows], T[r])
-            else:
-                div = 1  # _step64 has divided
-            # the power of two common to the quotient (0 in row r; div is odd, so
-            # the numerator's is the same) and to row r, the slack column and
-            # piv, these three shifted left by a
-            s = _v2(_twos(new) | (_twos(T[r]) | piv | (_twos(g) | den if leaving else 0)) << a)
-            if div > 1:
-                new //= div << s  # the odd part and 2^s in one pass
-            elif s:
-                new >>= s
-            shift = a - s
-            if new.dtype != object and shift > 0:
-                grown = max(_abs_max(T[r]), piv, *((_abs_max(g), den) if leaving else ()))
-                if grown << shift >= _I64:
-                    new = new.astype(object)
-            self.stripped = True
+            self.wide_pivots += 1
+            T, g = T.astype(object, copy=False), g.astype(object, copy=False)
+            new = T * piv
+            rows = np.flatnonzero(g)  # the other rows are only rescaled
+            new[rows] -= np.multiply.outer(g[rows], T[r])
+        else:
+            div = 1  # _step64 has divided
+        # the power of two common to the quotient (0 in row r; div is odd, so
+        # the numerator's is the same) and to row r, the slack column and
+        # piv, these three shifted left by a
+        s = _v2(_twos(new) | (_twos(T[r]) | piv | (_twos(g) | den if leaving else 0)) << a)
+        if div > 1:
+            new //= div << s  # the odd part and 2^s in one pass
+        elif s:
+            new >>= s
+        shift = a - s  # row r, the leaving slack's column and the new den piv go times 2^shift
+        if new.dtype != object and shift > 0:
+            grown = max(_abs_max(T[r]), piv, *((_abs_max(g), den) if leaving else ()))
+            if grown << shift >= _I64:
+                new = new.astype(object)
         new[r] = _shift(T[r].astype(new.dtype, copy=False), shift)
         if leaving:
             # an int64 step had |g| < 2^63, and den < 2^63 with the block int64

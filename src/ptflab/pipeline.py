@@ -301,19 +301,6 @@ class BoundReport:
             "notes": list(self.notes),
         }
 
-    def csv_row(self) -> list[str]:
-        verdict_str = ";".join(f"{k}={v}" for k, v in sorted(self.verdicts.items()))
-        return [
-            self.shape.describe(),
-            str(self.n),
-            str(self.d),
-            "" if self.theorem_value is None else str(self.theorem_value),
-            "" if self.lp_lower_bound is None else str(self.lp_lower_bound),
-            "" if self.exact_weight is None else str(self.exact_weight),
-            str(self.gate_weight),
-            verdict_str,
-        ]
-
 
 def verify_theorem_instance(
     shape: GroupShape,

@@ -232,9 +232,9 @@ def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
     assert not check_l1_bound(pr, d[:-1], out.value)
 
 
-# pivots done over Python integers: weak(2,3) stays in int64 throughout, and
-# the +-1 strong LPs with the common power of two stripped nearly so
-WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 1, ("strong", (3, 2)): 1, ("strong", (5, 3)): 4}
+# pivots done over Python integers: weak(2,3), strong(3,3) and strong(3,2)
+# stay in int64 throughout, strong(5,3) nearly so
+WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 0, ("strong", (3, 2)): 0, ("strong", (5, 3)): 4}
 
 
 @pytest.mark.parametrize(
@@ -528,6 +528,31 @@ def test_branch_and_bound_path_is_pinned():
     ]
 
 
+def test_strong32_branch_and_bound_stays_in_int64():
+    # the 150-node search on strong(3,2) d = 2, its root solve included:
+    # every pivot divides by the odd part of den, and none runs over
+    # Python integers
+    shape = make_shape("strong", (3, 2))
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    pivots = wide = 0
+    pivot = exact_lp._Tableau.pivot
+
+    def counted(self, *args):
+        nonlocal pivots, wide
+        before = self.wide_pivots
+        pivot(self, *args)
+        pivots += 1
+        wide += self.wide_pivots - before
+
+    exact_lp._Tableau.pivot = counted
+    try:
+        res = ilp_min(prob, node_budget=150)
+    finally:
+        exact_lp._Tableau.pivot = pivot
+    assert (res.status, res.nodes, res.value, res.lower_bound) == ("budget", 151, 22, 6)
+    assert (pivots, wide) == (3405, 0)
+
+
 # ---------------------------------------------------------------------------
 # extensions forked off one walk of their base
 # ---------------------------------------------------------------------------
@@ -716,6 +741,9 @@ def test_limb_pricing_matches_the_per_column_loop(data):
         # every price nonnegative
         ([({0: 2**80}, -1)], [({0: 1}, -5)], [2**200, 3], 7, "hybrid", None),
         ([({0: 2**80}, -1)], [({0: 1}, -5)], [2**200, 3], 7, "bland", None),
+        # an int64 row too wide for any limb (2 columns, 2 * 2^60 has 62 bits):
+        # priced over Python integers, down to the int64 edge -2^63
+        ([({0: 2**60}, 0)], [], [-8, 0], 1, "hybrid", (0, -(2**63))),
     ],
 )
 def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expected):

@@ -32,9 +32,15 @@ checker before it is returned:
   * infeasible outcomes carry nonnegative combination multipliers that
     collapse the constraints into an exact contradiction.
 
-Every problem has one shape: free rational variables and >= / <= rows of
-integers.  Each certificate vector holds one multiplier per row; witnesses,
-multipliers and values are exact rationals.
+Every problem has one shape and one row format: free rational variables
+and one integer matrix of rows [a | b], each meaning a . x >= b (a row
+stated as <= is stored negated and flagged).  The matrix is int64, or
+Python integers once an entry passes 2^62.  The builders fill it in array
+steps, the simplex reads its dual columns [a | -b] from it in one array
+operation, the checkers take one exact product over Python integers with
+it, and the text format writes and reads it.  Each certificate vector
+holds one multiplier per row; witnesses, multipliers and values are exact
+rationals.
 
 Problems that extend one base by one row each (a lemma's negated
 inequalities) are solved by ``solve_extensions`` on one walk of the base's
@@ -53,7 +59,6 @@ exact integer-minimal weights.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -90,72 +95,73 @@ def _int(x) -> int:
     raise LpError(f"row entry {x!r} is not an integer")
 
 
-@dataclass
-class LpProblem:
-    """Constraints over ``num_vars`` free rational variables.
+def _matrix(rows: list, ncols: int, top: int) -> np.ndarray:
+    """Rows of ints as one matrix, given ``top`` >= every |entry|: int64, or
+    Python ints (an object array) once ``top`` passes 2^62."""
+    return np.array(rows, object if top >> 62 else np.int64).reshape(len(rows), ncols)
 
-    Each constraint is a (sparse coefficient dict, relation, rhs) triple,
-    the relation ``>=`` or ``<=``, the coefficients and rhs Python ints.
-    ``add`` converts and checks them; rows placed in ``constraints``
-    directly must already be ints, or the solvers raise ``LpError``.
+
+@dataclass(eq=False)
+class LpProblem:
+    """Constraints over ``num_vars`` free rational variables, as one integer
+    matrix.
+
+    ``constraints`` holds one row [a | b] per constraint, meaning
+    a . x >= b: int64, or Python ints (an object array) once an entry
+    passes 2^62.  ``le`` flags the rows stated as ``<=``; they are stored
+    negated (a . x <= b as -a . x >= -b), so every row reads as >=, and
+    the text format writes them back as stated.  ``add`` appends one sparse
+    row and checks it; builders hand the constructor a matrix and its
+    flags.
     """
 
     num_vars: int
-    constraints: list = field(default_factory=list)
+    constraints: np.ndarray | None = None
+    le: np.ndarray | None = None
     # no variable is sign-restricted; kept readable for callers that digest it
     nonneg = None
-    # the problem this one extends, and what ``_shared`` derived from its rows
-    _base: "LpProblem | None" = field(default=None, init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the problem this one extends, and the text lines of its rows (see
+    # ``_text_lines``)
+    _base: "LpProblem | None" = field(default=None, init=False, repr=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.constraints is None:
+            self.constraints = np.zeros((0, self.num_vars + 1), np.int64)
+        if self.le is None:
+            self.le = np.zeros(len(self.constraints), bool)
+        rows, n = self.constraints, self.num_vars
+        if rows.dtype not in (np.int64, object) or rows.shape[1:] != (n + 1,) or self.le.shape != rows.shape[:1]:
+            raise LpError(f"need an int64 or object matrix of {n + 1} columns and one le flag per row")
 
     def extended(self, coeffs: dict, rel: str, rhs) -> "LpProblem":
         """A new problem: these constraints plus one more, added last.
 
-        The new problem shares this one's rows.  The text lines of them
-        are formatted once here and reused by every problem extended from
-        it; ``solve_extensions`` solves such problems on one walk of this
-        one's pivot path.
+        The text lines of this problem's rows are formatted once and reused
+        by every problem extended from it; ``solve_extensions`` solves such
+        problems on one walk of this one's pivot path.
         """
-        child = LpProblem(self.num_vars, self.constraints[:])
+        child = LpProblem(self.num_vars, self.constraints, self.le)
         child.add(coeffs, rel, rhs)
         child._base = self
         return child
 
     def add(self, coeffs: dict, rel: str, rhs) -> None:
+        """Append the row coeffs . x (rel) rhs, ``coeffs`` a dict of the
+        nonzero coefficients.  An unknown relation, a variable out of range
+        and an entry that is not an integer raise ``LpError``."""
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
-        row = {}
+        n = self.num_vars
+        row = [0] * n + [_int(rhs)]
         for j, c in coeffs.items():
-            if not 0 <= j < self.num_vars:
+            if not 0 <= j < n:
                 raise LpError(f"variable {j} out of range")
-            c = _int(c)
-            if c:
-                row[j] = c
-        self.constraints.append((row, rel, _int(rhs)))
-
-
-def _shared(problem: LpProblem, key: str, build, join):
-    """``build(problem, 0)``, with the part over the rows that ``problem``
-    shares with the problem it extends computed once, on that base.
-
-    ``build(p, start)`` derives something from the constraints of ``p``
-    from ``start`` on, and ``join`` puts two such parts together.  The
-    base keeps its part beside a copy of the rows and variable count it
-    came from.  The part is used only while the base still has exactly
-    those rows and they are the first rows of ``problem``; otherwise
-    ``problem`` is built afresh, or the base's part again.
-    """
-    base = problem._base
-    if base is None:
-        return build(problem, 0)
-    n = len(base.constraints)
-    if base.num_vars != problem.num_vars or problem.constraints[:n] != base.constraints:
-        return build(problem, 0)
-    source, part = base._memo.get(key, (None, None))
-    if source != (base.num_vars, base.constraints):
-        part = _shared(base, key, build, join)
-        base._memo[key] = ((base.num_vars, base.constraints[:]), part)
-    return join(part, build(problem, n))
+            row[j] = _int(c)
+        if rel == LE:
+            row = [-v for v in row]
+        self.constraints = np.concatenate((self.constraints, _matrix([row], n + 1, max(map(abs, row)))))
+        self.le = np.append(self.le, rel == LE)
 
 
 @dataclass
@@ -189,87 +195,77 @@ class IlpResult:
 
 
 def check_witness(problem: LpProblem, x) -> bool:
-    """Exact substitution check of every constraint; a row whose relation
-    is neither >= nor <=, or over a variable out of range, fails.
+    """Exact substitution check of every row; a matrix that is not one
+    column wider than the variables fails.
 
-    Compares integers: the integer rows against x times the lcm of its
-    denominators, which keeps the sign of every comparison.
+    One product over Python integers (an int64 one would wrap silently):
+    each row [a | b] times [x * s | -s], s the lcm of the denominators of
+    x, must be >= 0, which keeps the sign of a . x - b.
     """
-    n = problem.num_vars
-    if len(x) != n:
+    rows, n = problem.constraints, problem.num_vars
+    if len(x) != n or rows.shape[1:] != (n + 1,):
         return False
     x = [_frac(v) for v in x]
     scale = math.lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (scale // v.denominator) for v in x]
-    for coeffs, rel, rhs in problem.constraints:
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            return False
-        lhs = sum(c * xs[j] for j, c in coeffs.items())
-        if not (lhs <= rhs * scale if rel == LE else rel == GE and lhs >= rhs * scale):
-            return False
-    return True
+    xs = np.array([v.numerator * (scale // v.denominator) for v in x] + [-scale], object)
+    return bool((rows.astype(object) @ xs >= 0).all())
 
 
-def _combine_rows(problem: LpProblem, mults, negate: str):
-    """(coefficients, rhs, scale): the rows combined with ``mults``, the
-    rows whose relation is ``negate`` negated, all times ``scale``, the lcm
-    of the multipliers' denominators, so the sums are integers.  None when
-    the vector is not one nonnegative int or Fraction per row, a relation
-    is neither >= nor <=, or a combined row reads a variable out of range.
+def _combine_rows(problem: LpProblem, mults):
+    """(coefficients, rhs, scale): the rows [a | b] combined with ``mults``,
+    all times ``scale``, the lcm of the multipliers' denominators, so the
+    sums are integers.  None when the vector is not one nonnegative int or
+    Fraction per row, or the matrix is not one column wider than the
+    variables.
 
-    Every row is checked, but only the rows with a nonzero multiplier are
-    coerced and combined, over the variables they touch, so the work is
+    Only the rows with a nonzero multiplier are combined, in one product
+    over Python integers (an int64 one would wrap silently), so the work is
     bounded by the rows and not by ``num_vars``.  Only the checkers call it.
     """
-    if len(mults) != len(problem.constraints) or not set(map(type, mults)) <= {int, Fraction}:
+    rows = problem.constraints
+    if len(mults) != len(rows) or rows.shape[1:] != (problem.num_vars + 1,):
         return None
-    used = []  # (multiplier, coeffs, negated, rhs) of the rows combined
-    for v, (coeffs, rel, rhs) in zip(mults, problem.constraints):
-        num = v.numerator  # ints and Fractions both have one; it compares fast
-        if num < 0 or rel not in (LE, GE):
-            return None
-        if num:
-            used.append((_frac(v), coeffs, rel == negate, rhs))
-    scale = math.lcm(*(v.denominator for v, _, _, _ in used))
-    combined: dict[int, int] = {}
-    total = 0
-    for v, coeffs, negated, rhs in used:
-        mult = v.numerator * (scale // v.denominator) * (-1 if negated else 1)
-        for j, c in coeffs.items():
-            combined[j] = combined.get(j, 0) + mult * c
-        total += mult * rhs
-    if not all(0 <= j < problem.num_vars for j in combined):
+    if not set(map(type, mults)) <= {int, Fraction}:
         return None
-    return combined, total, scale
+    nums = [v.numerator for v in mults]  # ints and Fractions both have one; it compares fast
+    if min(nums, default=0) < 0:
+        return None
+    used = [i for i, v in enumerate(nums) if v]
+    if not used:  # every combined coefficient is 0: no vector of num_vars zeros
+        return np.zeros(0, object), 0, 1
+    scale = math.lcm(*(mults[i].denominator for i in used))
+    ints = np.array([nums[i] * (scale // mults[i].denominator) for i in used], object)
+    combined = ints @ rows[used].astype(object)
+    return combined[:-1], combined[-1], scale
 
 
 def check_farkas(problem: LpProblem, lam) -> bool:
     """Verify an infeasibility certificate by exact row combination.
 
-    One multiplier per row, each >= 0, and every relation >= or <=.  The
-    combination, read with <= rows as stated and >= rows negated, must
-    have zero coefficients and a negative right-hand side.
+    One multiplier per row, each >= 0.  The combination of the rows, each
+    read as a . x >= b, must have zero coefficients and a positive
+    right-hand side: 0 >= a positive number.
     """
-    combination = _combine_rows(problem, lam, GE)
+    combination = _combine_rows(problem, lam)
     if combination is None:
         return False
     combined, total, _ = combination
-    return not any(combined.values()) and total < 0
+    return not any(combined) and total > 0
 
 
 def check_l1_bound(problem: LpProblem, dual, value) -> bool:
     """Verify that ``value`` lower-bounds sum(|x|) over the feasible set.
 
     ``dual`` holds one multiplier per row, each nonnegative, and combines
-    the rows read as >= (a <= row negated; any other relation fails).
-    The combined coefficient of every variable must lie in [-1, 1], and
-    the combined right-hand side must equal ``value``.
+    the rows read as a . x >= b.  The combined coefficient of every
+    variable must lie in [-1, 1], and the combined right-hand side must
+    equal ``value``.
     """
-    combination = _combine_rows(problem, dual, LE)
+    combination = _combine_rows(problem, dual)
     if combination is None:
         return False
     combined, total, unit = combination  # unit: the integer image of 1
-    if any(abs(c) > unit for c in combined.values()):
+    if any(abs(c) > unit for c in combined):
         return False
     value = _frac(value)
     return total * value.denominator == value.numerator * unit
@@ -316,23 +312,13 @@ def _join(limbs: np.ndarray, width: int):
     return out
 
 
-def _ge_matrix(rows: list, nvars: int) -> np.ndarray:
-    """The dual columns [a | -b] of the integer rows a . x >= b, one matrix
-    row each: int64, or Python ints once an entry needs more than 62 bits.
-    An entry that is not an int raises ``LpError``; numpy would truncate it."""
-    ri = np.repeat(np.arange(len(rows)), [len(a) + 1 for a, _ in rows])
-    ci = [j for a, _ in rows for j in (*a, nvars)]
-    vals = [v for a, b in rows for v in (*a.values(), -b)]
-    if not set(map(type, vals)) <= {int}:
-        raise LpError("a row entry is not an int")
-    wide = max(map(abs, vals), default=0).bit_length() > 62
-    exact = np.zeros((len(rows), nvars + 1), object if wide else np.int64)
-    exact[ri, ci] = np.array(vals, dtype=exact.dtype)
-    return exact
+def _dual_rows(rows: np.ndarray) -> np.ndarray:
+    """The dual columns [a | -b] of the >=-rows [a | b], in their dtype."""
+    return np.hstack((rows[:, :-1], -rows[:, -1:]))
 
 
 def _norms(exact: np.ndarray, cmax: int, l1: int) -> tuple:
-    """(cmax, l1) of a ``_ge_matrix``: its largest |entry| and its largest
+    """(cmax, l1) of dual rows: their largest |entry| and their largest
     row L1 norm, each at least the floor it enters with."""
     cmax = max(cmax, _abs_max(exact))
     wide = cmax * exact.shape[1] >= _I64  # a row sum may not fit in int64
@@ -410,11 +396,11 @@ class _Tableau:
     sum to 2, so one is positive), so at most N slacks are nonbasic and
     ``T`` is at most (2N+1) x (N+1).
 
-    The primal rows are one integer matrix ``A``, the ``_ge_matrix`` with
-    a row [a | -b] per dual variable: int64, or Python integers once an
-    entry passes 2^62.  ``cmax`` is its largest |entry|, ``l1`` the
-    largest L1 norm of a row (each at least 1), and ``width`` the
-    ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
+    The primal rows are one integer matrix ``A``, the ``_dual_rows`` of
+    the problem's matrix: a row [a | -b] per dual variable, int64, or
+    Python integers once an entry passes 2^62.  ``cmax`` is its largest
+    |entry|, ``l1`` the largest L1 norm of a row (each at least 1), and
+    ``width`` the ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
     its reduced cost is [z | den] . [a_j | -b_j] with z = w[:N] - w[N:]
     for the slack costs w.  A pivot updates at most (2N+1) x (N+1)
     integers in whole-array steps instead of 2N x (rows + 2N) one at a
@@ -453,13 +439,13 @@ class _Tableau:
       * a pivot is an int64 step when ``_step64`` proves it exact.
     """
 
-    def __init__(self, nvars: int, exact: np.ndarray):
-        """``exact``: the ``_ge_matrix`` of the initial rows."""
+    def __init__(self, nvars: int, A: np.ndarray):
+        """``A``: the dual rows [a | -b] of the initial rows."""
         m = 2 * nvars
         self.nvars = nvars
-        self.n0 = len(exact)
-        self.A = exact
-        self.cmax, self.l1 = _norms(exact, 1, 1)
+        self.n0 = len(A)
+        self.A = A
+        self.cmax, self.l1 = _norms(A, 1, 1)
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
@@ -510,20 +496,19 @@ class _Tableau:
         t.ray_col = None
         return t
 
-    def add_row(self, coeffs: dict, rhs: int) -> None:
-        """Append the dual column of the integer row coeffs . x >= rhs, after
-        the slacks (as branch and bound adds its rows).
+    def add_row(self, rows: np.ndarray) -> None:
+        """Append the dual columns of ``rows`` (dual rows [a | -b], of
+        a . x >= b) after the slacks, as branch and bound adds its rows.
 
         The rows go into a new array, so clones keep sharing the old one.
         """
-        exact = _ge_matrix([(coeffs, rhs)], self.nvars)
-        self.A = np.concatenate((self.A, exact))
-        self.cmax, self.l1 = _norms(exact, self.cmax, self.l1)
+        self.A = np.concatenate((self.A, rows))
+        self.cmax, self.l1 = _norms(rows, self.cmax, self.l1)
 
-    def insert_row(self, coeffs: dict, rhs: int) -> None:
-        """Add the dual column of the integer row coeffs . x >= rhs as the
-        last initial row, numbered n0: the tableau of the problem with that
-        row added last numbers its columns this way.
+    def insert_row(self, row: np.ndarray) -> None:
+        """Add the dual column of ``row`` (one dual row [a | -b], as a 1 x
+        (N+1) matrix) as the last initial row, numbered n0: the tableau of
+        the problem with that row added last numbers its columns this way.
 
         The slacks move up one, so only the ``basis`` entries naming a
         slack change.  ``T``, ``den``, ``slacks`` and ``basic_slack`` are
@@ -535,7 +520,7 @@ class _Tableau:
         """
         if len(self.A) > self.n0:
             raise LpError("insert_row after add_row")
-        self.add_row(coeffs, rhs)  # with no row appended, A's last row is the new initial one
+        self.add_row(row)  # with no row appended, A's last row is the new initial one
         self.basis = [b + 1 if b >= self.n0 else b for b in self.basis]
         self.n0 += 1
 
@@ -750,39 +735,8 @@ class _Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Row normalization helpers
-# ---------------------------------------------------------------------------
-
-
-def _int_ge_rows(problem: LpProblem) -> np.ndarray:
-    """The ``_ge_matrix`` of the constraints as integer rows coeffs . x >= rhs.
-
-    A >= row is kept and a <= row negated, so row i is constraint i.
-    Unknown relations, out-of-range variables and entries that are not
-    ints raise ``LpError``.
-    """
-    rows = problem.constraints
-    for idx, (coeffs, rel, _) in enumerate(rows):
-        if rel not in _RELS:
-            raise LpError(f"unknown relation {rel!r}")
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= problem.num_vars):
-            raise LpError(f"variable out of range in constraint {idx}")
-    exact = _ge_matrix([(coeffs, rhs) for coeffs, _, rhs in rows], problem.num_vars)
-    exact[[rel == LE for _, rel, _ in rows]] *= -1
-    return exact
-
-
-# ---------------------------------------------------------------------------
 # L1 minimization through the dual
 # ---------------------------------------------------------------------------
-
-
-def _ge_row(constraint: tuple) -> tuple[dict, int]:
-    """(coeffs, rhs) of an integer constraint read as coeffs . x >= rhs: a
-    <= row negated."""
-    coeffs, rel, rhs = constraint
-    sign = 1 if rel == GE else -1
-    return {j: sign * c for j, c in coeffs.items()}, sign * rhs
 
 
 class _DualL1:
@@ -799,7 +753,7 @@ class _DualL1:
     def __init__(self, problem: LpProblem):
         self.problem = problem
         self.nvars = problem.num_vars
-        self.t = _Tableau(self.nvars, _int_ge_rows(problem))
+        self.t = _Tableau(self.nvars, _dual_rows(problem.constraints))
 
     def clone(self) -> "_DualL1":
         other = _DualL1.__new__(_DualL1)
@@ -814,13 +768,15 @@ class _DualL1:
         (``_Tableau.insert_row``)."""
         child = self.clone()
         child.problem = problem
-        child.t.insert_row(*_ge_row(problem.constraints[-1]))
+        child.t.insert_row(_dual_rows(problem.constraints[-1:]))
         return child
 
-    def add_ge_row(self, coeffs: dict, rhs) -> None:
-        """Append a primal >=-row as a fresh dual column, keeping the basis;
-        its entries are converted to ints as ``LpProblem.add`` does."""
-        self.t.add_row({j: _int(c) for j, c in coeffs.items()}, _int(rhs))
+    def add_ge_row(self, row) -> None:
+        """Append the primal row [a | b] (N + 1 entries, a . x >= b) as a
+        fresh dual column, keeping the basis; its entries are converted to
+        ints as ``LpProblem.add`` does."""
+        row = list(map(_int, row))
+        self.t.add_row(_dual_rows(_matrix([row], self.nvars + 1, max(map(abs, row)))))
 
     def _by_row(self, values: dict) -> dict:
         """Nonzero column values keyed by row position.  Initial dual
@@ -948,9 +904,10 @@ def solve_extensions(
     leaving row keep their order, so the path is the base's up to the
     first state where the new column would enter.  The walk solves the
     base.  At each state it prices every pending row's column exactly, as
-    p = z . a - den * b (z read from the cost row, a . x >= b the row read
-    as >=).  The row forks there (a clone of the base tableau, the row put
-    in by ``_DualL1.fork``, then certified on its own) when p < 0 and:
+    p = z . a - den * b (z read from the cost row, [a | b] the row), all
+    in one product over Python integers.  The row forks there (a clone of
+    the base tableau, the row put in by ``_DualL1.fork``, then certified
+    on its own) when p < 0 and:
 
       * the base is optimal at this state;
       * under Dantzig's rule, p < f, the base's entering cost, or p = f
@@ -970,25 +927,25 @@ def solve_extensions(
     problems = [base.extended(*row) for row in rows]
     walk = _DualL1(base)
     t, n = walk.t, base.num_vars
-    pending = {i: _ge_row(p.constraints[-1]) for i, p in enumerate(problems)}
+    last = np.array([p.constraints[-1] for p in problems], object).reshape(len(problems), n + 1)
+    pending = list(range(len(problems)))
     outcomes = {}
 
     def fork(i: int) -> None:
         outcomes[i] = _feasibility(walk.fork(problems[i]).certify(max_pivots))
-        del pending[i]
+        pending.remove(i)
 
     while pending and (entering := t._entering()) is not None:
         c, f = entering
         slack = c >= t.n0  # the base has no appended row: every column from n0 is a slack
         w = t.costs()
-        z = [w[j] - w[n + j] for j in range(n)]
-        for i, (a, b) in list(pending.items()):
-            p = sum(z[j] * v for j, v in a.items()) - t.den * b
+        prices = last[pending] @ np.array([w[j] - w[n + j] for j in range(n)] + [-t.den], object)
+        for i, p in zip(pending[:], prices.tolist()):
             if p < 0 and (slack if t.rule == "bland" else p < f or p == f and slack):
                 fork(i)
         if pending and not t.step(c, f, max_pivots):
             break
-    for i in list(pending):
+    for i in pending[:]:
         fork(i)
     return [(problem, outcomes[i]) for i, problem in enumerate(problems)]
 
@@ -1025,10 +982,11 @@ def ilp_min(
         return IlpResult(status="infeasible", nodes=1)
     relaxation = root.value
 
-    # margin-style systems (>= with nonnegative rhs, <= with nonpositive)
-    # stay feasible under scaling by any factor >= 1, so fractional
-    # witnesses round up to integer incumbents
-    scalable = all((rhs >= 0) if rel == GE else (rhs <= 0) for _, rel, rhs in problem.constraints)
+    # margin-style systems (every row a . x >= b with b >= 0) stay feasible
+    # under scaling by any factor >= 1, so fractional witnesses round up to
+    # integer incumbents
+    scalable = bool((problem.constraints[:, -1] >= 0).all())
+    n = problem.num_vars
 
     best_w: int | None = None
     best_c: list | None = None
@@ -1088,7 +1046,9 @@ def ilp_min(
         ready = []
         for sign, rhs in children:
             child = solver.clone()
-            child.add_ge_row({pick: sign}, rhs)
+            row = [0] * n + [rhs]  # sign * x_pick >= rhs
+            row[pick] = sign
+            child.add_ge_row(row)
             if child.t.optimize(max_pivots) == "unbounded":
                 continue  # child region infeasible
             ready.append(child)
@@ -1122,47 +1082,95 @@ def ilp_min(
 
 def problem_to_text(problem: LpProblem) -> str:
     """The ``vars N`` header, then one line per row: its N coefficients,
-    the relation and the right-hand side."""
-    lines = [f"vars {problem.num_vars}"]
-    # the lines of rows shared with a base problem are formatted once, on it
-    lines += _shared(problem, "text", _constraint_lines, list.__add__)
-    return "\n".join(lines) + "\n"
+    the relation and the right-hand side, a ``<=`` row as stated."""
+    return "\n".join([f"vars {problem.num_vars}", *_text_lines(problem)]) + "\n"
 
 
-def _constraint_lines(problem: LpProblem, start: int) -> list:
-    """The text line of each constraint from index ``start`` on."""
-    lines = []
-    for coeffs, rel, rhs in problem.constraints[start:]:
-        dense = ["0"] * problem.num_vars
-        for j, c in coeffs.items():
-            dense[j] = str(c)
-        lines.append(" ".join(dense) + f" {rel} {rhs}")
-    return lines
+def _text_lines(problem: LpProblem) -> list:
+    """The text line of each row.
+
+    The lines of the rows that ``problem`` shares with the problem it
+    extends are formatted once, on that base, which keeps them in
+    ``_memo`` beside a copy of the variable count, rows and flags they
+    came from.  They are used only while the base still has exactly those
+    and they are the first rows of ``problem``; otherwise ``problem`` is
+    formatted afresh, or the base's lines again.
+    """
+    base, start, lines = problem._base, 0, []
+    if base is not None and _starts_with(problem, base):
+        source = base._memo[0] if base._memo else None
+        if source is None or len(source.constraints) != len(base.constraints) or not _starts_with(source, base):
+            source = LpProblem(base.num_vars, base.constraints.copy(), base.le.copy())
+            base._memo = source, _text_lines(base)
+        start, lines = len(base.constraints), base._memo[1]
+    return lines + _format_rows(problem.constraints[start:], problem.le[start:])
+
+
+def _starts_with(problem: LpProblem, base: LpProblem) -> bool:
+    """Whether ``problem`` has ``base``'s variable count, and its first rows
+    and flags are ``base``'s."""
+    count = len(base.constraints)
+    return (
+        problem.num_vars == base.num_vars
+        and len(problem.constraints) >= count
+        and np.array_equal(problem.constraints[:count], base.constraints)
+        and np.array_equal(problem.le[:count], base.le)
+    )
+
+
+def _format_rows(rows: np.ndarray, le: np.ndarray) -> list:
+    """The text line of each row [a | b], a ``<=`` row negated back: the
+    coefficients, the relation and the right-hand side.  Dense rows repeat
+    a few values, so each distinct value is formatted once, into a table
+    of tokens that every entry indexes: every integer from the least to
+    the largest entry when that span is no larger than the matrix (no
+    sort), the sorted distinct entries otherwise."""
+    if not len(rows):
+        return []
+    stated = np.where(le[:, None], -rows, rows)
+    if stated.dtype != object and (span := int(np.ptp(stated))) <= stated.size:
+        lo = int(stated.min())
+        values, index = range(lo, lo + span + 1), stated - lo
+    else:
+        values, index = np.unique(stated, return_inverse=True)
+        values = values.tolist()
+    tokens = np.array([*map(str, values), GE, LE, ""], object)
+    cells = np.insert(index.reshape(stated.shape), -1, len(values) + le, axis=1)
+    if cells.shape[1] == 2:  # no coefficients: the line still starts with a space
+        cells = np.insert(cells, 0, len(values) + 2, axis=1)
+    return list(map(" ".join, tokens[cells].tolist()))
+
+
+class _Ints(dict):
+    """token -> int, each distinct token parsed once: dense rows repeat a
+    few values."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = value = int(token)
+        return value
 
 
 def problem_from_text(text: str) -> LpProblem:
-    """Parse ``problem_to_text`` output; any malformed line raises LpError,
-    a relation other than >= or <= and a token that is not an integer
-    (1/2, 1.0) included."""
+    """Parse ``problem_to_text`` output straight into the matrix; any
+    malformed line raises LpError, a relation other than >= or <= and a
+    token that is not an integer (1/2, 1.0) included."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "vars" or not header[1].isdecimal():
         raise LpError("expected 'vars N' header")
     n = int(header[1])
-    problem = LpProblem(n)
-    # dense rows repeat a few values: each distinct token is parsed once,
-    # and a coefficient that is zero, however spelled, becomes None
-    parse = functools.cache(int)
-    coeff = functools.cache(lambda p: parse(p) or None)
+    ints = _Ints()
+    rows, le = [], []
     for ln in lines[1:]:
         parts = ln.split()
         try:
             if len(parts) != n + 2 or parts[-2] not in _RELS:
                 raise ValueError
-            coeffs = list(map(coeff, parts[:-2]))
-            rhs = parse(parts[-1])
+            le.append(parts.pop(-2) == LE)
+            rows.append(list(map(ints.__getitem__, parts)))
         except ValueError:
             raise LpError(f"bad constraint line: {ln}") from None
-        row = {j: c for j, c in enumerate(coeffs) if c is not None}
-        problem.constraints.append((row, parts[-2], rhs))
-    return problem
+    le = np.array(le, bool)
+    rows = _matrix(rows, n + 1, max(map(abs, ints.values()), default=0))
+    rows[le] *= -1
+    return LpProblem(n, rows, le)

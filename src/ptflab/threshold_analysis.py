@@ -161,7 +161,9 @@ def build_representation_problem(
     so no two rows are equal and every input gives a row, in input order.
     At degree 0 a row is only the class, and the first input of each class
     gives it, in input order.  The order fixes the simplex pivot path.
-    Each constraint is the dict of its row's nonzero monomial values.
+    The LP's matrix is filled from it in array steps: a positive input's
+    row [m | 0] reads p >= 0, a negative one's p <= -1, stored negated as
+    [-m | 1].
     """
     if f.n > input_cap:
         raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
@@ -178,22 +180,19 @@ def build_representation_problem(
     bits = _fun_bits(f)
     mat[:, -1] = bits
     keep = inputs if degree else np.sort(np.unique(bits, return_index=True)[1])
-    coeffs = mat[keep, :-1]
-    _, cols = np.nonzero(coeffs)
-    vals = coeffs[coeffs != 0].tolist()
-    cols = cols.tolist()
-    ends = np.cumsum(np.count_nonzero(coeffs, axis=1)).tolist()
-
-    problem = LpProblem(len(monomials))
-    start = 0
-    for idx, end in zip(keep.tolist(), ends):
-        row = dict(zip(cols[start:end], vals[start:end]))
-        start = end
-        if bits[idx]:
-            problem.constraints.append((row, GE, 0))
-        else:
-            problem.constraints.append((row, LE, -1))
+    problem = LpProblem(len(monomials), *_sign_rows(mat[keep, :-1], bits[keep]))
     return RepresentationProblem(f, degree, monomials, problem, shape)
+
+
+def _sign_rows(values: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix and ``le`` flags of the sign constraints L >= 0 where
+    ``positive`` is set and L <= -1 elsewhere, one per row of ``values``
+    (the L of each row): [L | 0], or [-L | 1] for a row stated as <=."""
+    le = positive == 0
+    rows = np.empty((len(values), values.shape[1] + 1), np.int64)
+    rows[:, :-1] = np.where(le[:, None], -values, values)
+    rows[:, -1] = le
+    return rows, le
 
 
 # ---------------------------------------------------------------------------
@@ -341,51 +340,35 @@ def min_weight(
 # ---------------------------------------------------------------------------
 
 
-def _gt_u_rows(k: int) -> list[tuple[dict, str, int]]:
-    """Sign constraints of the comparator over u = x - y in {-1,0,1}^k,
-    for a pure linear gate sum(w_j u_j).  Most significant coordinate last."""
-    rows = []
-    for u in product((-1, 0, 1), repeat=k):
-        cls = 1
-        for j in reversed(range(k)):
-            if u[j]:
-                cls = 1 if u[j] > 0 else 0
-                break
-        row = {j: u[j] for j in range(k) if u[j]}
-        if cls:
-            rows.append((row, GE, 0))
-        else:
-            rows.append((row, LE, -1))
-    return rows
+def _gt_u_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign constraints of the comparator over u = x - y in {-1,0,1}^k, for
+    a pure linear gate sum(w_j u_j), in product order: the matrix and its
+    ``le`` flags.  Most significant coordinate last: the class is the sign
+    of the last nonzero u_j, positive when u = 0."""
+    u = np.array(list(product((-1, 0, 1), repeat=k)), np.int8).reshape(-1, k)
+    last = k - 1 - np.argmax(u[:, ::-1] != 0, axis=1)  # k - 1 when u = 0
+    return _sign_rows(u, u[np.arange(len(u)), last] >= 0)
 
 
-def _g_u_rows(which: str, k: int) -> list[tuple[dict, str, int]]:
+def _g_u_rows(which: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign constraints of the all-equal detector over its linear forms
-    (``polynomial._strong_forms``).  The detector's output at x is bit
+    (``polynomial._strong_forms``), for x in product order: the matrix and
+    its ``le`` flags.  The detector's output at x is bit
     sum((x_j = 1) << j) of its truth table."""
     table = make_g(k, which).table
-    forms = _strong_forms(range(k))
-    rows = []
-    for x in product((-1, 1), repeat=k):
-        u = [a * x[v] + b * x[w] for (v, a), (w, b) in forms]  # two terms each
-        row = {j: u[j] for j in range(k) if u[j]}
-        if table >> sum(1 << j for j, v in enumerate(x) if v == 1) & 1:
-            rows.append((row, GE, 0))
-        else:
-            rows.append((row, LE, -1))
-    return rows
+    x = np.array(list(product((-1, 1), repeat=k)), np.int8).reshape(-1, k)
+    u = np.stack([a * x[:, v] + b * x[:, w] for (v, a), (w, b) in _strong_forms(range(k))], axis=1)
+    index = ((x == 1) << np.arange(k)).sum(axis=1)
+    return _sign_rows(u, np.array([table >> i & 1 for i in index.tolist()]))
 
 
 def _base_problem(base: str, k: int) -> LpProblem:
     """The sign constraints of a base function over its k coefficients."""
-    problem = LpProblem(k)
     if base == "gt":
-        problem.constraints = _gt_u_rows(k)
-    elif base in ("g1", "g0"):
-        problem.constraints = _g_u_rows(base, k)
-    else:
-        raise AnalysisError(f"unknown base function {base!r}")
-    return problem
+        return LpProblem(k, *_gt_u_rows(k))
+    if base in ("g1", "g0"):
+        return LpProblem(k, *_g_u_rows(base, k))
+    raise AnalysisError(f"unknown base function {base!r}")
 
 
 @dataclass

@@ -27,8 +27,9 @@ from ptflab import (
 )
 from ptflab import exact_lp
 from ptflab.exact_lp import GE, LE
-from ptflab.threshold_analysis import build_representation_problem
-from tableau_reference import reference_entering
+from ptflab.threshold_analysis import build_representation_problem, certify_coefficient_lemma
+from checker_reference import dict_rows
+from tableau_reference import dual_rows, reference_entering
 
 
 def FR(x, y=None):
@@ -66,22 +67,24 @@ def test_pivot_budget_reported():
 
 
 def test_bad_rows_rejected():
+    # a row comes in through LpProblem.add or the text format, and both
+    # refuse a variable out of range, a relation other than >= / <= (an
+    # equality is written as a >= / <= pair) and an entry that is no integer
     pr = LpProblem(2)
-    with pytest.raises(LpError):
-        pr.add({5: 1}, ">=", 0)
-    for rel in ("!=", "="):  # an equality is written as a >= / <= pair
+    bad_rows = [({5: 1}, ">=", 0), ({-1: 1}, ">=", 0), ({0: 1}, "!=", 0), ({0: 1}, "=", 0), ({0: FR(1, 2)}, ">=", 0)]
+    for coeffs, rel, rhs in bad_rows:
         with pytest.raises(LpError):
-            pr.add({0: 1}, rel, 0)
-    # rows set directly bypass add(); the solvers reject them as well
-    for row in (({5: 1}, ">=", 0), ({0: 1}, "!=", 0), ({0: 1}, "=", 0)):
-        pr.constraints = [row]
-        for fn in (solve, min_l1):
-            with pytest.raises(LpError):
-                fn(pr)
-    # and no checker accepts a row whose relation is not >= or <=
-    assert not check_witness(pr, [0, 0])
-    assert not check_farkas(pr, [1])
-    assert not check_l1_bound(pr, [1], 0)
+            pr.add(coeffs, rel, rhs)
+    for line in ("1 0 0 >= 0", "1 0 != 0", "1 0 = 0", "1/2 0 >= 0"):
+        with pytest.raises(LpError):
+            problem_from_text(f"vars 2\n{line}\n")
+    assert pr.constraints.shape == (0, 3) and len(pr.le) == 0
+    # a matrix handed to the constructor must be int64 or Python ints, one
+    # column wider than the variables, with one flag per row
+    int64_row = np.zeros((1, 3), np.int64)
+    for rows, le in ((int64_row[:, :2], None), (np.zeros((1, 3)), None), (int64_row, np.zeros(2, bool))):
+        with pytest.raises(LpError):
+            LpProblem(2, rows, le)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +158,14 @@ def test_l1_checker_shares_no_solver_code():
 
 
 def test_check_witness_rejects_a_variable_out_of_range():
-    assert check_witness(LpProblem(2, [({1: 1}, ">=", 1)]), [0, 1])
-    # variable -1 must not read x_1, nor variable 2 raise
-    assert not check_witness(LpProblem(2, [({-1: 1}, ">=", 1)]), [0, 1])
-    assert not check_witness(LpProblem(2, [({2: 1}, ">=", 1)]), [0, 1])
+    pr = LpProblem(2)
+    pr.add({1: 1}, ">=", 1)
+    assert check_witness(pr, [0, 1])
+    # a matrix set directly with a column more (a variable 2) or one fewer
+    # than the variables fails every checker, and raises in none
+    for cols in (2, 4):
+        pr.constraints = np.ones((1, cols), np.int64)
+        assert not check_witness(pr, [0, 1]) and not check_farkas(pr, [1]) and not check_l1_bound(pr, [1], 0)
 
 
 def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
@@ -167,16 +174,12 @@ def test_checkers_reject_on_every_row_but_combine_only_the_used_ones():
     pr.add({0: 1}, "<=", 0)
     pr.add({1: 1}, ">=", 0)
     assert check_farkas(pr, [1, 1, 0]) and check_l1_bound(pr, [1, 0, 0], 1)
-    # a negative multiplier or an unknown relation fails wherever it is
+    # a negative multiplier fails wherever it is
     assert not check_farkas(pr, [1, 1, -1]) and not check_l1_bound(pr, [1, 0, -1], 1)
-    for rel in ("=", "!="):
-        bad = LpProblem(2, pr.constraints[:2] + [({1: 1}, rel, 0)])
-        assert not check_farkas(bad, [1, 1, 0]) and not check_l1_bound(bad, [1, 0, 0], 1)
-    # a variable out of range fails in a combined row and is never read in an unused one
-    for j in (-1, 2):
-        bad = LpProblem(2, pr.constraints[:2] + [({j: 1}, ">=", 0)])
-        assert check_farkas(bad, [1, 1, 0]) and check_l1_bound(bad, [1, 0, 0], 1)
-        assert not check_farkas(bad, [1, 1, 1]) and not check_l1_bound(bad, [1, 0, 1], 1)
+    # a row past 2^62 counts in a combination and is not read in an unused one
+    wide = pr.extended({0: 2**70, 1: -(2**70)}, ">=", 2**70)
+    assert check_farkas(wide, [1, 1, 0, 0]) and check_l1_bound(wide, [1, 0, 0, 0], 1)
+    assert not check_farkas(wide, [1, 1, 0, 1]) and not check_l1_bound(wide, [1, 0, 0, 1], 1)
 
 
 def test_checkers_reject_a_multiplier_that_is_not_an_int_or_a_fraction():
@@ -376,8 +379,46 @@ def test_text_round_trip():
     assert text == f"vars 3\n2 -1 0 >= -7\n0 0 1 >= 0\n0 0 1 <= 0\n{2**70} 0 0 <= {-(2**70)}\n"
     back = problem_from_text(text)
     assert back.num_vars == 3
-    assert back.constraints == pr.constraints
+    assert back.constraints.tolist() == pr.constraints.tolist() == [
+        [2, -1, 0, -7], [0, 0, 1, 0], [0, 0, -1, 0], [-(2**70), 0, 0, 2**70]  # <= rows negated
+    ]
+    assert back.le.tolist() == pr.le.tolist() == [False, False, True, True]
     assert problem_to_text(back) == text
+    # rows over no variable keep the space that joining no coefficients leaves
+    pr = LpProblem(0)
+    pr.add({}, "<=", -2)
+    assert problem_to_text(pr) == problem_to_text(problem_from_text("vars 0\n<= -2\n")) == "vars 0\n <= -2\n"
+
+
+def g0_all_lemma_lp():
+    """A g0_all lemma LP: the detector's sign rows, then its extension row."""
+    return certify_coefficient_lemma("g0_all", 5).checks[-1].problem
+
+
+def wide_lp():
+    pr = LpProblem(2)
+    pr.add({0: 1, 1: -1}, "<=", 3)
+    pr.add({1: 2**70}, ">=", -5)
+    return pr
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda: build_representation_problem(make_hard(make_shape("weak", (2, 3))), 2).problem, id="weak23 d2"
+        ),
+        pytest.param(g0_all_lemma_lp, id="g0_all k5"),
+        pytest.param(wide_lp, id="2^70 entry"),
+    ],
+)
+def test_text_round_trip_keeps_the_matrix_its_dtype_and_flags(build):
+    problem = build()
+    back = problem_from_text(problem_to_text(problem))
+    assert back.num_vars == problem.num_vars
+    assert back.constraints.dtype == problem.constraints.dtype
+    assert np.array_equal(back.constraints, problem.constraints)
+    assert np.array_equal(back.le, problem.le) and back.le.any() and not back.le.all()
 
 
 def test_rational_row_entries_rejected():
@@ -387,32 +428,24 @@ def test_rational_row_entries_rejected():
             pr.add({0: bad}, ">=", 0)
         with pytest.raises(LpError):
             pr.add({0: 1}, ">=", bad)
-    assert pr.constraints == []
-    for line in ("1/2 0 >= 0", "1 0 >= 1/2", "0.5 0 >= 0", "1 0 >= 2/2"):
+    assert pr.constraints.shape == (0, 3)
+    for line in ("1/2 0 >= 0", "1 0 >= 1/2", "0.5 0 >= 0", "1 0 >= 2/2", f"{2**70} 1/2 >= 0"):
         with pytest.raises(LpError):
             problem_from_text(f"vars 2\n{line}\n")
-    # rows placed directly: refused, where numpy would truncate 1/2 to 0
-    for row in (
-        ({0: FR(1, 2)}, ">=", 1),
-        ({0: 1}, "<=", FR(1, 2)),
-        ({0: 0.5}, ">=", 0),
-        ({0: 2**70, 1: FR(1, 2)}, ">=", 0),  # wider than int64
-    ):
-        pr.constraints = [({1: 1}, ">=", 1), row]
-        for fn in (solve, min_l1):
-            with pytest.raises(LpError):
-                fn(pr)
+    # a float matrix handed over directly: refused, where int64 would truncate 1/2 to 0
+    with pytest.raises(LpError):
+        LpProblem(2, np.array([[0.5, 0, 0]]))
 
 
 def cold_copy(problem):
     """The same problem built afresh: its rows, and no base to share."""
-    return LpProblem(problem.num_vars, list(problem.constraints))
+    return LpProblem(problem.num_vars, problem.constraints.copy(), problem.le.copy())
 
 
 def assert_derives_like_a_cold_copy(problem):
-    exact = exact_lp._int_ge_rows(problem)
-    cold_exact = exact_lp._int_ge_rows(cold_copy(problem))
-    assert exact.tolist() == cold_exact.tolist() and exact.dtype == cold_exact.dtype
+    A = exact_lp._DualL1(problem).t.A
+    cold_A = exact_lp._DualL1(cold_copy(problem)).t.A
+    assert A.tolist() == cold_A.tolist() and A.dtype == cold_A.dtype
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
     assert solve(problem) == solve(cold_copy(problem))
 
@@ -429,17 +462,21 @@ def test_extended_problems_derive_what_a_cold_copy_does():
     grandchild = second.extended({0: 2, 2: 3}, "<=", 1)
     great = grandchild.extended({1: 1}, ">=", -4)
     for problem in (first, second, grandchild, great):
-        assert problem.constraints[:4] == base.constraints
+        assert np.array_equal(problem.constraints[:4], base.constraints)
         assert_derives_like_a_cold_copy(problem)
     assert len(base.constraints) == 4  # extending leaves the base as it was
 
-    # the base changes after its rows were derived: no child may see the
-    # old part, nor may a new child see rows the base no longer has
+    def gain_a_variable():
+        base.num_vars = 4
+        base.constraints = np.insert(base.constraints, 3, 0, axis=1)
+
+    # the base changes after its lines were formatted: no child may see the
+    # old lines, nor may a new child see rows the base no longer has
     children = [first, second, grandchild, great]
     changes = [
-        lambda: base.add({1: 1}, ">=", 2),
-        lambda: base.constraints.__setitem__(0, ({0: 1}, ">=", 0)),
-        lambda: setattr(base, "num_vars", 4),
+        lambda: base.add({1: 1}, ">=", 2),  # the base gains a row
+        lambda: base.constraints.__setitem__(0, [1, 0, 0, 0]),  # a base row is replaced, in place
+        gain_a_variable,  # num_vars changes, with a zero column
     ]
     for change, row in zip(changes, [{2: 1}, {1: -1}, {3: 1}]):
         change()
@@ -497,7 +534,7 @@ def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
 
     before = state()
     child = parent.clone()
-    child.add_ge_row({0: 1}, out.witness[0] + 1)
+    child.add_ge_row([1] + [0] * (prob.num_vars - 1) + [out.witness[0] + 1])  # x0 >= witness + 1
     assert child.t.optimize() == "optimal"
     assert child.t.pivots > parent.t.pivots and child.value() > out.value
     assert state() == before
@@ -589,7 +626,7 @@ def extension_lps(draw):
         # the same row, the same row read the other way, its negation
         return st.sampled_from([r, (negated, other, -rhs), (coeffs, other, rhs)])
 
-    from_base = st.sampled_from(base.constraints).flatmap(variants)
+    from_base = st.sampled_from(dict_rows(base)).flatmap(variants)
     return base, draw(st.lists(lp_rows(base.num_vars) | from_base, min_size=1, max_size=6))
 
 
@@ -658,16 +695,17 @@ def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
 
 def test_insert_row_renumbers_the_slacks_and_refuses_after_add_row():
     prob = build_representation_problem(make_gt(2), 1).problem
-    t = exact_lp._Tableau(prob.num_vars, exact_lp._int_ge_rows(prob))
+    n = prob.num_vars
+    t = exact_lp._Tableau(n, exact_lp._dual_rows(prob.constraints))
     t.optimize()
     before = t.basis[:]
     child = t.clone()
-    child.insert_row({0: 1}, 5)
+    child.insert_row(dual_rows(n, [({0: 1}, 5)]))
     assert child.n0 == t.n0 + 1
     assert child.basis == [b + (b >= t.n0) for b in before] and t.basis == before
-    child.add_row({1: 1}, 0)
+    child.add_row(dual_rows(n, [({1: 1}, 0)]))
     with pytest.raises(LpError):
-        child.insert_row({0: 1}, 0)
+        child.insert_row(dual_rows(n, [({0: 1}, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +718,9 @@ def priced_tableau(nvars, rows, appended, w, den, rule):
     on the 2N slacks is ``w``: every slack column is stored, so no basic
     variable is a slack (a state no pivot reaches; pricing reads only the
     cost row and den)."""
-    t = exact_lp._Tableau(nvars, exact_lp._ge_matrix(rows, nvars))
-    for a, b in appended:
-        t.add_row(a, b)
+    t = exact_lp._Tableau(nvars, dual_rows(nvars, rows))
+    for row in appended:
+        t.add_row(dual_rows(nvars, [row]))
     m = 2 * nvars
     t.T = np.zeros((m + 1, m + 1), dtype=object)
     t.T[:m, :m] = np.identity(m, dtype=object) * den

@@ -153,6 +153,7 @@ def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_pa
         pytest.param(
             {"kind": "l1-bound", "problem": "vars 10000000\n", "vector": [], "value": "1"}, id="l1-bound"
         ),
+        pytest.param({"kind": "witness", "problem": "vars 10000000\n", "vector": []}, id="witness"),
     ],
 )
 def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj):
@@ -182,7 +183,7 @@ def test_farkas_batch_payload_joins_per_item_text():
     items.append((second, [2] * len(second.constraints)))
     payload = Certificate("farkas-batch", "g0_all k=5", tuple(items)).payload()
     want = [
-        {"problem": problem_to_text(LpProblem(p.num_vars, list(p.constraints))), "vector": [str(v) for v in vec]}
+        {"problem": problem_to_text(LpProblem(p.num_vars, p.constraints, p.le)), "vector": [str(v) for v in vec]}
         for p, vec in items
     ]
     assert json.dumps(payload["items"]) == json.dumps(want)

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from ptflab import exact_lp, make_g, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
+from checker_reference import dict_rows
 from uv_reference import evaluate, linear_forms, scaled, uv_values
 
 def constant_one(n):
@@ -147,9 +149,10 @@ def test_uv_sign_check_matches_per_input_reference(data):
 
 
 def reference_representation_problem(f, degree):
-    """The per-input construction: one row per input, repeats dropped."""
+    """The per-input construction: one row per input, repeats dropped; the
+    rows as (coeffs, relation, rhs) triples."""
     monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
-    problem = LpProblem(len(monomials))
+    rows = []
     seen = set()
     for idx in range(f.size):
         x = assignment_of_index(idx, f.n, f.convention)
@@ -165,8 +168,8 @@ def reference_representation_problem(f, degree):
         sig = (tuple(sorted(row.items())), rel)
         if sig not in seen:
             seen.add(sig)
-            problem.constraints.append((row, rel, rhs))
-    return monomials, problem
+            rows.append((row, rel, rhs))
+    return monomials, rows
 
 
 @pytest.mark.parametrize("variant, ks", [("weak", (2, 3)), ("strong", (3, 3)), ("strong", (3, 2))])
@@ -177,10 +180,11 @@ def test_representation_problem_matches_per_input_reference(variant, ks, degree)
         monomials, ref = reference_representation_problem(f, degree)
         got = build_representation_problem(f, degree)
         assert got.monomials == monomials
-        assert got.problem.num_vars == ref.num_vars
+        assert got.problem.num_vars == len(monomials)
+        assert got.problem.constraints.dtype == np.int64
         # same rows in the same order, each with its keys in the same order
-        assert [(list(r.items()), rel, rhs) for r, rel, rhs in got.problem.constraints] == [
-            (list(r.items()), rel, rhs) for r, rel, rhs in ref.constraints
+        assert [(list(r.items()), rel, rhs) for r, rel, rhs in dict_rows(got.problem)] == [
+            (list(r.items()), rel, rhs) for r, rel, rhs in ref
         ]
 
 # ---------------------------------------------------------------------------
@@ -305,7 +309,19 @@ def test_g_lemma_rows_match_per_input_linear_forms(which, k):
     for x in product((-1, 1), repeat=k):
         row = {j: v for j, v in enumerate(linear_forms(x)) if v}
         want.append((row, GE, 0) if fun.eval(x) == 1 else (row, LE, -1))
-    assert threshold_analysis._g_u_rows(which, k) == want
+    assert dict_rows(LpProblem(k, *threshold_analysis._g_u_rows(which, k))) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_gt_lemma_rows_match_the_comparator_per_input(k):
+    # u in product order: L(u) >= 0 where the last nonzero u_j is positive
+    # (or u = 0), else L(u) <= -1
+    want = []
+    for u in product((-1, 0, 1), repeat=k):
+        row = {j: v for j, v in enumerate(u) if v}
+        last = [v for v in u if v][-1:] or [1]
+        want.append((row, GE, 0) if last[0] > 0 else (row, LE, -1))
+    assert dict_rows(LpProblem(k, *threshold_analysis._gt_u_rows(k))) == want
 
 
 def cold_lemma_reference(lemma, k):
@@ -315,8 +331,7 @@ def cold_lemma_reference(lemma, k):
     base = threshold_analysis._LEMMA_BASE[lemma]
     out = []
     for _, coeffs, rel, rhs in threshold_analysis._lemma_negations(lemma, k):
-        problem = LpProblem(k)
-        problem.constraints = list(threshold_analysis._base_problem(base, k).constraints)
+        problem = threshold_analysis._base_problem(base, k)
         problem.add(coeffs, rel, rhs)
         got = exact_lp.solve(problem)
         if got.status == "infeasible":
@@ -377,10 +392,13 @@ def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, wal
     negations = threshold_analysis._lemma_negations("gt_exp", k)
     by_problem = {id(problem): out for problem, out in certified}
     assert len(res.checks) == len(by_problem) == len(certified) == len(negations) == k
-    base_rows = solvers[0].constraints
+    base = solvers[0]
     for chk, (_, coeffs, rel, rhs) in zip(res.checks, negations):
         out = by_problem[id(chk.problem)]  # the problem certified for this inequality
-        assert chk.problem.constraints == [*base_rows, (coeffs, rel, rhs)]
+        want = LpProblem(k, base.constraints, base.le)
+        want.add(coeffs, rel, rhs)  # the base's rows, then the negated inequality
+        assert np.array_equal(chk.problem.constraints, want.constraints)
+        assert np.array_equal(chk.problem.le, want.le)
         assert chk.farkas == out.farkas
         assert out.stats == exact_lp.solve(chk.problem).stats  # the cold solve's pivots
     assert len(pivots) == walked

@@ -36,9 +36,9 @@ Every problem has one shape and one row format: free rational variables
 and one integer matrix of rows [a | b], each meaning a . x >= b (a row
 stated as <= is stored negated and flagged).  The matrix is int64, or
 Python integers once an entry passes 2^62.  The builders fill it in array
-steps, the simplex reads its dual columns [a | -b] from it in one array
-operation, the checkers take one exact product over Python integers with
-it, and the text format writes and reads it.  Each certificate vector
+steps, the simplex prices its dual columns from it as it is, with no copy,
+the checkers take one exact product over Python integers with it, and the
+text format writes and reads it.  Each certificate vector
 holds one multiplier per row; witnesses, multipliers and values are exact
 rationals.
 
@@ -101,6 +101,17 @@ def _matrix(rows: list, ncols: int, top: int) -> np.ndarray:
     return np.array(rows, object if top >> 62 else np.int64).reshape(len(rows), ncols)
 
 
+def _is_row_matrix(rows, nvars: int) -> bool:
+    """Whether ``rows`` is a row matrix over ``nvars`` variables: nvars + 1
+    columns of int64 entries below 2^62 in magnitude, or of Python ints in
+    an object array.  The solver's bounds hold for nothing else."""
+    if not isinstance(rows, np.ndarray) or rows.shape[1:] != (nvars + 1,):
+        return False
+    if rows.dtype == object:
+        return all(type(v) is int for v in rows.flat)
+    return rows.dtype == np.int64 and (not rows.size or -(1 << 62) < rows.min() and rows.max() < 1 << 62)
+
+
 @dataclass(eq=False)
 class LpProblem:
     """Constraints over ``num_vars`` free rational variables, as one integer
@@ -131,8 +142,8 @@ class LpProblem:
         if self.le is None:
             self.le = np.zeros(len(self.constraints), bool)
         rows, n = self.constraints, self.num_vars
-        if rows.dtype not in (np.int64, object) or rows.shape[1:] != (n + 1,) or self.le.shape != rows.shape[:1]:
-            raise LpError(f"need an int64 or object matrix of {n + 1} columns and one le flag per row")
+        if not _is_row_matrix(rows, n) or self.le.shape != rows.shape[:1]:
+            raise LpError(f"need a row matrix of {n + 1} columns (see _is_row_matrix) and one le flag per row")
 
     def extended(self, coeffs: dict, rel: str, rhs) -> "LpProblem":
         """A new problem: these constraints plus one more, added last.
@@ -149,7 +160,9 @@ class LpProblem:
     def add(self, coeffs: dict, rel: str, rhs) -> None:
         """Append the row coeffs . x (rel) rhs, ``coeffs`` a dict of the
         nonzero coefficients.  An unknown relation, a variable out of range
-        and an entry that is not an integer raise ``LpError``."""
+        and an entry that is not an integer raise ``LpError``.  Each call
+        copies the whole matrix, so building m rows this way takes time
+        quadratic in m: builders hand the constructor a matrix instead."""
         if rel not in _RELS:
             raise LpError(f"unknown relation {rel!r}")
         n = self.num_vars
@@ -195,15 +208,17 @@ class IlpResult:
 
 
 def check_witness(problem: LpProblem, x) -> bool:
-    """Exact substitution check of every row; a matrix that is not one
-    column wider than the variables fails.
+    """Exact substitution check of every row; a matrix that is not int64 or
+    Python ints, one column wider than the variables, fails.
 
     One product over Python integers (an int64 one would wrap silently):
     each row [a | b] times [x * s | -s], s the lcm of the denominators of
     x, must be >= 0, which keeps the sign of a . x - b.
     """
     rows, n = problem.constraints, problem.num_vars
-    if len(x) != n or rows.shape[1:] != (n + 1,):
+    if len(x) != n or not isinstance(rows, np.ndarray) or rows.shape[1:] != (n + 1,):
+        return False
+    if rows.dtype != np.int64 and not (rows.dtype == object and all(type(v) is int for v in rows.flat)):
         return False
     x = [_frac(v) for v in x]
     scale = math.lcm(*(v.denominator for v in x))
@@ -215,15 +230,17 @@ def _combine_rows(problem: LpProblem, mults):
     """(coefficients, rhs, scale): the rows [a | b] combined with ``mults``,
     all times ``scale``, the lcm of the multipliers' denominators, so the
     sums are integers.  None when the vector is not one nonnegative int or
-    Fraction per row, or the matrix is not one column wider than the
-    variables.
+    Fraction per row, or the matrix is not int64 or Python ints, one column
+    wider than the variables.
 
     Only the rows with a nonzero multiplier are combined, in one product
     over Python integers (an int64 one would wrap silently), so the work is
     bounded by the rows and not by ``num_vars``.  Only the checkers call it.
     """
     rows = problem.constraints
-    if len(mults) != len(rows) or rows.shape[1:] != (problem.num_vars + 1,):
+    if not isinstance(rows, np.ndarray) or rows.shape[1:] != (problem.num_vars + 1,) or len(mults) != len(rows):
+        return None
+    if rows.dtype != np.int64 and not (rows.dtype == object and all(type(v) is int for v in rows.flat)):
         return None
     if not set(map(type, mults)) <= {int, Fraction}:
         return None
@@ -312,13 +329,8 @@ def _join(limbs: np.ndarray, width: int):
     return out
 
 
-def _dual_rows(rows: np.ndarray) -> np.ndarray:
-    """The dual columns [a | -b] of the >=-rows [a | b], in their dtype."""
-    return np.hstack((rows[:, :-1], -rows[:, -1:]))
-
-
 def _norms(exact: np.ndarray, cmax: int, l1: int) -> tuple:
-    """(cmax, l1) of dual rows: their largest |entry| and their largest
+    """(cmax, l1) of rows: their largest |entry| and their largest
     row L1 norm, each at least the floor it enters with."""
     cmax = max(cmax, _abs_max(exact))
     wide = cmax * exact.shape[1] >= _I64  # a row sum may not fit in int64
@@ -396,12 +408,12 @@ class _Tableau:
     sum to 2, so one is positive), so at most N slacks are nonbasic and
     ``T`` is at most (2N+1) x (N+1).
 
-    The primal rows are one integer matrix ``A``, the ``_dual_rows`` of
-    the problem's matrix: a row [a | -b] per dual variable, int64, or
-    Python integers once an entry passes 2^62.  ``cmax`` is its largest
-    |entry|, ``l1`` the largest L1 norm of a row (each at least 1), and
-    ``width`` the ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
-    its reduced cost is [z | den] . [a_j | -b_j] with z = w[:N] - w[N:]
+    The primal rows are one integer matrix ``A``, the problem's own (not a
+    copy): a row [a | b] of a . x >= b per dual variable, int64, or Python
+    integers once an entry passes 2^62.  ``cmax`` is its largest |entry|,
+    ``l1`` the largest L1 norm of a row (each at least 1), and ``width``
+    the ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j],
+    and its reduced cost is [z | -den] . [a_j | b_j] with z = w[:N] - w[N:]
     for the slack costs w.  A pivot updates at most (2N+1) x (N+1)
     integers in whole-array steps instead of 2N x (rows + 2N) one at a
     time.
@@ -424,7 +436,7 @@ class _Tableau:
     is int64) and ``l1`` proves a step exact there, Python integers
     otherwise:
 
-      * pricing forms [z | den | w] in int64 when tmax < 2^62, every entry
+      * pricing forms [z | -den | w] in int64 when tmax < 2^62, every entry
         then below max(2 * tmax, den).  One int64 product with ``A``
         prices every row when that bound times ``l1`` is below 2^63;
         otherwise the vector is cut into ``width``-bit limbs, one int64
@@ -440,7 +452,7 @@ class _Tableau:
     """
 
     def __init__(self, nvars: int, A: np.ndarray):
-        """``A``: the dual rows [a | -b] of the initial rows."""
+        """``A``: the initial rows [a | b], each a . x >= b."""
         m = 2 * nvars
         self.nvars = nvars
         self.n0 = len(A)
@@ -497,7 +509,7 @@ class _Tableau:
         return t
 
     def add_row(self, rows: np.ndarray) -> None:
-        """Append the dual columns of ``rows`` (dual rows [a | -b], of
+        """Append the dual columns of ``rows`` (rows [a | b], each
         a . x >= b) after the slacks, as branch and bound adds its rows.
 
         The rows go into a new array, so clones keep sharing the old one.
@@ -506,8 +518,8 @@ class _Tableau:
         self.cmax, self.l1 = _norms(rows, self.cmax, self.l1)
 
     def insert_row(self, row: np.ndarray) -> None:
-        """Add the dual column of ``row`` (one dual row [a | -b], as a 1 x
-        (N+1) matrix) as the last initial row, numbered n0: the tableau of
+        """Add the dual column of ``row`` (one row [a | b], as a 1 x (N+1)
+        matrix) as the last initial row, numbered n0: the tableau of
         the problem with that row added last numbers its columns this way.
 
         The slacks move up one, so only the ``basis`` entries naming a
@@ -538,7 +550,7 @@ class _Tableau:
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
         w = np.zeros(2 * n, object if wide else np.int64)
         w[self.slacks] = T[-1, :-1]
-        vals = np.concatenate((w[:n] - w[n:], [den], w))  # [z | den | w]
+        vals = np.concatenate((w[:n] - w[n:], [-den], w))  # [z | -den | w]
         top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
         if top * self.l1 < _I64:  # no product can wrap: one limb
             limbs = vals.astype(np.int64)[None]
@@ -751,14 +763,14 @@ class _DualL1:
     """
 
     def __init__(self, problem: LpProblem):
+        if not _is_row_matrix(problem.constraints, problem.num_vars):  # it may be replaced after the build
+            raise LpError("constraints are no row matrix of int64 below 2^62 or Python ints")
         self.problem = problem
         self.nvars = problem.num_vars
-        self.t = _Tableau(self.nvars, _dual_rows(problem.constraints))
+        self.t = _Tableau(self.nvars, problem.constraints)
 
     def clone(self) -> "_DualL1":
-        other = _DualL1.__new__(_DualL1)
-        other.problem = self.problem
-        other.nvars = self.nvars
+        other = copy.copy(self)  # shares the problem, not the tableau
         other.t = self.t.clone()
         return other
 
@@ -768,7 +780,7 @@ class _DualL1:
         (``_Tableau.insert_row``)."""
         child = self.clone()
         child.problem = problem
-        child.t.insert_row(_dual_rows(problem.constraints[-1:]))
+        child.t.insert_row(problem.constraints[-1:])
         return child
 
     def add_ge_row(self, row) -> None:
@@ -776,7 +788,7 @@ class _DualL1:
         fresh dual column, keeping the basis; its entries are converted to
         ints as ``LpProblem.add`` does."""
         row = list(map(_int, row))
-        self.t.add_row(_dual_rows(_matrix([row], self.nvars + 1, max(map(abs, row)))))
+        self.t.add_row(_matrix([row], self.nvars + 1, max(map(abs, row))))
 
     def _by_row(self, values: dict) -> dict:
         """Nonzero column values keyed by row position.  Initial dual
@@ -1122,20 +1134,15 @@ def _format_rows(rows: np.ndarray, le: np.ndarray) -> list:
     """The text line of each row [a | b], a ``<=`` row negated back: the
     coefficients, the relation and the right-hand side.  Dense rows repeat
     a few values, so each distinct value is formatted once, into a table
-    of tokens that every entry indexes: every integer from the least to
-    the largest entry when that span is no larger than the matrix (no
-    sort), the sorted distinct entries otherwise."""
+    of tokens (the sorted distinct entries, which ``np.unique`` finds
+    slower, importing ``numpy.ma``) that every entry indexes."""
     if not len(rows):
         return []
     stated = np.where(le[:, None], -rows, rows)
-    if stated.dtype != object and (span := int(np.ptp(stated))) <= stated.size:
-        lo = int(stated.min())
-        values, index = range(lo, lo + span + 1), stated - lo
-    else:
-        values, index = np.unique(stated, return_inverse=True)
-        values = values.tolist()
-    tokens = np.array([*map(str, values), GE, LE, ""], object)
-    cells = np.insert(index.reshape(stated.shape), -1, len(values) + le, axis=1)
+    values = np.sort(stated, axis=None)
+    values = values[np.insert(values[1:] != values[:-1], 0, True)]
+    tokens = np.array([*map(str, values.tolist()), GE, LE, ""], object)
+    cells = np.insert(np.searchsorted(values, stated), -1, len(values) + le, axis=1)
     if cells.shape[1] == 2:  # no coefficients: the line still starts with a space
         cells = np.insert(cells, 0, len(values) + 2, axis=1)
     return list(map(" ".join, tokens[cells].tolist()))

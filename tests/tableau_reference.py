@@ -12,16 +12,16 @@ original column [a; -a] and cost -b; columns are numbered as in
 from operator import mul
 
 from ptflab import LpProblem
-from ptflab.exact_lp import GE, _dual_rows
+from ptflab.exact_lp import GE
 
 
-def dual_rows(nvars, rows):
-    """The dual rows [a | -b] that ``exact_lp._Tableau`` takes, of the
+def ge_rows(nvars, rows):
+    """The row matrix [a | b] that ``exact_lp._Tableau`` takes, of the
     integer rows (coeffs, b) of a . x >= b, through ``LpProblem.add``."""
     problem = LpProblem(nvars)
     for coeffs, b in rows:
         problem.add(coeffs, GE, b)
-    return _dual_rows(problem.constraints)
+    return problem.constraints
 
 
 def reference_entering(nvars, n0, w, den, rows, rule):

@@ -29,7 +29,7 @@ from ptflab import exact_lp
 from ptflab.exact_lp import GE, LE
 from ptflab.threshold_analysis import build_representation_problem, certify_coefficient_lemma
 from checker_reference import dict_rows
-from tableau_reference import dual_rows, reference_entering
+from tableau_reference import ge_rows, reference_entering
 
 
 def FR(x, y=None):
@@ -85,6 +85,29 @@ def test_bad_rows_rejected():
     for rows, le in ((int64_row[:, :2], None), (np.zeros((1, 3)), None), (int64_row, np.zeros(2, bool))):
         with pytest.raises(LpError):
             LpProblem(2, rows, le)
+
+
+def test_a_matrix_replaced_after_construction_is_checked_where_it_is_read():
+    pr = LpProblem(2)
+    pr.add({0: 1}, ">=", 1)
+    # a float matrix: every solver raises, every checker fails (Python
+    # floats would make their products inexact)
+    pr.constraints = np.array([[1.0, 0.0, 0.5]])
+    for run in (solve, min_l1, exact_lp.ilp_min, lambda p: exact_lp.solve_extensions(p, [({0: 1}, ">=", 0)])):
+        with pytest.raises(LpError):
+            run(pr)
+    assert not check_witness(pr, [1, 0]) and not check_farkas(pr, [1]) and not check_l1_bound(pr, [1], 1)
+    # an int64 matrix with an entry at 2^62 or at -2^63 (whose np.abs wraps):
+    # past the solver's int64 bounds, so it raises; the checkers read int64
+    # exactly and give their verdicts
+    for wide in (2**62, -(2**63)):
+        pr.constraints = np.array([[1, 0, 1], [wide, 0, 0]], np.int64)
+        for run in (solve, min_l1):
+            with pytest.raises(LpError):
+                run(pr)
+        assert check_witness(pr, [1, 0]) == (wide > 0)
+    pr.constraints = np.array([[1, 0, 2**62 - 1]], np.int64)  # just inside
+    assert solve(pr).witness == [2**62 - 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +468,7 @@ def cold_copy(problem):
 def assert_derives_like_a_cold_copy(problem):
     A = exact_lp._DualL1(problem).t.A
     cold_A = exact_lp._DualL1(cold_copy(problem)).t.A
+    assert A is problem.constraints  # the tableau reads the problem's matrix, no copy
     assert A.tolist() == cold_A.tolist() and A.dtype == cold_A.dtype
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
     assert solve(problem) == solve(cold_copy(problem))
@@ -696,16 +720,16 @@ def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
 def test_insert_row_renumbers_the_slacks_and_refuses_after_add_row():
     prob = build_representation_problem(make_gt(2), 1).problem
     n = prob.num_vars
-    t = exact_lp._Tableau(n, exact_lp._dual_rows(prob.constraints))
+    t = exact_lp._Tableau(n, prob.constraints)
     t.optimize()
     before = t.basis[:]
     child = t.clone()
-    child.insert_row(dual_rows(n, [({0: 1}, 5)]))
+    child.insert_row(ge_rows(n, [({0: 1}, 5)]))
     assert child.n0 == t.n0 + 1
     assert child.basis == [b + (b >= t.n0) for b in before] and t.basis == before
-    child.add_row(dual_rows(n, [({1: 1}, 0)]))
+    child.add_row(ge_rows(n, [({1: 1}, 0)]))
     with pytest.raises(LpError):
-        child.insert_row(dual_rows(n, [({0: 1}, 0)]))
+        child.insert_row(ge_rows(n, [({0: 1}, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +742,9 @@ def priced_tableau(nvars, rows, appended, w, den, rule):
     on the 2N slacks is ``w``: every slack column is stored, so no basic
     variable is a slack (a state no pivot reaches; pricing reads only the
     cost row and den)."""
-    t = exact_lp._Tableau(nvars, dual_rows(nvars, rows))
+    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
     for row in appended:
-        t.add_row(dual_rows(nvars, [row]))
+        t.add_row(ge_rows(nvars, [row]))
     m = 2 * nvars
     t.T = np.zeros((m + 1, m + 1), dtype=object)
     t.T[:m, :m] = np.identity(m, dtype=object) * den

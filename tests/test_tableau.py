@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import exact_lp
-from tableau_reference import DictTableau, dual_rows
+from tableau_reference import DictTableau, ge_rows
 
 
 def signed(bits: int):
@@ -169,7 +169,7 @@ def test_block_tableau_matches_the_dict_rows(data):
     if data.draw(st.booleans()):  # each row times its own 2^j: even dens, and blocks past int64
         row = st.tuples(row, st.integers(0, 40)).map(lambda p: times_2_to(*p))
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
-    t = exact_lp._Tableau(nvars, dual_rows(nvars, rows))
+    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
     ref = DictTableau(nvars, rows)
     bland_at = data.draw(st.integers(0, STEPS // 2))
     drive(t, ref, bland_at)
@@ -180,7 +180,7 @@ def test_block_tableau_matches_the_dict_rows(data):
             t, ref = t.clone(), ref.clone()
         else:
             parent = None
-        t.add_row(dual_rows(nvars, [appended]))
+        t.add_row(ge_rows(nvars, [appended]))
         ref.add_row(*appended)
         drive(t, ref, bland_at)
         if parent is not None:
@@ -232,7 +232,7 @@ def lane_states(draw):
     if pair:  # costs of opposite signs: z = w_j - w_(j+N) may pass 2^63
         block[-1][:2] = abs(block[-1][0]), -abs(block[-1][1])
     rule = draw(st.sampled_from(["hybrid", "bland"]))
-    t = exact_lp._Tableau(nvars, dual_rows(nvars, rows))
+    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
     t.T = np.array(block, dtype=np.int64).reshape(m + 1, len(slacks) + 1)
     t.slacks, t.basis, t.den, t.rule = list(slacks), basis, den, rule
     t.basic_slack = np.array([b - len(rows) if b >= len(rows) else m for b in basis])

@@ -131,10 +131,6 @@ class LpProblem:
     le: np.ndarray | None = None
     # no variable is sign-restricted; kept readable for callers that digest it
     nonneg = None
-    # the problem this one extends, and the text lines of its rows (see
-    # ``_text_lines``)
-    _base: "LpProblem | None" = field(default=None, init=False, repr=False)
-    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.constraints is None:
@@ -148,13 +144,12 @@ class LpProblem:
     def extended(self, coeffs: dict, rel: str, rhs) -> "LpProblem":
         """A new problem: these constraints plus one more, added last.
 
-        The text lines of this problem's rows are formatted once and reused
-        by every problem extended from it; ``solve_extensions`` solves such
-        problems on one walk of this one's pivot path.
+        ``solve_extensions`` solves such problems on one walk of this one's
+        pivot path, and a ``farkas-batch`` certificate stores this problem
+        once and each extension as its one extra row.
         """
         child = LpProblem(self.num_vars, self.constraints, self.le)
         child.add(coeffs, rel, rhs)
-        child._base = self
         return child
 
     def add(self, coeffs: dict, rel: str, rhs) -> None:
@@ -1095,39 +1090,7 @@ def ilp_min(
 def problem_to_text(problem: LpProblem) -> str:
     """The ``vars N`` header, then one line per row: its N coefficients,
     the relation and the right-hand side, a ``<=`` row as stated."""
-    return "\n".join([f"vars {problem.num_vars}", *_text_lines(problem)]) + "\n"
-
-
-def _text_lines(problem: LpProblem) -> list:
-    """The text line of each row.
-
-    The lines of the rows that ``problem`` shares with the problem it
-    extends are formatted once, on that base, which keeps them in
-    ``_memo`` beside a copy of the variable count, rows and flags they
-    came from.  They are used only while the base still has exactly those
-    and they are the first rows of ``problem``; otherwise ``problem`` is
-    formatted afresh, or the base's lines again.
-    """
-    base, start, lines = problem._base, 0, []
-    if base is not None and _starts_with(problem, base):
-        source = base._memo[0] if base._memo else None
-        if source is None or len(source.constraints) != len(base.constraints) or not _starts_with(source, base):
-            source = LpProblem(base.num_vars, base.constraints.copy(), base.le.copy())
-            base._memo = source, _text_lines(base)
-        start, lines = len(base.constraints), base._memo[1]
-    return lines + _format_rows(problem.constraints[start:], problem.le[start:])
-
-
-def _starts_with(problem: LpProblem, base: LpProblem) -> bool:
-    """Whether ``problem`` has ``base``'s variable count, and its first rows
-    and flags are ``base``'s."""
-    count = len(base.constraints)
-    return (
-        problem.num_vars == base.num_vars
-        and len(problem.constraints) >= count
-        and np.array_equal(problem.constraints[:count], base.constraints)
-        and np.array_equal(problem.le[:count], base.le)
-    )
+    return "\n".join([f"vars {problem.num_vars}", *_format_rows(problem.constraints, problem.le)]) + "\n"
 
 
 def _format_rows(rows: np.ndarray, le: np.ndarray) -> list:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_lp import LpError, check_farkas, check_l1_bound, check_witness, problem_from_text
+import numpy as np
+
+from .exact_lp import LpError, LpProblem, check_farkas, check_l1_bound, check_witness, problem_from_text
 from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
 
@@ -103,10 +104,14 @@ class CertStore:
         return digest
 
 
+def _vector(item: dict) -> list:
+    parse = functools.cache(Fraction)  # a vector repeats a few values, mostly 0
+    return list(map(parse, item["vector"]))
+
+
 def _check_item(kind: str, item: dict, value) -> bool:
     problem = problem_from_text(item["problem"])
-    parse = functools.cache(Fraction)  # a vector repeats a few values, mostly 0
-    vector = list(map(parse, item["vector"]))
+    vector = _vector(item)
     if kind == "farkas":
         return check_farkas(problem, vector)
     if kind == "witness":
@@ -116,19 +121,38 @@ def _check_item(kind: str, item: dict, value) -> bool:
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 
+def _check_batch(obj: dict) -> bool:
+    """Each item's Farkas vector over the base LP, parsed once, plus that
+    item's one row, parsed under the base's ``vars N`` header.  A row that
+    is not exactly one well-formed line fails the batch."""
+    base = problem_from_text(obj["problem"])
+    if not obj["items"]:
+        return False
+    for item in obj["items"]:
+        row = problem_from_text(f"vars {base.num_vars}\n{item['row']}")
+        if len(row.constraints) != 1:
+            return False
+        rows = np.concatenate((base.constraints, row.constraints))
+        problem = LpProblem(base.num_vars, rows, np.concatenate((base.le, row.le)))
+        if not check_farkas(problem, _vector(item)):
+            return False
+    return True
+
+
 def replay_certificate(path) -> bool:
     """Re-verify a stored certificate with the independent checkers.
 
     Kinds: ``farkas`` (no solution), ``witness`` (a solution), ``l1-bound``
-    (a lower bound on sum |x|), and ``farkas-batch`` (one Farkas vector per
-    item, all of which must check).  A malformed file is rejected (False);
+    (a lower bound on sum |x|), and ``farkas-batch`` (a base LP stored
+    once, and one Farkas vector per item over that LP plus the item's one
+    row, all of which must check).  A malformed file is rejected (False);
     only an ``OSError`` from reading it is raised.
     """
     data = Path(path).read_bytes()
     try:
         obj = json.loads(data)
         if obj["kind"] == "farkas-batch":
-            return bool(obj["items"]) and all(_check_item("farkas", i, None) for i in obj["items"])
+            return _check_batch(obj)
         return _check_item(obj["kind"], obj, obj.get("value"))
     except (ArithmeticError, AttributeError, KeyError, LpError, TypeError, ValueError):
         return False
@@ -219,15 +243,6 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[list[ResultRow], int]:
         + "\n"
     )
     return rows, (1 if any_failed(r.verdict for r in rows) else 0)
-
-
-def rows_without_timing(csv_text: str) -> str:
-    """Strip the wall-time column; the rest must reproduce byte-for-byte."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    for rec in csv.reader(io.StringIO(csv_text)):
-        writer.writerow(rec[:-1])
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .boolfun import make_hard
-from .exact_lp import BudgetError, LpProblem, problem_to_text
+from .exact_lp import BudgetError, LpProblem, _format_rows, problem_to_text
 from .polynomial import symmetric_coefficient, symmetrize, to_uv, witness_gate
 from .shapes import GroupShape, Variant
 from .threshold_analysis import (
@@ -63,17 +63,26 @@ class Certificate:
     claim: str
     items: tuple  # (LpProblem, vector) pairs; exactly one unless farkas-batch
     value: Fraction | None = None  # the bound an l1-bound certificate proves
+    base: LpProblem | None = None  # the LP a farkas-batch's problems each extend by one row
 
     def payload(self) -> dict:
-        def item(problem: LpProblem, vector) -> dict:
+        def vector(values) -> list:
             # most multipliers are 0: write those without Fraction.__str__
             # (ints and Fractions both have a numerator; it tests fast)
-            vector = [str(v) if v.numerator else "0" for v in vector]
-            return {"problem": problem_to_text(problem), "vector": vector}
+            return [str(v) if v.numerator else "0" for v in values]
 
+        out = {"kind": self.kind, "claim": self.claim}
         if self.kind == "farkas-batch":
-            return {"kind": self.kind, "claim": self.claim, "items": [item(*i) for i in self.items]}
-        out = {"kind": self.kind, "claim": self.claim, **item(*self.items[0])}
+            # the base once, then each item's last row: base text plus that
+            # line is the text of the item's problem
+            out["problem"] = problem_to_text(self.base)
+            out["items"] = [
+                {"row": _format_rows(p.constraints[-1:], p.le[-1:])[0], "vector": vector(lam)}
+                for p, lam in self.items
+            ]
+            return out
+        problem, values = self.items[0]
+        out.update(problem=problem_to_text(problem), vector=vector(values))
         if self.value is not None:
             out["value"] = str(self.value)
         return out
@@ -230,7 +239,7 @@ def run_shape(
                 cert = None
                 if ok:
                     items = tuple((c.problem, c.farkas) for c in cr.checks)
-                    cert = Certificate("farkas-batch", f"{lemma} k={k}", items)
+                    cert = Certificate("farkas-batch", f"{lemma} k={k}", items, base=cr.base)
                 res.add(metric, cr.status, _passed(ok, Verdict.CERTIFIED), cert, started=t0)
 
     return res

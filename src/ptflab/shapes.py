@@ -76,14 +76,6 @@ class GroupShape:
             out *= k
         return out
 
-    def coord_values(self, i: int) -> list[int]:
-        """Values taken by coordinate i (1-based): [1..k] weak / last group,
-        {0..k-1} for strong groups before the last."""
-        k = self.ks[i - 1]
-        if self.variant is Variant.STRONG and i < self.d:
-            return list(range(k))
-        return list(range(1, k + 1))
-
     # --- variable layout -------------------------------------------------
 
     def x_index(self, i: int, j: int) -> int:

@@ -386,6 +386,7 @@ class CertifyResult:
     k: int
     status: str  # CERTIFIED | VIOLATED
     checks: list
+    base: LpProblem | None = None  # the LP each check's problem extends by one row
 
 
 def certify_negated_row(
@@ -459,8 +460,8 @@ def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> 
     the lemma's coefficient inequalities; each inequality gets its own
     Farkas certificate, independently re-checked.
 
-    The inequalities share one base LP: the base function's sign rows are
-    built, normalized and formatted once per call, and each negated
+    The inequalities share one base LP, ``base`` of the result: the base
+    function's sign rows are built once per call, and each negated
     inequality's LP is that base plus its one row.  ``solve_extensions``
     walks the base's pivot path once, and each inequality's LP forks off
     it at the first state where its own column would enter, the last
@@ -474,10 +475,11 @@ def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> 
     if k < 2:
         raise AnalysisError("need k >= 2")
     negations = _lemma_negations(lemma, k)
-    solved = solve_extensions(_base_problem(base, k), [row for _, *row in negations], max_pivots)
+    problem = _base_problem(base, k)
+    solved = solve_extensions(problem, [row for _, *row in negations], max_pivots)
     checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
-    return CertifyResult(lemma, k, status, checks)
+    return CertifyResult(lemma, k, status, checks, problem)
 
 
 # ---------------------------------------------------------------------------

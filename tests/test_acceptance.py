@@ -33,7 +33,8 @@ from ptflab import (
     to_uv,
     witness_gate,
 )
-from ptflab.harness import rows_without_timing
+from csv_reference import rows_without_timing
+from shape_reference import all_tuples
 
 WEAK_SHAPES = [make_shape("weak", ks) for ks in [(2, 3), (2, 2, 3), (4, 3)]]
 STRONG_SHAPES = [make_shape("strong", ks) for ks in [(3, 3), (5, 3)]]
@@ -149,7 +150,7 @@ def test_criterion_6_basis_change_bounds(gates):
 def test_criterion_7_ordering_integrity():
     for shape in WEAK_SHAPES + STRONG_SHAPES:
         ctx = OrderContext(shape)
-        K = list(itertools.product(*[shape.coord_values(i) for i in range(1, shape.d + 1)]))
+        K = all_tuples(shape)
         assert len(K) <= 2000
         ok = True
         for a, b in itertools.product(K, repeat=2):

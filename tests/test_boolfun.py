@@ -25,6 +25,7 @@ from ptflab import (
 )
 from ptflab.boolfun import from_bits
 from ptflab.tuple_order import order_bits_partial
+from shape_reference import all_tuples
 from uv_reference import linear_forms
 
 
@@ -186,7 +187,7 @@ def test_weak_equal_halves_give_one():
 def reference_weak(shape):
     """Literal re-reading of the definition on top of the prose comparator."""
     ctx = OrderContext(shape)
-    K = list(itertools.product(*[shape.coord_values(i) for i in range(1, shape.d + 1)]))
+    K = all_tuples(shape)
     import functools
 
     K.sort(key=functools.cmp_to_key(lambda a, b: oracle_compare(ctx, a, b)), reverse=True)
@@ -207,7 +208,7 @@ def reference_weak(shape):
 
 def reference_strong(shape):
     ctx = OrderContext(shape)
-    K = list(itertools.product(*[shape.coord_values(i) for i in range(1, shape.d + 1)]))
+    K = all_tuples(shape)
     import functools
 
     K.sort(key=functools.cmp_to_key(lambda a, b: oracle_compare(ctx, a, b)), reverse=True)

@@ -490,24 +490,6 @@ def test_extended_problems_derive_what_a_cold_copy_does():
         assert_derives_like_a_cold_copy(problem)
     assert len(base.constraints) == 4  # extending leaves the base as it was
 
-    def gain_a_variable():
-        base.num_vars = 4
-        base.constraints = np.insert(base.constraints, 3, 0, axis=1)
-
-    # the base changes after its lines were formatted: no child may see the
-    # old lines, nor may a new child see rows the base no longer has
-    children = [first, second, grandchild, great]
-    changes = [
-        lambda: base.add({1: 1}, ">=", 2),  # the base gains a row
-        lambda: base.constraints.__setitem__(0, [1, 0, 0, 0]),  # a base row is replaced, in place
-        gain_a_variable,  # num_vars changes, with a zero column
-    ]
-    for change, row in zip(changes, [{2: 1}, {1: -1}, {3: 1}]):
-        change()
-        children.append(base.extended(row, ">=", 1))
-        for problem in children:
-            assert_derives_like_a_cold_copy(problem)
-
 
 @pytest.mark.parametrize(
     "text",

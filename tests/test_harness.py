@@ -10,7 +10,6 @@ import pytest
 from ptflab import (
     CertifyResult,
     ExperimentSpec,
-    LpProblem,
     certify_coefficient_lemma,
     make_shape,
     preset,
@@ -19,8 +18,9 @@ from ptflab import (
     run,
 )
 from ptflab.cli import main as cli_main
-from ptflab.harness import ALL_MODES, PRESET_NAMES, rows_without_timing
+from ptflab.harness import ALL_MODES, PRESET_NAMES
 from ptflab.pipeline import Certificate
+from csv_reference import rows_without_timing
 
 
 def test_preset_lookup():
@@ -105,9 +105,15 @@ def test_certificates_replay_and_detect_corruption(tmp_path):
 
 
 # x0 >= 0 with x = [0] (a witness), and the same row with dual [0] proving
-# sum |x| >= 0 (an l1-bound); each body below breaks one of them
+# sum |x| >= 0 (an l1-bound); the base x0 >= 1 plus the row x0 <= 0, which
+# their sum contradicts (a farkas-batch); each body below breaks one of them
 WITNESS = {"kind": "witness", "problem": "vars 1\n1 >= 0\n", "vector": ["0"]}
 L1_BOUND = {"kind": "l1-bound", "problem": "vars 1\n1 >= 0\n", "vector": ["0"], "value": "0"}
+BATCH = {"kind": "farkas-batch", "problem": "vars 1\n1 >= 1\n", "items": [{"row": "1 <= 0", "vector": ["1", "1"]}]}
+
+
+def _batch_item(row, vector):
+    return {**BATCH, "items": [{"row": row, "vector": vector}]}
 
 
 def _without(obj, key):
@@ -122,8 +128,14 @@ def _without(obj, key):
         pytest.param("[]", id="json list"),
         pytest.param(json.dumps(_without(WITNESS, "kind")), id="missing kind"),
         pytest.param(json.dumps({**WITNESS, "kind": "proof"}), id="unknown kind"),
-        pytest.param(json.dumps({"kind": "farkas-batch", "items": "abc"}), id="items a string"),
-        pytest.param(json.dumps({"kind": "farkas-batch", "items": WITNESS}), id="items a dict"),
+        pytest.param(json.dumps({**BATCH, "items": "abc"}), id="items a string"),
+        pytest.param(json.dumps({**BATCH, "items": WITNESS}), id="items a dict"),
+        pytest.param(json.dumps(_without(BATCH, "problem")), id="batch without problem"),
+        pytest.param(json.dumps({**BATCH, "items": []}), id="batch items empty"),
+        # the second line would make the vector, for three rows, a valid one
+        pytest.param(json.dumps(_batch_item("1 <= 0\n1 >= 1", ["1", "1", "0"])), id="batch row of two lines"),
+        pytest.param(json.dumps(_batch_item("<= 0", ["1", "1"])), id="batch row one coefficient short"),
+        pytest.param(json.dumps(_batch_item("1 <= 0", ["1", "1", "0"])), id="batch vector one entry too long"),
         pytest.param(json.dumps({**WITNESS, "problem": ""}), id="empty problem"),
         pytest.param(json.dumps({**WITNESS, "problem": "vars 1\n1 = 0\n"}), id="malformed problem"),
         pytest.param(json.dumps({**WITNESS, "vector": ["x"]}), id="vector entry x"),
@@ -138,7 +150,7 @@ def test_malformed_certificate_files_are_rejected(tmp_path, body):
 
 
 def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_path):
-    for obj in (WITNESS, L1_BOUND):
+    for obj in (WITNESS, L1_BOUND, BATCH):
         path = tmp_path / f"{obj['kind']}.json"
         path.write_text(json.dumps(obj))
         assert replay_certificate(path) is True
@@ -154,6 +166,10 @@ def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_pa
             {"kind": "l1-bound", "problem": "vars 10000000\n", "vector": [], "value": "1"}, id="l1-bound"
         ),
         pytest.param({"kind": "witness", "problem": "vars 10000000\n", "vector": []}, id="witness"),
+        pytest.param(
+            {"kind": "farkas-batch", "problem": "vars 10000000\n", "items": [{"row": "1 >= 0", "vector": []}]},
+            id="farkas-batch",
+        ),
     ],
 )
 def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj):
@@ -169,36 +185,38 @@ def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj)
     assert peak < 2**20
 
 
-def test_farkas_batch_payload_joins_per_item_text():
-    # the items of a lemma share one base problem; each item's text must be
-    # what the item alone formats to, also after the base gains a row
-    res = certify_coefficient_lemma("g0_all", 5)
-    base = res.checks[0].problem._base
-    items = [(c.problem, c.farkas) for c in res.checks]
-    first = base.extended({0: 1}, ">=", 1)
-    items.append((first, [1] * len(first.constraints)))
-    Certificate("farkas-batch", "warm", tuple(items)).payload()  # the base's lines are now formatted
-    base.add({1: 1}, "<=", 2)
-    second = base.extended({2: -1}, ">=", 0)
-    items.append((second, [2] * len(second.constraints)))
-    payload = Certificate("farkas-batch", "g0_all k=5", tuple(items)).payload()
-    want = [
-        {"problem": problem_to_text(LpProblem(p.num_vars, p.constraints, p.le)), "vector": [str(v) for v in vec]}
-        for p, vec in items
-    ]
-    assert json.dumps(payload["items"]) == json.dumps(want)
+@pytest.mark.parametrize("lemma, k", [("gt_exp", 4), ("g0_all", 5), ("g1_pos", 5)])
+def test_farkas_batch_stores_its_base_once(tmp_path, lemma, k):
+    # base text plus an item's row line is the text of that item's LP, byte
+    # for byte; each item replays on its own, and a flipped row does not
+    res = certify_coefficient_lemma(lemma, k)
+    items = tuple((c.problem, c.farkas) for c in res.checks)
+    payload = Certificate("farkas-batch", f"{lemma} k={k}", items, base=res.base).payload()
+    assert len(payload["items"]) == len(res.checks)
+    for item, check in zip(payload["items"], res.checks):
+        assert payload["problem"] + item["row"] + "\n" == problem_to_text(check.problem)
+    path = tmp_path / "batch.json"
+    for batch in [payload] + [{**payload, "items": [item]} for item in payload["items"]]:
+        path.write_text(json.dumps(batch))
+        assert replay_certificate(path)
+    tokens = payload["items"][-1]["row"].split()
+    assert int(tokens[-3]) != 0  # the last coefficient; flipping it changes the row
+    tokens[-3] = str(-int(tokens[-3]))
+    payload["items"][-1]["row"] = " ".join(tokens)
+    path.write_text(json.dumps(payload))
+    assert not replay_certificate(path)
 
 
 # sha256[:16] of each preset's CSV without the wall-time column, in
 # PRESET_NAMES order; a change that keeps the results leaves these alone
 PRESET_DIGESTS = (
-    "6aff61227c51db96",
+    "458480fac6c3758d",
     "cfdba31bc2fa4793",
     "567655421e3120d5",
     "a9dbe3a2582dbb6c",
     "53a6879404c7f845",
-    "1d83020a3ccf3872",
-    "752e146151def802",
+    "198ea61a58f45d0d",
+    "e65bc46d6e39b44c",
     "7cc42e5deb6fed9f",
 )
 

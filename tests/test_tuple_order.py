@@ -18,6 +18,7 @@ from ptflab import (
     ordinal,
     order_bits,
 )
+from shape_reference import all_tuples
 
 WEAK = lambda *ks: make_shape("weak", ks)
 STRONG = lambda *ks: make_shape("strong", ks)
@@ -29,10 +30,6 @@ ACCEPTANCE_SHAPES = [
     STRONG(3, 3),
     STRONG(5, 3),
 ]
-
-
-def all_tuples(shape):
-    return list(itertools.product(*[shape.coord_values(i) for i in range(1, shape.d + 1)]))
 
 
 # ---------------------------------------------------------------------------

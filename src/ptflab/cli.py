@@ -19,6 +19,7 @@ from .polynomial import witness_gate
 from .shapes import make_shape
 from .threshold_analysis import (
     DEFAULT_INPUT_CAP,
+    AnalysisError,
     BudgetError,
     certify_coefficient_lemma,
     check_sign_representation,
@@ -30,6 +31,13 @@ from .tuple_order import OrderContext, enumerate_ordered
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(" ", "").split(","))
+
+
+def _node_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a node budget is at least 0, not {value}")
+    return value
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -123,7 +131,14 @@ def _cmd_minweight(args) -> int:
 
 
 def _cmd_check_lemma(args) -> int:
-    res = certify_coefficient_lemma(args.name, args.k)
+    try:
+        res = certify_coefficient_lemma(args.name, args.k)
+    except AnalysisError as exc:  # an unknown lemma or a k it is not stated for
+        print(f"ERROR: {exc}")
+        return 2
+    except BudgetError as exc:
+        print(f"SKIPPED: {exc}")
+        return 2
     for chk in res.checks:
         print(f"{chk.status}: {chk.description}")
     print(f"{res.status}: {args.name} at k={args.k}")
@@ -132,7 +147,7 @@ def _cmd_check_lemma(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     spec = preset(args.preset)
-    if args.budget_nodes:
+    if args.budget_nodes is not None:
         spec.node_budget = args.budget_nodes
     rows, status = run(spec, args.out)
     for row in rows:
@@ -174,7 +189,7 @@ def main(argv=None) -> int:
     p.add_argument("fn", help="BoolFun JSON file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget-nodes", type=int, default=2000)
+    p.add_argument("--budget-nodes", type=_node_budget, default=2000)
     p.add_argument("--out", default=None, help="write the witness gate JSON here")
     p.set_defaults(handler=_cmd_minweight)
 
@@ -186,7 +201,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("reproduce", help="run a named experiment preset")
     p.add_argument("preset", choices=list(PRESET_NAMES))
     p.add_argument("--out", default="results")
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_node_budget, default=None)
     p.set_defaults(handler=_cmd_reproduce)
 
     args = parser.parse_args(argv)

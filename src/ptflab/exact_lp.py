@@ -47,13 +47,15 @@ inequalities) are solved by ``solve_extensions`` on one walk of the base's
 pivot path.  A problem's path is the base's until its own row's column
 would first enter: it prices below the base's entering column (or ties
 with an entering slack, which comes after it), or prices negative where
-the base is optimal.  The problem forks off the base tableau there, with
-its row put in as the last initial row so the columns are numbered as in
-its own tableau, and is solved and certified on its own from that state.
-Its pivot path, stats and certificate are those of a cold solve.
+the base is optimal.  The problem forks off the base tableau there
+(``_DualL1.fork``, the one way a row reaches a tableau: its column is
+numbered before the slacks, as in the problem's own tableau), and is
+solved and certified on its own.  Its pivot path, stats and certificate
+are those of a cold solve.
 
 A small depth-first branch-and-bound on top of the L1 solver computes
-exact integer-minimal weights.
+exact integer-minimal weights.  Each node is its parent plus its
+branching row, forked the same way, and is an LP that certifies itself.
 """
 
 from __future__ import annotations
@@ -384,9 +386,10 @@ class _Tableau:
     denominator.
 
     The rows are the 2N dual constraints.  Columns are numbered as in the
-    full tableau: the initial dual variables, then the 2N slacks, then the
-    dual variables appended by branch and bound.  The dual variable of the
-    primal >=-row a . x >= b has the original column [a; -a] and cost -b.
+    full tableau: one dual variable per row of ``A``, then the 2N slacks
+    (``_DualL1.fork`` adds a row and moves them up one).  The dual
+    variable of the primal >=-row a . x >= b has the original column
+    [a; -a] and cost -b.
 
     The state is one integer matrix ``T``, the block of the full
     fraction-free tableau that any other column is computed from: int64
@@ -450,14 +453,13 @@ class _Tableau:
         """``A``: the initial rows [a | b], each a . x >= b."""
         m = 2 * nvars
         self.nvars = nvars
-        self.n0 = len(A)
         self.A = A
         self.cmax, self.l1 = _norms(A, 1, 1)
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
         self.den = 1
-        self.basis: list[int] = [self.n0 + i for i in range(m)]
+        self.basis: list[int] = [len(A) + i for i in range(m)]
         # the slack basic in each row, or m where the basic variable is no slack
         self.basic_slack = np.arange(m)
         self.pivots = 0
@@ -503,34 +505,6 @@ class _Tableau:
         t.ray_col = None
         return t
 
-    def add_row(self, rows: np.ndarray) -> None:
-        """Append the dual columns of ``rows`` (rows [a | b], each
-        a . x >= b) after the slacks, as branch and bound adds its rows.
-
-        The rows go into a new array, so clones keep sharing the old one.
-        """
-        self.A = np.concatenate((self.A, rows))
-        self.cmax, self.l1 = _norms(rows, self.cmax, self.l1)
-
-    def insert_row(self, row: np.ndarray) -> None:
-        """Add the dual column of ``row`` (one row [a | b], as a 1 x (N+1)
-        matrix) as the last initial row, numbered n0: the tableau of
-        the problem with that row added last numbers its columns this way.
-
-        The slacks move up one, so only the ``basis`` entries naming a
-        slack change.  ``T``, ``den``, ``slacks`` and ``basic_slack`` are
-        keyed by slack offset and stay as they are.  The new column goes
-        in nonbasic: this is the state a tableau of the larger problem
-        reaches on the same pivots, as long as the new column never
-        entered (see ``solve_extensions``).  Refused after ``add_row``,
-        whose columns would have to move too.
-        """
-        if len(self.A) > self.n0:
-            raise LpError("insert_row after add_row")
-        self.add_row(row)  # with no row appended, A's last row is the new initial one
-        self.basis = [b + 1 if b >= self.n0 else b for b in self.basis]
-        self.n0 += 1
-
     # -- pricing -------------------------------------------------------------
 
     def _priced(self) -> np.ndarray:
@@ -541,7 +515,7 @@ class _Tableau:
         After the carries the lower limbs lie in [0, 2^width), so the top
         limb has the sign of the cost and the limbs compare lexicographically.
         """
-        n, n0, width, A, T, den = self.nvars, self.n0, self.width, self.A, self.T, self.den
+        n, width, A, T, den = self.nvars, self.width, self.A, self.T, self.den
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
         w = np.zeros(2 * n, object if wide else np.int64)
         w[self.slacks] = T[-1, :-1]
@@ -554,7 +528,7 @@ class _Tableau:
         else:
             limbs = _limbs(vals, width, top.bit_length() // width + 1)
         q = A @ limbs[:, : n + 1].T
-        p = np.concatenate((q[:n0].T, limbs[:, n + 1 :], q[n0:].T), axis=1)
+        p = np.concatenate((q.T, limbs[:, n + 1 :]), axis=1)
         for lo, hi in zip(p, p[1:]):
             hi += lo >> width
             lo &= (1 << width) - 1
@@ -569,13 +543,13 @@ class _Tableau:
         is below max(max|T|, den) * sum|a|; the column is int64 when that
         bound is below 2^63 (sum|a| is 1 for a slack, at most 2 * l1 for a
         row), Python integers otherwise."""
-        n, n0, m, T = self.nvars, self.n0, self.m, self.T
-        if n0 <= c < n0 + m:
+        n, n0, m, T = self.nvars, len(self.A), self.m, self.T
+        if c >= n0:
             a = np.zeros(m + 1, np.int64)
             a[c - n0] = 1
             norm = 1
         else:
-            a = self.A[c if c < n0 else c - m, :n]
+            a = self.A[c, :n]
             a = np.concatenate((a, -a, [0]))  # [a; -a], then 0 for rows whose basic variable is no slack
             norm = 2 * self.l1
         wide = T.dtype == object or max(self._block_max(), self.den) * norm >= _I64
@@ -655,11 +629,11 @@ class _Tableau:
         a pivot of an int64 step shifted within that bound, or below 2^62
         at the conversion.
         """
-        den, T, m, n0 = self.den, self.T, self.m, self.n0
+        den, T, m, n0 = self.den, self.T, self.m, len(self.A)
         piv = int(col[r])
         if piv <= 0:
             raise LpError("pivot element must be positive")
-        if 0 <= c - n0 < m:
+        if c >= n0:
             k = self.slacks.index(c - n0)
             T = np.concatenate((T[:, :k], T[:, k + 1 :]), axis=1)
             del self.slacks[k]
@@ -667,7 +641,7 @@ class _Tableau:
         g[:-1], g[-1] = col, f
         if T.dtype != object and g.dtype == object and _abs_max(g) < _I64:
             g = g.astype(np.int64)
-        leaving = 0 <= self.basis[r] - n0 < m
+        leaving = self.basis[r] >= n0
         a = _v2(den)
         div = den >> a  # odd, and it divides the numerators
         new = None
@@ -707,7 +681,7 @@ class _Tableau:
         self.T = new
         self.den = den
         self.basis[r] = c
-        self.basic_slack[r] = c - n0 if 0 <= c - n0 < m else m
+        self.basic_slack[r] = c - n0 if c >= n0 else m
         self.pivots += 1
 
     def step(self, c: int, f: int, max_pivots: int) -> bool:
@@ -771,30 +745,20 @@ class _DualL1:
 
     def fork(self, problem: LpProblem) -> "_DualL1":
         """A clone that solves ``problem``, this one's problem with one more
-        row last: that row's dual column goes in as the last initial one
-        (``_Tableau.insert_row``)."""
+        row last; the only way a row reaches a tableau.  The tableau prices
+        ``problem``'s own matrix and numbers the row's column before the
+        slacks, as a cold one does, so only the ``basis`` entries naming a
+        slack move up one (the rest of the state is keyed by slack offset).
+        The new column is nonbasic: the state of a cold tableau on the same
+        pivots, while that column never entered."""
         child = self.clone()
         child.problem = problem
-        child.t.insert_row(problem.constraints[-1:])
+        t = child.t
+        n0 = len(t.A)
+        t.A = problem.constraints
+        t.cmax, t.l1 = _norms(t.A[n0:], t.cmax, t.l1)
+        t.basis = [b + 1 if b >= n0 else b for b in t.basis]
         return child
-
-    def add_ge_row(self, row) -> None:
-        """Append the primal row [a | b] (N + 1 entries, a . x >= b) as a
-        fresh dual column, keeping the basis; its entries are converted to
-        ints as ``LpProblem.add`` does."""
-        row = list(map(_int, row))
-        self.t.add_row(_matrix([row], self.nvars + 1, max(map(abs, row))))
-
-    def _by_row(self, values: dict) -> dict:
-        """Nonzero column values keyed by row position.  Initial dual
-        variables sit before the 2N slacks, appended ones after; slack
-        columns are dropped."""
-        n0, m = self.t.n0, 2 * self.nvars
-        return {
-            col if col < n0 else col - m: v
-            for col, v in values.items()
-            if v and not n0 <= col < n0 + m
-        }
 
     def value(self) -> Fraction:
         return Fraction(self.t.corner, self.t.den)
@@ -809,9 +773,9 @@ class _DualL1:
         return [Fraction(v, self.t.den) for v in self.numerators()]
 
     def dual_values(self) -> dict:
-        """Dual variable values keyed by row position."""
+        """Dual variable values keyed by column: a row's position, or a slack's."""
         t = self.t
-        return self._by_row({b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())})
+        return {b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())}
 
     def farkas_from_ray(self) -> dict:
         t = self.t
@@ -822,10 +786,11 @@ class _DualL1:
         for b, a in zip(t.basis, t.column(col).tolist()):
             if a:
                 delta[b] = Fraction(-a, t.den)
-        return self._by_row(delta)
+        return delta
 
     def _per_row(self, mults: dict) -> list:
-        """One multiplier per problem row; rows the solver added carry none."""
+        """One multiplier per problem row, from values keyed by column (a
+        row's column is its position; the slacks' come after every row)."""
         zero = Fraction(0)
         return [mults.get(pos, zero) for pos in range(len(self.problem.constraints))]
 
@@ -944,7 +909,7 @@ def solve_extensions(
 
     while pending and (entering := t._entering()) is not None:
         c, f = entering
-        slack = c >= t.n0  # the base has no appended row: every column from n0 is a slack
+        slack = c >= len(t.A)
         w = t.costs()
         prices = last[pending] @ np.array([w[j] - w[n + j] for j in range(n)] + [-t.den], object)
         for i, p in zip(pending[:], prices.tolist()):
@@ -976,7 +941,10 @@ def ilp_min(
     relaxation witnesses as a cheap upper-bound heuristic.  ``incumbent``
     may seed the search with a known integer-feasible point.  ``root`` is
     the problem's ``min_l1`` outcome when the caller already solved it; the
-    search then starts from its tableau instead of solving again.
+    search then starts from its tableau instead of solving again.  Each
+    child is its parent's LP plus its branching row, forked off the
+    parent's tableau (``_DualL1.fork``).  A budget stop reports the
+    ceiling of the root relaxation as the lower bound.
 
     A node's witness and value are read as integers over the tableau's den
     (``_DualL1.numerators`` and ``corner``), and every choice is made on
@@ -993,7 +961,6 @@ def ilp_min(
     # under scaling by any factor >= 1, so fractional witnesses round up to
     # integer incumbents
     scalable = bool((problem.constraints[:, -1] >= 0).all())
-    n = problem.num_vars
 
     best_w: int | None = None
     best_c: list | None = None
@@ -1052,10 +1019,7 @@ def ilp_min(
         # LIFO stack: push the preferred child last so it is explored first
         ready = []
         for sign, rhs in children:
-            child = solver.clone()
-            row = [0] * n + [rhs]  # sign * x_pick >= rhs
-            row[pick] = sign
-            child.add_ge_row(row)
+            child = solver.fork(solver.problem.extended({pick: sign}, GE, rhs))
             if child.t.optimize(max_pivots) == "unbounded":
                 continue  # child region infeasible
             ready.append(child)
@@ -1066,7 +1030,7 @@ def ilp_min(
             status="budget",
             value=best_w,
             witness=best_c,
-            lower_bound=relaxation,
+            lower_bound=Fraction(math.ceil(relaxation)),  # W is an integer
             relaxation=relaxation,
             nodes=nodes,
         )

@@ -6,7 +6,7 @@ its nonzero entries, the basic values ``rhs``, the slack cost row ``w`` and
 the dual objective ``corner`` (over den), and prices every column with a
 loop over the rows.  The dual variable of the primal row a . x >= b has the
 original column [a; -a] and cost -b; columns are numbered as in
-``_Tableau``: the initial rows, the 2N slacks, then the appended rows.
+``_Tableau``: one per row, then the 2N slacks.
 """
 
 from operator import mul
@@ -15,22 +15,27 @@ from ptflab import LpProblem
 from ptflab.exact_lp import GE
 
 
-def ge_rows(nvars, rows):
-    """The row matrix [a | b] that ``exact_lp._Tableau`` takes, of the
-    integer rows (coeffs, b) of a . x >= b, through ``LpProblem.add``."""
+def ge_problem(nvars, rows):
+    """The problem of the integer rows (coeffs, b) of a . x >= b, through
+    ``LpProblem.add``."""
     problem = LpProblem(nvars)
     for coeffs, b in rows:
         problem.add(coeffs, GE, b)
-    return problem.constraints
+    return problem
 
 
-def reference_entering(nvars, n0, w, den, rows, rule):
-    """The pricing loop the limbs replace: den * (-b) + z . a per row, the
-    slack costs w between the initial and the appended rows, then Dantzig's
-    rule (most negative, least index on ties) or Bland's (first negative)."""
+def ge_rows(nvars, rows):
+    """The row matrix [a | b] that ``exact_lp._Tableau`` takes, of the
+    integer rows (coeffs, b) of a . x >= b."""
+    return ge_problem(nvars, rows).constraints
+
+
+def reference_entering(nvars, w, den, rows, rule):
+    """The pricing loop the limbs replace: den * (-b) + z . a per row, then
+    the slack costs w, then Dantzig's rule (most negative, least index on
+    ties) or Bland's (first negative)."""
     z = [p - q for p, q in zip(w[:nvars], w[nvars:])]
-    out = [sum(a.get(j, 0) * z[j] for j in range(nvars)) - den * b for a, b in rows]
-    cost = out[:n0] + w + out[n0:]
+    cost = [sum(a.get(j, 0) * z[j] for j in range(nvars)) - den * b for a, b in rows] + w
     if rule == "bland":
         return next(((j, v) for j, v in enumerate(cost) if v < 0), None)
     best = min(range(len(cost)), key=cost.__getitem__)
@@ -43,13 +48,12 @@ class DictTableau:
         m = 2 * nvars
         self.nvars = nvars
         self.rows = list(rows)
-        self.n0 = len(rows)
         self.inv: list[dict[int, int]] = [{i: 1} for i in range(m)]
         self.rhs: list[int] = [1] * m
         self.w: list[int] = [0] * m
         self.corner = 0
         self.den = 1
-        self.basis: list[int] = [self.n0 + i for i in range(m)]
+        self.basis: list[int] = [len(rows) + i for i in range(m)]
 
     @property
     def m(self) -> int:
@@ -57,24 +61,28 @@ class DictTableau:
 
     def clone(self) -> "DictTableau":
         t = DictTableau.__new__(DictTableau)
-        t.nvars, t.n0, t.rows = self.nvars, self.n0, self.rows[:]
+        t.nvars, t.rows = self.nvars, self.rows[:]
         t.inv = [row.copy() for row in self.inv]
         t.rhs, t.w, t.corner, t.den = self.rhs[:], self.w[:], self.corner, self.den
         t.basis = self.basis[:]
         return t
 
     def add_row(self, coeffs: dict, rhs: int) -> None:
+        """Add the row last: its column comes after the other rows', so the
+        slacks move up one."""
+        n0 = len(self.rows)
+        self.basis = [b + (b >= n0) for b in self.basis]
         self.rows.append((coeffs, rhs))
 
     def entering(self, rule: str) -> tuple | None:
-        return reference_entering(self.nvars, self.n0, self.w, self.den, self.rows, rule)
+        return reference_entering(self.nvars, self.w, self.den, self.rows, rule)
 
     def column(self, c: int) -> list:
         """Column c of the full tableau: inv times the original column."""
-        n, n0 = self.nvars, self.n0
-        if n0 <= c < n0 + 2 * n:
+        n, n0 = self.nvars, len(self.rows)
+        if c >= n0:
             return [row.get(c - n0, 0) for row in self.inv]
-        coeffs = self.rows[c if c < n0 else c - 2 * n][0]
+        coeffs = self.rows[c][0]
         a = [coeffs.get(j, 0) for j in range(n)]
         a += [-v for v in a]  # the original column [a; -a]
         return [sum(map(mul, row.values(), map(a.__getitem__, row))) for row in self.inv]

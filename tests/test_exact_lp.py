@@ -527,8 +527,8 @@ def test_one_solve_serves_feasibility_weight_and_branch_and_bound():
     assert out.solver.t.pivots == pivots  # the root tableau is cloned, not re-solved
 
 
-def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
-    # clones share the priced columns; a row added to one must not reach another
+def test_fork_leaves_the_parent_unchanged():
+    # forks share the parent's priced columns; a row added to one must not reach another
     prob = build_representation_problem(make_gt(2), 1).problem
     out = min_l1(prob)
     parent = out.solver
@@ -539,8 +539,7 @@ def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
         return parent.value(), parent.witness(), parent.dual_values(), prices, t.pivots
 
     before = state()
-    child = parent.clone()
-    child.add_ge_row([1] + [0] * (prob.num_vars - 1) + [out.witness[0] + 1])  # x0 >= witness + 1
+    child = parent.fork(prob.extended({0: 1}, GE, out.witness[0] + 1))  # x0 >= witness + 1
     assert child.t.optimize() == "optimal"
     assert child.t.pivots > parent.t.pivots and child.value() > out.value
     assert state() == before
@@ -548,7 +547,7 @@ def test_add_ge_row_on_a_clone_leaves_the_parent_unchanged():
 
 
 def test_branch_and_bound_path_is_pinned():
-    # appended rows go through the priced integer matrix; this pins the search
+    # each node's row goes through the priced integer matrix; this pins the search
     shape = make_shape("strong", (3, 2))
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
     pivots = 0
@@ -564,7 +563,7 @@ def test_branch_and_bound_path_is_pinned():
         res = ilp_min(prob, node_budget=20)
     finally:
         exact_lp._Tableau.pivot = pivot
-    assert (res.status, res.nodes, pivots) == ("budget", 21, 462)
+    assert (res.status, res.nodes, pivots) == ("budget", 21, 463)
     assert (res.value, res.lower_bound, res.relaxation) == (24, 6, 6)
     assert res.witness == [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, -2, -2, 0] + [
         1, 2, -1, -2, -2, -2, 2, 2, 0, 1, 0, 0, 0, 0
@@ -593,7 +592,51 @@ def test_strong32_branch_and_bound_stays_in_int64():
     finally:
         exact_lp._Tableau.pivot = pivot
     assert (res.status, res.nodes, res.value, res.lower_bound) == ("budget", 151, 22, 6)
-    assert (pivots, wide) == (3405, 0)
+    assert (pivots, wide) == (2879, 0)
+
+
+def test_every_branch_and_bound_node_is_its_parents_lp_plus_one_row():
+    # a node is forked off its parent with its branching row added last, so
+    # its tableau solves that LP, and certifies it over its own rows
+    shape = make_shape("strong", (3, 2))
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    root = min_l1(prob)
+    forks = []
+    fork = exact_lp._DualL1.fork
+
+    def recorded(self, problem):
+        child = fork(self, problem)
+        forks.append((self, child))
+        return child
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_lp._DualL1, "fork", recorded)
+        res = ilp_min(prob, node_budget=20, root=root)
+    assert (res.status, res.nodes) == ("budget", 21) and len(forks) >= 20
+    known = {id(root.solver)}
+    for parent, child in forks:
+        assert id(parent) in known  # the root or a node forked earlier
+        known.add(id(child))
+        rows, parent_rows = child.problem.constraints, parent.problem.constraints
+        assert len(rows) == len(parent_rows) + 1 and np.array_equal(rows[:-1], parent_rows)
+        assert child.t.A is rows
+        assert sorted(map(abs, rows[-1, :-1].tolist())) == [0] * (prob.num_vars - 1) + [1]  # +-x_j >= b
+    for _, child in forks[::4]:
+        got, cold = child.clone().certify(exact_lp.DEFAULT_PIVOT_CAP), min_l1(child.problem)
+        assert got.status == cold.status
+        if got.status == "optimal":
+            assert got.value == cold.value and check_l1_bound(child.problem, got.dual, got.value)
+        else:
+            assert check_farkas(child.problem, got.farkas)
+
+
+def test_budget_stop_reports_the_integer_lower_bound():
+    # the weight is an integer, so the relaxation's ceiling bounds it
+    shape = make_shape("weak", (2, 3))
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    res = ilp_min(prob, node_budget=1)
+    assert (res.status, res.relaxation, res.lower_bound, res.value) == ("budget", Fraction(183, 2), 92, 366)
+    assert type(res.lower_bound) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -699,19 +742,21 @@ def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
         )
 
 
-def test_insert_row_renumbers_the_slacks_and_refuses_after_add_row():
+def test_fork_renumbers_the_slacks():
+    # a fork's row takes the column after the parent's rows, so the slacks
+    # move up one; a fork of a fork moves them again
     prob = build_representation_problem(make_gt(2), 1).problem
-    n = prob.num_vars
-    t = exact_lp._Tableau(n, prob.constraints)
-    t.optimize()
-    before = t.basis[:]
-    child = t.clone()
-    child.insert_row(ge_rows(n, [({0: 1}, 5)]))
-    assert child.n0 == t.n0 + 1
-    assert child.basis == [b + (b >= t.n0) for b in before] and t.basis == before
-    child.add_row(ge_rows(n, [({1: 1}, 0)]))
-    with pytest.raises(LpError):
-        child.insert_row(ge_rows(n, [({0: 1}, 0)]))
+    parent = exact_lp._DualL1(prob)
+    parent.t.optimize()
+    before = parent.t.basis[:]
+    child = parent.fork(prob.extended({0: 1}, GE, 5))
+    n0 = len(prob.constraints)
+    assert child.t.A is child.problem.constraints and len(child.t.A) == n0 + 1
+    assert child.t.basis == [b + (b >= n0) for b in before] and parent.t.basis == before
+    assert np.array_equal(child.t.T, parent.t.T) and child.t.slacks == parent.t.slacks
+    grandchild = child.fork(child.problem.extended({1: 1}, GE, 0))
+    assert grandchild.t.basis == [b + (b >= n0 + 1) for b in child.t.basis]
+    assert len(grandchild.t.A) == n0 + 2 and len(child.t.A) == n0 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +764,12 @@ def test_insert_row_renumbers_the_slacks_and_refuses_after_add_row():
 # ---------------------------------------------------------------------------
 
 
-def priced_tableau(nvars, rows, appended, w, den, rule):
+def priced_tableau(nvars, rows, w, den, rule):
     """A tableau over these rows whose inverse is den * I and whose cost row
     on the 2N slacks is ``w``: every slack column is stored, so no basic
     variable is a slack (a state no pivot reaches; pricing reads only the
     cost row and den)."""
     t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
-    for row in appended:
-        t.add_row(ge_rows(nvars, [row]))
     m = 2 * nvars
     t.T = np.zeros((m + 1, m + 1), dtype=object)
     t.T[:m, :m] = np.identity(m, dtype=object) * den
@@ -757,18 +800,16 @@ def test_limb_pricing_matches_the_per_column_loop(data):
         st.dictionaries(st.integers(0, nvars - 1), coeff),
         coeff | st.integers(-3, 3),
     )
-    drawn = data.draw(st.lists(row, max_size=6))
+    drawn = data.draw(st.lists(row, max_size=9))
     # repeated rows price equally, so ties between columns are common
     rows = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=3)) if drawn else []
-    appended = data.draw(st.lists(row, max_size=3))
     w = data.draw(st.lists(VALUES, min_size=2 * nvars, max_size=2 * nvars))
     den = data.draw(st.integers(1, 3) | st.integers(1, 2**300))
     rule = data.draw(st.sampled_from(["hybrid", "bland"]))
-    t = priced_tableau(nvars, rows, appended, w, den, rule)
-    assert t._entering() == reference_entering(nvars, t.n0, w, den, rows + appended, rule)
+    t = priced_tableau(nvars, rows, w, den, rule)
+    assert t._entering() == reference_entering(nvars, w, den, rows, rule)
     # the inverse is den * I, so a row's column is den * [a; -a]
-    cols = [*range(t.n0), *range(t.n0 + 2 * nvars, t.n0 + 2 * nvars + len(appended))]
-    for c, (a, _) in zip(cols, rows + appended):
+    for c, (a, _) in enumerate(rows):
         a = [den * a.get(j, 0) for j in range(nvars)]
         assert list(map(int, t.column(c))) == a + [-v for v in a]
 
@@ -776,7 +817,7 @@ def test_limb_pricing_matches_the_per_column_loop(data):
 @pytest.mark.parametrize(
     "rows, appended, w, den, rule, expected",
     [
-        # equal most negative costs: rows 1 and 2, then appended row 5 -> 1
+        # equal most negative costs: rows 1, 2 and 3, the one added last -> 1
         ([({0: 1}, 0), ({0: -1}, 1), ({0: -1}, 1)], [({0: -1}, 1)], [0, 0], 2, "hybrid", (1, -2)),
         # a slack ties with a row; the row comes first
         ([({0: 1}, 0)], [], [-(2**70), 0], 1, "hybrid", (0, -(2**70))),
@@ -791,8 +832,9 @@ def test_limb_pricing_matches_the_per_column_loop(data):
     ],
 )
 def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expected):
-    t = priced_tableau(1, rows, appended, w, den, rule)
-    assert t._entering() == expected == reference_entering(1, t.n0, w, den, rows + appended, rule)
+    # rows added last are ordinary rows, their columns before the slacks
+    t = priced_tableau(1, rows + appended, w, den, rule)
+    assert t._entering() == expected == reference_entering(1, w, den, rows + appended, rule)
 
 
 # ---------------------------------------------------------------------------

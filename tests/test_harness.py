@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from ptflab import (
+    BudgetError,
     CertifyResult,
     ExperimentSpec,
     certify_coefficient_lemma,
@@ -332,3 +333,27 @@ def test_cli_checks_the_input_cap_before_building(tmp_path, monkeypatch, capsys)
     fn_path.write_text(json.dumps({"n": 25, "convention": "zero-one", "table_hex": "00"}))
     assert cli_main(["signdeg", str(fn_path), "--dmax", "1"]) == 2
     assert capsys.readouterr().out.startswith("SKIPPED: n = 25 exceeds the input cap")
+
+
+def test_cli_reproduce_takes_a_node_budget_of_0_and_refuses_a_negative_one(tmp_path, capsys):
+    assert cli_main(["reproduce", "weak-2-3", "--budget-nodes", "0", "--out", str(tmp_path)]) == 0
+    assert "budget exhausted after 1 nodes" in capsys.readouterr().out
+    # one node: the bounds are the integer ceiling of the root relaxation 183/2 and the best gate
+    assert cli_main(["reproduce", "weak-2-3", "--budget-nodes", "1", "--out", str(tmp_path)]) == 0
+    assert "(bounds [92, 366])" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as stopped:
+        cli_main(["reproduce", "weak-2-3", "--budget-nodes", "-1", "--out", str(tmp_path)])
+    assert stopped.value.code == 2
+    assert "a node budget is at least 0, not -1" in capsys.readouterr().err
+
+
+def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, capsys):
+    assert cli_main(["check-lemma", "gt_exp", "--k", "1"]) == 2
+    assert capsys.readouterr().out == "ERROR: need k >= 2\n"
+
+    def out_of_pivots(lemma, k):
+        raise BudgetError("pivot budget 5 exhausted")
+
+    monkeypatch.setattr("ptflab.cli.certify_coefficient_lemma", out_of_pivots)
+    assert cli_main(["check-lemma", "gt_exp", "--k", "4"]) == 2
+    assert capsys.readouterr().out == "SKIPPED: pivot budget 5 exhausted\n"

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import exact_lp
-from tableau_reference import DictTableau, ge_rows
+from tableau_reference import DictTableau, ge_problem, ge_rows
 
 
 def signed(bits: int):
@@ -105,8 +105,8 @@ def assert_same(t, ref) -> None:
     assert ([v * j for v in t.rhs()], [v * j for v in t.costs()], t.corner * j) == (ref.rhs, ref.w, ref.corner)
     assert t.basis == ref.basis
     assert (exact_lp._twos(t.T) | t.den) & 1
-    m = 2 * t.nvars
-    basic = {b - t.n0 for b in t.basis if 0 <= b - t.n0 < m}
+    m, n0 = 2 * t.nvars, len(t.A)
+    basic = {b - n0 for b in t.basis if b >= n0}
     assert sorted(t.slacks) == sorted(set(range(m)) - basic)
     assert t.T.shape == (m + 1, len(t.slacks) + 1)
     for c in range(len(ref.rows) + m):
@@ -169,24 +169,21 @@ def test_block_tableau_matches_the_dict_rows(data):
     if data.draw(st.booleans()):  # each row times its own 2^j: even dens, and blocks past int64
         row = st.tuples(row, st.integers(0, 40)).map(lambda p: times_2_to(*p))
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
-    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
-    ref = DictTableau(nvars, rows)
+    solver = exact_lp._DualL1(ge_problem(nvars, rows))
+    t, ref = solver.t, DictTableau(nvars, rows)
     bland_at = data.draw(st.integers(0, STEPS // 2))
     drive(t, ref, bland_at)
-    # branch and bound: clone, append a row, solve again; the parent keeps its state
-    for appended in data.draw(st.lists(row, max_size=3)):
-        if data.draw(st.booleans()):
-            parent, before = t, (t.T.copy(), t.slacks[:], t.den, t.basis[:], t.pivots)
-            t, ref = t.clone(), ref.clone()
-        else:
-            parent = None
-        t.add_row(ge_rows(nvars, [appended]))
-        ref.add_row(*appended)
+    # branch and bound: fork with one more row, solve again; the parent keeps its state
+    for coeffs, b in data.draw(st.lists(row, max_size=3)):
+        parent, before = t, (t.T.copy(), t.slacks[:], t.den, t.basis[:], t.pivots)
+        solver = solver.fork(solver.problem.extended(coeffs, exact_lp.GE, b))
+        t = solver.t
+        ref = ref.clone()
+        ref.add_row(coeffs, b)
         drive(t, ref, bland_at)
-        if parent is not None:
-            T, *rest = before
-            assert T.shape == parent.T.shape and (T == parent.T).all()
-            assert rest == [parent.slacks, parent.den, parent.basis, parent.pivots]
+        T, *rest = before
+        assert T.shape == parent.T.shape and (T == parent.T).all()
+        assert rest == [parent.slacks, parent.den, parent.basis, parent.pivots]
 
 
 @st.composite

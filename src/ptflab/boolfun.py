@@ -146,21 +146,21 @@ def make_g(k: int, variant: str = "g1") -> BoolFun:
 
     g1 outputs -x_k unless all bits agree, in which case it outputs x_k.
     g0 outputs x_1 unless all bits agree, in which case it outputs -x_1.
+
+    The table is built in array steps, with no loop over the inputs: the
+    bits of every input index (bit j set where x_(j+1) = 1), the inputs
+    whose bits agree (all set or none), and the output bit of each
+    (x_k's bit where they agree and its negation elsewhere for g1; x_1's
+    bit negated where they agree and as it is elsewhere for g0), packed.
     """
     if k < 2:
         raise ShapeError("all-equal detector needs k >= 2")
     if variant not in ("g1", "g0"):
         raise ValueError("variant must be 'g1' or 'g0'")
-    table = 0
-    for idx in range(1 << k):
-        x = assignment_of_index(idx, k, Convention.PLUS_MINUS)
-        equal = all(v == x[0] for v in x)
-        if variant == "g1":
-            val = x[-1] if equal else -x[-1]
-        else:
-            val = -x[0] if equal else x[0]
-        if val == 1:
-            table |= 1 << idx
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+    equal = bits.all(axis=1) | ~bits.any(axis=1)
+    out = bits[:, -1] == equal if variant == "g1" else bits[:, 0] != equal
+    table = int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
     return BoolFun(n=k, convention=Convention.PLUS_MINUS, table=table, label=f"{variant}-k{k}")
 
 

@@ -38,9 +38,10 @@ stated as <= is stored negated and flagged).  The matrix is int64, or
 Python integers once an entry passes 2^62.  The builders fill it in array
 steps, the simplex prices its dual columns from it as it is, with no copy,
 the checkers take one exact product over Python integers with it, and the
-text format writes and reads it.  Each certificate vector
-holds one multiplier per row; witnesses, multipliers and values are exact
-rationals.
+text format writes and reads it.  Each certificate vector holds one
+multiplier per row, a zero one as the int 0, and the checkers' work past
+a type check of the vector grows with its nonzero entries; witnesses,
+multipliers and values are exact rationals.
 
 Problems that extend one base by one row each (a lemma's negated
 inequalities) are solved by ``solve_extensions`` on one walk of the base's
@@ -65,6 +66,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -230,9 +232,12 @@ def _combine_rows(problem: LpProblem, mults):
     Fraction per row, or the matrix is not int64 or Python ints, one column
     wider than the variables.
 
-    Only the rows with a nonzero multiplier are combined, in one product
-    over Python integers (an int64 one would wrap silently), so the work is
-    bounded by the rows and not by ``num_vars``.  Only the checkers call it.
+    The type of every entry is checked; past that the work is bounded by
+    the support, the rows with a nonzero multiplier: ``compress`` finds
+    them at C speed (an int 0 tests false there without a Python call),
+    and only they are checked for sign, scaled and combined, in one
+    product over Python integers (an int64 one would wrap silently).  Only
+    the checkers call it.
     """
     rows = problem.constraints
     if not isinstance(rows, np.ndarray) or rows.shape[1:] != (problem.num_vars + 1,) or len(mults) != len(rows):
@@ -241,14 +246,14 @@ def _combine_rows(problem: LpProblem, mults):
         return None
     if not set(map(type, mults)) <= {int, Fraction}:
         return None
-    nums = [v.numerator for v in mults]  # ints and Fractions both have one; it compares fast
-    if min(nums, default=0) < 0:
-        return None
-    used = [i for i, v in enumerate(nums) if v]
+    used = list(compress(range(len(mults)), mults))
     if not used:  # every combined coefficient is 0: no vector of num_vars zeros
         return np.zeros(0, object), 0, 1
-    scale = math.lcm(*(mults[i].denominator for i in used))
-    ints = np.array([nums[i] * (scale // mults[i].denominator) for i in used], object)
+    support = [mults[i] for i in used]
+    if min(support) < 0:
+        return None
+    scale = math.lcm(*(v.denominator for v in support))
+    ints = np.array([v.numerator * (scale // v.denominator) for v in support], object)
     combined = ints @ rows[used].astype(object)
     return combined[:-1], combined[-1], scale
 
@@ -790,9 +795,15 @@ class _DualL1:
 
     def _per_row(self, mults: dict) -> list:
         """One multiplier per problem row, from values keyed by column (a
-        row's column is its position; the slacks' come after every row)."""
-        zero = Fraction(0)
-        return [mults.get(pos, zero) for pos in range(len(self.problem.constraints))]
+        row's column is its position; the slacks' come after every row):
+        the int 0 at every row without a nonzero value, which the checkers
+        skip at C speed and the certificate text writes with no call."""
+        rows = len(self.problem.constraints)
+        out = [0] * rows
+        for pos, v in mults.items():
+            if pos < rows and v:
+                out[pos] = v
+        return out
 
     def certify(self, max_pivots: int) -> LpOutcome:
         """Solve once and return the independently re-checked outcome.
@@ -943,8 +954,10 @@ def ilp_min(
     the problem's ``min_l1`` outcome when the caller already solved it; the
     search then starts from its tableau instead of solving again.  Each
     child is its parent's LP plus its branching row, forked off the
-    parent's tableau (``_DualL1.fork``).  A budget stop reports the
-    ceiling of the root relaxation as the lower bound.
+    parent's tableau (``_DualL1.fork``).  ``nodes`` counts the nodes
+    taken off the stack; a budget stop, once ``node_budget`` of them are
+    taken and one is left, reports the ceiling of the root relaxation as
+    the lower bound.
 
     A node's witness and value are read as integers over the tableau's den
     (``_DualL1.numerators`` and ``corner``), and every choice is made on
@@ -989,11 +1002,11 @@ def ilp_min(
     stack: list[_DualL1] = [root.solver]
 
     while stack:
-        solver = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:  # a node is left, and no budget to expand it
             exhausted = True
             break
+        solver = stack.pop()
+        nodes += 1
         nums, den = solver.numerators(), solver.t.den
         bound = -(-solver.t.corner // den)  # ceil of the LP value
         if best_w is not None and bound >= best_w:

@@ -11,7 +11,6 @@ content hash.  Reruns are byte-identical up to the wall-time column.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -105,8 +104,12 @@ class CertStore:
 
 
 def _vector(item: dict) -> list:
-    parse = functools.cache(Fraction)  # a vector repeats a few values, mostly 0
-    return list(map(parse, item["vector"]))
+    """The multipliers, each distinct token parsed once (a vector repeats a
+    few values, mostly 0), the token "0" as the int 0, which the checkers
+    skip at C speed."""
+    tokens = item["vector"]
+    parsed = {t: 0 if t == "0" else Fraction(t) for t in set(tokens)}
+    return list(map(parsed.__getitem__, tokens))
 
 
 def _check_item(kind: str, item: dict, value) -> bool:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .boolfun import make_hard
 from .exact_lp import BudgetError, LpProblem, _format_rows, problem_to_text
 from .polynomial import symmetric_coefficient, symmetrize, to_uv, witness_gate
@@ -67,19 +69,21 @@ class Certificate:
 
     def payload(self) -> dict:
         def vector(values) -> list:
-            # most multipliers are 0: write those without Fraction.__str__
-            # (ints and Fractions both have a numerator; it tests fast)
-            return [str(v) if v.numerator else "0" for v in values]
+            # most multipliers are the int 0, which tests false without a
+            # Python call; every zero is written as the one string "0" (a
+            # str(0) per zero would be a new object each)
+            return [str(v) if v else "0" for v in values]
 
         out = {"kind": self.kind, "claim": self.claim}
         if self.kind == "farkas-batch":
             # the base once, then each item's last row: base text plus that
-            # line is the text of the item's problem
+            # line is the text of the item's problem; the rows are formatted
+            # in one call, line by line, so each line is that row's own
             out["problem"] = problem_to_text(self.base)
-            out["items"] = [
-                {"row": _format_rows(p.constraints[-1:], p.le[-1:])[0], "vector": vector(lam)}
-                for p, lam in self.items
-            ]
+            problems = [p for p, _ in self.items] or [LpProblem(self.base.num_vars)]  # no item: no row
+            last = np.concatenate([p.constraints[-1:] for p in problems])
+            rows = _format_rows(last, np.concatenate([p.le[-1:] for p in problems]))
+            out["items"] = [{"row": row, "vector": vector(lam)} for row, (_, lam) in zip(rows, self.items)]
             return out
         problem, values = self.items[0]
         out.update(problem=problem_to_text(problem), vector=vector(values))

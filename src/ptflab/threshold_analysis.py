@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -340,12 +340,22 @@ def min_weight(
 # ---------------------------------------------------------------------------
 
 
+def _product_rows(values: tuple, k: int) -> np.ndarray:
+    """Every k-tuple over ``values`` as an int8 row, in the order of
+    ``itertools.product(values, repeat=k)``: row r holds the base-b digits
+    of r, b = len(values), the most significant first, each read through
+    ``values``."""
+    b = len(values)
+    digits = np.arange(b**k)[:, None] // b ** np.arange(k - 1, -1, -1) % b
+    return np.array(values, np.int8)[digits]
+
+
 def _gt_u_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign constraints of the comparator over u = x - y in {-1,0,1}^k, for
     a pure linear gate sum(w_j u_j), in product order: the matrix and its
     ``le`` flags.  Most significant coordinate last: the class is the sign
     of the last nonzero u_j, positive when u = 0."""
-    u = np.array(list(product((-1, 0, 1), repeat=k)), np.int8).reshape(-1, k)
+    u = _product_rows((-1, 0, 1), k)
     last = k - 1 - np.argmax(u[:, ::-1] != 0, axis=1)  # k - 1 when u = 0
     return _sign_rows(u, u[np.arange(len(u)), last] >= 0)
 
@@ -354,12 +364,11 @@ def _g_u_rows(which: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign constraints of the all-equal detector over its linear forms
     (``polynomial._strong_forms``), for x in product order: the matrix and
     its ``le`` flags.  The detector's output at x is bit
-    sum((x_j = 1) << j) of its truth table."""
-    table = make_g(k, which).table
-    x = np.array(list(product((-1, 1), repeat=k)), np.int8).reshape(-1, k)
+    sum((x_j = 1) << j) of its truth table, read for every x at once."""
+    x = _product_rows((-1, 1), k)
     u = np.stack([a * x[:, v] + b * x[:, w] for (v, a), (w, b) in _strong_forms(range(k))], axis=1)
     index = ((x == 1) << np.arange(k)).sum(axis=1)
-    return _sign_rows(u, np.array([table >> i & 1 for i in index.tolist()]))
+    return _sign_rows(u, _fun_bits(make_g(k, which))[index])
 
 
 def _base_problem(base: str, k: int) -> LpProblem:

@@ -25,6 +25,7 @@ from ptflab import (
 )
 from ptflab.boolfun import from_bits
 from ptflab.tuple_order import order_bits_partial
+from detector_reference import g_table
 from shape_reference import all_tuples
 from uv_reference import linear_forms
 
@@ -92,6 +93,13 @@ def test_g0_cases():
 def test_g_rejects_tiny_k():
     with pytest.raises(ShapeError):
         make_g(1)
+
+
+@pytest.mark.parametrize("variant", ["g1", "g0"])
+@pytest.mark.parametrize("k", range(2, 11))
+def test_g_table_matches_the_per_input_reference(k, variant):
+    # the array build against the loop over inputs it replaced
+    assert make_g(k, variant).table == g_table(k, variant)
 
 
 def sgn_pm(t):

@@ -1,6 +1,7 @@
 """The matrix certificate checkers of ``exact_lp`` against the dict-row
 checkers they replaced (``checker_reference``): the same verdict on every
-problem and vector."""
+problem and vector, whether its zeros are the int 0, which the checkers
+skip at C speed, or ``Fraction(0)``."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checker_reference as ref
-from ptflab import BudgetError, LpProblem, check_farkas, check_l1_bound, check_witness, min_l1
+from ptflab import BudgetError, LpProblem, check_farkas, check_l1_bound, check_witness, min_l1, solve, threshold_analysis
 from ptflab.exact_lp import GE, LE
 
 ENTRIES = st.integers(-3, 3) | st.integers(-(2**70), 2**70)  # past 2^62 too
@@ -37,6 +38,10 @@ def vectors(length, entries):
     return size.flatmap(lambda k: st.lists(entries, min_size=k, max_size=k))
 
 
+def zeros_as(vector, zero):
+    return [zero if v == 0 else v for v in vector]
+
+
 def assert_same_verdicts(problem, vector, value):
     old = ref.dict_problem(problem)
     assert check_witness(problem, vector) == ref.check_witness(old, vector)
@@ -48,13 +53,15 @@ def assert_same_verdicts(problem, vector, value):
 @given(problems(), st.data())
 def test_matrix_checkers_give_the_dict_row_verdicts(problem, data):
     n, rows = problem.num_vars, len(problem.constraints)
-    candidates = [data.draw(vectors(k, MULTS)) for k in (n, rows)]
+    candidates = [data.draw(vectors(k, st.just(0) | MULTS)) for k in (n, rows)]
     values = [data.draw(MULTS)]
     try:
         out = min_l1(problem, max_pivots=500)
     except BudgetError:
         out = None
     if out is not None:
+        for vector in (out.farkas, out.dual):  # one entry per row, each zero the int 0
+            assert vector is None or len(vector) == rows and all(type(v) is int for v in vector if not v)
         found = [v for v in (out.witness, out.farkas, out.dual) if v is not None]
         # each with one entry moved by one, or negated
         moved = [[*v[:i], w, *v[i + 1 :]] for v in found for i in range(len(v)) for w in (v[i] + 1, -v[i])]
@@ -62,7 +69,9 @@ def test_matrix_checkers_give_the_dict_row_verdicts(problem, data):
         values += [out.value] if out.value is not None else []
     for vector in candidates:
         for value in values:
-            assert_same_verdicts(problem, vector, value)
+            # the checkers skip an int 0 at C speed and test a Fraction(0) in Python
+            for zero in (0, Fraction(0)):
+                assert_same_verdicts(problem, zeros_as(vector, zero), value)
 
 
 # 2^32 x0 >= 0: the witness x0 = 2^31 makes a product of 2^63, which int64
@@ -89,3 +98,37 @@ def test_negative_multipliers_and_wrong_lengths_fail_both(vector):
     problem = problem_of(1, [({0: 1}, GE, 1), ({0: 1}, LE, 0)])
     assert_same_verdicts(problem, vector, 1)
     assert not check_farkas(problem, vector)
+
+
+# 2000 rows 0 >= -1, then 0 >= 1: the last row alone is a contradiction
+MANY_ZEROS = LpProblem(1, np.array([[0, -1]] * 2000 + [[0, 1]]), None)
+
+
+@pytest.mark.parametrize("at", [0, 1234, 1999])
+def test_one_negative_multiplier_among_zeros_is_refused(at):
+    lam = [0] * 2000 + [1]
+    assert check_farkas(MANY_ZEROS, lam)
+    for negative in (-1, Fraction(-1, 3)):
+        lam[at] = negative  # it adds 1 or 1/3 to the rhs: the sign check alone refuses it
+        assert not check_farkas(MANY_ZEROS, lam) and not check_l1_bound(MANY_ZEROS, lam, 0)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0, 0.0, 0.5])
+def test_a_bool_or_float_entry_is_refused(odd):
+    # True == 1 and 1.0 == 1 would make a valid vector; 0.0 is falsy, so
+    # only the type check of the whole vector sees it
+    for lam in ([0] * 2000 + [odd], [odd] * 2000 + [1]):
+        assert not check_farkas(MANY_ZEROS, lam) and not check_l1_bound(MANY_ZEROS, lam, 1)
+        assert not ref.check_farkas(ref.dict_problem(MANY_ZEROS), lam)
+
+
+def test_lemma_vectors_are_mostly_int_zeros():
+    # the comparator's 3^4 sign rows: an L1 optimum, and the lemma's first
+    # negated row, infeasible
+    base = threshold_analysis._base_problem("gt", 4)
+    dual = min_l1(base).dual
+    farkas = solve(base.extended({0: 1}, LE, 0)).farkas
+    for vector, rows in ((dual, 81), (farkas, 82)):
+        zeros = [v for v in vector if not v]
+        assert len(vector) == rows and len(zeros) > rows - 10
+        assert {type(v) for v in zeros} == {int}

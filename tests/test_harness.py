@@ -4,7 +4,9 @@ and the command-line interface."""
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ptflab import (
@@ -19,6 +21,7 @@ from ptflab import (
     run,
 )
 from ptflab.cli import main as cli_main
+from ptflab.exact_lp import LpProblem, _format_rows
 from ptflab.harness import ALL_MODES, PRESET_NAMES
 from ptflab.pipeline import Certificate
 from csv_reference import rows_without_timing
@@ -208,6 +211,27 @@ def test_farkas_batch_stores_its_base_once(tmp_path, lemma, k):
     assert not replay_certificate(path)
 
 
+def test_farkas_batch_payload_matches_the_per_row_formatting():
+    # all items' rows go through one _format_rows call; each line must be
+    # the one its row gives alone, a <= row, rows past 2^62 and an int64
+    # row among them, and every zero multiplier, int or Fraction, is "0"
+    base = LpProblem(2)
+    base.add({0: 1}, ">=", 1)
+    rows = [({0: 1, 1: -2}, "<=", -3), ({1: 2**70}, ">=", -(2**63)), ({}, ">=", 1), ({0: -1}, "<=", 0)]
+    problems = [base.extended(*row) for row in rows]
+    assert [p.constraints.dtype for p in problems] == [np.int64, object, np.int64, np.int64]
+    vectors = [[0, Fraction(1, 2)], [Fraction(0), 3], [0, Fraction(0)], [2**70, 0]]
+    payload = Certificate("farkas-batch", "mixed", tuple(zip(problems, vectors)), base=base).payload()
+    assert payload["items"] == [
+        {"row": _format_rows(p.constraints[-1:], p.le[-1:])[0], "vector": [str(v) if v.numerator else "0" for v in lam]}
+        for p, lam in zip(problems, vectors)
+    ]
+    assert [item["row"] for item in payload["items"]] == ["1 -2 <= -3", f"0 {2**70} >= {-(2**63)}", "0 0 >= 1", "-1 0 <= 0"]
+    assert [item["vector"] for item in payload["items"]] == [["0", "1/2"], ["0", "3"], ["0", "0"], [str(2**70), "0"]]
+    # g1_mono at k = 2 asserts no inequality: a batch of no items
+    assert Certificate("farkas-batch", "none", (), base=base).payload()["items"] == []
+
+
 # sha256[:16] of each preset's CSV without the wall-time column, in
 # PRESET_NAMES order; a change that keeps the results leaves these alone
 PRESET_DIGESTS = (
@@ -337,10 +361,10 @@ def test_cli_checks_the_input_cap_before_building(tmp_path, monkeypatch, capsys)
 
 def test_cli_reproduce_takes_a_node_budget_of_0_and_refuses_a_negative_one(tmp_path, capsys):
     assert cli_main(["reproduce", "weak-2-3", "--budget-nodes", "0", "--out", str(tmp_path)]) == 0
-    assert "budget exhausted after 1 nodes" in capsys.readouterr().out
+    assert "budget exhausted after 0 nodes" in capsys.readouterr().out
     # one node: the bounds are the integer ceiling of the root relaxation 183/2 and the best gate
     assert cli_main(["reproduce", "weak-2-3", "--budget-nodes", "1", "--out", str(tmp_path)]) == 0
-    assert "(bounds [92, 366])" in capsys.readouterr().out
+    assert "after 1 nodes (bounds [92, 366])" in capsys.readouterr().out
     with pytest.raises(SystemExit) as stopped:
         cli_main(["reproduce", "weak-2-3", "--budget-nodes", "-1", "--out", str(tmp_path)])
     assert stopped.value.code == 2

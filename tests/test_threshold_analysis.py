@@ -37,6 +37,7 @@ from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
 from checker_reference import dict_rows
+from detector_reference import g_u_rows
 from uv_reference import evaluate, linear_forms, scaled, uv_values
 
 def constant_one(n):
@@ -310,6 +311,16 @@ def test_g_lemma_rows_match_per_input_linear_forms(which, k):
         row = {j: v for j, v in enumerate(linear_forms(x)) if v}
         want.append((row, GE, 0) if fun.eval(x) == 1 else (row, LE, -1))
     assert dict_rows(LpProblem(k, *threshold_analysis._g_u_rows(which, k))) == want
+
+
+@pytest.mark.parametrize("which", ["g1", "g0"])
+@pytest.mark.parametrize("k", range(2, 11))
+def test_g_lemma_rows_match_the_per_input_table_read(which, k):
+    # the classes read from the table in one step, against one shift per input
+    rows, le = threshold_analysis._g_u_rows(which, k)
+    want_rows, want_le = g_u_rows(which, k)
+    assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+    assert le.dtype == want_le.dtype and np.array_equal(le, want_le)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])

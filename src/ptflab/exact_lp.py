@@ -21,8 +21,9 @@ over the columns and no rounding: in one int64 matrix product while a
 bound proves it exact, otherwise with the multipliers cut into
 fixed-width int64 limbs and the limb products carried, or in one product
 over Python integers when the rows leave no limb width.  The entering
-column is an int64 array under the same kind of bound too (see
-``_Tableau``).  One solve answers feasibility, the L1 optimum and the
+column is an int64 array under the same kind of bound too.  One class,
+``_DualL1``, is the dual problem, its tableau and the reading of its
+certificates; one solve answers feasibility, the L1 optimum and the
 branch-and-bound root.  The reported witnesses come back out of the
 simplex multipliers and every outcome is re-verified by an independent
 checker before it is returned:
@@ -206,23 +207,34 @@ class IlpResult:
 # ---------------------------------------------------------------------------
 
 
+def _checkable(problem: LpProblem, vector) -> bool:
+    """Whether the checkers read ``problem`` and ``vector`` exactly: every
+    entry of the vector an int or a Fraction (not a bool, a float, a numpy
+    scalar or a string), and the rows a matrix of int64 or Python ints,
+    one column wider than the variables.  Only the checkers call it; the
+    solver has its own test, ``_is_row_matrix``."""
+    rows = problem.constraints
+    if not isinstance(rows, np.ndarray) or rows.shape[1:] != (problem.num_vars + 1,):
+        return False
+    if not set(map(type, vector)) <= {int, Fraction}:
+        return False
+    return rows.dtype == np.int64 or rows.dtype == object and all(type(v) is int for v in rows.flat)
+
+
 def check_witness(problem: LpProblem, x) -> bool:
-    """Exact substitution check of every row; a matrix that is not int64 or
-    Python ints, one column wider than the variables, fails.
+    """Exact substitution check of every row; a witness that is not one int
+    or Fraction per variable fails, and so does a matrix that is not int64
+    or Python ints, one column wider than the variables.
 
     One product over Python integers (an int64 one would wrap silently):
     each row [a | b] times [x * s | -s], s the lcm of the denominators of
     x, must be >= 0, which keeps the sign of a . x - b.
     """
-    rows, n = problem.constraints, problem.num_vars
-    if len(x) != n or not isinstance(rows, np.ndarray) or rows.shape[1:] != (n + 1,):
+    if len(x) != problem.num_vars or not _checkable(problem, x):
         return False
-    if rows.dtype != np.int64 and not (rows.dtype == object and all(type(v) is int for v in rows.flat)):
-        return False
-    x = [_frac(v) for v in x]
     scale = math.lcm(*(v.denominator for v in x))
     xs = np.array([v.numerator * (scale // v.denominator) for v in x] + [-scale], object)
-    return bool((rows.astype(object) @ xs >= 0).all())
+    return bool((problem.constraints.astype(object) @ xs >= 0).all())
 
 
 def _combine_rows(problem: LpProblem, mults):
@@ -240,11 +252,7 @@ def _combine_rows(problem: LpProblem, mults):
     the checkers call it.
     """
     rows = problem.constraints
-    if not isinstance(rows, np.ndarray) or rows.shape[1:] != (problem.num_vars + 1,) or len(mults) != len(rows):
-        return None
-    if rows.dtype != np.int64 and not (rows.dtype == object and all(type(v) is int for v in rows.flat)):
-        return None
-    if not set(map(type, mults)) <= {int, Fraction}:
+    if not _checkable(problem, mults) or len(mults) != len(rows):
         return None
     used = list(compress(range(len(mults)), mults))
     if not used:  # every combined coefficient is 0: no vector of num_vars zeros
@@ -291,7 +299,7 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Revised integer tableau with fraction-free pivoting
+# The L1 dual: a revised integer tableau with fraction-free pivoting
 # ---------------------------------------------------------------------------
 
 
@@ -386,15 +394,21 @@ def _shift(x, k: int):
     return x << k if k > 0 else x >> -k if k < 0 else x
 
 
-class _Tableau:
-    """Revised simplex tableau of the L1 dual over integers sharing one
-    denominator.
+class _DualL1:
+    """min sum|x| subject to the problem's rows, solved as its always-feasible
+    dual on a revised simplex tableau over integers sharing one denominator.
 
-    The rows are the 2N dual constraints.  Columns are numbered as in the
-    full tableau: one dual variable per row of ``A``, then the 2N slacks
-    (``_DualL1.fork`` adds a row and moves them up one).  The dual
-    variable of the primal >=-row a . x >= b has the original column
-    [a; -a] and cost -b.
+    The dual has one variable per row and two rows per primal variable
+    (|combined coefficient| <= 1), so the basis stays at 2N even when the
+    constraint count is in the thousands.  The primal witness is read off
+    the reduced costs of the dual slacks; an unbounded dual ray is exactly
+    an infeasibility certificate for the primal rows.
+
+    The tableau's rows are the 2N dual constraints.  Columns are numbered
+    as in the full tableau: one dual variable per row of ``A``, then the 2N
+    slacks (``fork`` adds a row and moves them up one).  The dual variable
+    of the primal >=-row a . x >= b has the original column [a; -a] and
+    cost -b.
 
     The state is one integer matrix ``T``, the block of the full
     fraction-free tableau that any other column is computed from: int64
@@ -411,12 +425,12 @@ class _Tableau:
     sum to 2, so one is positive), so at most N slacks are nonbasic and
     ``T`` is at most (2N+1) x (N+1).
 
-    The primal rows are one integer matrix ``A``, the problem's own (not a
-    copy): a row [a | b] of a . x >= b per dual variable, int64, or Python
-    integers once an entry passes 2^62.  ``cmax`` is its largest |entry|,
-    ``l1`` the largest L1 norm of a row (each at least 1), and ``width``
-    the ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j],
-    and its reduced cost is [z | -den] . [a_j | b_j] with z = w[:N] - w[N:]
+    ``A`` is ``problem.constraints``, the same object, never a copy: a row
+    [a | b] of a . x >= b per dual variable, int64, or Python integers
+    once an entry passes 2^62.  ``cmax`` is its largest |entry|, ``l1``
+    the largest L1 norm of a row (each at least 1), and ``width`` the
+    ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
+    its reduced cost is [z | -den] . [a_j | b_j] with z = w[:N] - w[N:]
     for the slack costs w.  A pivot updates at most (2N+1) x (N+1)
     integers in whole-array steps instead of 2N x (rows + 2N) one at a
     time.
@@ -454,9 +468,12 @@ class _Tableau:
       * a pivot is an int64 step when ``_step64`` proves it exact.
     """
 
-    def __init__(self, nvars: int, A: np.ndarray):
-        """``A``: the initial rows [a | b], each a . x >= b."""
+    def __init__(self, problem: LpProblem):
+        A, nvars = problem.constraints, problem.num_vars
+        if not _is_row_matrix(A, nvars):  # it may be replaced after the build
+            raise LpError("constraints are no row matrix of int64 below 2^62 or Python ints")
         m = 2 * nvars
+        self.problem = problem
         self.nvars = nvars
         self.A = A
         self.cmax, self.l1 = _norms(A, 1, 1)
@@ -503,8 +520,8 @@ class _Tableau:
             self._max = self.T, _abs_max(self.T)
         return self._max[1]
 
-    def clone(self) -> "_Tableau":
-        t = copy.copy(self)  # A is never written, so the clones share it
+    def clone(self) -> "_DualL1":
+        t = copy.copy(self)  # the problem and A are never written, so the clones share them
         # the integers are immutable, so shallow copies
         t.T, t.slacks, t.basis, t.basic_slack = self.T.copy(), self.slacks[:], self.basis[:], self.basic_slack.copy()
         t.ray_col = None
@@ -611,7 +628,7 @@ class _Tableau:
         dropped first; the leaving slack's column, den in row r before,
         becomes -g with the old den in row r, and is stored.
 
-        The state is the Bareiss one times 2^-j (see ``_Tableau``).  With
+        The state is the Bareiss one times 2^-j (see ``_DualL1``).  With
         den = 2^a * o, o odd, the Bareiss den divides every Bareiss
         numerator, so o divides every numerator row * piv - g * row r
         here; the step divides by o alone, and the new den is piv * 2^a,
@@ -719,111 +736,68 @@ class _Tableau:
                 return "unbounded"
         return "optimal"
 
-
-# ---------------------------------------------------------------------------
-# L1 minimization through the dual
-# ---------------------------------------------------------------------------
-
-
-class _DualL1:
-    """min sum|c| subject to the problem's rows, solved as its always-feasible
-    dual.
-
-    The dual has one variable per row and two rows per primal variable
-    (|combined coefficient| <= 1), so the basis stays at 2N even when the
-    constraint count is in the thousands.  The primal witness is read off
-    the reduced costs of the dual slacks; an unbounded dual ray is exactly
-    an infeasibility certificate for the primal rows.
-    """
-
-    def __init__(self, problem: LpProblem):
-        if not _is_row_matrix(problem.constraints, problem.num_vars):  # it may be replaced after the build
-            raise LpError("constraints are no row matrix of int64 below 2^62 or Python ints")
-        self.problem = problem
-        self.nvars = problem.num_vars
-        self.t = _Tableau(self.nvars, problem.constraints)
-
-    def clone(self) -> "_DualL1":
-        other = copy.copy(self)  # shares the problem, not the tableau
-        other.t = self.t.clone()
-        return other
-
     def fork(self, problem: LpProblem) -> "_DualL1":
         """A clone that solves ``problem``, this one's problem with one more
-        row last; the only way a row reaches a tableau.  The tableau prices
+        row last; the only way a row reaches a tableau.  The clone prices
         ``problem``'s own matrix and numbers the row's column before the
         slacks, as a cold one does, so only the ``basis`` entries naming a
         slack move up one (the rest of the state is keyed by slack offset).
         The new column is nonbasic: the state of a cold tableau on the same
         pivots, while that column never entered."""
         child = self.clone()
-        child.problem = problem
-        t = child.t
-        n0 = len(t.A)
-        t.A = problem.constraints
-        t.cmax, t.l1 = _norms(t.A[n0:], t.cmax, t.l1)
-        t.basis = [b + 1 if b >= n0 else b for b in t.basis]
+        n0 = len(self.A)
+        child.problem, child.A = problem, problem.constraints
+        child.cmax, child.l1 = _norms(child.A[n0:], self.cmax, self.l1)
+        child.basis = [b + 1 if b >= n0 else b for b in self.basis]
         return child
 
+    # -- reading the solution ------------------------------------------------
+
     def value(self) -> Fraction:
-        return Fraction(self.t.corner, self.t.den)
+        return Fraction(self.corner, self.den)
 
     def numerators(self) -> list:
-        """The witness times den: its coordinates are these over ``t.den``."""
+        """The witness times den: its coordinates are these over ``den``."""
         n = self.nvars
-        w = self.t.costs()
+        w = self.costs()
         return [w[k] - w[n + k] for k in range(n)]
 
     def witness(self) -> list:
-        return [Fraction(v, self.t.den) for v in self.numerators()]
+        return [Fraction(v, self.den) for v in self.numerators()]
 
-    def dual_values(self) -> dict:
-        """Dual variable values keyed by column: a row's position, or a slack's."""
-        t = self.t
-        return {b: Fraction(r, t.den) for b, r in zip(t.basis, t.rhs())}
-
-    def farkas_from_ray(self) -> dict:
-        t = self.t
-        col = t.ray_col
-        if col is None:
-            raise LpError("no unbounded ray recorded")
-        delta: dict[int, Fraction] = {col: Fraction(1)}
-        for b, a in zip(t.basis, t.column(col).tolist()):
-            if a:
-                delta[b] = Fraction(-a, t.den)
-        return delta
-
-    def _per_row(self, mults: dict) -> list:
-        """One multiplier per problem row, from values keyed by column (a
-        row's column is its position; the slacks' come after every row):
-        the int 0 at every row without a nonzero value, which the checkers
-        skip at C speed and the certificate text writes with no call."""
-        rows = len(self.problem.constraints)
-        out = [0] * rows
-        for pos, v in mults.items():
-            if pos < rows and v:
-                out[pos] = v
+    def _per_row(self, nums: list) -> list:
+        """One multiplier per problem row from one numerator over den per
+        basis row (a row's column is its position; the slacks' come after
+        every row): Fraction(num, den) at each basic row with a nonzero
+        num, and the int 0 at every other row, which the checkers skip at
+        C speed and the certificate text writes with no call."""
+        out = [0] * len(self.A)
+        for b, v in zip(self.basis, nums):
+            if v and b < len(out):
+                out[b] = Fraction(v, self.den)
         return out
 
     def certify(self, max_pivots: int) -> LpOutcome:
         """Solve once and return the independently re-checked outcome.
 
-        Infeasible rows give a Farkas vector over the problem's constraints.
-        Otherwise the outcome is optimal: the minimum-L1 witness, its value,
-        the dual multipliers proving the bound, and this solver, whose
-        tableau branch and bound can start from.
+        Infeasible rows give a Farkas vector over the problem's constraints:
+        the dual ray, the entering column's variable at 1 and each basic one
+        moving by minus its column entry.  Otherwise the outcome is optimal:
+        the minimum-L1 witness, its value, the dual multipliers proving the
+        bound (the basic values), and this solver, whose tableau branch and
+        bound can start from.
         """
         problem = self.problem
-        t = self.t
-        status = t.optimize(max_pivots)
+        status = self.optimize(max_pivots)
         stats = {
-            "pivots": t.pivots,
-            "wide_pivots": t.wide_pivots,
-            "den_bits": t.den.bit_length(),
-            "bland": t.rule == "bland",
+            "pivots": self.pivots,
+            "wide_pivots": self.wide_pivots,
+            "den_bits": self.den.bit_length(),
+            "bland": self.rule == "bland",
         }
         if status == "unbounded":
-            lam = self._per_row(self.farkas_from_ray())
+            lam = self._per_row([-a for a in self.column(self.ray_col).tolist()])
+            lam[self.ray_col] = Fraction(1)  # a row: the slacks are bounded (each pair sums to 2)
             if not check_farkas(problem, lam):
                 raise LpError("internal error: infeasibility certificate failed")
             return LpOutcome(status="infeasible", farkas=lam, stats=stats)
@@ -833,12 +807,17 @@ class _DualL1:
             raise LpError("internal error: optimal witness failed substitution")
         if sum(abs(v) for v in witness) != value:
             raise LpError("internal error: witness weight disagrees with optimum")
-        dual = self._per_row(self.dual_values())
+        dual = self._per_row(self.rhs())
         if not check_l1_bound(problem, dual, value):
             raise LpError("internal error: dual bound certificate failed")
         return LpOutcome(
             status="optimal", witness=witness, value=value, dual=dual, stats=stats, solver=self
         )
+
+
+# ---------------------------------------------------------------------------
+# L1 minimization through the dual
+# ---------------------------------------------------------------------------
 
 
 def min_l1(
@@ -887,10 +866,10 @@ def solve_extensions(
     leaving row keep their order, so the path is the base's up to the
     first state where the new column would enter.  The walk solves the
     base.  At each state it prices every pending row's column exactly, as
-    p = z . a - den * b (z read from the cost row, [a | b] the row), all
-    in one product over Python integers.  The row forks there (a clone of
-    the base tableau, the row put in by ``_DualL1.fork``, then certified
-    on its own) when p < 0 and:
+    p = z . a - den * b (z the base's ``numerators``, [a | b] the row),
+    all in one product over Python integers.  The row forks there (a
+    clone of the base tableau, the row put in by ``_DualL1.fork``, then
+    certified on its own) when p < 0 and:
 
       * the base is optimal at this state;
       * under Dantzig's rule, p < f, the base's entering cost, or p = f
@@ -908,8 +887,7 @@ def solve_extensions(
     the base's.
     """
     problems = [base.extended(*row) for row in rows]
-    walk = _DualL1(base)
-    t, n = walk.t, base.num_vars
+    walk, n = _DualL1(base), base.num_vars
     last = np.array([p.constraints[-1] for p in problems], object).reshape(len(problems), n + 1)
     pending = list(range(len(problems)))
     outcomes = {}
@@ -918,15 +896,14 @@ def solve_extensions(
         outcomes[i] = _feasibility(walk.fork(problems[i]).certify(max_pivots))
         pending.remove(i)
 
-    while pending and (entering := t._entering()) is not None:
+    while pending and (entering := walk._entering()) is not None:
         c, f = entering
-        slack = c >= len(t.A)
-        w = t.costs()
-        prices = last[pending] @ np.array([w[j] - w[n + j] for j in range(n)] + [-t.den], object)
+        slack = c >= len(walk.A)
+        prices = last[pending] @ np.array([*walk.numerators(), -walk.den], object)
         for i, p in zip(pending[:], prices.tolist()):
-            if p < 0 and (slack if t.rule == "bland" else p < f or p == f and slack):
+            if p < 0 and (slack if walk.rule == "bland" else p < f or p == f and slack):
                 fork(i)
-        if pending and not t.step(c, f, max_pivots):
+        if pending and not walk.step(c, f, max_pivots):
             break
     for i in pending[:]:
         fork(i)
@@ -1007,8 +984,8 @@ def ilp_min(
             break
         solver = stack.pop()
         nodes += 1
-        nums, den = solver.numerators(), solver.t.den
-        bound = -(-solver.t.corner // den)  # ceil of the LP value
+        nums, den = solver.numerators(), solver.den
+        bound = -(-solver.corner // den)  # ceil of the LP value
         if best_w is not None and bound >= best_w:
             continue
         fracs = [v % den for v in nums]  # den times the fractional parts
@@ -1033,7 +1010,7 @@ def ilp_min(
         ready = []
         for sign, rhs in children:
             child = solver.fork(solver.problem.extended({pick: sign}, GE, rhs))
-            if child.t.optimize(max_pivots) == "unbounded":
+            if child.optimize(max_pivots) == "unbounded":
                 continue  # child region infeasible
             ready.append(child)
         stack.extend(reversed(ready))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .exact_lp import LpError, LpProblem, check_farkas, check_l1_bound, check_witness, problem_from_text
-from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
+from .pipeline import ALL_MODES, PRESET_PIVOT_BUDGET, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
 
 
@@ -31,7 +31,7 @@ class ExperimentSpec:
     modes: tuple = ALL_MODES
     input_cap: int = 24
     node_budget: int = 2000
-    pivot_budget: int = 400_000
+    pivot_budget: int = PRESET_PIVOT_BUDGET
     exponent_table_n: int | None = None  # used by the bound-exponent preset
 
     def to_json(self) -> dict:
@@ -53,7 +53,7 @@ class ExperimentSpec:
             modes=tuple(obj.get("modes", ALL_MODES)),
             input_cap=obj.get("input_cap", 24),
             node_budget=obj.get("node_budget", 2000),
-            pivot_budget=obj.get("pivot_budget", 400_000),
+            pivot_budget=obj.get("pivot_budget", PRESET_PIVOT_BUDGET),
             exponent_table_n=obj.get("exponent_table_n"),
         )
 

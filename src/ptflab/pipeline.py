@@ -36,6 +36,8 @@ from .threshold_analysis import (
 from .tuple_order import OrderContext, OrderError, dominance_chain
 
 ALL_MODES = ("verify-gate", "signdeg", "minweight-lp", "minweight-exact", "lemmas", "theorem")
+# the pivot budget of a preset's LPs; every results JSON records it
+PRESET_PIVOT_BUDGET = 400_000
 
 
 class Verdict(str, Enum):
@@ -142,7 +144,7 @@ def run_shape(
     modes=ALL_MODES,
     input_cap: int = DEFAULT_INPUT_CAP,
     node_budget: int = 2000,
-    pivot_budget: int = 400_000,
+    pivot_budget: int = PRESET_PIVOT_BUDGET,
 ) -> ShapeResult:
     """Every verdict the modes ask for on one shape, in CSV row order."""
     res = ShapeResult(shape)
@@ -319,7 +321,7 @@ def verify_theorem_instance(
     shape: GroupShape,
     mode: str = "lp",
     node_budget: int = 2000,
-    max_pivots: int = 400_000,
+    max_pivots: int = PRESET_PIVOT_BUDGET,
 ) -> BoundReport:
     """Run the whole verification pipeline on one shape as a report.
 

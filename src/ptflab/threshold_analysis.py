@@ -399,7 +399,7 @@ class CertifyResult:
 
 
 def certify_negated_row(
-    base: str, k: int, coeffs: dict, rel: str, rhs, max_pivots: int = 200_000
+    base: str, k: int, coeffs: dict, rel: str, rhs, max_pivots: int = DEFAULT_PIVOT_CAP
 ) -> InequalityCheck:
     """Adjoin the negation of a claimed coefficient inequality to the sign
     constraints of a base function and certify infeasibility via Farkas.
@@ -464,7 +464,7 @@ _LEMMA_BASE = {
 }
 
 
-def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = 200_000) -> CertifyResult:
+def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = DEFAULT_PIVOT_CAP) -> CertifyResult:
     """CERTIFIED iff no integer gate for the base function violates any of
     the lemma's coefficient inequalities; each inequality gets its own
     Farkas certificate, independently re-checked.

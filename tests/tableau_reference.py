@@ -1,12 +1,12 @@
-"""The dict-row revised tableau that ``exact_lp._Tableau`` replaced: the
-per-step reference its block form is tested against.
+"""The dict-row revised tableau that the block tableau of ``exact_lp._DualL1``
+replaced: the per-step reference its block form is tested against.
 
 It keeps all 2N columns of den * B^-1 under the slacks, each row a dict of
 its nonzero entries, the basic values ``rhs``, the slack cost row ``w`` and
 the dual objective ``corner`` (over den), and prices every column with a
 loop over the rows.  The dual variable of the primal row a . x >= b has the
 original column [a; -a] and cost -b; columns are numbered as in
-``_Tableau``: one per row, then the 2N slacks.
+``_DualL1``: one per row, then the 2N slacks.
 """
 
 from operator import mul
@@ -22,12 +22,6 @@ def ge_problem(nvars, rows):
     for coeffs, b in rows:
         problem.add(coeffs, GE, b)
     return problem
-
-
-def ge_rows(nvars, rows):
-    """The row matrix [a | b] that ``exact_lp._Tableau`` takes, of the
-    integer rows (coeffs, b) of a . x >= b."""
-    return ge_problem(nvars, rows).constraints
 
 
 def reference_entering(nvars, w, den, rows, rule):

@@ -122,6 +122,15 @@ def test_a_bool_or_float_entry_is_refused(odd):
         assert not ref.check_farkas(ref.dict_problem(MANY_ZEROS), lam)
 
 
+@pytest.mark.parametrize("x", [["1", "0"], ["3/2", "0"], [True, 0], [np.float64(1.0), 0]])
+def test_a_witness_entry_not_int_or_fraction_is_refused(x):
+    # x0 >= 1 holds at x = [1, 0] and at [3/2, 0]; the same values as a
+    # string, a bool or a numpy float are no witness, as no multiplier is
+    problem = problem_of(2, [({0: 1}, GE, 1)])
+    assert check_witness(problem, [1, 0]) and check_witness(problem, [Fraction(3, 2), 0])
+    assert not check_witness(problem, x)
+
+
 def test_lemma_vectors_are_mostly_int_zeros():
     # the comparator's 3^4 sign rows: an L1 optimum, and the lemma's first
     # negated row, infeasible

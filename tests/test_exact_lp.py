@@ -29,7 +29,7 @@ from ptflab import exact_lp
 from ptflab.exact_lp import GE, LE
 from ptflab.threshold_analysis import build_representation_problem, certify_coefficient_lemma
 from checker_reference import dict_rows
-from tableau_reference import ge_rows, reference_entering
+from tableau_reference import ge_problem, reference_entering
 
 
 def FR(x, y=None):
@@ -164,10 +164,11 @@ def _code_names(code) -> set:
 
 def test_l1_checker_shares_no_solver_code():
     private = {name for name in vars(exact_lp) if name.startswith("_")}
-    # the checkers, and the row combination that check_farkas and
-    # check_l1_bound share, reach only the number coercion and each other
-    checker_code = {"_frac", "_combine_rows"}
-    for checker in (check_l1_bound, check_witness, check_farkas, exact_lp._combine_rows):
+    # the checkers, the row combination that check_farkas and check_l1_bound
+    # share, and the matrix and entry check that all three share, reach only
+    # the number coercion and each other
+    checker_code = {"_frac", "_combine_rows", "_checkable"}
+    for checker in (check_l1_bound, check_witness, check_farkas, exact_lp._combine_rows, exact_lp._checkable):
         assert _code_names(checker.__code__) & private <= checker_code
     # and the solver reaches none of the checkers' own code
     solver = [
@@ -177,7 +178,7 @@ def test_l1_checker_shares_no_solver_code():
         for f in (vars(obj).values() if isinstance(obj, type) else [obj])
         if hasattr(f, "__code__")
     ]
-    assert solver and not any("_combine_rows" in _code_names(f.__code__) for f in solver)
+    assert solver and not any({"_combine_rows", "_checkable"} & _code_names(f.__code__) for f in solver)
 
 
 def test_check_witness_rejects_a_variable_out_of_range():
@@ -466,8 +467,8 @@ def cold_copy(problem):
 
 
 def assert_derives_like_a_cold_copy(problem):
-    A = exact_lp._DualL1(problem).t.A
-    cold_A = exact_lp._DualL1(cold_copy(problem)).t.A
+    A = exact_lp._DualL1(problem).A
+    cold_A = exact_lp._DualL1(cold_copy(problem)).A
     assert A is problem.constraints  # the tableau reads the problem's matrix, no copy
     assert A.tolist() == cold_A.tolist() and A.dtype == cold_A.dtype
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
@@ -521,10 +522,10 @@ def test_one_solve_serves_feasibility_weight_and_branch_and_bound():
     out = min_l1(prob)
     assert out.status == "optimal" and out.solver is not None
     assert solve(prob).witness == out.witness
-    pivots = out.solver.t.pivots
+    pivots = out.solver.pivots
     res = ilp_min(prob, root=out)
     assert res.value == ilp_min(prob).value == 6
-    assert out.solver.t.pivots == pivots  # the root tableau is cloned, not re-solved
+    assert out.solver.pivots == pivots  # the root tableau is cloned, not re-solved
 
 
 def test_fork_leaves_the_parent_unchanged():
@@ -534,16 +535,15 @@ def test_fork_leaves_the_parent_unchanged():
     parent = out.solver
 
     def state():
-        t = parent.t
-        prices = t._entering(), t._priced().tolist()
-        return parent.value(), parent.witness(), parent.dual_values(), prices, t.pivots
+        prices = parent._entering(), parent._priced().tolist()
+        return parent.value(), parent.witness(), parent.basis[:], parent.rhs(), prices, parent.pivots
 
     before = state()
     child = parent.fork(prob.extended({0: 1}, GE, out.witness[0] + 1))  # x0 >= witness + 1
-    assert child.t.optimize() == "optimal"
-    assert child.t.pivots > parent.t.pivots and child.value() > out.value
+    assert child.optimize() == "optimal"
+    assert child.pivots > parent.pivots and child.value() > out.value
     assert state() == before
-    assert parent.t.optimize() == "optimal" and state() == before
+    assert parent.optimize() == "optimal" and state() == before
 
 
 def test_branch_and_bound_path_is_pinned():
@@ -551,18 +551,18 @@ def test_branch_and_bound_path_is_pinned():
     shape = make_shape("strong", (3, 2))
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
     pivots = 0
-    pivot = exact_lp._Tableau.pivot
+    pivot = exact_lp._DualL1.pivot
 
     def counted(self, *args):
         nonlocal pivots
         pivots += 1
         return pivot(self, *args)
 
-    exact_lp._Tableau.pivot = counted
+    exact_lp._DualL1.pivot = counted
     try:
         res = ilp_min(prob, node_budget=20)
     finally:
-        exact_lp._Tableau.pivot = pivot
+        exact_lp._DualL1.pivot = pivot
     assert (res.status, res.nodes, pivots) == ("budget", 20, 463)
     assert (res.value, res.lower_bound, res.relaxation) == (24, 6, 6)
     assert res.witness == [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, -2, -2, 0] + [
@@ -577,7 +577,7 @@ def test_strong32_branch_and_bound_stays_in_int64():
     shape = make_shape("strong", (3, 2))
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
     pivots = wide = 0
-    pivot = exact_lp._Tableau.pivot
+    pivot = exact_lp._DualL1.pivot
 
     def counted(self, *args):
         nonlocal pivots, wide
@@ -586,11 +586,11 @@ def test_strong32_branch_and_bound_stays_in_int64():
         pivots += 1
         wide += self.wide_pivots - before
 
-    exact_lp._Tableau.pivot = counted
+    exact_lp._DualL1.pivot = counted
     try:
         res = ilp_min(prob, node_budget=150)
     finally:
-        exact_lp._Tableau.pivot = pivot
+        exact_lp._DualL1.pivot = pivot
     assert (res.status, res.nodes, res.value, res.lower_bound) == ("budget", 150, 22, 6)
     assert (pivots, wide) == (2879, 0)
 
@@ -619,7 +619,7 @@ def test_every_branch_and_bound_node_is_its_parents_lp_plus_one_row():
         known.add(id(child))
         rows, parent_rows = child.problem.constraints, parent.problem.constraints
         assert len(rows) == len(parent_rows) + 1 and np.array_equal(rows[:-1], parent_rows)
-        assert child.t.A is rows
+        assert child.A is rows
         assert sorted(map(abs, rows[-1, :-1].tolist())) == [0] * (prob.num_vars - 1) + [1]  # +-x_j >= b
     for _, child in forks[::4]:
         got, cold = child.clone().certify(exact_lp.DEFAULT_PIVOT_CAP), min_l1(child.problem)
@@ -721,14 +721,14 @@ TIE_WITH_A_SLACK = (
 @example(lp=TIE_WITH_A_SLACK)
 def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
     base, rows = lp
-    real_init = exact_lp._Tableau.__init__
+    real_init = exact_lp._DualL1.__init__
 
     def init(self, *args):
         real_init(self, *args)
         self.rule = rule
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact_lp._Tableau, "__init__", init)
+        mp.setattr(exact_lp._DualL1, "__init__", init)
         cold = [cold_or_budget(base.extended(*r), max_pivots) for r in rows]
         if None in cold:  # some cold solve ran out of pivots
             with pytest.raises(BudgetError):
@@ -747,16 +747,16 @@ def test_fork_renumbers_the_slacks():
     # move up one; a fork of a fork moves them again
     prob = build_representation_problem(make_gt(2), 1).problem
     parent = exact_lp._DualL1(prob)
-    parent.t.optimize()
-    before = parent.t.basis[:]
+    parent.optimize()
+    before = parent.basis[:]
     child = parent.fork(prob.extended({0: 1}, GE, 5))
     n0 = len(prob.constraints)
-    assert child.t.A is child.problem.constraints and len(child.t.A) == n0 + 1
-    assert child.t.basis == [b + (b >= n0) for b in before] and parent.t.basis == before
-    assert np.array_equal(child.t.T, parent.t.T) and child.t.slacks == parent.t.slacks
+    assert child.A is child.problem.constraints and len(child.A) == n0 + 1
+    assert child.basis == [b + (b >= n0) for b in before] and parent.basis == before
+    assert np.array_equal(child.T, parent.T) and child.slacks == parent.slacks
     grandchild = child.fork(child.problem.extended({1: 1}, GE, 0))
-    assert grandchild.t.basis == [b + (b >= n0 + 1) for b in child.t.basis]
-    assert len(grandchild.t.A) == n0 + 2 and len(child.t.A) == n0 + 1
+    assert grandchild.basis == [b + (b >= n0 + 1) for b in child.basis]
+    assert len(grandchild.A) == n0 + 2 and len(child.A) == n0 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +769,7 @@ def priced_tableau(nvars, rows, w, den, rule):
     on the 2N slacks is ``w``: every slack column is stored, so no basic
     variable is a slack (a state no pivot reaches; pricing reads only the
     cost row and den)."""
-    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
+    t = exact_lp._DualL1(ge_problem(nvars, rows))
     m = 2 * nvars
     t.T = np.zeros((m + 1, m + 1), dtype=object)
     t.T[:m, :m] = np.identity(m, dtype=object) * den

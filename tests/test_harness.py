@@ -1,7 +1,9 @@
 """Experiment harness: presets, persistence, determinism, certificates,
 and the command-line interface."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +22,7 @@ from ptflab import (
     replay_certificate,
     run,
 )
+from ptflab import exact_lp, pipeline, threshold_analysis
 from ptflab.cli import main as cli_main
 from ptflab.exact_lp import LpProblem, _format_rows
 from ptflab.harness import ALL_MODES, PRESET_NAMES
@@ -57,6 +60,25 @@ def test_spec_from_json_ignores_old_workers_key():
     assert "workers" not in blob
     back = ExperimentSpec.from_json({**blob, "workers": 2})
     assert back.to_json() == blob
+
+
+def test_pivot_budget_defaults_are_their_named_constants():
+    # every results JSON records the spec's pivot_budget: the values must not move
+    assert (exact_lp.DEFAULT_PIVOT_CAP, pipeline.PRESET_PIVOT_BUDGET) == (200_000, 400_000)
+    solver = [
+        exact_lp.min_l1, exact_lp.solve, exact_lp.solve_extensions, exact_lp.ilp_min, exact_lp._DualL1.optimize,
+        threshold_analysis.sign_degree, threshold_analysis.min_weight, threshold_analysis.certify_negated_row,
+        threshold_analysis.certify_coefficient_lemma,
+    ]
+    for f in solver:
+        assert inspect.signature(f).parameters["max_pivots"].default == exact_lp.DEFAULT_PIVOT_CAP, f
+    ladder = {f.name: f.default for f in dataclasses.fields(threshold_analysis.RepresentationLadder)}
+    assert ladder["max_pivots"] == exact_lp.DEFAULT_PIVOT_CAP
+    preset_budget = pipeline.PRESET_PIVOT_BUDGET
+    assert inspect.signature(pipeline.run_shape).parameters["pivot_budget"].default == preset_budget
+    assert inspect.signature(pipeline.verify_theorem_instance).parameters["max_pivots"].default == preset_budget
+    assert ExperimentSpec("x", []).pivot_budget == preset_budget
+    assert ExperimentSpec.from_json({"name": "x", "shapes": []}).pivot_budget == preset_budget
 
 
 def test_empty_shape_list_is_trivially_green(tmp_path):

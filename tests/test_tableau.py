@@ -1,4 +1,4 @@
-"""The block tableau of ``exact_lp._Tableau`` against the dict-row tableau it
+"""The block tableau of ``exact_lp._DualL1`` against the dict-row tableau it
 replaced (``tableau_reference``), pivot by pivot, and its int64 step
 against the same step over Python integers."""
 
@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import exact_lp
-from tableau_reference import DictTableau, ge_problem, ge_rows
+from tableau_reference import DictTableau, ge_problem
 
 
 def signed(bits: int):
@@ -169,15 +169,13 @@ def test_block_tableau_matches_the_dict_rows(data):
     if data.draw(st.booleans()):  # each row times its own 2^j: even dens, and blocks past int64
         row = st.tuples(row, st.integers(0, 40)).map(lambda p: times_2_to(*p))
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
-    solver = exact_lp._DualL1(ge_problem(nvars, rows))
-    t, ref = solver.t, DictTableau(nvars, rows)
+    t, ref = exact_lp._DualL1(ge_problem(nvars, rows)), DictTableau(nvars, rows)
     bland_at = data.draw(st.integers(0, STEPS // 2))
     drive(t, ref, bland_at)
     # branch and bound: fork with one more row, solve again; the parent keeps its state
     for coeffs, b in data.draw(st.lists(row, max_size=3)):
         parent, before = t, (t.T.copy(), t.slacks[:], t.den, t.basis[:], t.pivots)
-        solver = solver.fork(solver.problem.extended(coeffs, exact_lp.GE, b))
-        t = solver.t
+        t = t.fork(t.problem.extended(coeffs, exact_lp.GE, b))
         ref = ref.clone()
         ref.add_row(coeffs, b)
         drive(t, ref, bland_at)
@@ -229,7 +227,7 @@ def lane_states(draw):
     if pair:  # costs of opposite signs: z = w_j - w_(j+N) may pass 2^63
         block[-1][:2] = abs(block[-1][0]), -abs(block[-1][1])
     rule = draw(st.sampled_from(["hybrid", "bland"]))
-    t = exact_lp._Tableau(nvars, ge_rows(nvars, rows))
+    t = exact_lp._DualL1(ge_problem(nvars, rows))
     t.T = np.array(block, dtype=np.int64).reshape(m + 1, len(slacks) + 1)
     t.slacks, t.basis, t.den, t.rule = list(slacks), basis, den, rule
     t.basic_slack = np.array([b - len(rows) if b >= len(rows) else m for b in basis])

@@ -372,7 +372,7 @@ def test_shared_base_lemma_matches_cold_reference(lemma, k):
 def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, walked, cold):
     builds, solvers, certified, pivots = [], [], [], []
     real_rows, real_init = threshold_analysis._gt_u_rows, exact_lp._DualL1.__init__
-    real_certify, real_pivot = exact_lp._DualL1.certify, exact_lp._Tableau.pivot
+    real_certify, real_pivot = exact_lp._DualL1.certify, exact_lp._DualL1.pivot
 
     def counted_rows(k):
         builds.append(k)
@@ -394,7 +394,7 @@ def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, wal
     monkeypatch.setattr(threshold_analysis, "_gt_u_rows", counted_rows)
     monkeypatch.setattr(exact_lp._DualL1, "__init__", counted_init)
     monkeypatch.setattr(exact_lp._DualL1, "certify", recorded_certify)
-    monkeypatch.setattr(exact_lp._Tableau, "pivot", counted_pivot)
+    monkeypatch.setattr(exact_lp._DualL1, "pivot", counted_pivot)
     res = certify_coefficient_lemma("gt_exp", k)
     monkeypatch.undo()
     assert res.status == "CERTIFIED"

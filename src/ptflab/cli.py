@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .boolfun import BoolFun, make_hard
+from .exact_lp import DEFAULT_NODE_BUDGET
 from .harness import PRESET_NAMES, preset, run
 from .polynomial import witness_gate
 from .shapes import make_shape
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     p.add_argument("fn", help="BoolFun JSON file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget-nodes", type=_node_budget, default=2000)
+    p.add_argument("--budget-nodes", type=_node_budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write the witness gate JSON here")
     p.set_defaults(handler=_cmd_minweight)
 

@@ -38,11 +38,12 @@ and one integer matrix of rows [a | b], each meaning a . x >= b (a row
 stated as <= is stored negated and flagged).  The matrix is int64, or
 Python integers once an entry passes 2^62.  The builders fill it in array
 steps, the simplex prices its dual columns from it as it is, with no copy,
-the checkers take one exact product over Python integers with it, and the
-text format writes and reads it.  Each certificate vector holds one
-multiplier per row, a zero one as the int 0, and the checkers' work past
-a type check of the vector grows with its nonzero entries; witnesses,
-multipliers and values are exact rationals.
+the checkers take one exact product with it (the witness check's in int64
+when a bound proves it exact), and the text format writes and reads it.
+Each certificate vector holds one multiplier per row, a zero one as the
+int 0, and the checkers' work past a type check of the vector grows with
+its nonzero entries; witnesses, multipliers and values are exact
+rationals.
 
 Problems that extend one base by one row each (a lemma's negated
 inequalities) are solved by ``solve_extensions`` on one walk of the base's
@@ -75,6 +76,7 @@ LE, GE = "<=", ">="
 _RELS = (LE, GE)
 
 DEFAULT_PIVOT_CAP = 200_000
+DEFAULT_NODE_BUDGET = 2000  # branch-and-bound nodes
 
 
 class LpError(Exception):
@@ -226,15 +228,21 @@ def check_witness(problem: LpProblem, x) -> bool:
     or Fraction per variable fails, and so does a matrix that is not int64
     or Python ints, one column wider than the variables.
 
-    One product over Python integers (an int64 one would wrap silently):
-    each row [a | b] times [x * s | -s], s the lcm of the denominators of
-    x, must be >= 0, which keeps the sign of a . x - b.
+    One exact product: each row [a | b] times ints = [x * s | -s], s the
+    lcm of the denominators of x, must be >= 0, which keeps the sign of
+    a . x - b.  No partial sum passes max|entry| * sum|ints|, so the
+    product is one in int64 when that bound is below 2^63 (numpy arrays
+    would wrap silently past it), over Python integers otherwise.
     """
     if len(x) != problem.num_vars or not _checkable(problem, x):
         return False
     scale = math.lcm(*(v.denominator for v in x))
-    xs = np.array([v.numerator * (scale // v.denominator) for v in x] + [-scale], object)
-    return bool((problem.constraints.astype(object) @ xs >= 0).all())
+    ints = [v.numerator * (scale // v.denominator) for v in x] + [-scale]
+    rows = problem.constraints
+    top = max(1, -int(rows.min()), int(rows.max())) if rows.dtype != object and len(rows) else 1 << 63
+    if top * sum(map(abs, ints)) < 1 << 63:
+        return bool((rows @ np.array(ints, np.int64) >= 0).all())
+    return bool((rows.astype(object) @ np.array(ints, object) >= 0).all())
 
 
 def _combine_rows(problem: LpProblem, mults):
@@ -355,21 +363,22 @@ def _abs_max(x: np.ndarray) -> int:
     return int(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0
 
 
-def _step64(T: np.ndarray, r: int, g: np.ndarray, div: int, tmax: int) -> np.ndarray | None:
+def _step64(T: np.ndarray, r: int, g: np.ndarray, div: int, tmax: int, gmax: int, rmax: int) -> np.ndarray | None:
     """The fraction-free step (T * piv - g (x) T[r]) / div, piv = g[r], of an
-    int64 block ``T`` with max|T| = ``tmax`` and an int64 column ``g`` below
-    2^63 in magnitude, in int64; None when its quotient may reach 2^63.
+    int64 block ``T`` with max|T| = ``tmax`` and max|T[r]| = ``rmax`` and an
+    int64 column ``g`` with max|g| = ``gmax`` below 2^63, in int64; None
+    when its quotient may reach 2^63.
 
     ``div`` is odd and divides every entry of the numerator, so the
     quotient q is an integer.  The numerator is bounded entrywise by
-    top = max|T| * piv + max|g| * max|T[r]|, and q by top / div.  The
+    top = tmax * piv + gmax * rmax, and q by top / div.  The
     numerator may wrap in int64, but it is still exact mod 2^64, and the
     odd div is invertible mod 2^64, so the product num * inv(div) is
     q mod 2^64 (Hensel division); top // div < 2^63 makes that residue q
     itself.
     """
     piv = int(g[r])
-    if (tmax * piv + _abs_max(g) * _abs_max(T[r])) // div >= _I64:
+    if (tmax * piv + gmax * rmax) // div >= _I64:
         return None
     inv = pow(div, -1, 1 << 64)
     num = T * piv - np.multiply.outer(g, T[r])  # numpy arrays wrap mod 2^64
@@ -453,14 +462,14 @@ class _DualL1:
     is int64) and ``l1`` proves a step exact there, Python integers
     otherwise:
 
-      * pricing forms [z | -den | w] in int64 when tmax < 2^62, every entry
-        then below max(2 * tmax, den).  One int64 product with ``A``
-        prices every row when that bound times ``l1`` is below 2^63;
-        otherwise the vector is cut into ``width``-bit limbs, one int64
-        product per limb, and carries make the sums exact however large
-        they grow; rows too wide for any limb (``width`` below 1, as for
-        an ``A`` of Python integers) are priced in one product over
-        Python integers;
+      * every entry of [z | -den | w] is below max(2 * tmax, den), so when
+        that bound times ``l1`` is below 2^63 no partial sum reaches 2^63:
+        one int64 product A @ [z | -den] and the slack costs w are written
+        into one int64 cost row.  Otherwise the vector is cut into
+        ``width``-bit limbs, one int64 product per limb, and carries make
+        the sums exact however large they grow; rows too wide for any limb
+        (``width`` below 1, as for an ``A`` of Python integers) are priced
+        in one product over Python integers;
       * a column is int64 when max(tmax, den) * 2 * l1 < 2^63, as each
         entry sums the block or den times distinct entries of [a; -a];
       * the ratio test picks the rows with a positive entry in numpy and
@@ -537,15 +546,19 @@ class _DualL1:
         After the carries the lower limbs lie in [0, 2^width), so the top
         limb has the sign of the cost and the limbs compare lexicographically.
         """
-        n, width, A, T, den = self.nvars, self.width, self.A, self.T, self.den
+        n, n0, width, A, T, den = self.nvars, len(self.A), self.width, self.A, self.T, self.den
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
+        if not wide and max(2 * tmax, den) * self.l1 < _I64:  # no product can wrap: one limb
+            p = np.zeros((1, n0 + 2 * n), np.int64)
+            w = p[0, n0:]
+            w[self.slacks] = T[-1, :-1]
+            p[0, :n0] = A @ np.append(w[:n] - w[n:], -den)
+            return p
         w = np.zeros(2 * n, object if wide else np.int64)
         w[self.slacks] = T[-1, :-1]
         vals = np.concatenate((w[:n] - w[n:], [-den], w))  # [z | -den | w]
         top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
-        if top * self.l1 < _I64:  # no product can wrap: one limb
-            limbs = vals.astype(np.int64)[None]
-        elif width < 1:  # rows too wide for any limb: one limb of Python integers
+        if width < 1:  # rows too wide for any limb: one limb of Python integers
             limbs = vals.astype(object)[None]
         else:
             limbs = _limbs(vals, width, top.bit_length() // width + 1)
@@ -649,7 +662,8 @@ class _DualL1:
         A shift left that would pass 2^63 also leaves the block in Python
         integers.  While the block is int64, den is below 2^63: it was 1,
         a pivot of an int64 step shifted within that bound, or below 2^62
-        at the conversion.
+        at the conversion.  max|g|, max|T[r]| and the bitwise ors of g and
+        row r are each taken once, for ``_step64``, the strip and the shift.
         """
         den, T, m, n0 = self.den, self.T, self.m, len(self.A)
         piv = int(col[r])
@@ -661,14 +675,15 @@ class _DualL1:
             del self.slacks[k]
         g = np.empty(len(col) + 1, col.dtype if -_I64 < f < _I64 else object)
         g[:-1], g[-1] = col, f
-        if T.dtype != object and g.dtype == object and _abs_max(g) < _I64:
-            g = g.astype(np.int64)
         leaving = self.basis[r] >= n0
         a = _v2(den)
         div = den >> a  # odd, and it divides the numerators
+        # each reduction of g and row r is taken once, before any conversion
+        twos = _twos(T[r]) | piv | (_twos(g) | den if leaving else 0)
         new = None
-        if T.dtype != object and g.dtype != object:
-            new = _step64(T, r, g, div, self._block_max() if T is self.T else _abs_max(T))
+        if T.dtype != object and (gmax := _abs_max(g)) < _I64:
+            g, rmax = g.astype(np.int64, copy=False), _abs_max(T[r])
+            new = _step64(T, r, g, div, self._block_max() if T is self.T else _abs_max(T), gmax, rmax)
         if new is None:
             self.wide_pivots += 1
             T, g = T.astype(object, copy=False), g.astype(object, copy=False)
@@ -680,14 +695,14 @@ class _DualL1:
         # the power of two common to the quotient (0 in row r; div is odd, so
         # the numerator's is the same) and to row r, the slack column and
         # piv, these three shifted left by a
-        s = _v2(_twos(new) | (_twos(T[r]) | piv | (_twos(g) | den if leaving else 0)) << a)
+        s = _v2(_twos(new) | twos << a)
         if div > 1:
             new //= div << s  # the odd part and 2^s in one pass
         elif s:
             new >>= s
         shift = a - s  # row r, the leaving slack's column and the new den piv go times 2^shift
-        if new.dtype != object and shift > 0:
-            grown = max(_abs_max(T[r]), piv, *((_abs_max(g), den) if leaving else ()))
+        if new.dtype != object and shift > 0:  # an int64 step, so gmax and rmax are taken
+            grown = max(rmax, piv, *((gmax, den) if leaving else ()))
             if grown << shift >= _I64:
                 new = new.astype(object)
         new[r] = _shift(T[r].astype(new.dtype, copy=False), shift)
@@ -731,10 +746,10 @@ class _DualL1:
         return True
 
     def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
-        while (entering := self._entering()) is not None:
-            if not self.step(*entering, max_pivots):
-                return "unbounded"
-        return "optimal"
+        """Step until no column enters or no row leaves (``ray_col``, set by any step)."""
+        while self.ray_col is None and (entering := self._entering()) is not None:
+            self.step(*entering, max_pivots)
+        return "optimal" if self.ray_col is None else "unbounded"
 
     def fork(self, problem: LpProblem) -> "_DualL1":
         """A clone that solves ``problem``, this one's problem with one more
@@ -868,8 +883,9 @@ def solve_extensions(
     base.  At each state it prices every pending row's column exactly, as
     p = z . a - den * b (z the base's ``numerators``, [a | b] the row),
     all in one product over Python integers.  The row forks there (a
-    clone of the base tableau, the row put in by ``_DualL1.fork``, then
-    certified on its own) when p < 0 and:
+    clone of the base tableau, the row put in by ``_DualL1.fork``, its
+    column entered at cost p with no pricing, then certified on its own)
+    when p < 0 and:
 
       * the base is optimal at this state;
       * under Dantzig's rule, p < f, the base's entering cost, or p = f
@@ -878,13 +894,13 @@ def solve_extensions(
       * under Bland's rule, the base enters a slack (its first negative
         column would come after n0).
 
-    Rows still pending when the base stops fork at its final state.  The
-    fork state lies on the row's own cold path, so the rest of its solve
-    is that path too.  Forking early is always safe (the fork then takes
-    the shared pivots itself); only a fork after the new column would
-    have entered changes a path.  A budget stop raises ``BudgetError``
-    exactly when some cold solve would: a pending row's next pivot is
-    the base's.
+    Rows still pending when the base stops (unbounded, or optimal with
+    p >= 0) fork at its final state and are priced there.  The fork state
+    lies on the row's own cold path, so the rest of its solve is that path
+    too.  Forking early is always safe (the fork then takes the shared
+    pivots itself); only a fork after the new column would have entered
+    changes a path.  A budget stop raises ``BudgetError`` exactly when
+    some cold solve would: a pending row's next pivot is the base's.
     """
     problems = [base.extended(*row) for row in rows]
     walk, n = _DualL1(base), base.num_vars
@@ -892,18 +908,21 @@ def solve_extensions(
     pending = list(range(len(problems)))
     outcomes = {}
 
-    def fork(i: int) -> None:
-        outcomes[i] = _feasibility(walk.fork(problems[i]).certify(max_pivots))
+    def fork(i: int, p: int | None = None) -> None:
+        child = walk.fork(problems[i])
+        if p is not None:  # the row's column enters first, at cost p
+            child.step(len(walk.A), p, max_pivots)
+        outcomes[i] = _feasibility(child.certify(max_pivots))
         pending.remove(i)
 
-    while pending and (entering := walk._entering()) is not None:
-        c, f = entering
-        slack = c >= len(walk.A)
+    while pending:
+        c, f = walk._entering() or (None, None)  # c None: the base is optimal
+        slack = c is not None and c >= len(walk.A)
         prices = last[pending] @ np.array([*walk.numerators(), -walk.den], object)
         for i, p in zip(pending[:], prices.tolist()):
-            if p < 0 and (slack if walk.rule == "bland" else p < f or p == f and slack):
-                fork(i)
-        if pending and not walk.step(c, f, max_pivots):
+            if p < 0 and (c is None or (slack if walk.rule == "bland" else p < f or p == f and slack)):
+                fork(i, p)
+        if c is None or not pending or not walk.step(c, f, max_pivots):
             break
     for i in pending[:]:
         fork(i)
@@ -917,7 +936,7 @@ def solve_extensions(
 
 def ilp_min(
     problem: LpProblem,
-    node_budget: int = 2000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     max_pivots: int = DEFAULT_PIVOT_CAP,
     incumbent: list | None = None,
     root: LpOutcome | None = None,
@@ -1010,9 +1029,11 @@ def ilp_min(
         ready = []
         for sign, rhs in children:
             child = solver.fork(solver.problem.extended({pick: sign}, GE, rhs))
-            if child.optimize(max_pivots) == "unbounded":
-                continue  # child region infeasible
-            ready.append(child)
+            # the parent is optimal, so the row's column enters first, at its
+            # cost [z | -den] . [a | b] < 0, with no pricing
+            child.step(len(solver.A), sign * nums[pick] - den * rhs, max_pivots)
+            if child.optimize(max_pivots) == "optimal":  # else the child region is infeasible
+                ready.append(child)
         stack.extend(reversed(ready))
 
     if exhausted:

@@ -19,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .exact_lp import LpError, LpProblem, check_farkas, check_l1_bound, check_witness, problem_from_text
+from .exact_lp import (
+    DEFAULT_NODE_BUDGET,
+    LpError,
+    LpProblem,
+    check_farkas,
+    check_l1_bound,
+    check_witness,
+    problem_from_text,
+)
 from .pipeline import ALL_MODES, PRESET_PIVOT_BUDGET, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
 
@@ -30,7 +38,7 @@ class ExperimentSpec:
     shapes: list  # list of GroupShape
     modes: tuple = ALL_MODES
     input_cap: int = 24
-    node_budget: int = 2000
+    node_budget: int = DEFAULT_NODE_BUDGET
     pivot_budget: int = PRESET_PIVOT_BUDGET
     exponent_table_n: int | None = None  # used by the bound-exponent preset
 
@@ -52,7 +60,7 @@ class ExperimentSpec:
             shapes=[GroupShape.from_json(s) for s in obj["shapes"]],
             modes=tuple(obj.get("modes", ALL_MODES)),
             input_cap=obj.get("input_cap", 24),
-            node_budget=obj.get("node_budget", 2000),
+            node_budget=obj.get("node_budget", DEFAULT_NODE_BUDGET),
             pivot_budget=obj.get("pivot_budget", PRESET_PIVOT_BUDGET),
             exponent_table_n=obj.get("exponent_table_n"),
         )

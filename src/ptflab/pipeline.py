@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfun import make_hard
-from .exact_lp import BudgetError, LpProblem, _format_rows, problem_to_text
+from .exact_lp import DEFAULT_NODE_BUDGET, BudgetError, LpProblem, _format_rows, problem_to_text
 from .polynomial import symmetric_coefficient, symmetrize, to_uv, witness_gate
 from .shapes import GroupShape, Variant
 from .threshold_analysis import (
@@ -143,7 +143,7 @@ def run_shape(
     shape: GroupShape,
     modes=ALL_MODES,
     input_cap: int = DEFAULT_INPUT_CAP,
-    node_budget: int = 2000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     pivot_budget: int = PRESET_PIVOT_BUDGET,
 ) -> ShapeResult:
     """Every verdict the modes ask for on one shape, in CSV row order."""
@@ -320,7 +320,7 @@ class BoundReport:
 def verify_theorem_instance(
     shape: GroupShape,
     mode: str = "lp",
-    node_budget: int = 2000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     max_pivots: int = PRESET_PIVOT_BUDGET,
 ) -> BoundReport:
     """Run the whole verification pipeline on one shape as a report.

@@ -20,6 +20,7 @@ import numpy as np
 
 from .boolfun import BoolFun, assignment_of_index, make_g
 from .exact_lp import (
+    DEFAULT_NODE_BUDGET,
     DEFAULT_PIVOT_CAP,
     GE,
     LE,
@@ -255,7 +256,7 @@ class RepresentationLadder:
         return got
 
     def exact_weight(
-        self, degree: int, node_budget: int = 2000, incumbent: IntPolynomial | None = None
+        self, degree: int, node_budget: int = DEFAULT_NODE_BUDGET, incumbent: IntPolynomial | None = None
     ) -> MinWeightResult:
         """Exact integer optimum by branch and bound from the solved degree
         LP.  Raises BudgetError, carrying the bounds found, when the nodes
@@ -316,7 +317,7 @@ def min_weight(
     degree: int,
     mode: str = "lp",
     shape: GroupShape | None = None,
-    node_budget: int = 2000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     max_pivots: int = DEFAULT_PIVOT_CAP,
     incumbent: IntPolynomial | None = None,
 ) -> MinWeightResult:

@@ -141,3 +141,42 @@ def test_lemma_vectors_are_mostly_int_zeros():
         zeros = [v for v in vector if not v]
         assert len(vector) == rows and len(zeros) > rows - 10
         assert {type(v) for v in zeros} == {int}
+
+
+class Recorded(np.ndarray):
+    """An int64 row matrix that records every dtype it is converted to."""
+
+    def astype(self, dtype, *args, **kwargs):
+        self.conversions.append(dtype)
+        return super().astype(dtype, *args, **kwargs)
+
+
+K = (2**63 - 1) // 7 - 1  # 7 * (K + 1) = 2^63 - 1
+
+
+@pytest.mark.parametrize(
+    "row, x, lane",
+    [
+        # max|entry| * sum|ints| = 7 * (K + 1) = 2^63 - 1: int64, the product
+        # 7 * K + 7 = 2^63 - 1 exactly in one case
+        ([7, -7], [K], "int64"),
+        ([7, -7], [-K], "int64"),
+        # 2^61 * (3 + 1) = 2^63: Python integers; 3 * 2^61 + 2^61 = 2^63
+        # would wrap to -2^63 in int64 and fail a valid witness
+        ([2**61, -(2**61)], [3], "object"),
+        ([2**61, -(2**61)], [-3], "object"),
+        # a matrix of zeros: sum|ints| alone past 2^63, so no int64 vector
+        ([0, 0], [2**70], "object"),
+    ],
+)
+def test_check_witness_takes_int64_only_below_2_63(row, x, lane):
+    problem = LpProblem(1, np.array([row], np.int64), None)
+    problem.constraints = problem.constraints.view(Recorded)
+    problem.constraints.conversions = []
+    assert check_witness(problem, x) == ref.check_witness(ref.dict_problem(problem), x)
+    assert problem.constraints.conversions == ([] if lane == "int64" else [object])
+
+
+def test_check_witness_of_no_rows():
+    # no row: every witness holds, one past int64 too
+    assert check_witness(LpProblem(2), [2**70, Fraction(1, 3)])

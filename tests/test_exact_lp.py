@@ -837,6 +837,56 @@ def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expec
     assert t._entering() == expected == reference_entering(1, w, den, rows + appended, rule)
 
 
+def exactly_n(n, elements):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@st.composite
+def pricing_near_2_63(draw):
+    """(nvars, rows, w, den, tmax, below) of a pricing whose bound
+    max(2 * tmax, den) * l1 is the largest below 2^63 (``below``) or the
+    least at or past it: one row of L1 norm l1, the others within it, and
+    cost-row entries up to tmax, often +-tmax, so prices near the bound."""
+    nvars, l1, below = draw(st.integers(1, 3)), draw(st.integers(2, 40)), draw(st.booleans())
+    if draw(st.booleans()):  # den is the bound
+        den = (2**63 - 1) // l1 + (not below)
+        tmax = draw(st.integers(1, den // 2))
+    else:  # 2 * tmax is
+        tmax = (2**63 - 1) // (2 * l1) + (not below)
+        den = draw(st.integers(1, 2 * tmax))
+    sign = st.sampled_from([-1, 1])
+    full = [draw(sign) * v for v in draw(st.permutations([l1] + [0] * nvars))]
+    small = st.integers(-(l1 // (nvars + 1)), l1 // (nvars + 1))
+    rows = [full] + draw(st.lists(exactly_n(nvars + 1, small), max_size=4))
+    rows = [(dict(enumerate(r[:-1])), r[-1]) for r in rows]
+    w = draw(exactly_n(2 * nvars, st.sampled_from([-tmax, tmax]) | st.integers(-tmax, tmax)))
+    return nvars, rows, w, den, tmax, below
+
+
+@settings(max_examples=200, deadline=None)
+@given(pricing_near_2_63(), st.sampled_from(["hybrid", "bland"]))
+def test_one_product_pricing_at_its_2_63_bound(case, rule):
+    # an int64 block prices in one int64 product exactly when the bound is
+    # below 2^63, and in limbs at it; a block of Python integers, the same
+    # rationals, in limbs.  Each gives the per-column loop's entering
+    # column and costs
+    nvars, rows, w, den, tmax, below = case
+    t = priced_tableau(nvars, rows, w, den, rule)
+    m = 2 * nvars
+    t.T[:m] = 0
+    t.T[0, m] = tmax  # max|T|, off the cost row
+    z = [p - q for p, q in zip(w[:nvars], w[nvars:])]
+    costs = [sum(a[j] * z[j] for j in a) - den * b for a, b in rows] + w
+    limbs = {}
+    for dtype in (object, np.int64):
+        t.T = t.T.astype(dtype)
+        p = t._priced()
+        limbs[dtype] = len(p)
+        assert exact_lp._join(p, t.width).tolist() == costs
+        assert t._entering() == reference_entering(nvars, w, den, rows, rule)
+    assert (limbs[np.int64] == 1) == below
+
+
 # ---------------------------------------------------------------------------
 # cross-check against an independent float solver
 # ---------------------------------------------------------------------------

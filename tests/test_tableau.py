@@ -70,10 +70,10 @@ def test_int64_step_matches_python_integers(step):
     piv = g[r]
     num = [[t * piv - gi * tr for t, tr in zip(row, rows[r])] for gi, row in zip(g, rows)]
     assert all(v % div == 0 for row in num for v in row)
-    gmax = max(map(abs, g))
-    top = max(abs(v) for row in rows for v in row) * piv + gmax * max(map(abs, rows[r]))
+    gmax, rmax = max(map(abs, g)), max(map(abs, rows[r]))
+    top = max(abs(v) for row in rows for v in row) * piv + gmax * rmax
     proven = top // div < 2**63
-    out = exact_lp._step64(T, r, np.array(g, dtype=np.int64), div, exact_lp._abs_max(T))
+    out = exact_lp._step64(T, r, np.array(g, dtype=np.int64), div, exact_lp._abs_max(T), gmax, rmax)
     assert (out is not None) == proven
     if proven:
         assert out.dtype == np.int64

@@ -19,6 +19,7 @@ from .harness import PRESET_NAMES, preset, run
 from .polynomial import witness_gate
 from .shapes import make_shape
 from .threshold_analysis import (
+    _LEMMA_BASE,
     DEFAULT_INPUT_CAP,
     AnalysisError,
     BudgetError,
@@ -48,19 +49,15 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _over_cap(shape) -> bool:
-    """True, after printing why, when the shape has too many inputs to build."""
-    if shape.n <= DEFAULT_INPUT_CAP:
-        return False
-    print(f"SKIPPED: n = {shape.n} exceeds the input cap {DEFAULT_INPUT_CAP}")
-    return True
+def _in_cap(shape):
+    """The shape, or ``BudgetError`` when it has too many inputs to build."""
+    if shape.n > DEFAULT_INPUT_CAP:
+        raise BudgetError(f"n = {shape.n} exceeds the input cap {DEFAULT_INPUT_CAP}")
+    return shape
 
 
 def _cmd_build(args) -> int:
-    shape = make_shape(args.variant, _parse_ks(args.ks))
-    if _over_cap(shape):
-        return 2
-    fn = make_hard(shape)
+    fn = make_hard(_in_cap(make_shape(args.variant, _parse_ks(args.ks))))
     _write_out(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     return 0
 
@@ -79,9 +76,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_verify_gate(args) -> int:
-    shape = make_shape(args.variant, _parse_ks(args.ks))
-    if _over_cap(shape):
-        return 2
+    shape = _in_cap(make_shape(args.variant, _parse_ks(args.ks)))
     fn = make_hard(shape)
     gate = witness_gate(shape)
     cx = check_sign_representation(gate, fn)
@@ -97,12 +92,7 @@ def _load_fun(path: str) -> BoolFun:
 
 
 def _cmd_signdeg(args) -> int:
-    fn = _load_fun(args.fn)
-    try:
-        res = sign_degree(fn, args.dmax)
-    except BudgetError as exc:
-        print(f"SKIPPED: {exc}")
-        return 2
+    res = sign_degree(_load_fun(args.fn), args.dmax)
     if res.value is None:
         print(f"sign degree > {args.dmax}")
         return 1
@@ -116,11 +106,7 @@ def _cmd_signdeg(args) -> int:
 def _cmd_minweight(args) -> int:
     fn = _load_fun(args.fn)
     mode = "exact" if args.exact else "lp"
-    try:
-        res = min_weight(fn, args.degree, mode=mode, node_budget=args.budget_nodes)
-    except BudgetError as exc:
-        print(f"SKIPPED: {exc}")
-        return 2
+    res = min_weight(fn, args.degree, mode=mode, node_budget=args.budget_nodes)
     if res.value is None:
         print(f"no degree-{args.degree} gate exists")
         return 1
@@ -136,9 +122,6 @@ def _cmd_check_lemma(args) -> int:
         res = certify_coefficient_lemma(args.name, args.k)
     except AnalysisError as exc:  # an unknown lemma or a k it is not stated for
         print(f"ERROR: {exc}")
-        return 2
-    except BudgetError as exc:
-        print(f"SKIPPED: {exc}")
         return 2
     for chk in res.checks:
         print(f"{chk.status}: {chk.description}")
@@ -195,7 +178,7 @@ def main(argv=None) -> int:
     p.set_defaults(handler=_cmd_minweight)
 
     p = sub.add_parser("check-lemma", help="certify a coefficient lemma by LP infeasibility")
-    p.add_argument("name", choices=["gt_exp", "gt_step", "g1_pos", "g1_mono", "g0_all"])
+    p.add_argument("name", choices=list(_LEMMA_BASE))
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(handler=_cmd_check_lemma)
 
@@ -206,7 +189,11 @@ def main(argv=None) -> int:
     p.set_defaults(handler=_cmd_reproduce)
 
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except BudgetError as exc:  # any budget: pivots, nodes or the input cap
+        print(f"SKIPPED: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -963,7 +963,7 @@ def ilp_min(
     if root is None:
         root = min_l1(problem, max_pivots)
     if root.status == "infeasible":
-        return IlpResult(status="infeasible", nodes=1)
+        return IlpResult("infeasible", nodes=1)
     relaxation = root.value
 
     # margin-style systems (every row a . x >= b with b >= 0) stay feasible
@@ -973,20 +973,12 @@ def ilp_min(
 
     best_w: int | None = None
     best_c: list | None = None
-    tried: set = set()
 
     def consider(ints: list) -> None:
         nonlocal best_w, best_c
         w = sum(map(abs, ints))
-        if best_w is not None and w >= best_w:
-            return
-        key = tuple(ints)
-        if key in tried:
-            return
-        tried.add(key)
-        if not check_witness(problem, ints):
-            return
-        best_w, best_c = w, ints
+        if (best_w is None or w < best_w) and check_witness(problem, ints):
+            best_w, best_c = w, ints
 
     if incumbent is not None:
         seed = [Fraction(v) for v in incumbent]
@@ -994,13 +986,8 @@ def ilp_min(
             consider([v.numerator for v in seed])
 
     nodes = 0
-    exhausted = False
     stack: list[_DualL1] = [root.solver]
-
-    while stack:
-        if nodes >= node_budget:  # a node is left, and no budget to expand it
-            exhausted = True
-            break
+    while stack and nodes < node_budget:
         solver = stack.pop()
         nodes += 1
         nums, den = solver.numerators(), solver.den
@@ -1022,39 +1009,24 @@ def ilp_min(
         # most fractional coordinate, least index on ties
         pick = min((j for j, fr in enumerate(fracs) if fr), key=lambda j: (abs(2 * fracs[j] - den), j))
         floor_v = nums[pick] // den
-        children = [(-1, -floor_v), (1, floor_v + 1)]
+        # LIFO stack: the preferred child (down, or up past a half) is made
+        # and pushed last, so it is explored first
+        children = [(1, floor_v + 1), (-1, -floor_v)]
         if 2 * fracs[pick] > den:
             children.reverse()
-        # LIFO stack: push the preferred child last so it is explored first
-        ready = []
         for sign, rhs in children:
             child = solver.fork(solver.problem.extended({pick: sign}, GE, rhs))
             # the parent is optimal, so the row's column enters first, at its
             # cost [z | -den] . [a | b] < 0, with no pricing
             child.step(len(solver.A), sign * nums[pick] - den * rhs, max_pivots)
             if child.optimize(max_pivots) == "optimal":  # else the child region is infeasible
-                ready.append(child)
-        stack.extend(reversed(ready))
+                stack.append(child)
 
-    if exhausted:
-        return IlpResult(
-            status="budget",
-            value=best_w,
-            witness=best_c,
-            lower_bound=Fraction(math.ceil(relaxation)),  # W is an integer
-            relaxation=relaxation,
-            nodes=nodes,
-        )
+    if stack:  # a node is left, and no budget to expand it; W is an integer
+        return IlpResult("budget", best_w, best_c, Fraction(math.ceil(relaxation)), relaxation, nodes)
     if best_w is None:
-        return IlpResult(status="infeasible", relaxation=relaxation, nodes=nodes)
-    return IlpResult(
-        status="optimal",
-        value=best_w,
-        witness=best_c,
-        lower_bound=Fraction(best_w),
-        relaxation=relaxation,
-        nodes=nodes,
-    )
+        return IlpResult("infeasible", relaxation=relaxation, nodes=nodes)
+    return IlpResult("optimal", best_w, best_c, Fraction(best_w), relaxation, nodes)
 
 
 # ---------------------------------------------------------------------------

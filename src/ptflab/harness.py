@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +30,7 @@ from .exact_lp import (
 )
 from .pipeline import ALL_MODES, PRESET_PIVOT_BUDGET, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
+from .threshold_analysis import DEFAULT_INPUT_CAP
 
 
 @dataclass
@@ -37,7 +38,7 @@ class ExperimentSpec:
     name: str
     shapes: list  # list of GroupShape
     modes: tuple = ALL_MODES
-    input_cap: int = 24
+    input_cap: int = DEFAULT_INPUT_CAP
     node_budget: int = DEFAULT_NODE_BUDGET
     pivot_budget: int = PRESET_PIVOT_BUDGET
     exponent_table_n: int | None = None  # used by the bound-exponent preset
@@ -59,7 +60,7 @@ class ExperimentSpec:
             name=obj["name"],
             shapes=[GroupShape.from_json(s) for s in obj["shapes"]],
             modes=tuple(obj.get("modes", ALL_MODES)),
-            input_cap=obj.get("input_cap", 24),
+            input_cap=obj.get("input_cap", DEFAULT_INPUT_CAP),
             node_budget=obj.get("node_budget", DEFAULT_NODE_BUDGET),
             pivot_budget=obj.get("pivot_budget", PRESET_PIVOT_BUDGET),
             exponent_table_n=obj.get("exponent_table_n"),
@@ -261,42 +262,28 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[list[ResultRow], int]:
 # ---------------------------------------------------------------------------
 
 
+# every preset, in the order of their pinned digests
+_PRESETS = {
+    spec.name: spec
+    for spec in (
+        ExperimentSpec("weak-2-3", [make_shape("weak", (2, 3))]),
+        ExperimentSpec("weak-2-2-3", [make_shape("weak", (2, 2, 3))], ("verify-gate", "theorem")),
+        ExperimentSpec("weak-4-3", [make_shape("weak", (4, 3))], ("verify-gate", "theorem")),
+        ExperimentSpec("strong-3-3", [make_shape("strong", (3, 3))], ("verify-gate", "signdeg")),
+        ExperimentSpec(
+            "strong-5-3", [make_shape("strong", (5, 3))], ("verify-gate", "signdeg", "minweight-lp", "theorem")
+        ),
+        ExperimentSpec("gt-lemmas-k6", [make_shape("weak", (k,)) for k in range(2, 7)], ("lemmas",)),
+        ExperimentSpec("g-lemmas", [make_shape("strong", (k, 3)) for k in (3, 5)], ("lemmas",)),
+        ExperimentSpec("k5-optimal", [], (), exponent_table_n=105),
+    )
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> ExperimentSpec:
-    shapes = {
-        "weak-2-3": [make_shape("weak", (2, 3))],
-        "weak-2-2-3": [make_shape("weak", (2, 2, 3))],
-        "weak-4-3": [make_shape("weak", (4, 3))],
-        "strong-3-3": [make_shape("strong", (3, 3))],
-        "strong-5-3": [make_shape("strong", (5, 3))],
-    }
-    if name == "weak-2-3":
-        return ExperimentSpec(name, shapes[name], modes=ALL_MODES)
-    if name in ("weak-2-2-3", "weak-4-3"):
-        return ExperimentSpec(name, shapes[name], modes=("verify-gate", "theorem"))
-    if name == "strong-5-3":
-        return ExperimentSpec(name, shapes[name], modes=("verify-gate", "signdeg", "minweight-lp", "theorem"))
-    if name == "strong-3-3":
-        return ExperimentSpec(name, shapes[name], modes=("verify-gate", "signdeg"))
-    if name == "gt-lemmas-k6":
-        spec = ExperimentSpec(name, [], modes=("lemmas",))
-        spec.shapes = [make_shape("weak", (k,)) for k in range(2, 7)]
-        return spec
-    if name == "g-lemmas":
-        spec = ExperimentSpec(name, [], modes=("lemmas",))
-        spec.shapes = [make_shape("strong", (k, 3)) for k in (3, 5)]
-        return spec
-    if name == "k5-optimal":
-        return ExperimentSpec(name, [], modes=(), exponent_table_n=105)
-    raise KeyError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = (
-    "weak-2-3",
-    "weak-2-2-3",
-    "weak-4-3",
-    "strong-3-3",
-    "strong-5-3",
-    "gt-lemmas-k6",
-    "g-lemmas",
-    "k5-optimal",
-)
+    """A fresh copy of the named preset, free for the caller to change."""
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset {name!r}")
+    spec = _PRESETS[name]
+    return replace(spec, shapes=list(spec.shapes))

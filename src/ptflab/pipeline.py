@@ -163,10 +163,11 @@ def run_shape(
     )
 
     if "verify-gate" in modes:
-        g = gate()
-        res.gate_weight = g.weight
         with res.step("verify_gate") as t0:
-            cx = check_sign_representation(g, hard(), input_cap=input_cap)
+            f = hard()  # the input cap, before any gate is built
+            g = gate()
+            res.gate_weight = g.weight
+            cx = check_sign_representation(g, f, input_cap=input_cap)
             value = "PASS" if cx is None else f"FAIL@{cx.index}"
             res.add("verify_gate", value, _passed(cx is None), started=t0)
             res.add("gate_weight", g.weight)
@@ -268,7 +269,7 @@ class BoundReport:
     shape: GroupShape
     n: int
     d: int
-    gate_weight: int
+    gate_weight: int | None
     theorem_value: int | None
     lp_lower_bound: Fraction | None = None
     exact_weight: int | None = None
@@ -307,7 +308,7 @@ class BoundReport:
             "shape": self.shape.to_json(),
             "n": self.n,
             "d": self.d,
-            "gate_weight": str(self.gate_weight),
+            "gate_weight": None if self.gate_weight is None else str(self.gate_weight),
             "theorem_value": None if self.theorem_value is None else str(self.theorem_value),
             "lp_lower_bound": None if self.lp_lower_bound is None else str(self.lp_lower_bound),
             "exact_weight": None if self.exact_weight is None else str(self.exact_weight),

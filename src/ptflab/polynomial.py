@@ -135,19 +135,16 @@ def from_uv(q: IntPolynomial) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def witness_gate(shape: GroupShape, exponent_cap: int = 64) -> IntPolynomial:
+def witness_gate(shape: GroupShape) -> IntPolynomial:
     """Degree-d gate sum(2^rank * t_rank) over the snake enumeration of K.
 
     Each t is the product of one u variable per group (a difference, or a
     linear form on the strong groups i < d), so the top nonzero term
     strictly dominates everything below it and the gate's sign agrees with
-    the hard function everywhere.  Coefficients reach 2^|K|, hence the cap.
-    The gate is returned over the input variables.
+    the hard function everywhere.  Coefficients reach 2^|K|; the only cap
+    is the caller's input cap (|K| <= 2916 at n <= 24).  The gate is
+    returned over the input variables.
     """
-    if shape.size_K > exponent_cap:
-        raise PolynomialError(
-            f"|K| = {shape.size_K} exceeds exponent cap {exponent_cap}"
-        )
     ctx = OrderContext(shape)
     coeffs: dict = {}
     for rank, alpha in enumerate(enumerate_ordered(ctx), start=1):

@@ -286,10 +286,10 @@ class RepresentationLadder:
             if bad is not None:
                 raise AnalysisError(f"integer witness failed re-verification at {bad}")
         if res.status == "budget":
-            raise BudgetError(
-                f"branch-and-bound budget exhausted after {res.nodes} nodes "
-                f"(bounds [{res.lower_bound}, {res.value}])"
-            )
+            found = f"bounds [{res.lower_bound}, {res.value}]"
+            if res.value is None:
+                found = f"lower bound {res.lower_bound}, no integer gate found"
+            raise BudgetError(f"branch-and-bound budget exhausted after {res.nodes} nodes ({found})")
         return MinWeightResult("exact", res.value, witness, ilp=res)
 
 

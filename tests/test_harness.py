@@ -310,6 +310,31 @@ def test_every_budget_ends_skipped_not_crash(tmp_path):
     assert values["lemma_gt_exp_k3"] == "CERTIFIED"  # lemmas need no truth table
 
 
+def test_a_gate_on_more_than_64_tuples_verifies():
+    # strong(5,5,3): n = 16 and |K| = 75, so coefficients reach 2^75
+    res = pipeline.run_shape(make_shape("strong", (5, 5, 3)), ("verify-gate", "theorem"))
+    values = {fd.metric: fd.value for fd in res.findings}
+    assert values["verify_gate"] == "PASS"
+    assert values["theorem_bound"] == 16
+
+
+def test_the_input_cap_skips_a_shape_before_its_gate_is_built(monkeypatch):
+    def refuse(shape):
+        raise AssertionError("witness_gate called past the input cap")
+
+    monkeypatch.setattr("ptflab.pipeline.witness_gate", refuse)
+    res = pipeline.run_shape(make_shape("weak", (9, 9)), ("verify-gate",))  # n = 36
+    values = {fd.metric: fd.value for fd in res.findings}
+    assert values["verify_gate"] == "SKIPPED"
+    assert "n = 36 exceeds the input cap 24" in values["verify_gate_note"]
+
+
+def test_a_report_past_the_input_cap_has_no_gate_weight():
+    report = pipeline.verify_theorem_instance(make_shape("weak", (6, 7)))  # n = 26
+    assert report.verdicts["gate"] == "SKIPPED"
+    assert report.to_json()["gate_weight"] is None
+
+
 def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
     def violated(lemma, k, max_pivots=0):
         return CertifyResult(lemma, k, "VIOLATED", [])
@@ -403,3 +428,24 @@ def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, cap
     monkeypatch.setattr("ptflab.cli.certify_coefficient_lemma", out_of_pivots)
     assert cli_main(["check-lemma", "gt_exp", "--k", "4"]) == 2
     assert capsys.readouterr().out == "SKIPPED: pivot budget 5 exhausted\n"
+
+
+def test_cli_verify_gate_past_64_tuples(capsys):
+    assert cli_main(["verify-gate", "5,5,3", "--variant", "strong"]) == 0
+    assert capsys.readouterr().out.startswith("PASS ")
+
+
+def test_cli_budget_stop_with_no_integer_gate_gives_its_lower_bound(tmp_path, capsys):
+    fn_path = tmp_path / "w23.json"
+    assert cli_main(["build", "weak", "2,3", "--out", str(fn_path)]) == 0
+    argv = ["minweight", str(fn_path), "--degree", "2", "--exact", "--budget-nodes", "0"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == (
+        "SKIPPED: branch-and-bound budget exhausted after 0 nodes (lower bound 92, no integer gate found)\n"
+    )
+
+
+def test_cli_lemma_choices_are_the_lemma_table(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["check-lemma", "--help"])
+    assert "{gt_exp,gt_step,g1_pos,g1_mono,g0_all}" in capsys.readouterr().out

@@ -84,11 +84,6 @@ def test_gate_coefficients_match_pinned_digests(variant, ks, digest):
     assert got == digest
 
 
-def test_gate_exponent_cap():
-    with pytest.raises(PolynomialError):
-        witness_gate(make_shape("weak", (9, 9)), exponent_cap=64)
-
-
 def test_gate_top_term_dominates():
     # at every input the highest-ranked nonzero product outweighs the rest
     shape = WEAK23

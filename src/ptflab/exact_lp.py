@@ -17,10 +17,13 @@ whole-array steps: in int64 while a bound on the quotient proves it exact
 there (Hensel division of the numerator, wrapped or not, by the odd
 divisor), over Python integers otherwise.  The constraint rows are one
 integer matrix, and every column is priced from it in numpy, with no loop
-over the columns and no rounding: in one int64 matrix product while a
-bound proves it exact, otherwise with the multipliers cut into
-fixed-width int64 limbs and the limb products carried, or in one product
-over Python integers when the rows leave no limb width.  The entering
+over the columns and no rounding: in one float64 (BLAS) matrix product
+while a bound proves every partial sum an integer below 2^53, which
+float64 holds exactly, in one int64 one while it proves them below 2^63,
+otherwise with the multipliers cut into fixed-width int64 limbs and the
+limb products carried, or in one product over Python integers when the
+rows leave no limb width.  The float64 copy of the rows is made once per
+root tableau and shared by the tableaux forked off it.  The entering
 column is an int64 array under the same kind of bound too.  One class,
 ``_DualL1``, is the dual problem, its tableau and the reading of its
 certificates; one solve answers feasibility, the L1 optimum and the
@@ -155,7 +158,9 @@ class LpProblem:
         pivot path, and a ``farkas-batch`` certificate stores this problem
         once and each extension as its one extra row.
         """
-        child = LpProblem(self.num_vars, self.constraints, self.le)
+        # ``add`` checks the new row and replaces both arrays: the base's stay
+        # as they are, and its checked rows are not scanned again
+        child = copy.copy(self)
         child.add(coeffs, rel, rhs)
         return child
 
@@ -356,6 +361,7 @@ def _norms(exact: np.ndarray, cmax: int, l1: int) -> tuple:
 
 
 _I64 = 1 << 63  # int64 holds every integer of magnitude below this
+_F53 = 1 << 53  # float64 holds every integer of magnitude up to this
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -403,6 +409,22 @@ def _shift(x, k: int):
     return x << k if k > 0 else x >> -k if k < 0 else x
 
 
+class _FloatCopy:
+    """The float64 copy of a root tableau's ``n0`` rows, which are the
+    first rows of the ``A`` of every clone and fork of it (a fork's problem
+    is its parent's plus rows appended last).  It is made once, by
+    whichever of them first prices in the float lane, and shared by all."""
+
+    def __init__(self, n0: int):
+        self.n0 = n0
+        self.rows: np.ndarray | None = None
+
+    def of(self, A: np.ndarray) -> np.ndarray:
+        if self.rows is None:
+            self.rows = A[: self.n0].astype(np.float64)
+        return self.rows
+
+
 class _DualL1:
     """min sum|x| subject to the problem's rows, solved as its always-feasible
     dual on a revised simplex tableau over integers sharing one denominator.
@@ -436,13 +458,14 @@ class _DualL1:
 
     ``A`` is ``problem.constraints``, the same object, never a copy: a row
     [a | b] of a . x >= b per dual variable, int64, or Python integers
-    once an entry passes 2^62.  ``cmax`` is its largest |entry|, ``l1``
-    the largest L1 norm of a row (each at least 1), and ``width`` the
-    ``_limb_width`` of its rows.  Column j is den * B^-1 [a_j; -a_j], and
-    its reduced cost is [z | -den] . [a_j | b_j] with z = w[:N] - w[N:]
-    for the slack costs w.  A pivot updates at most (2N+1) x (N+1)
-    integers in whole-array steps instead of 2N x (rows + 2N) one at a
-    time.
+    once an entry passes 2^62; ``float_copy`` holds its float64 copy,
+    shared by every clone and fork (see ``_FloatCopy``).  ``cmax`` is its
+    largest |entry|, ``l1`` the largest L1 norm of a row (each at least
+    1), and ``width`` the ``_limb_width`` of its rows.  Column j is
+    den * B^-1 [a_j; -a_j], and its reduced cost is
+    [z | -den] . [a_j | b_j] with z = w[:N] - w[N:] for the slack costs
+    w.  A pivot updates at most (2N+1) x (N+1) integers in whole-array
+    steps instead of 2N x (rows + 2N) one at a time.
 
     ``T`` and ``den`` are any integers that hold these rationals over one
     den, not necessarily the full fraction-free tableau's (the Bareiss
@@ -463,13 +486,19 @@ class _DualL1:
     otherwise:
 
       * every entry of [z | -den | w] is below max(2 * tmax, den), so when
-        that bound times ``l1`` is below 2^63 no partial sum reaches 2^63:
-        one int64 product A @ [z | -den] and the slack costs w are written
-        into one int64 cost row.  Otherwise the vector is cut into
-        ``width``-bit limbs, one int64 product per limb, and carries make
-        the sums exact however large they grow; rows too wide for any limb
-        (``width`` below 1, as for an ``A`` of Python integers) are priced
-        in one product over Python integers;
+        that bound times ``l1``, B, is below 2^63 no partial sum reaches
+        2^63: one product A @ [z | -den] and the slack costs w are written
+        into one int64 cost row.  The product is one float64 (BLAS) one
+        when B is below 2^53: every entry of A and of the vector, every
+        product and every partial sum is then an integer below 2^53, which
+        float64 holds, so it is exact in any summation order; a fork's own
+        rows, past the float copy, take one small product of their own
+        under the same bound.  Otherwise it is one int64 product.  Past
+        2^63 the vector is cut into ``width``-bit limbs, one int64
+        product per limb, and carries make the sums exact however large
+        they grow; rows too wide for any limb (``width`` below 1, as for
+        an ``A`` of Python integers) are priced in one product over
+        Python integers;
       * a column is int64 when max(tmax, den) * 2 * l1 < 2^63, as each
         entry sums the block or den times distinct entries of [a; -a];
       * the ratio test picks the rows with a positive entry in numpy and
@@ -486,6 +515,7 @@ class _DualL1:
         self.nvars = nvars
         self.A = A
         self.cmax, self.l1 = _norms(A, 1, 1)
+        self.float_copy = _FloatCopy(len(A))  # shared by every clone and fork
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
@@ -543,16 +573,33 @@ class _DualL1:
         limb, the cost itself (int64 or a Python integer), or ``width``-bit
         limbs, the lowest first.
 
+        One int64 limb comes from one float64 product with ``float_copy``
+        (and one with a fork's own rows) while B = max(2 * tmax, den) * l1
+        is below 2^53, its results integers below 2^53, cast into the int64
+        row as they are, and from one int64 product while B is below 2^63
+        (see ``_DualL1``).
+
         After the carries the lower limbs lie in [0, 2^width), so the top
         limb has the sign of the cost and the limbs compare lexicographically.
         """
         n, n0, width, A, T, den = self.nvars, len(self.A), self.width, self.A, self.T, self.den
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
-        if not wide and max(2 * tmax, den) * self.l1 < _I64:  # no product can wrap: one limb
+        if not wide and (bound := max(2 * tmax, den) * self.l1) < _I64:  # no product can wrap: one limb
             p = np.zeros((1, n0 + 2 * n), np.int64)
             w = p[0, n0:]
             w[self.slacks] = T[-1, :-1]
-            p[0, :n0] = A @ np.append(w[:n] - w[n:], -den)
+            exact53 = bound < _F53  # every product and partial sum an integer below 2^53
+            v = np.empty(n + 1, np.float64 if exact53 else np.int64)  # [z | -den]
+            np.subtract(w[:n], w[n:], out=v[:n])
+            v[n] = -den
+            if exact53:
+                rows = self.float_copy.of(A)
+                k = len(rows)
+                p[0, :k] = rows @ v
+                if k < n0:  # a fork's own rows, past the copy
+                    p[0, k:n0] = A[k:] @ v
+            else:
+                p[0, :n0] = A @ v
             return p
         w = np.zeros(2 * n, object if wide else np.int64)
         w[self.slacks] = T[-1, :-1]

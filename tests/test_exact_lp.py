@@ -260,8 +260,12 @@ def test_l1_checker_normalizes_every_relation_and_rejects_corruption():
 
 
 # pivots done over Python integers: weak(2,3), strong(3,3) and strong(3,2)
-# stay in int64 throughout, strong(5,3) nearly so
-WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 0, ("strong", (3, 2)): 0, ("strong", (5, 3)): 4}
+# stay in int64 throughout, strong(5,3) nearly so; weak(2,4) prices in
+# every lane, the float64 product, the int64 one, int64 limbs and limbs
+# of a wide block
+WIDE_PIVOTS = {
+    ("weak", (2, 3)): 0, ("strong", (3, 3)): 0, ("strong", (3, 2)): 0, ("strong", (5, 3)): 4, ("weak", (2, 4)): 417
+}
 
 
 @pytest.mark.parametrize(
@@ -271,6 +275,7 @@ WIDE_PIVOTS = {("weak", (2, 3)): 0, ("strong", (3, 3)): 0, ("strong", (3, 2)): 0
         ("strong", (3, 3), FR(15), 185, 19),
         ("strong", (3, 2), FR(6), 80, 9),
         ("strong", (5, 3), FR(93), 385, 36),
+        ("weak", (2, 4), FR(294), 657, 42),
     ],
 )
 def test_degree2_lp_pivot_path(variant, ks, value, pivots, den_bits):
@@ -842,17 +847,18 @@ def exactly_n(n, elements):
 
 
 @st.composite
-def pricing_near_2_63(draw):
+def pricing_near(draw, limit):
     """(nvars, rows, w, den, tmax, below) of a pricing whose bound
-    max(2 * tmax, den) * l1 is the largest below 2^63 (``below``) or the
-    least at or past it: one row of L1 norm l1, the others within it, and
-    cost-row entries up to tmax, often +-tmax, so prices near the bound."""
+    max(2 * tmax, den) * l1 is the largest below ``limit`` (``below``) or
+    the least at or past it: one row of L1 norm l1, the others within it,
+    and cost-row entries up to tmax, often +-tmax, so prices near the
+    bound."""
     nvars, l1, below = draw(st.integers(1, 3)), draw(st.integers(2, 40)), draw(st.booleans())
     if draw(st.booleans()):  # den is the bound
-        den = (2**63 - 1) // l1 + (not below)
+        den = (limit - 1) // l1 + (not below)
         tmax = draw(st.integers(1, den // 2))
     else:  # 2 * tmax is
-        tmax = (2**63 - 1) // (2 * l1) + (not below)
+        tmax = (limit - 1) // (2 * l1) + (not below)
         den = draw(st.integers(1, 2 * tmax))
     sign = st.sampled_from([-1, 1])
     full = [draw(sign) * v for v in draw(st.permutations([l1] + [0] * nvars))]
@@ -863,20 +869,31 @@ def pricing_near_2_63(draw):
     return nvars, rows, w, den, tmax, below
 
 
+pricing_near_2_63 = pricing_near(2**63)
+pricing_near_2_53 = pricing_near(2**53)
+
+
+def bounded_tableau(nvars, rows, w, den, tmax, rule):
+    """``priced_tableau`` with max|T| = ``tmax``, off the cost row, so the
+    pricing bound is max(2 * tmax, den) * l1; and its reduced costs, from
+    the per-column loop."""
+    t = priced_tableau(nvars, rows, w, den, rule)
+    m = 2 * nvars
+    t.T[:m] = 0
+    t.T[0, m] = tmax
+    z = [p - q for p, q in zip(w[:nvars], w[nvars:])]
+    return t, [sum(a[j] * z[j] for j in a) - den * b for a, b in rows] + w
+
+
 @settings(max_examples=200, deadline=None)
-@given(pricing_near_2_63(), st.sampled_from(["hybrid", "bland"]))
+@given(pricing_near_2_63, st.sampled_from(["hybrid", "bland"]))
 def test_one_product_pricing_at_its_2_63_bound(case, rule):
     # an int64 block prices in one int64 product exactly when the bound is
     # below 2^63, and in limbs at it; a block of Python integers, the same
     # rationals, in limbs.  Each gives the per-column loop's entering
     # column and costs
     nvars, rows, w, den, tmax, below = case
-    t = priced_tableau(nvars, rows, w, den, rule)
-    m = 2 * nvars
-    t.T[:m] = 0
-    t.T[0, m] = tmax  # max|T|, off the cost row
-    z = [p - q for p, q in zip(w[:nvars], w[nvars:])]
-    costs = [sum(a[j] * z[j] for j in a) - den * b for a, b in rows] + w
+    t, costs = bounded_tableau(nvars, rows, w, den, tmax, rule)
     limbs = {}
     for dtype in (object, np.int64):
         t.T = t.T.astype(dtype)
@@ -885,6 +902,70 @@ def test_one_product_pricing_at_its_2_63_bound(case, rule):
         assert exact_lp._join(p, t.width).tolist() == costs
         assert t._entering() == reference_entering(nvars, w, den, rows, rule)
     assert (limbs[np.int64] == 1) == below
+
+
+# den = 2^53 // 3 + 1 makes the bound 3 * den = 2^53 + 1 and the row's
+# price -(2^53 + 1), an odd integer that no float64 holds
+PRICE_2_53_PLUS_1 = (1, [({0: 0}, 3)], [0, 0], 2**53 // 3 + 1, 1, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pricing_near_2_53, st.sampled_from(["hybrid", "bland"]))
+@example(PRICE_2_53_PLUS_1, "hybrid")
+def test_float_pricing_at_its_2_53_bound(case, rule):
+    # an int64 block prices the rows in one float64 product exactly when the
+    # bound is below 2^53 (only then is the float copy of A made), and in
+    # one int64 product at or past it; each gives the per-column loop's
+    # entering column and costs
+    nvars, rows, w, den, tmax, below = case
+    t, costs = bounded_tableau(nvars, rows, w, den, tmax, rule)
+    t.T = t.T.astype(np.int64)
+    p = t._priced()
+    assert len(p) == 1 and p[0].tolist() == costs
+    assert (t.float_copy.rows is not None) == below
+    assert t._entering() == reference_entering(nvars, w, den, rows, rule)
+
+
+def loop_costs(t):
+    """Every reduced cost of tableau ``t`` from the per-column loop over
+    Python integers: [z | -den] . [a | b] per row of its ``A``, then the
+    slack costs."""
+    z, w = t.numerators(), t.costs()
+    return [sum(map(int.__mul__, row, z + [-t.den])) for row in t.A.tolist()] + w
+
+
+def test_forks_share_their_roots_float_copy():
+    # branch-and-bound nodes and lemma forks price the rows of their root
+    # from the root's one float64 copy, and their own rows, appended past
+    # it, in int64: the costs are the per-column loop's
+    shape = make_shape("strong", (3, 2))
+    prob = build_representation_problem(make_hard(shape), 2, shape).problem
+    root = min_l1(prob)
+    copied = root.solver.float_copy.rows
+    assert copied.dtype == np.float64 and np.array_equal(copied, prob.constraints)
+    forks = []
+    fork = exact_lp._DualL1.fork
+
+    def recorded(self, problem):
+        child = fork(self, problem)
+        forks.append((self, child))
+        return child
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_lp._DualL1, "fork", recorded)
+        ilp_min(prob, node_budget=20, root=root)
+        nodes = len(forks)
+        certify_coefficient_lemma("gt_exp", 5)
+    assert nodes >= 20 and len(forks) > nodes
+    walk = forks[nodes][0]  # solve_extensions' walk of the lemma's base
+    assert np.array_equal(walk.float_copy.rows, walk.A)
+    for (parent, child), root_copy in zip(forks, [copied] * nodes + [walk.float_copy.rows] * len(forks)):
+        # the root's copy, the same object: no fork converts a matrix again
+        assert child.float_copy is parent.float_copy and child.float_copy.rows is root_copy
+        assert len(child.A) > len(root_copy)
+        assert max(2 * child._block_max(), child.den) * child.l1 < 2**53  # the float lane
+        p = child._priced()
+        assert len(p) == 1 and p[0].tolist() == loop_costs(child)
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ and the cost row in one integer matrix that each pivot updates in
 whole-array steps: in int64 while a bound on the quotient proves it exact
 there (Hensel division of the numerator, wrapped or not, by the odd
 divisor), over Python integers otherwise.  The constraint rows are one
-integer matrix, and every column is priced from it in numpy, with no loop
-over the columns and no rounding: in one float64 (BLAS) matrix product
-while a bound proves every partial sum an integer below 2^53, which
-float64 holds exactly, in one int64 one while it proves them below 2^63,
-otherwise with the multipliers cut into fixed-width int64 limbs and the
-limb products carried, or in one product over Python integers when the
-rows leave no limb width.  The float64 copy of the rows is made once per
-root tableau and shared by the tableaux forked off it.  The entering
-column is an int64 array under the same kind of bound too.  One class,
-``_DualL1``, is the dual problem, its tableau and the reading of its
+integer matrix, and every column is priced from it in float64 (BLAS)
+matrix products, with no loop over the columns and no rounding: every
+entry, product and partial sum is an integer below 2^53, which float64
+holds exactly.  That takes one product while a bound proves it, otherwise
+one product per limb of the multipliers, cut so narrow that each limb's
+product stays below 2^53, and exact carries; rows too wide for any limb
+take one product over Python integers.  The float64 copy of the rows is
+made once per root tableau and shared by the tableaux forked off it.  The
+entering column is an int64 array under the same kind of bound.  One
+class, ``_DualL1``, is the dual problem, its tableau and the reading of its
 certificates; one solve answers feasibility, the L1 optimum and the
 branch-and-bound root.  The reported witnesses come back out of the
 simplex multipliers and every outcome is re-verified by an independent
@@ -40,9 +40,10 @@ Every problem has one shape and one row format: free rational variables
 and one integer matrix of rows [a | b], each meaning a . x >= b (a row
 stated as <= is stored negated and flagged).  The matrix is int64, or
 Python integers once an entry passes 2^62.  The builders fill it in array
-steps, the simplex prices its dual columns from it as it is, with no copy,
-the checkers take one exact product with it (the witness check's in int64
-when a bound proves it exact), and the text format writes and reads it.
+steps, the simplex prices its dual columns from it through one float64
+copy, the checkers take one exact product with it (the witness check's in
+int64 when a bound proves it exact), and the text format writes and reads
+it.
 Each certificate vector holds one multiplier per row, a zero one as the
 int 0, and the checkers' work past a type check of the vector grows with
 its nonzero entries; witnesses, multipliers and values are exact
@@ -316,22 +317,23 @@ def check_l1_bound(problem: LpProblem, dual, value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _limb_width(ncols: int, cmax: int) -> int:
-    """The width of the int64 limbs that pricing cuts its vector into.
+def _limb_width(l1: int) -> int:
+    """The width of the limbs that float64 pricing cuts its vector into.
 
     A price is the dot product of the vector, cut into ``width``-bit limbs
-    (each below 2^width in magnitude), with a row of ``ncols`` integers
-    bounded by ``cmax``.  Each limb of the product then sums below
-    ncols * cmax * 2^width <= 2^61, so it and the carries it takes stay in
-    int64.  Below 1, no width does: rows that wide are priced over Python
-    integers.
+    (each below 2^width in magnitude), with a row of L1 norm at most
+    ``l1``.  Every partial sum of a limb's product is then below
+    l1 * 2^width <= 2^53, an integer that float64 holds, so the product is
+    exact in any summation order.  Below 1, no width does: rows that wide
+    are priced over Python integers.
     """
-    return 61 - (ncols * cmax).bit_length()
+    return 53 - l1.bit_length()
 
 
 def _limbs(x: np.ndarray, width: int, count: int) -> np.ndarray:
-    """The integers of ``x`` as ``count`` int64 limbs of ``width`` bits,
-    limb axis first: v = sum(limb[l] << (l * width)), the lower limbs in
+    """The integers of ``x`` as ``count`` limbs of ``width`` bits in one int64
+    array, limb axis first, which float64 holds exactly for any width
+    pricing uses: v = sum(limb[l] << (l * width)), the lower limbs in
     [0, 2^width) and the top limb signed, holding the rest of v.  The top
     limb is below 2^(width - 1) in magnitude when count exceeds
     bit_length(v) // width."""
@@ -352,12 +354,10 @@ def _join(limbs: np.ndarray, width: int):
     return out
 
 
-def _norms(exact: np.ndarray, cmax: int, l1: int) -> tuple:
-    """(cmax, l1) of rows: their largest |entry| and their largest
-    row L1 norm, each at least the floor it enters with."""
-    cmax = max(cmax, _abs_max(exact))
-    wide = cmax * exact.shape[1] >= _I64  # a row sum may not fit in int64
-    return cmax, max(l1, _abs_max(np.abs(exact).astype(object if wide else np.int64, copy=False).sum(axis=1)))
+def _l1(rows: np.ndarray, floor: int) -> int:
+    """The largest L1 norm of a row of ``rows``, at least ``floor``."""
+    wide = _abs_max(rows) * rows.shape[1] >= _I64  # a row sum may not fit in int64
+    return max(floor, _abs_max(np.abs(rows).astype(object if wide else np.int64, copy=False).sum(axis=1)))
 
 
 _I64 = 1 << 63  # int64 holds every integer of magnitude below this
@@ -409,22 +409,6 @@ def _shift(x, k: int):
     return x << k if k > 0 else x >> -k if k < 0 else x
 
 
-class _FloatCopy:
-    """The float64 copy of a root tableau's ``n0`` rows, which are the
-    first rows of the ``A`` of every clone and fork of it (a fork's problem
-    is its parent's plus rows appended last).  It is made once, by
-    whichever of them first prices in the float lane, and shared by all."""
-
-    def __init__(self, n0: int):
-        self.n0 = n0
-        self.rows: np.ndarray | None = None
-
-    def of(self, A: np.ndarray) -> np.ndarray:
-        if self.rows is None:
-            self.rows = A[: self.n0].astype(np.float64)
-        return self.rows
-
-
 class _DualL1:
     """min sum|x| subject to the problem's rows, solved as its always-feasible
     dual on a revised simplex tableau over integers sharing one denominator.
@@ -458,13 +442,14 @@ class _DualL1:
 
     ``A`` is ``problem.constraints``, the same object, never a copy: a row
     [a | b] of a . x >= b per dual variable, int64, or Python integers
-    once an entry passes 2^62; ``float_copy`` holds its float64 copy,
-    shared by every clone and fork (see ``_FloatCopy``).  ``cmax`` is its
-    largest |entry|, ``l1`` the largest L1 norm of a row (each at least
-    1), and ``width`` the ``_limb_width`` of its rows.  Column j is
-    den * B^-1 [a_j; -a_j], and its reduced cost is
-    [z | -den] . [a_j | b_j] with z = w[:N] - w[N:] for the slack costs
-    w.  A pivot updates at most (2N+1) x (N+1) integers in whole-array
+    once an entry passes 2^62.  ``l1`` is the largest L1 norm of a row (at
+    least 1) and ``width`` the ``_limb_width`` of its rows.  ``F`` is the
+    float64 copy of the rows, exact as every entry is below 2^52 when
+    ``width`` is at least 1 (None otherwise).  It is made once per root
+    tableau and shared by every clone and fork, whose rows past it are
+    their own.  Column j is den * B^-1 [a_j; -a_j], and its reduced cost
+    is [z | -den] . [a_j | b_j] with z = w[:N] - w[N:] for the slack
+    costs w.  A pivot updates at most (2N+1) x (N+1) integers in whole-array
     steps instead of 2N x (rows + 2N) one at a time.
 
     ``T`` and ``den`` are any integers that hold these rationals over one
@@ -486,17 +471,14 @@ class _DualL1:
     otherwise:
 
       * every entry of [z | -den | w] is below max(2 * tmax, den), so when
-        that bound times ``l1``, B, is below 2^63 no partial sum reaches
-        2^63: one product A @ [z | -den] and the slack costs w are written
-        into one int64 cost row.  The product is one float64 (BLAS) one
-        when B is below 2^53: every entry of A and of the vector, every
-        product and every partial sum is then an integer below 2^53, which
-        float64 holds, so it is exact in any summation order; a fork's own
-        rows, past the float copy, take one small product of their own
-        under the same bound.  Otherwise it is one int64 product.  Past
-        2^63 the vector is cut into ``width``-bit limbs, one int64
-        product per limb, and carries make the sums exact however large
-        they grow; rows too wide for any limb (``width`` below 1, as for
+        that bound times ``l1``, B, is below 2^53, every entry of A and of
+        the vector, every product and every partial sum is an integer below
+        2^53, which float64 holds: one float64 (BLAS) product A @ [z | -den]
+        is exact in any summation order, and it and the slack costs w are
+        written into one int64 cost row.  Otherwise the vector is cut into
+        ``width``-bit limbs, one float64 product per limb, exact by the
+        same argument, and int64 carries make the sums exact however large
+        they grow.  Rows too wide for any limb (``width`` below 1, as for
         an ``A`` of Python integers) are priced in one product over
         Python integers;
       * a column is int64 when max(tmax, den) * 2 * l1 < 2^63, as each
@@ -514,8 +496,9 @@ class _DualL1:
         self.problem = problem
         self.nvars = nvars
         self.A = A
-        self.cmax, self.l1 = _norms(A, 1, 1)
-        self.float_copy = _FloatCopy(len(A))  # shared by every clone and fork
+        self.l1 = _l1(A, 1)
+        # every tableau prices, so the copy is made at once; shared by every clone and fork
+        self.F = A.astype(np.float64) if self.width >= 1 else None
         # every slack basic: no stored column, the basic values all 1
         self.T = np.array([[1]] * m + [[0]], dtype=np.int64)
         self.slacks: list[int] = []
@@ -536,7 +519,7 @@ class _DualL1:
 
     @property
     def width(self) -> int:
-        return _limb_width(self.A.shape[1], self.cmax)
+        return _limb_width(self.l1)
 
     @property
     def corner(self) -> int:
@@ -573,48 +556,53 @@ class _DualL1:
         limb, the cost itself (int64 or a Python integer), or ``width``-bit
         limbs, the lowest first.
 
-        One int64 limb comes from one float64 product with ``float_copy``
-        (and one with a fork's own rows) while B = max(2 * tmax, den) * l1
-        is below 2^53, its results integers below 2^53, cast into the int64
-        row as they are, and from one int64 product while B is below 2^63
-        (see ``_DualL1``).
+        Three paths (see ``_DualL1``): one float64 product while
+        B = max(2 * tmax, den) * l1 is below 2^53, its integers cast into
+        the int64 cost row as they are; otherwise one float64 product per
+        ``width``-bit limb of [z | -den], each cast into its int64 limb row
+        and carried; or, when ``width`` is below 1, one product over Python
+        integers.
 
         After the carries the lower limbs lie in [0, 2^width), so the top
         limb has the sign of the cost and the limbs compare lexicographically.
         """
         n, n0, width, A, T, den = self.nvars, len(self.A), self.width, self.A, self.T, self.den
         wide = T.dtype == object or (tmax := self._block_max()) >= 1 << 62
-        if not wide and (bound := max(2 * tmax, den) * self.l1) < _I64:  # no product can wrap: one limb
+        # B >= 2 * l1 (some basic slack is positive), so width >= 1 and F is made
+        if not wide and max(2 * tmax, den) * self.l1 < _F53:  # one product
             p = np.zeros((1, n0 + 2 * n), np.int64)
             w = p[0, n0:]
             w[self.slacks] = T[-1, :-1]
-            exact53 = bound < _F53  # every product and partial sum an integer below 2^53
-            v = np.empty(n + 1, np.float64 if exact53 else np.int64)  # [z | -den]
+            v = np.empty(n + 1)  # [z | -den]
             np.subtract(w[:n], w[n:], out=v[:n])
             v[n] = -den
-            if exact53:
-                rows = self.float_copy.of(A)
-                k = len(rows)
-                p[0, :k] = rows @ v
-                if k < n0:  # a fork's own rows, past the copy
-                    p[0, k:n0] = A[k:] @ v
-            else:
-                p[0, :n0] = A @ v
+            self._dot(v, p[0, :n0])
             return p
         w = np.zeros(2 * n, object if wide else np.int64)
         w[self.slacks] = T[-1, :-1]
         vals = np.concatenate((w[:n] - w[n:], [-den], w))  # [z | -den | w]
-        top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
         if width < 1:  # rows too wide for any limb: one limb of Python integers
-            limbs = vals.astype(object)[None]
-        else:
-            limbs = _limbs(vals, width, top.bit_length() // width + 1)
-        q = A @ limbs[:, : n + 1].T
-        p = np.concatenate((q.T, limbs[:, n + 1 :]), axis=1)
+            vals = vals.astype(object)
+            return np.concatenate((A @ vals[: n + 1], vals[n + 1 :]))[None]
+        top = _abs_max(vals) if wide else max(2 * tmax, den)  # bounds |vals|
+        limbs = _limbs(vals, width, top.bit_length() // width + 1)
+        p = np.empty((len(limbs), n0 + 2 * n), np.int64)
+        p[:, n0:] = limbs[:, n + 1 :]
+        for x, row in zip(limbs[:, : n + 1].astype(np.float64), p):
+            self._dot(x, row[:n0])
         for lo, hi in zip(p, p[1:]):
             hi += lo >> width
             lo &= (1 << width) - 1
         return p
+
+    def _dot(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = A @ x for a float64 vector x that keeps every partial sum an
+        integer below 2^53: the shared copy ``F``, then the rows a fork
+        appended past it."""
+        k = len(self.F)
+        out[:k] = self.F @ x
+        if k < len(out):
+            out[k:] = self.A[k:] @ x
 
     def column(self, c: int) -> np.ndarray:
         """Column c of the full tableau: den * B^-1 times the original column
@@ -809,7 +797,7 @@ class _DualL1:
         child = self.clone()
         n0 = len(self.A)
         child.problem, child.A = problem, problem.constraints
-        child.cmax, child.l1 = _norms(child.A[n0:], self.cmax, self.l1)
+        child.l1 = _l1(child.A[n0:], self.l1)
         child.basis = [b + 1 if b >= n0 else b for b in self.basis]
         return child
 

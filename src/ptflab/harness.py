@@ -213,10 +213,7 @@ def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
             continue
         values[k] = (k - 1) ** (n // k)
         rows.append(ResultRow(spec.name, f"k={k}", "bound_exponent", str(values[k])))
-    if 5 in values:
-        ok = all(values[5] > v for k, v in values.items() if k != 5)
-    else:
-        ok = False
+    ok = 5 in values and all(values[5] > v for k, v in values.items() if k != 5)
     verdict = Verdict.PASS if ok else Verdict.FAIL
     rows.append(ResultRow(spec.name, f"n={n}", "k5_is_max", verdict.value, verdict=verdict))
     return rows

@@ -419,9 +419,7 @@ def _inequality_check(desc: str, problem: LpProblem, out: LpOutcome) -> Inequali
     if out.status == "infeasible":
         # the solver re-checked the Farkas vector; replay checks it again
         return InequalityCheck(desc, "CERTIFIED", problem, farkas=out.farkas)
-    denom = 1
-    for v in out.witness:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in out.witness))
     scaled = [int(v * denom) for v in out.witness]
     if not check_witness(problem, scaled):
         raise AnalysisError("scaled violation witness failed re-check")
@@ -509,13 +507,8 @@ def theorem_bound(shape: GroupShape) -> int:
         raise HypothesisError("; ".join(violations))
     kd = shape.ks[-1]
     if shape.variant is Variant.WEAK:
-        prod = 1
-        for k in shape.ks[:-1]:
-            prod *= k
-        exponent = (kd - 2) * prod - shape.d
+        exponent = (kd - 2) * math.prod(shape.ks[:-1]) - shape.d
     else:
-        prod = 1
-        for k in shape.ks[:-1]:
-            prod *= k - 1
+        prod = math.prod(k - 1 for k in shape.ks[:-1])
         exponent = (kd - 2) * prod - shape.d * (shape.n - 1).bit_length()
     return 1 << exponent if exponent >= 0 else 0

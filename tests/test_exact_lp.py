@@ -790,6 +790,8 @@ def priced_tableau(nvars, rows, w, den, rule):
 COEFFS = {
     "pm1": st.sampled_from([-1, 1]),
     "small": st.integers(-9, 9),
+    # row L1 norms from 2^51 up past 2^53: limbs of width 1, then none (Python integers)
+    "near 2^52": st.sampled_from([-(2**50), 2**51, 2**52 - 1]) | st.integers(-(2**51), 2**51),
     "past 2^62": st.integers(-(2**63), 2**63),
     "past 2^70": st.integers(-(2**72), 2**72),
 }
@@ -834,6 +836,9 @@ def test_limb_pricing_matches_the_per_column_loop(data):
         # an int64 row too wide for any limb (2 columns, 2 * 2^60 has 62 bits):
         # priced over Python integers, down to the int64 edge -2^63
         ([({0: 2**60}, 0)], [], [-8, 0], 1, "hybrid", (0, -(2**63))),
+        # row L1 norm 2^51: limbs of width 1; 2^52: no width, Python integers
+        ([({0: 2**51}, 0)], [], [-(2**60), 0], 1, "hybrid", (0, -(2**111))),
+        ([({0: 2**52}, 0)], [], [-(2**60), 0], 1, "hybrid", (0, -(2**112))),
     ],
 )
 def test_limb_pricing_ties_bland_and_optimal(rows, appended, w, den, rule, expected):
@@ -869,7 +874,6 @@ def pricing_near(draw, limit):
     return nvars, rows, w, den, tmax, below
 
 
-pricing_near_2_63 = pricing_near(2**63)
 pricing_near_2_53 = pricing_near(2**53)
 
 
@@ -885,13 +889,24 @@ def bounded_tableau(nvars, rows, w, den, tmax, rule):
     return t, [sum(a[j] * z[j] for j in a) - den * b for a, b in rows] + w
 
 
+# den = 2^53 // 3 + 1 makes the bound 3 * den = 2^53 + 1 and the row's
+# price -(2^53 + 1), an odd integer that no float64 holds
+PRICE_2_53_PLUS_1 = (1, [({0: 0}, 3)], [0, 0], 2**53 // 3 + 1, 1, False)
+# l1 = 3 gives limbs of 51 bits; at 52 bits the low limb of z = 2^53 - 1
+# would be 2^52 - 1, and its product 3 * (2^52 - 1), an odd integer past
+# 2^53, would round in float64
+PRICE_LIMB_PAST_2_53 = (1, [({0: 3}, 0)], [2**53 - 1, 0], 1, 2**53 - 1, False)
+
+
 @settings(max_examples=200, deadline=None)
-@given(pricing_near_2_63, st.sampled_from(["hybrid", "bland"]))
-def test_one_product_pricing_at_its_2_63_bound(case, rule):
-    # an int64 block prices in one int64 product exactly when the bound is
-    # below 2^63, and in limbs at it; a block of Python integers, the same
-    # rationals, in limbs.  Each gives the per-column loop's entering
-    # column and costs
+@given(pricing_near_2_53, st.sampled_from(["hybrid", "bland"]))
+@example(PRICE_2_53_PLUS_1, "hybrid")
+@example(PRICE_LIMB_PAST_2_53, "hybrid")
+def test_float_pricing_at_its_2_53_bound(case, rule):
+    # an int64 block prices the rows in one float64 product exactly when the
+    # bound is below 2^53, and in float64 limbs at or past it; a block of
+    # Python integers, the same rationals, in limbs.  Each gives the
+    # per-column loop's entering column and costs
     nvars, rows, w, den, tmax, below = case
     t, costs = bounded_tableau(nvars, rows, w, den, tmax, rule)
     limbs = {}
@@ -902,28 +917,7 @@ def test_one_product_pricing_at_its_2_63_bound(case, rule):
         assert exact_lp._join(p, t.width).tolist() == costs
         assert t._entering() == reference_entering(nvars, w, den, rows, rule)
     assert (limbs[np.int64] == 1) == below
-
-
-# den = 2^53 // 3 + 1 makes the bound 3 * den = 2^53 + 1 and the row's
-# price -(2^53 + 1), an odd integer that no float64 holds
-PRICE_2_53_PLUS_1 = (1, [({0: 0}, 3)], [0, 0], 2**53 // 3 + 1, 1, False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(pricing_near_2_53, st.sampled_from(["hybrid", "bland"]))
-@example(PRICE_2_53_PLUS_1, "hybrid")
-def test_float_pricing_at_its_2_53_bound(case, rule):
-    # an int64 block prices the rows in one float64 product exactly when the
-    # bound is below 2^53 (only then is the float copy of A made), and in
-    # one int64 product at or past it; each gives the per-column loop's
-    # entering column and costs
-    nvars, rows, w, den, tmax, below = case
-    t, costs = bounded_tableau(nvars, rows, w, den, tmax, rule)
-    t.T = t.T.astype(np.int64)
-    p = t._priced()
-    assert len(p) == 1 and p[0].tolist() == costs
-    assert (t.float_copy.rows is not None) == below
-    assert t._entering() == reference_entering(nvars, w, den, rows, rule)
+    assert t.F.dtype == np.float64 and np.array_equal(t.F, t.A)
 
 
 def loop_costs(t):
@@ -937,11 +931,11 @@ def loop_costs(t):
 def test_forks_share_their_roots_float_copy():
     # branch-and-bound nodes and lemma forks price the rows of their root
     # from the root's one float64 copy, and their own rows, appended past
-    # it, in int64: the costs are the per-column loop's
+    # it, in one small float64 product: the costs are the per-column loop's
     shape = make_shape("strong", (3, 2))
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
     root = min_l1(prob)
-    copied = root.solver.float_copy.rows
+    copied = root.solver.F
     assert copied.dtype == np.float64 and np.array_equal(copied, prob.constraints)
     forks = []
     fork = exact_lp._DualL1.fork
@@ -958,10 +952,10 @@ def test_forks_share_their_roots_float_copy():
         certify_coefficient_lemma("gt_exp", 5)
     assert nodes >= 20 and len(forks) > nodes
     walk = forks[nodes][0]  # solve_extensions' walk of the lemma's base
-    assert np.array_equal(walk.float_copy.rows, walk.A)
-    for (parent, child), root_copy in zip(forks, [copied] * nodes + [walk.float_copy.rows] * len(forks)):
+    assert np.array_equal(walk.F, walk.A)
+    for (parent, child), root_copy in zip(forks, [copied] * nodes + [walk.F] * len(forks)):
         # the root's copy, the same object: no fork converts a matrix again
-        assert child.float_copy is parent.float_copy and child.float_copy.rows is root_copy
+        assert child.F is parent.F and child.F is root_copy
         assert len(child.A) > len(root_copy)
         assert max(2 * child._block_max(), child.den) * child.l1 < 2**53  # the float lane
         p = child._priced()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polynomial import _snake_terms, _uv_forms
 from .shapes import Convention, GroupShape, ShapeError, Variant
-from .tuple_order import OrderContext, enumerate_ordered, order_bits
 
 
 class EvalError(ValueError):
@@ -173,53 +173,22 @@ def make_g(k: int, variant: str = "g1") -> BoolFun:
 _SCAN_BLOCK = 1 << 16
 
 
-def _scan_plan(shape: GroupShape) -> tuple[list, list]:
-    """The coordinate factors and, in descending snake order, the terms.
-
-    A factor (p, q, plus) is bit_p - bit_q, or bit_p + bit_q - 1 when
-    ``plus``: the sign of x - y on a (group, coordinate) pair, or of a
-    strong group's linear form L_j (L_0 = x_1 + x_k, L_j = x_j - x_{j+1}).
-    A term is (factor indices of one tuple alpha, strong sign flag).
-    """
-    ctx = OrderContext(shape)
-    d = shape.d
-    strong = shape.variant is Variant.STRONG
-    factors: list = []
-    ids = []  # ids[i][value] -> factor index of coordinate i + 1 at that value
-    for i in range(1, d + 1):
-        k = shape.ks[i - 1]
-        if strong and i < d:
-            xs = [shape.x_index(i, j) for j in range(1, k + 1)]
-            forms = [(xs[0], xs[-1], True)] + [(xs[j - 1], xs[j], False) for j in range(1, k)]
-            values = range(k)
-        else:
-            forms = [(shape.x_index(i, j), shape.y_index(i, j), False) for j in range(1, k + 1)]
-            values = range(1, k + 1)
-        ids.append(dict(zip(values, range(len(factors), len(factors) + k))))
-        factors += forms
-    terms = []
-    for alpha in reversed(enumerate_ordered(ctx)):
-        sign = 1
-        if strong:
-            # sign flags depend only on the tuple, never on the input
-            bits_ = order_bits(ctx, alpha)
-            c = sum(1 for i in range(d - 1) if alpha[i] == 0 and bits_[i] == 0)
-            sign = -1 if c % 2 else 1
-        terms.append(([ids[i][a] for i, a in enumerate(alpha)], sign))
-    return factors, terms
-
-
-def _scan_block(n: int, factors: list, terms: list, lo: int, size: int) -> np.ndarray:
+def _scan_block(n: int, factors: dict, terms: list, lo: int, size: int) -> np.ndarray:
     """Output bits of inputs lo .. lo + size - 1: the sign of the first
-    nonzero term product, 1 where every product vanishes."""
+    nonzero term product, 1 where every product vanishes.
+
+    ``factors`` maps a u tag to (p, q, plus): bit_p - bit_q, or
+    bit_p + bit_q - 1 when ``plus``, the sign of that u variable.  A term
+    is (u monomial, sign).
+    """
     idx = np.arange(lo, lo + size, dtype=np.int64)
     bits = [((idx >> v) & 1).astype(np.int8) for v in range(n)]
-    vals = [bits[p] + bits[q] - 1 if plus else bits[p] - bits[q] for p, q, plus in factors]
+    vals = {tag: bits[p] + bits[q] - 1 if plus else bits[p] - bits[q] for tag, (p, q, plus) in factors.items()}
     first = np.zeros(size, dtype=np.int8)  # first nonzero product so far
-    for fs, sign in terms:
-        prod = vals[fs[0]] if sign > 0 else -vals[fs[0]]
-        for f in fs[1:]:
-            prod = prod * vals[f]
+    for key, sign in terms:
+        prod = vals[key[0]] if sign > 0 else -vals[key[0]]
+        for tag in key[1:]:
+            prod = prod * vals[tag]
         np.copyto(first, prod, where=first == 0)
     return first >= 0
 
@@ -230,12 +199,17 @@ def make_hard(shape: GroupShape) -> BoolFun:
     Scans K from the top of the snake order and returns the sign of the
     first nonzero coordinate product; inputs on which every product
     vanishes get value 1.  The scan runs on blocks of inputs at once, as
-    int8 arrays of factor signs (x - y per coordinate; for strong shapes
-    the sign of each linear form of a group before the last, times the
-    tuple's sign flag), and never evaluates the witness polynomial, so the
-    two can cross-check each other.
+    int8 arrays of u variable signs (x - y per coordinate; for strong
+    shapes the sign of each linear form of a group before the last), each
+    product times its tuple's sign.  It reads the witness gate's term list
+    (``polynomial._snake_terms``) but never evaluates the gate's
+    polynomial, so checking the gate against this table checks the
+    domination step: that weighting the r-th term by 2^r lets the top
+    nonzero term decide the sign.
     """
-    factors, terms = _scan_plan(shape)
+    # every u variable's form is [(p, 1), (q, s)], s = 1 or -1
+    factors = {tag: (p, q, s > 0) for tag, [(p, _), (q, s)] in _uv_forms(shape).items() if tag[0] == "u"}
+    terms = _snake_terms(shape)[::-1]
     size = 1 << shape.n
     packed = [
         np.packbits(

@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .boolfun import BoolFun, make_hard
+from .boolfun import BoolFun, EvalError, make_hard
 from .exact_lp import DEFAULT_NODE_BUDGET
 from .harness import PRESET_NAMES, preset, run
 from .polynomial import witness_gate
-from .shapes import make_shape
+from .shapes import ShapeError, make_shape
 from .threshold_analysis import (
     _LEMMA_BASE,
     DEFAULT_INPUT_CAP,
@@ -28,7 +28,7 @@ from .threshold_analysis import (
     min_weight,
     sign_degree,
 )
-from .tuple_order import OrderContext, enumerate_ordered
+from .tuple_order import OrderContext, OrderError, enumerate_ordered
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
@@ -57,13 +57,13 @@ def _in_cap(shape):
 
 
 def _cmd_build(args) -> int:
-    fn = make_hard(_in_cap(make_shape(args.variant, _parse_ks(args.ks))))
+    fn = make_hard(_in_cap(make_shape(args.variant, args.ks)))
     _write_out(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_order(args) -> int:
-    shape = make_shape(args.variant, _parse_ks(args.ks))
+    shape = make_shape(args.variant, args.ks)
     ctx = OrderContext(shape)
     rows = enumerate_ordered(ctx)
     buf = []
@@ -76,7 +76,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_verify_gate(args) -> int:
-    shape = _in_cap(make_shape(args.variant, _parse_ks(args.ks)))
+    shape = _in_cap(make_shape(args.variant, args.ks))
     fn = make_hard(shape)
     gate = witness_gate(shape)
     cx = check_sign_representation(gate, fn)
@@ -118,11 +118,7 @@ def _cmd_minweight(args) -> int:
 
 
 def _cmd_check_lemma(args) -> int:
-    try:
-        res = certify_coefficient_lemma(args.name, args.k)
-    except AnalysisError as exc:  # an unknown lemma or a k it is not stated for
-        print(f"ERROR: {exc}")
-        return 2
+    res = certify_coefficient_lemma(args.name, args.k)
     for chk in res.checks:
         print(f"{chk.status}: {chk.description}")
     print(f"{res.status}: {args.name} at k={args.k}")
@@ -149,18 +145,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("build", help="emit a hard function's truth table as JSON")
     p.add_argument("variant", choices=["weak", "strong"])
-    p.add_argument("ks", help="comma-separated group sizes, e.g. 2,3")
+    p.add_argument("ks", type=_parse_ks, help="comma-separated group sizes, e.g. 2,3")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("order", help="print the snake enumeration as CSV")
     p.add_argument("variant", choices=["weak", "strong"])
-    p.add_argument("ks")
+    p.add_argument("ks", type=_parse_ks)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_order)
 
     p = sub.add_parser("verify-gate", help="check the witness gate exhaustively")
-    p.add_argument("ks")
+    p.add_argument("ks", type=_parse_ks)
     p.add_argument("--variant", choices=["weak", "strong"], default="weak")
     p.set_defaults(handler=_cmd_verify_gate)
 
@@ -193,6 +189,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except BudgetError as exc:  # any budget: pivots, nodes or the input cap
         print(f"SKIPPED: {exc}")
+        return 2
+    except (ShapeError, OrderError, EvalError, AnalysisError) as exc:  # input it cannot take
+        print(f"ERROR: {exc}")
         return 2
 
 

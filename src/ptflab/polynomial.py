@@ -5,8 +5,10 @@ canonical input variables of a shape (plain ints).  The "uv" basis is
 indexed by namespaced difference/sum variables: ``("u", i, j)`` is
 x^i_j - y^i_j for weak shapes (and the j-th linear form of group i < d, or
 x^d_j - y^d_j, for strong shapes); ``("v", i, j)`` is the matching sum.
-``_uv_forms`` is the one definition of these variables: the witness gate
-and ``from_uv`` read it, and ``_substitution_rows`` is its inverse.
+``_uv_forms`` is the one definition of these variables, and
+``_snake_terms`` the one list of the tuples of K in snake order, each with
+its u monomial and sign.  The witness gate, ``from_uv`` and ``make_hard``'s
+scan read them; ``_substitution_rows`` is the inverse of the forms.
 Monomial keys are sorted tuples *with repetition* — the u/v image of a
 multilinear polynomial need not be multilinear.
 
@@ -114,20 +116,49 @@ def _uv_forms(shape: GroupShape) -> dict:
     return forms
 
 
+def _snake_terms(shape: GroupShape) -> list:
+    """(u monomial, sign) of every tuple alpha of K, in ascending snake order.
+
+    The monomial is the product of one u variable per group, u_(i, alpha_i).
+    The sign is 1 for weak shapes; for strong shapes it is (-1)^c, c the
+    number of groups i < d whose coordinate is 0 (the form L_0) under
+    ordering type 0.  It depends only on the tuple, never on the input.
+    """
+    ctx = OrderContext(shape)
+    terms = []
+    for alpha in enumerate_ordered(ctx):
+        sign = 1
+        if shape.variant is Variant.STRONG:
+            bits = order_bits(ctx, alpha)
+            c = sum(1 for i in range(shape.d - 1) if alpha[i] == 0 and bits[i] == 0)
+            sign = -1 if c % 2 else 1
+        terms.append((tuple(("u", i, a) for i, a in enumerate(alpha, start=1)), sign))
+    return terms
+
+
+def _expand(coeffs: dict, rows: dict, basis: str, shape: GroupShape) -> IntPolynomial:
+    """Replace each variable of every monomial by its row [(variable, coeff)]
+    and multiply out."""
+    out: dict = {}
+    for key, c in coeffs.items():
+        for choice in product(*(rows[v] for v in key)):
+            mono = _canon(v for v, _ in choice)
+            out[mono] = out.get(mono, 0) + c * math.prod(s for _, s in choice)
+    return IntPolynomial(basis, shape, out)
+
+
+def _shape_of(p: IntPolynomial) -> GroupShape:
+    if p.shape is None:
+        raise PolynomialError("the u/v machinery needs the group shape")
+    return p.shape
+
+
 def from_uv(q: IntPolynomial) -> IntPolynomial:
     """The xy polynomial equal to a uv polynomial at every input; its
     monomials may repeat a variable."""
     if q.basis != "uv":
         raise PolynomialError("from_uv expects a uv polynomial")
-    if q.shape is None:
-        raise PolynomialError("change of basis needs the group shape")
-    forms = _uv_forms(q.shape)
-    out: dict = {}
-    for key, c in q.coeffs.items():
-        for choice in product(*(forms[tag] for tag in key)):
-            mono = _canon(v for v, _ in choice)
-            out[mono] = out.get(mono, 0) + c * math.prod(s for _, s in choice)
-    return IntPolynomial("xy", q.shape, out)
+    return _expand(q.coeffs, _uv_forms(_shape_of(q)), "xy", q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +167,7 @@ def from_uv(q: IntPolynomial) -> IntPolynomial:
 
 
 def witness_gate(shape: GroupShape) -> IntPolynomial:
-    """Degree-d gate sum(2^rank * t_rank) over the snake enumeration of K.
+    """Degree-d gate sum(sign * 2^rank * t_rank) over the snake terms of K.
 
     Each t is the product of one u variable per group (a difference, or a
     linear form on the strong groups i < d), so the top nonzero term
@@ -145,18 +176,7 @@ def witness_gate(shape: GroupShape) -> IntPolynomial:
     is the caller's input cap (|K| <= 2916 at n <= 24).  The gate is
     returned over the input variables.
     """
-    ctx = OrderContext(shape)
-    coeffs: dict = {}
-    for rank, alpha in enumerate(enumerate_ordered(ctx), start=1):
-        sign = 1
-        if shape.variant is Variant.STRONG:
-            bits = order_bits(ctx, alpha)
-            c = sum(
-                1 for i in range(shape.d - 1) if alpha[i] == 0 and bits[i] == 0
-            )
-            sign = -1 if c % 2 else 1
-        key = tuple(("u", i, a) for i, a in enumerate(alpha, start=1))
-        coeffs[key] = sign * (1 << rank)
+    coeffs = {key: sign << rank for rank, (key, sign) in enumerate(_snake_terms(shape), start=1)}
     return from_uv(IntPolynomial("uv", shape, coeffs))
 
 
@@ -188,7 +208,7 @@ def _substitution_rows(shape: GroupShape) -> dict:
     return rows
 
 
-def to_uv(p: IntPolynomial, monomial_cap: int = 200_000) -> IntPolynomial:
+def to_uv(p: IntPolynomial) -> IntPolynomial:
     """Rewrite an xy polynomial over the u/v variables, scaled by 2^d.
 
     Each variable is half an integer combination of u/v variables, so a
@@ -199,38 +219,11 @@ def to_uv(p: IntPolynomial, monomial_cap: int = 200_000) -> IntPolynomial:
     """
     if p.basis != "xy":
         raise PolynomialError("to_uv expects an xy polynomial")
-    if p.shape is None:
-        raise PolynomialError("change of basis needs the group shape")
-    d = p.shape.d
+    d = _shape_of(p).d
     if p.degree > d:
         raise PolynomialError(f"degree {p.degree} exceeds group count {d}")
-    rows = _substitution_rows(p.shape)
-    out: dict = {}
-    for key, c in p.coeffs.items():
-        base = c * (1 << (d - len(key)))
-        terms: dict = {(): base}
-        for var in key:
-            nxt: dict = {}
-            for mono, coeff in terms.items():
-                for tag, s in rows[var]:
-                    nk = _canon(mono + (tag,))
-                    nc = nxt.get(nk, 0) + coeff * s
-                    if nc:
-                        nxt[nk] = nc
-                    elif nk in nxt:
-                        del nxt[nk]
-            terms = nxt
-        for mono, coeff in terms.items():
-            nc = out.get(mono, 0) + coeff
-            if nc:
-                out[mono] = nc
-            elif mono in out:
-                del out[mono]
-        if len(out) > monomial_cap:
-            raise PolynomialError(
-                f"expansion exceeded {monomial_cap} monomials; raise the cap"
-            )
-    return IntPolynomial("uv", p.shape, out)
+    scaled = {key: c << (d - len(key)) for key, c in p.coeffs.items()}
+    return _expand(scaled, _substitution_rows(p.shape), "uv", p.shape)
 
 
 def symmetrize(p: IntPolynomial) -> IntPolynomial:
@@ -238,25 +231,16 @@ def symmetrize(p: IntPolynomial) -> IntPolynomial:
     (and nothing else).  The result is indexable by tuples of K."""
     if p.basis != "uv":
         raise PolynomialError("symmetrize expects a uv polynomial")
-    d = p.shape.d
-    kept = {}
-    for key, c in p.coeffs.items():
-        if len(key) != d:
-            continue
-        groups = set()
-        ok = True
-        for tag in key:
-            kind, i, _ = tag
-            if kind != "u" or i in groups:
-                ok = False
-                break
-            groups.add(i)
-        if ok and len(groups) == d:
-            kept[key] = c
+    d = _shape_of(p).d
+    kept = {
+        key: c
+        for key, c in p.coeffs.items()
+        if len(key) == d == len({i for kind, i, _ in key if kind == "u"})
+    }
     return IntPolynomial("uv", p.shape, kept)
 
 
 def symmetric_coefficient(q: IntPolynomial, alpha: tuple[int, ...]) -> int:
     """Coefficient w_alpha of a symmetrized polynomial."""
-    key = _canon(("u", i, alpha[i - 1]) for i in range(1, q.shape.d + 1))
+    key = _canon(("u", i, alpha[i - 1]) for i in range(1, _shape_of(q).d + 1))
     return q.coeffs.get(key, 0)

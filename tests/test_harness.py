@@ -430,6 +430,23 @@ def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, cap
     assert capsys.readouterr().out == "SKIPPED: pivot budget 5 exhausted\n"
 
 
+def test_cli_reports_bad_input_in_one_line(tmp_path, capsys):
+    bad_table = tmp_path / "bad.json"
+    bad_table.write_text(json.dumps({"n": 1, "convention": "zero-one", "table_hex": "ff"}))
+    for argv, why in [
+        (["build", "weak", "0,3"], "weak shape needs every k_i >= 1, got (0, 3)"),
+        (["order", "strong", "1,3"], "strong shape needs every k_i >= 2, got (1, 3)"),
+        (["order", "weak", "1000,1001"], "|K| = 1001000 exceeds enumeration cap 1000000"),
+        (["signdeg", str(bad_table), "--dmax", "1"], "table does not fit 2^1 bits"),
+    ]:
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out == f"ERROR: {why}\n"
+    with pytest.raises(SystemExit) as stopped:
+        cli_main(["verify-gate", "2,x"])
+    assert stopped.value.code == 2
+    assert "argument ks: invalid _parse_ks value: '2,x'" in capsys.readouterr().err
+
+
 def test_cli_verify_gate_past_64_tuples(capsys):
     assert cli_main(["verify-gate", "5,5,3", "--variant", "strong"]) == 0
     assert capsys.readouterr().out.startswith("PASS ")

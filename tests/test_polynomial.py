@@ -13,6 +13,7 @@ from ptflab import (
     PolynomialError,
     assignment_of_index,
     enumerate_ordered,
+    from_uv,
     make_hard,
     make_shape,
     symmetric_coefficient,
@@ -154,7 +155,8 @@ def random_xy_poly(data, shape, max_terms=6, coeff=8):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_uv_substitution_identity_weak(data):
-    shape = data.draw(st.sampled_from([WEAK23, make_shape("weak", (2, 2)), make_shape("weak", (3,))]))
+    shapes = [WEAK23, make_shape("weak", (2, 2)), make_shape("weak", (3,)), make_shape("weak", (2, 2, 2))]
+    shape = data.draw(st.sampled_from(shapes))
     p = random_xy_poly(data, shape)
     q = to_uv(p)
     idx = data.draw(st.integers(0, (1 << shape.n) - 1))
@@ -167,7 +169,9 @@ def test_uv_substitution_identity_weak(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_uv_substitution_identity_strong(data):
-    shape = data.draw(st.sampled_from([make_shape("strong", (3, 3)), make_shape("strong", (3, 2))]))
+    # strong(5,3)'s x rows have 5 terms
+    shapes = [make_shape("strong", (3, 3)), make_shape("strong", (3, 2)), make_shape("strong", (5, 3))]
+    shape = data.draw(st.sampled_from(shapes))
     p = random_xy_poly(data, shape)
     q = to_uv(p)
     idx = data.draw(st.integers(0, (1 << shape.n) - 1))
@@ -212,6 +216,10 @@ def test_to_uv_rejects_bad_inputs():
         to_uv(IntPolynomial("uv", shape, {}))
     with pytest.raises(PolynomialError):
         to_uv(IntPolynomial("xy", None, {(0,): 1}))
+    shapeless = IntPolynomial("uv", None, {(("u", 1, 1),): 1})
+    for needs_shape in (from_uv, symmetrize, lambda q: symmetric_coefficient(q, (1,))):
+        with pytest.raises(PolynomialError, match="needs the group shape"):
+            needs_shape(shapeless)
 
 
 def test_degree2_same_pair_products_square_correctly():

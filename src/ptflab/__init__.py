@@ -62,14 +62,7 @@ from .threshold_analysis import (
     sign_degree,
     theorem_bound,
 )
-from .pipeline import (
-    BoundReport,
-    Finding,
-    ShapeResult,
-    Verdict,
-    run_shape,
-    verify_theorem_instance,
-)
+from .pipeline import Finding, ShapeResult, Verdict, run_shape
 from .harness import (
     ExperimentSpec,
     ResultRow,

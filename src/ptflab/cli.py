@@ -32,7 +32,10 @@ from .tuple_order import OrderContext, OrderError, enumerate_ordered
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(" ", "").split(","))
+    try:
+        return tuple(int(p) for p in text.replace(" ", "").split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"group sizes are comma-separated integers, not {text!r}") from None
 
 
 def _node_budget(text: str) -> int:
@@ -88,7 +91,17 @@ def _cmd_verify_gate(args) -> int:
 
 
 def _load_fun(path: str) -> BoolFun:
-    return BoolFun.from_json(json.loads(Path(path).read_text()))
+    """The truth table stored at ``path``, or ``EvalError`` saying why not."""
+    try:
+        return BoolFun.from_json(json.loads(Path(path).read_text()))
+    except EvalError:
+        raise
+    except OSError as exc:
+        raise EvalError(f"cannot read {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise EvalError(f"{path} has no field {exc}") from None
+    except (TypeError, ValueError) as exc:  # not JSON, or a field of the wrong kind
+        raise EvalError(f"{path} is not a truth table: {exc}") from None
 
 
 def _cmd_signdeg(args) -> int:

@@ -2,12 +2,12 @@
 
 ``run_shape`` computes what the requested modes ask for and nothing more:
 the hard function, its witness gate, and the representation LPs, each
-built and solved once.  It returns every verdict in order as ``Finding``
-records, with the values and certificates behind them.  The harness writes
-the findings as CSV rows and certificate files; ``BoundReport.from_result``
-reads the same result as a report.  Running out of any budget (pivots,
-branch-and-bound nodes, input cap) turns a finding into SKIPPED plus a
-``<metric>_note`` naming the budget.
+built and solved once.  It returns one ``ShapeResult``: every verdict in
+order as ``Finding`` records, with the values and certificates behind them,
+and ``verdicts`` and ``ok`` to read them by CSV metric name.  The harness
+writes the findings as CSV rows and certificate files.  Running out of any
+budget (pivots, branch-and-bound nodes, input cap) turns a finding into
+SKIPPED plus a ``<metric>_note`` naming the budget.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Verdict(str, Enum):
 
 
 def any_failed(verdicts) -> bool:
-    """The failure predicate of exit statuses and ``BoundReport.ok``."""
+    """The failure predicate of exit statuses and ``ShapeResult.ok``."""
     return any(v is not None and Verdict(v) is Verdict.FAIL for v in verdicts)
 
 
@@ -112,6 +112,15 @@ class ShapeResult:
     lp_weight: Fraction | None = None
     exact_weight: int | None = None
     theorem_value: int | None = None
+
+    @property
+    def verdicts(self) -> dict:
+        """Metric -> verdict of every finding that has one, in finding order."""
+        return {fd.metric: fd.verdict for fd in self.findings if fd.verdict is not None}
+
+    @property
+    def ok(self) -> bool:
+        return not any_failed(self.verdicts.values())
 
     def add(self, metric, value, verdict=None, certificate=None, started=None) -> None:
         seconds = None if started is None else time.monotonic() - started
@@ -241,7 +250,7 @@ def run_shape(
         for lemma, k in lemma_plan(shape):
             metric = f"lemma_{lemma}_k{k}"
             with res.step(metric) as t0:
-                cr = certify_coefficient_lemma(lemma, k, max_pivots=pivot_budget)
+                cr = certify_coefficient_lemma(lemma, k, max_pivots=pivot_budget, input_cap=input_cap)
                 ok = cr.status == "CERTIFIED"
                 cert = None
                 if ok:
@@ -251,88 +260,3 @@ def run_shape(
 
     return res
 
-
-# ---------------------------------------------------------------------------
-# The report view
-# ---------------------------------------------------------------------------
-
-# report verdict names that differ from the CSV metric names
-_REPORT_KEYS = {
-    "verify_gate": "gate",
-    "theorem_vs_exact": "theorem_bound",
-    "minweight_exact": "exact_weight",
-}
-
-
-@dataclass
-class BoundReport:
-    shape: GroupShape
-    n: int
-    d: int
-    gate_weight: int | None
-    theorem_value: int | None
-    lp_lower_bound: Fraction | None = None
-    exact_weight: int | None = None
-    sign_degree: int | None = None
-    verdicts: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    @classmethod
-    def from_result(cls, res: ShapeResult) -> "BoundReport":
-        """Verdicts of every verdict finding; a note for every finding that
-        says more than its verdict."""
-        shape = res.shape
-        report = cls(
-            shape,
-            shape.n,
-            shape.d,
-            res.gate_weight,
-            res.theorem_value,
-            res.lp_weight,
-            res.exact_weight,
-            res.sign_degree,
-        )
-        for fd in res.findings:
-            if fd.verdict is not None:
-                report.verdicts[_REPORT_KEYS.get(fd.metric, fd.metric)] = fd.verdict
-            if str(fd.value) != fd.verdict:
-                report.notes.append(f"{fd.metric} = {fd.value}")
-        return report
-
-    @property
-    def ok(self) -> bool:
-        return not any_failed(self.verdicts.values())
-
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "n": self.n,
-            "d": self.d,
-            "gate_weight": None if self.gate_weight is None else str(self.gate_weight),
-            "theorem_value": None if self.theorem_value is None else str(self.theorem_value),
-            "lp_lower_bound": None if self.lp_lower_bound is None else str(self.lp_lower_bound),
-            "exact_weight": None if self.exact_weight is None else str(self.exact_weight),
-            "sign_degree": self.sign_degree,
-            "verdicts": {k: str(v) for k, v in self.verdicts.items()},
-            "notes": list(self.notes),
-        }
-
-
-def verify_theorem_instance(
-    shape: GroupShape,
-    mode: str = "lp",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_pivots: int = PRESET_PIVOT_BUDGET,
-) -> BoundReport:
-    """Run the whole verification pipeline on one shape as a report.
-
-    Checks the witness gate exhaustively, certifies the sign degree
-    (feasible at d, Farkas below), computes the LP (and in exact mode the
-    integer) minimal weight, and compares against the theorem bound and
-    the coefficient-domination chain on the solved witness.
-    """
-    modes = ["verify-gate", "signdeg", "minweight-lp", "theorem"]
-    if mode == "exact":
-        modes.append("minweight-exact")
-    res = run_shape(shape, modes, node_budget=node_budget, pivot_budget=max_pivots)
-    return BoundReport.from_result(res)

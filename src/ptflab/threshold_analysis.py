@@ -372,13 +372,16 @@ def _g_u_rows(which: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _sign_rows(u, _fun_bits(make_g(k, which))[index])
 
 
-def _base_problem(base: str, k: int) -> LpProblem:
-    """The sign constraints of a base function over its k coefficients."""
-    if base == "gt":
-        return LpProblem(k, *_gt_u_rows(k))
-    if base in ("g1", "g0"):
-        return LpProblem(k, *_g_u_rows(base, k))
-    raise AnalysisError(f"unknown base function {base!r}")
+def _base_problem(base: str, k: int, input_cap: int = DEFAULT_INPUT_CAP) -> LpProblem:
+    """The sign constraints of a base function over its k coefficients;
+    ``BudgetError`` before any row is built when the function has more
+    inputs than the cap: 2k for the comparator gt, k for g1 and g0."""
+    if base not in ("gt", "g1", "g0"):
+        raise AnalysisError(f"unknown base function {base!r}")
+    n = 2 * k if base == "gt" else k
+    if n > input_cap:
+        raise BudgetError(f"n = {n} exceeds the input cap {input_cap}")
+    return LpProblem(k, *(_gt_u_rows(k) if base == "gt" else _g_u_rows(base, k)))
 
 
 @dataclass
@@ -463,7 +466,9 @@ _LEMMA_BASE = {
 }
 
 
-def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = DEFAULT_PIVOT_CAP) -> CertifyResult:
+def certify_coefficient_lemma(
+    lemma: str, k: int, max_pivots: int = DEFAULT_PIVOT_CAP, input_cap: int = DEFAULT_INPUT_CAP
+) -> CertifyResult:
     """CERTIFIED iff no integer gate for the base function violates any of
     the lemma's coefficient inequalities; each inequality gets its own
     Farkas certificate, independently re-checked.
@@ -483,7 +488,7 @@ def certify_coefficient_lemma(lemma: str, k: int, max_pivots: int = DEFAULT_PIVO
     if k < 2:
         raise AnalysisError("need k >= 2")
     negations = _lemma_negations(lemma, k)
-    problem = _base_problem(base, k)
+    problem = _base_problem(base, k, input_cap)
     solved = solve_extensions(problem, [row for _, *row in negations], max_pivots)
     checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"

@@ -76,7 +76,6 @@ def test_pivot_budget_defaults_are_their_named_constants():
     assert ladder["max_pivots"] == exact_lp.DEFAULT_PIVOT_CAP
     preset_budget = pipeline.PRESET_PIVOT_BUDGET
     assert inspect.signature(pipeline.run_shape).parameters["pivot_budget"].default == preset_budget
-    assert inspect.signature(pipeline.verify_theorem_instance).parameters["max_pivots"].default == preset_budget
     assert ExperimentSpec("x", []).pivot_budget == preset_budget
     assert ExperimentSpec.from_json({"name": "x", "shapes": []}).pivot_budget == preset_budget
 
@@ -330,19 +329,34 @@ def test_the_input_cap_skips_a_shape_before_its_gate_is_built(monkeypatch):
 
 
 def test_a_report_past_the_input_cap_has_no_gate_weight():
-    report = pipeline.verify_theorem_instance(make_shape("weak", (6, 7)))  # n = 26
-    assert report.verdicts["gate"] == "SKIPPED"
-    assert report.to_json()["gate_weight"] is None
+    modes = ("verify-gate", "signdeg", "minweight-lp", "theorem")
+    res = pipeline.run_shape(make_shape("weak", (6, 7)), modes)  # n = 26
+    assert res.verdicts["verify_gate"] == "SKIPPED"
+    assert res.gate_weight is None
+    assert res.ok  # SKIPPED is not a failure
+
+
+def test_lemma_lps_honour_the_input_cap(monkeypatch):
+    def refuse(values, k):
+        raise AssertionError("_product_rows called past the input cap")
+
+    monkeypatch.setattr(threshold_analysis, "_product_rows", refuse)
+    res = pipeline.run_shape(make_shape("weak", (5,)), ("lemmas", "verify-gate"), input_cap=8)
+    values = {fd.metric: fd.value for fd in res.findings}
+    for metric in ("verify_gate", "lemma_gt_exp_k5", "lemma_gt_step_k5"):  # the comparator's 2k inputs
+        assert res.verdicts[metric] == "SKIPPED"
+        assert values[f"{metric}_note"] == "n = 10 exceeds the input cap 8"
 
 
 def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
-    def violated(lemma, k, max_pivots=0):
+    def violated(lemma, k, max_pivots=0, input_cap=0):
         return CertifyResult(lemma, k, "VIOLATED", [])
 
     monkeypatch.setattr("ptflab.pipeline.certify_coefficient_lemma", violated)
     rows, status = run(preset("gt-lemmas-k6"), tmp_path)
     assert {r.value for r in rows} == {"VIOLATED"}
     assert status == 1
+    assert not pipeline.run_shape(make_shape("weak", (3,)), ("lemmas",)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +436,14 @@ def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, cap
     assert cli_main(["check-lemma", "gt_exp", "--k", "1"]) == 2
     assert capsys.readouterr().out == "ERROR: need k >= 2\n"
 
+    def refuse(values, k):
+        raise AssertionError("_product_rows called past the input cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(threshold_analysis, "_product_rows", refuse)
+        assert cli_main(["check-lemma", "gt_exp", "--k", "13"]) == 2  # the comparator has 26 inputs
+    assert capsys.readouterr().out == "SKIPPED: n = 26 exceeds the input cap 24\n"
+
     def out_of_pivots(lemma, k):
         raise BudgetError("pivot budget 5 exhausted")
 
@@ -433,18 +455,32 @@ def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, cap
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys):
     bad_table = tmp_path / "bad.json"
     bad_table.write_text(json.dumps({"n": 1, "convention": "zero-one", "table_hex": "ff"}))
+    missing, no_table, not_json, bad_convention = (tmp_path / name for name in ("a", "b", "c", "d"))
+    no_table.write_text(json.dumps({"n": 2}))
+    not_json.write_text("n = 2")
+    bad_convention.write_text(json.dumps({"n": 1, "convention": "nope", "table_hex": "01"}))
     for argv, why in [
         (["build", "weak", "0,3"], "weak shape needs every k_i >= 1, got (0, 3)"),
         (["order", "strong", "1,3"], "strong shape needs every k_i >= 2, got (1, 3)"),
         (["order", "weak", "1000,1001"], "|K| = 1001000 exceeds enumeration cap 1000000"),
         (["signdeg", str(bad_table), "--dmax", "1"], "table does not fit 2^1 bits"),
+        (["signdeg", str(missing), "--dmax", "1"], f"cannot read {missing}: No such file or directory"),
+        (["minweight", str(no_table), "--degree", "1"], f"{no_table} has no field 'table_hex'"),
+        (
+            ["signdeg", str(not_json), "--dmax", "1"],
+            f"{not_json} is not a truth table: Expecting value: line 1 column 1 (char 0)",
+        ),
+        (
+            ["minweight", str(bad_convention), "--degree", "1"],
+            f"{bad_convention} is not a truth table: 'nope' is not a valid Convention",
+        ),
     ]:
         assert cli_main(argv) == 2
         assert capsys.readouterr().out == f"ERROR: {why}\n"
     with pytest.raises(SystemExit) as stopped:
         cli_main(["verify-gate", "2,x"])
     assert stopped.value.code == 2
-    assert "argument ks: invalid _parse_ks value: '2,x'" in capsys.readouterr().err
+    assert "argument ks: group sizes are comma-separated integers, not '2,x'" in capsys.readouterr().err
 
 
 def test_cli_verify_gate_past_64_tuples(capsys):

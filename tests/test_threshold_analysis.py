@@ -1,5 +1,5 @@
 """Sign-representation checking, sign-degree, minimal weight, lemma
-certification, and theorem-instance reports."""
+certification, and theorem instances run through the pipeline."""
 
 import dataclasses
 import math
@@ -27,9 +27,9 @@ from ptflab import (
     make_hard,
     make_shape,
     min_weight,
+    run_shape,
     sign_degree,
     theorem_bound,
-    verify_theorem_instance,
     witness_gate,
 )
 from ptflab import exact_lp, make_g, threshold_analysis
@@ -421,7 +421,7 @@ def test_unknown_lemma_rejected():
         certify_coefficient_lemma("nope", 3)
 
 # ---------------------------------------------------------------------------
-# theorem bounds and instance reports
+# theorem bounds and instances
 # ---------------------------------------------------------------------------
 
 def test_theorem_bound_values():
@@ -448,24 +448,30 @@ def test_single_group_routes_through_comparator_bound():
     assert res.value >= 2
 
 def test_verify_instance_weak23_exact():
-    report = verify_theorem_instance(make_shape("weak", (2, 3)), mode="exact")
-    assert report.verdicts["gate"] == "PASS"
-    assert report.verdicts["gate_weight_formula"] == "PASS"
-    assert report.verdicts["basis_change"] == "PASS"
-    assert report.verdicts["sign_degree"] == "PASS"
-    assert report.verdicts["theorem_bound"] == "PASS"
-    assert report.verdicts["domination_chain"] == "PASS"
-    assert report.theorem_value == 1
-    assert report.exact_weight == 92
-    assert report.lp_lower_bound == Fraction(183, 2)
-    assert report.ok
-    blob = report.to_json()
-    assert blob["exact_weight"] == "92"
+    modes = ("verify-gate", "signdeg", "minweight-lp", "minweight-exact", "theorem")
+    res = run_shape(make_shape("weak", (2, 3)), modes)
+    # every finding with a verdict, keyed by its CSV metric, in finding order
+    assert list(res.verdicts.items()) == [
+        ("verify_gate", "PASS"),
+        ("gate_weight_formula", "PASS"),
+        ("basis_change", "PASS"),
+        ("signdeg_infeasible_d0", "CERTIFIED"),
+        ("signdeg_infeasible_d1", "CERTIFIED"),
+        ("sign_degree", "PASS"),
+        ("minweight_lp", "CERTIFIED"),
+        ("theorem_vs_exact", "PASS"),
+        ("domination_chain", "PASS"),
+    ]
+    assert res.theorem_value == 1
+    assert res.exact_weight == 92
+    assert res.lp_weight == Fraction(183, 2)
+    assert res.ok
 
 def test_verify_instance_strong33_lp():
-    report = verify_theorem_instance(make_shape("strong", (3, 3)), mode="lp")
-    assert report.verdicts["gate"] == "PASS"
-    assert report.verdicts["basis_change"] == "PASS"
-    assert report.verdicts["sign_degree"] == "PASS"
-    assert report.sign_degree == 2
-    assert report.theorem_value == 0
+    res = run_shape(make_shape("strong", (3, 3)), ("verify-gate", "signdeg", "minweight-lp", "theorem"))
+    assert res.verdicts["verify_gate"] == "PASS"
+    assert res.verdicts["basis_change"] == "PASS"
+    assert res.verdicts["sign_degree"] == "PASS"
+    assert res.sign_degree == 2
+    assert res.theorem_value == 0
+    assert res.ok

@@ -52,14 +52,11 @@ from .threshold_analysis import (
     Counterexample,
     HypothesisError,
     MinWeightResult,
+    RepresentationLadder,
     RepresentationProblem,
-    SignDegreeResult,
     build_representation_problem,
     certify_coefficient_lemma,
-    certify_negated_row,
     check_sign_representation,
-    min_weight,
-    sign_degree,
     theorem_bound,
 )
 from .pipeline import Finding, ShapeResult, Verdict, run_shape

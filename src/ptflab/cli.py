@@ -20,13 +20,12 @@ from .polynomial import witness_gate
 from .shapes import ShapeError, make_shape
 from .threshold_analysis import (
     _LEMMA_BASE,
-    DEFAULT_INPUT_CAP,
     AnalysisError,
     BudgetError,
+    RepresentationLadder,
     certify_coefficient_lemma,
+    check_input_cap,
     check_sign_representation,
-    min_weight,
-    sign_degree,
 )
 from .tuple_order import OrderContext, OrderError, enumerate_ordered
 
@@ -39,7 +38,10 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 
 def _node_budget(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a node budget is an integer, not {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"a node budget is at least 0, not {value}")
     return value
@@ -52,15 +54,10 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _in_cap(shape):
-    """The shape, or ``BudgetError`` when it has too many inputs to build."""
-    if shape.n > DEFAULT_INPUT_CAP:
-        raise BudgetError(f"n = {shape.n} exceeds the input cap {DEFAULT_INPUT_CAP}")
-    return shape
-
-
 def _cmd_build(args) -> int:
-    fn = make_hard(_in_cap(make_shape(args.variant, args.ks)))
+    shape = make_shape(args.variant, args.ks)
+    check_input_cap(shape.n)
+    fn = make_hard(shape)
     _write_out(json.dumps(fn.to_json(), indent=2) + "\n", args.out)
     return 0
 
@@ -79,7 +76,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_verify_gate(args) -> int:
-    shape = _in_cap(make_shape(args.variant, args.ks))
+    shape = make_shape(args.variant, args.ks)
+    check_input_cap(shape.n)
     fn = make_hard(shape)
     gate = witness_gate(shape)
     cx = check_sign_representation(gate, fn)
@@ -105,27 +103,28 @@ def _load_fun(path: str) -> BoolFun:
 
 
 def _cmd_signdeg(args) -> int:
-    res = sign_degree(_load_fun(args.fn), args.dmax)
-    if res.value is None:
-        print(f"sign degree > {args.dmax}")
-        return 1
-    print(f"sign degree = {res.value}")
-    for d, (_, out) in sorted(res.outcomes.items()):
-        if out.status == "infeasible":
-            print(f"  degree {d}: infeasible (Farkas certificate, {len(out.farkas)} rows)")
-    return 0
+    ladder = RepresentationLadder(_load_fun(args.fn))
+    infeasible = []
+    for d in range(args.dmax + 1):
+        out = ladder.solve(d)[1]
+        if out.status != "infeasible":
+            print(f"sign degree = {d}", *infeasible, sep="\n")
+            return 0
+        infeasible.append(f"  degree {d}: infeasible (Farkas certificate, {len(out.farkas)} rows)")
+    print(f"sign degree > {args.dmax}")
+    return 1
 
 
 def _cmd_minweight(args) -> int:
-    fn = _load_fun(args.fn)
-    mode = "exact" if args.exact else "lp"
-    res = min_weight(fn, args.degree, mode=mode, node_budget=args.budget_nodes)
-    if res.value is None:
+    ladder = RepresentationLadder(_load_fun(args.fn))
+    exact = ladder.exact_weight(args.degree, args.budget_nodes) if args.exact else None
+    value = ladder.solve(args.degree)[1].value if exact is None else exact.value
+    if value is None:
         print(f"no degree-{args.degree} gate exists")
         return 1
-    print(f"minimal weight ({mode}) at degree {args.degree}: {res.value}")
-    if args.out and res.witness is not None:
-        payload = {"degree": args.degree, "weight": str(res.value), "gate": res.witness.to_json()}
+    print(f"minimal weight ({'lp' if exact is None else 'exact'}) at degree {args.degree}: {value}")
+    if args.out and exact is not None:
+        payload = {"degree": args.degree, "weight": str(value), "gate": exact.witness.to_json()}
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 

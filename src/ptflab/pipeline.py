@@ -30,6 +30,7 @@ from .threshold_analysis import (
     HypothesisError,
     RepresentationLadder,
     certify_coefficient_lemma,
+    check_input_cap,
     check_sign_representation,
     theorem_bound,
 )
@@ -162,8 +163,7 @@ def run_shape(
 
     @functools.cache
     def hard():
-        if shape.n > input_cap:
-            raise BudgetError(f"n = {shape.n} exceeds the input cap {input_cap}")
+        check_input_cap(shape.n, input_cap)
         return make_hard(shape)
 
     gate = functools.cache(lambda: witness_gate(shape))

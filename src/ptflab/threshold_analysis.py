@@ -1,5 +1,10 @@
-"""Sign-representation checks, sign-degree, minimal weights, and the
-certified lemma/theorem instances built on top of the exact LP layer.
+"""Sign-representation checks, the representation LPs of a function, and
+the certified lemma/theorem instances built on top of the exact LP layer.
+
+``RepresentationLadder`` is the one entry to a function's representation
+LPs: ``solve(d)`` answers whether a degree-d gate exists (with a Farkas
+certificate when none does) and gives the LP weight, and
+``exact_weight(d)`` gives the exact integer weight W by branch and bound.
 
 The conventions in force everywhere: a polynomial p sign-represents f when
 f(x) = 1 exactly on the inputs with p(x) >= 0 (value 0 or -1 otherwise,
@@ -12,8 +17,7 @@ any integer gate already satisfies the margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +41,12 @@ from .polynomial import IntPolynomial, _strong_forms, from_uv
 from .shapes import Convention, GroupShape, Variant
 
 DEFAULT_INPUT_CAP = 24
+
+
+def check_input_cap(n: int, input_cap: int = DEFAULT_INPUT_CAP) -> None:
+    """``BudgetError`` when a function of n inputs is past the input cap."""
+    if n > input_cap:
+        raise BudgetError(f"n = {n} exceeds the input cap {input_cap}")
 
 
 class AnalysisError(ValueError):
@@ -109,8 +119,7 @@ def check_sign_representation(
     polynomial goes through ``from_uv`` first.  Returns the first failing
     input.
     """
-    if f.n > input_cap:
-        raise BudgetError(f"n = {f.n} exceeds the exhaustive-check cap {input_cap}")
+    check_input_cap(f.n, input_cap)
     if p.basis == "uv" and p.shape is None:
         raise AnalysisError("uv polynomial needs a shape")
     if p.shape is not None and p.shape.n != f.n:
@@ -166,8 +175,7 @@ def build_representation_problem(
     row [m | 0] reads p >= 0, a negative one's p <= -1, stored negated as
     [-m | 1].
     """
-    if f.n > input_cap:
-        raise BudgetError(f"n = {f.n} exceeds the input cap {input_cap}")
+    check_input_cap(f.n, input_cap)
     monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
     inputs = np.arange(f.size)
     xs = [((inputs >> j) & 1).astype(np.int8) for j in range(f.n)]
@@ -197,42 +205,29 @@ def _sign_rows(values: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# Sign-degree and minimal weight
+# The representation LPs of one function: sign degree and minimal weight
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SignDegreeResult:
-    value: int | None
-    outcomes: dict  # degree -> (RepresentationProblem, LpOutcome)
-
-    @property
-    def certificates(self) -> dict:
-        return {
-            d: out.farkas
-            for d, (_, out) in self.outcomes.items()
-            if out.status == "infeasible"
-        }
-
-
-@dataclass
 class MinWeightResult:
-    mode: str
-    value: Fraction | int | None
+    value: int | None
     witness: IntPolynomial | None
-    outcome: LpOutcome | None = None
-    ilp: IlpResult | None = None
+    ilp: IlpResult
 
 
 @dataclass
 class RepresentationLadder:
-    """The representation LPs of one function, each built and solved once.
+    """The representation LPs of one function, each built and solved once;
+    the only entry to them.
 
     ``solve(d)`` is the ``min_l1`` outcome of the degree-d problem.  That one
-    solve answers sign-degree feasibility, gives the LP weight with its dual
-    bound, and (when optimal) keeps the tableau branch and bound starts
-    from; infeasible outcomes keep only their Farkas vector.  A budget error
-    is remembered and raised again rather than spent twice.
+    solve answers whether a degree-d gate exists (infeasible outcomes keep
+    only their Farkas vector, already re-checked), gives the LP weight with
+    its dual bound, and (when optimal) keeps the tableau branch and bound
+    starts from.  The sign degree is the first d whose outcome is not
+    infeasible.  ``exact_weight(d)`` gives the exact integer weight W.  A
+    budget error is remembered and raised again rather than spent twice.
     """
 
     f: BoolFun
@@ -278,7 +273,7 @@ class RepresentationLadder:
             root=out,
         )
         if res.status == "infeasible":
-            return MinWeightResult("exact", None, None, ilp=res)
+            return MinWeightResult(None, None, res)
         witness = None
         if res.witness is not None:
             witness = prob.witness_polynomial(res.witness)
@@ -290,50 +285,7 @@ class RepresentationLadder:
             if res.value is None:
                 found = f"lower bound {res.lower_bound}, no integer gate found"
             raise BudgetError(f"branch-and-bound budget exhausted after {res.nodes} nodes ({found})")
-        return MinWeightResult("exact", res.value, witness, ilp=res)
-
-
-def sign_degree(
-    f: BoolFun,
-    dmax: int,
-    shape: GroupShape | None = None,
-    max_pivots: int = DEFAULT_PIVOT_CAP,
-) -> SignDegreeResult:
-    """Smallest degree whose representation LP is feasible, with verified
-    infeasibility certificates for every smaller degree."""
-    ladder = RepresentationLadder(f, shape, max_pivots=max_pivots)
-    outcomes = {}
-    for d in range(dmax + 1):
-        prob, out = ladder.solve(d)
-        if out.status != "infeasible":
-            outcomes[d] = (prob, replace(out, status="feasible"))
-            return SignDegreeResult(d, outcomes)
-        outcomes[d] = (prob, out)
-    return SignDegreeResult(None, outcomes)
-
-
-def min_weight(
-    f: BoolFun,
-    degree: int,
-    mode: str = "lp",
-    shape: GroupShape | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_pivots: int = DEFAULT_PIVOT_CAP,
-    incumbent: IntPolynomial | None = None,
-) -> MinWeightResult:
-    """Minimal gate weight at the given degree: exact rational lower bound
-    (lp mode) or exact integer optimum with an integer witness (exact mode).
-
-    Exact mode raises BudgetError when branch and bound runs out of nodes;
-    the message carries the best bounds found.  Wide-gap instances (the
-    strong shapes especially) may need a large node budget to close."""
-    if mode not in ("lp", "exact"):
-        raise AnalysisError("mode must be 'lp' or 'exact'")
-    ladder = RepresentationLadder(f, shape, max_pivots=max_pivots)
-    if mode == "exact":
-        return ladder.exact_weight(degree, node_budget, incumbent)
-    out = ladder.solve(degree)[1]
-    return MinWeightResult("lp", out.value, None, outcome=out)
+        return MinWeightResult(res.value, witness, res)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +330,7 @@ def _base_problem(base: str, k: int, input_cap: int = DEFAULT_INPUT_CAP) -> LpPr
     inputs than the cap: 2k for the comparator gt, k for g1 and g0."""
     if base not in ("gt", "g1", "g0"):
         raise AnalysisError(f"unknown base function {base!r}")
-    n = 2 * k if base == "gt" else k
-    if n > input_cap:
-        raise BudgetError(f"n = {n} exceeds the input cap {input_cap}")
+    check_input_cap(2 * k if base == "gt" else k, input_cap)
     return LpProblem(k, *(_gt_u_rows(k) if base == "gt" else _g_u_rows(base, k)))
 
 
@@ -400,20 +350,6 @@ class CertifyResult:
     status: str  # CERTIFIED | VIOLATED
     checks: list
     base: LpProblem | None = None  # the LP each check's problem extends by one row
-
-
-def certify_negated_row(
-    base: str, k: int, coeffs: dict, rel: str, rhs, max_pivots: int = DEFAULT_PIVOT_CAP
-) -> InequalityCheck:
-    """Adjoin the negation of a claimed coefficient inequality to the sign
-    constraints of a base function and certify infeasibility via Farkas.
-
-    Feasibility instead yields an explicit integer gate violating the
-    claim (the LP witness scaled by the common denominator).
-    """
-    desc = f"{base}(k={k}): adjoin {coeffs} {rel} {rhs}"
-    [(problem, out)] = solve_extensions(_base_problem(base, k), [(coeffs, rel, rhs)], max_pivots)
-    return _inequality_check(desc, problem, out)
 
 
 def _inequality_check(desc: str, problem: LpProblem, out: LpOutcome) -> InequalityCheck:

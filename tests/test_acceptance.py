@@ -14,6 +14,7 @@ import pytest
 
 from ptflab import (
     OrderContext,
+    RepresentationLadder,
     check_farkas,
     check_sign_representation,
     certify_coefficient_lemma,
@@ -22,11 +23,9 @@ from ptflab import (
     enumerate_ordered,
     make_hard,
     make_shape,
-    min_weight,
     oracle_compare,
     preset,
     run,
-    sign_degree,
     symmetric_coefficient,
     symmetrize,
     theorem_bound,
@@ -77,14 +76,16 @@ def test_criterion_2_strong_gates(gates):
 def test_criterion_3_sign_degree_exactness():
     for shape in (make_shape("weak", (2, 3)), make_shape("strong", (3, 3))):
         t0 = time.monotonic()
-        res = sign_degree(make_hard(shape), shape.d)
+        ladder = RepresentationLadder(make_hard(shape))
+        # the sign degree: the first degree whose LP is not infeasible
+        value = next(d for d in range(shape.d + 1) if ladder.solve(d)[1].status != "infeasible")
         dt = time.monotonic() - t0
-        prob, out = res.outcomes[shape.d - 1]
+        prob, out = ladder.solve(shape.d - 1)
         certified = out.status == "infeasible" and check_farkas(prob.problem, out.farkas)
         report(
             f"3 sign degree {shape.describe()}",
-            res.value == 2 and certified and dt < 60.0,
-            f"degree {res.value}, degree-1 Farkas verified, {dt:.1f}s",
+            value == 2 and certified and dt < 60.0,
+            f"degree {value}, degree-1 Farkas verified, {dt:.1f}s",
         )
 
 
@@ -110,9 +111,7 @@ def test_criterion_5_weight_theorem_instance(gates):
     shape = make_shape("weak", (2, 3))
     t0 = time.monotonic()
     f = make_hard(shape)
-    res = min_weight(
-        f, 2, mode="exact", shape=shape, incumbent=gates[shape.describe()], node_budget=5000
-    )
+    res = RepresentationLadder(f, shape).exact_weight(2, node_budget=5000, incumbent=gates[shape.describe()])
     dt = time.monotonic() - t0
     bound = theorem_bound(shape)
     chain = dominance_chain(OrderContext(shape), 1)

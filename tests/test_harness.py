@@ -67,7 +67,6 @@ def test_pivot_budget_defaults_are_their_named_constants():
     assert (exact_lp.DEFAULT_PIVOT_CAP, pipeline.PRESET_PIVOT_BUDGET) == (200_000, 400_000)
     solver = [
         exact_lp.min_l1, exact_lp.solve, exact_lp.solve_extensions, exact_lp.ilp_min, exact_lp._DualL1.optimize,
-        threshold_analysis.sign_degree, threshold_analysis.min_weight, threshold_analysis.certify_negated_row,
         threshold_analysis.certify_coefficient_lemma,
     ]
     for f in solver:
@@ -430,6 +429,10 @@ def test_cli_reproduce_takes_a_node_budget_of_0_and_refuses_a_negative_one(tmp_p
         cli_main(["reproduce", "weak-2-3", "--budget-nodes", "-1", "--out", str(tmp_path)])
     assert stopped.value.code == 2
     assert "a node budget is at least 0, not -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stopped:
+        cli_main(["reproduce", "weak-2-3", "--budget-nodes", "x", "--out", str(tmp_path)])
+    assert stopped.value.code == 2
+    assert "argument --budget-nodes: a node budget is an integer, not 'x'" in capsys.readouterr().err
 
 
 def test_cli_check_lemma_reports_errors_and_budgets_in_one_line(monkeypatch, capsys):

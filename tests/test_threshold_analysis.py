@@ -1,5 +1,6 @@
-"""Sign-representation checking, sign-degree, minimal weight, lemma
-certification, and theorem instances run through the pipeline."""
+"""Sign-representation checking, sign degree and minimal weight through
+``RepresentationLadder``, lemma certification, and theorem instances run
+through the pipeline."""
 
 import dataclasses
 import math
@@ -16,9 +17,9 @@ from ptflab import (
     Convention,
     HypothesisError,
     IntPolynomial,
+    RepresentationLadder,
     build_representation_problem,
     certify_coefficient_lemma,
-    certify_negated_row,
     check_farkas,
     check_sign_representation,
     check_witness,
@@ -26,14 +27,13 @@ from ptflab import (
     make_gt,
     make_hard,
     make_shape,
-    min_weight,
     run_shape,
-    sign_degree,
     theorem_bound,
     witness_gate,
 )
 from ptflab import exact_lp, make_g, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
+from ptflab.cli import main as cli_main
 from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
 from ptflab.threshold_analysis import _xy_value_table
 from checker_reference import dict_rows
@@ -192,27 +192,30 @@ def test_representation_problem_matches_per_input_reference(variant, ks, degree)
 # sign-degree
 # ---------------------------------------------------------------------------
 
+def sign_degree(f, dmax):
+    """The first degree up to dmax whose ladder LP is not infeasible, or None."""
+    ladder = RepresentationLadder(f)
+    return next((d for d in range(dmax + 1) if ladder.solve(d)[1].status != "infeasible"), None)
+
 def test_sign_degree_comparator():
-    assert sign_degree(make_gt(3), 2).value == 1
+    assert sign_degree(make_gt(3), 2) == 1
 
 def test_sign_degree_constant():
-    assert sign_degree(constant_one(3), 2).value == 0
+    assert sign_degree(constant_one(3), 2) == 0
 
 def test_sign_degree_weak23_with_certificates():
-    f = make_hard(make_shape("weak", (2, 3)))
-    res = sign_degree(f, 2)
-    assert res.value == 2
+    ladder = RepresentationLadder(make_hard(make_shape("weak", (2, 3))))
     for d in (0, 1):
-        prob, out = res.outcomes[d]
+        prob, out = ladder.solve(d)
         assert out.status == "infeasible"
         assert check_farkas(prob.problem, out.farkas)
-    assert res.outcomes[2][1].status == "feasible"
+    assert ladder.solve(2)[1].status == "optimal"
 
 def test_sign_degree_exceeds_dmax():
-    f = make_hard(make_shape("weak", (2, 2)))
-    res = sign_degree(f, 1)
-    assert res.value is None
-    assert set(res.certificates) == {0, 1}
+    ladder = RepresentationLadder(make_hard(make_shape("weak", (2, 2))))
+    for d in (0, 1):  # no gate up to degree 1: each degree has a Farkas certificate
+        prob, out = ladder.solve(d)
+        assert out.status == "infeasible" and check_farkas(prob.problem, out.farkas)
 
 # ---------------------------------------------------------------------------
 # minimal weight
@@ -220,27 +223,25 @@ def test_sign_degree_exceeds_dmax():
 
 def test_min_weight_tiny_comparator():
     f = make_gt(1)
-    res = min_weight(f, 1, mode="exact")
+    res = RepresentationLadder(f).exact_weight(1)
     assert res.value == 2
     assert check_sign_representation(res.witness, f) is None
 
 def test_min_weight_constant_is_zero():
-    f = constant_one(3)
-    assert min_weight(f, 1, mode="lp").value == 0
-    assert min_weight(f, 2, mode="exact").value == 0
+    ladder = RepresentationLadder(constant_one(3))
+    assert ladder.solve(1)[1].value == 0
+    assert ladder.exact_weight(2).value == 0
 
 def test_min_weight_lp_lower_bounds_exact():
-    f = make_gt(2)
-    lp = min_weight(f, 1, mode="lp")
-    exact = min_weight(f, 1, mode="exact")
-    assert lp.value <= exact.value
+    ladder = RepresentationLadder(make_gt(2))
+    exact = ladder.exact_weight(1)
+    assert ladder.solve(1)[1].value <= exact.value
     assert exact.value == 6
 
 def test_min_weight_infeasible_degree():
-    f = make_hard(make_shape("weak", (2, 2)))
-    res = min_weight(f, 1, mode="lp")
-    assert res.value is None
-    assert res.outcome.status == "infeasible"
+    out = RepresentationLadder(make_hard(make_shape("weak", (2, 2)))).solve(1)[1]
+    assert out.value is None
+    assert out.status == "infeasible"
 
 def test_budget_exhaustion_reports_scaled_incumbent_bounds():
     # the strong (3,3) relaxation is fractional with a wide gap; even a
@@ -270,18 +271,32 @@ def test_g_lemmas_certified_k3():
     for lemma in ("g1_pos", "g1_mono", "g0_all"):
         assert certify_coefficient_lemma(lemma, 3).status == "CERTIFIED"
 
-def test_wrong_inequality_yields_witness_gate():
-    # claim w2 >= 2 w1 + 1; the doubling gate has w2 = 2 w1 exactly
-    chk = certify_negated_row("gt", 3, {1: 1, 0: -2}, "<=", 0)
-    assert chk.status == "VIOLATED"
-    assert chk.description == "gt(k=3): adjoin {1: 1, 0: -2} <= 0"
+def test_wrong_inequality_yields_witness_gate(monkeypatch, capsys):
+    # add the false claim w2 >= 2 w1 + 1 to gt_exp, as the negated row
+    # w2 - 2 w1 <= 0: the doubling gate has w2 = 2 w1 exactly
+    real = threshold_analysis._lemma_negations
+    false_claim = ("w2 >= 2*w1 + 1", {1: 1, 0: -2}, LE, 0)
+    monkeypatch.setattr(threshold_analysis, "_lemma_negations", lambda lemma, k: real(lemma, k) + [false_claim])
+    res = certify_coefficient_lemma("gt_exp", 3)
+    assert res.status == "VIOLATED"
+    *true_claims, chk = res.checks
+    assert [c.status for c in true_claims] == ["CERTIFIED"] * 3
+    assert (chk.description, chk.status, chk.farkas) == ("w2 >= 2*w1 + 1", "VIOLATED", None)
     w = chk.witness
+    assert all(isinstance(v, int) for v in w)  # the LP witness scaled to integers
     assert w[1] <= 2 * w[0]
     assert check_witness(chk.problem, w)
+    # the command line reports the violated claim and exits with 1
+    assert cli_main(["check-lemma", "gt_exp", "--k", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "CERTIFIED: w1 >= 1",
+        "CERTIFIED: w2 >= 1*w1",
+        "CERTIFIED: w3 >= 2*w1",
+        "VIOLATED: w2 >= 2*w1 + 1",
+        "VIOLATED: gt_exp at k=3",
+    ]
 
 def test_lemma_farkas_vector_checked_once(monkeypatch):
-    from ptflab import exact_lp, threshold_analysis
-
     calls = []
     real = exact_lp.check_farkas
 
@@ -291,9 +306,10 @@ def test_lemma_farkas_vector_checked_once(monkeypatch):
 
     for module in (exact_lp, threshold_analysis):
         monkeypatch.setattr(module, "check_farkas", counted, raising=False)
-    chk = certify_negated_row("gt", 3, {0: 1}, "<=", 0)
-    assert chk.status == "CERTIFIED" and check_farkas(chk.problem, chk.farkas)
-    assert len(calls) == 1
+    res = certify_coefficient_lemma("gt_exp", 3)
+    assert all(chk.status == "CERTIFIED" and check_farkas(chk.problem, chk.farkas) for chk in res.checks)
+    # the solver checked each inequality's Farkas vector once, and nothing else did
+    assert len(calls) == len(res.checks) == 3
 
 def test_lemma_certificates_replayable():
     res = certify_coefficient_lemma("gt_step", 4)
@@ -443,8 +459,7 @@ def test_single_group_routes_through_comparator_bound():
     # d = 1: the product is empty and the bound is 2^(k-3)
     shape = make_shape("weak", (4,))
     assert theorem_bound(shape) == 2
-    f = make_hard(shape)
-    res = min_weight(f, 1, mode="exact")
+    res = RepresentationLadder(make_hard(shape)).exact_weight(1)
     assert res.value >= 2
 
 def test_verify_instance_weak23_exact():

@@ -3,7 +3,9 @@
 
 Shows the boustrophedon path for two groups, how the ordinal of one
 coordinate decides the direction of the next, and the primed orderings of
-the strong variant where 0 is always the smallest element.
+the strong variant where 0 is always the smallest element.  Each tuple's
+ordinal vector is printed beside it: the snake order is their
+lexicographic order.
 """
 
 from ptflab import (
@@ -14,6 +16,7 @@ from ptflab import (
     make_shape,
     oracle_compare,
     ordinal,
+    ordinals,
 )
 
 print("=== weak shape (4, 3): the 2-d snake ===")
@@ -36,9 +39,9 @@ strong = make_shape("strong", (5, 3))
 sctx = OrderContext(strong)
 print("ascending ordering of the first group:", [sctx.value_at(1, 1, r) for r in range(1, 6)])
 print("reversed ordering of the first group: ", [sctx.value_at(1, 0, r) for r in range(1, 6)])
-print("full enumeration:")
+print("full enumeration, each tuple beside its ordinal vector (in lexicographic order):")
 for rank, t in enumerate(enumerate_ordered(sctx), start=1):
-    print(f"  {rank:2d}  {t}")
+    print(f"  {rank:2d}  {t}  ordinals {ordinals(sctx, t)}")
 
 print()
 print("=== comparator and its independent oracle agree ===")

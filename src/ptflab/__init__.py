@@ -18,9 +18,11 @@ from .tuple_order import (
     compare,
     dominance_chain,
     enumerate_ordered,
+    from_ordinals,
     oracle_compare,
     order_bits,
     ordinal,
+    ordinals,
 )
 from .polynomial import (
     IntPolynomial,

@@ -37,14 +37,19 @@ def _parse_ks(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"group sizes are comma-separated integers, not {text!r}") from None
 
 
-def _node_budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"a node budget is an integer, not {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a node budget is at least 0, not {value}")
-    return value
+def _at_least_0(what: str):
+    """An argparse type for a count that refuses, quoting it, a non-integer or a negative value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} is an integer, not {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} is at least 0, not {value}")
+        return value
+
+    return parse
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -174,14 +179,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("signdeg", help="sign-degree of a stored truth table")
     p.add_argument("fn", help="BoolFun JSON file")
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--dmax", type=_at_least_0("a degree"), required=True)
     p.set_defaults(handler=_cmd_signdeg)
 
     p = sub.add_parser("minweight", help="minimal gate weight of a stored truth table")
     p.add_argument("fn", help="BoolFun JSON file")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_at_least_0("a degree"), required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget-nodes", type=_node_budget, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget-nodes", type=_at_least_0("a node budget"), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write the witness gate JSON here")
     p.set_defaults(handler=_cmd_minweight)
 
@@ -193,7 +198,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("reproduce", help="run a named experiment preset")
     p.add_argument("preset", choices=list(PRESET_NAMES))
     p.add_argument("--out", default="results")
-    p.add_argument("--budget-nodes", type=_node_budget, default=None)
+    p.add_argument("--budget-nodes", type=_at_least_0("a node budget"), default=None)
     p.set_defaults(handler=_cmd_reproduce)
 
     args = parser.parse_args(argv)

@@ -14,10 +14,17 @@ Strong shapes use values 0..k-1 on every group before the last, with 0 as
 the smallest element of both orderings:
     type 1:  0, 1, ..., k-1        type 0:  0, k-1, k-2, ..., 1
 and the last group keeps the weak orderings on 1..k.
+
+Two tuples that agree up to coordinate i use the same ordering at i, so the
+snake order is the lexicographic order of *ordinal vectors*: the ordinal of
+each coordinate in the ordering that governs it.  ``ordinals`` maps a tuple
+to its ordinal vector and ``from_ordinals`` maps one (or a prefix of one)
+back; everything else reads the order through these two.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .shapes import GroupShape, Variant
@@ -27,112 +34,91 @@ class OrderError(ValueError):
     """Tuple outside K, or a structural invariant of the order failed."""
 
 
-def _ordering_sequence(shape: GroupShape, i: int, bit: int) -> list[int]:
-    """Coordinate i's ordering as a list from smallest to largest."""
-    k = shape.ks[i - 1]
-    primed = shape.variant is Variant.STRONG and i < shape.d
-    if primed:
-        return list(range(k)) if bit == 1 else [0] + list(range(k - 1, 0, -1))
-    return list(range(1, k + 1)) if bit == 1 else list(range(k, 0, -1))
-
-
 @dataclass(frozen=True)
 class OrderContext:
-    """Precomputed ordinal tables for one shape.
+    """The two orderings of each coordinate of one shape.
 
-    ``ordinal_in(i, bit, v)`` is the 1-based position of value v in the
-    type-``bit`` ordering of coordinate i; ``value_at`` is its inverse.
+    ``orderings[i - 1][bit]`` lists coordinate i's type-``bit`` ordering from
+    smallest to largest.  ``ordinal_in(i, bit, v)`` is the 1-based position
+    of value v in it; ``value_at`` is its inverse.
     """
 
     shape: GroupShape
-    _by_ordinal: tuple = field(init=False, repr=False, compare=False)
-    _by_value: tuple = field(init=False, repr=False, compare=False)
+    orderings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seqs = []
-        inv = []
-        for i in range(1, self.shape.d + 1):
-            pair = []
-            ipair = []
-            for bit in (0, 1):
-                seq = _ordering_sequence(self.shape, i, bit)
-                pair.append(tuple(seq))
-                ipair.append({v: r + 1 for r, v in enumerate(seq)})
-            seqs.append(tuple(pair))
-            inv.append(tuple(ipair))
-        object.__setattr__(self, "_by_ordinal", tuple(seqs))
-        object.__setattr__(self, "_by_value", tuple(inv))
+        pairs = []
+        for i, k in enumerate(self.shape.ks, start=1):
+            if self.shape.variant is Variant.STRONG and i < self.shape.d:
+                pairs.append(((0, *range(k - 1, 0, -1)), tuple(range(k))))
+            else:
+                pairs.append((tuple(range(k, 0, -1)), tuple(range(1, k + 1))))
+        object.__setattr__(self, "orderings", tuple(pairs))
 
     def ordinal_in(self, i: int, bit: int, value: int) -> int:
         try:
-            return self._by_value[i - 1][bit][value]
-        except (KeyError, IndexError):
+            return self.orderings[i - 1][bit].index(value) + 1
+        except (ValueError, IndexError):
             raise OrderError(f"value {value} not in coordinate {i}") from None
 
     def value_at(self, i: int, bit: int, ordinal: int) -> int:
-        seq = self._by_ordinal[i - 1][bit]
+        seq = self.orderings[i - 1][bit]
         if not 1 <= ordinal <= len(seq):
             raise OrderError(f"ordinal {ordinal} out of range at coordinate {i}")
         return seq[ordinal - 1]
 
-    def check_tuple(self, a: tuple[int, ...]) -> None:
-        if len(a) != self.shape.d:
-            raise OrderError(f"tuple {a} has wrong arity for {self.shape.describe()}")
-        for i, v in enumerate(a, start=1):
-            if v not in self._by_value[i - 1][1]:
-                raise OrderError(f"coordinate {i} value {v} out of range in {a}")
+
+def ordinals(ctx: OrderContext, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Ordinal of each coordinate of ``a`` in the ordering that governs it."""
+    if len(a) != ctx.shape.d:
+        raise OrderError(f"tuple {a} has wrong arity for {ctx.shape.describe()}")
+    rs = []
+    bit = 1
+    for i, v in enumerate(a, start=1):
+        try:
+            rs.append(ctx.orderings[i - 1][bit].index(v) + 1)
+        except ValueError:
+            raise OrderError(f"coordinate {i} value {v} out of range in {a}") from None
+        bit = rs[-1] % 2
+    return tuple(rs)
+
+
+def from_ordinals(ctx: OrderContext, rs: tuple[int, ...]) -> tuple[int, ...]:
+    """The tuple (or prefix of one) whose ordinal vector is ``rs``."""
+    if len(rs) > ctx.shape.d:
+        raise OrderError(f"ordinal vector {rs} is too long for {ctx.shape.describe()}")
+    vals = []
+    bit = 1
+    for i, r in enumerate(rs, start=1):
+        vals.append(ctx.value_at(i, bit, r))
+        bit = r % 2
+    return tuple(vals)
 
 
 def order_bits(ctx: OrderContext, a: tuple[int, ...]) -> tuple[int, ...]:
     """Ordering types (0/1) governing each coordinate of tuple ``a``."""
-    ctx.check_tuple(a)
-    bits = []
-    bit = 1
-    for i, v in enumerate(a, start=1):
-        bits.append(bit)
-        bit = ctx.ordinal_in(i, bit, v) % 2
-    return tuple(bits)
+    return (1, *(r % 2 for r in ordinals(ctx, a)[:-1]))
 
 
 def ordinal(ctx: OrderContext, a: tuple[int, ...], l: int) -> int:
     """Ordinal number of a's l-th coordinate in its governing ordering."""
     if not 1 <= l <= ctx.shape.d:
         raise OrderError(f"coordinate index {l} out of range")
-    return ctx.ordinal_in(l, order_bits(ctx, a)[l - 1], a[l - 1])
+    return ordinals(ctx, a)[l - 1]
 
 
 def compare(ctx: OrderContext, a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """-1, 0 or +1 as ``a`` is below, equal to, or above ``b``."""
-    ctx.check_tuple(a)
-    ctx.check_tuple(b)
-    bit = 1
-    for i in range(1, ctx.shape.d + 1):
-        va, vb = a[i - 1], b[i - 1]
-        if va != vb:
-            ra = ctx.ordinal_in(i, bit, va)
-            rb = ctx.ordinal_in(i, bit, vb)
-            return -1 if ra < rb else 1
-        bit = ctx.ordinal_in(i, bit, va) % 2
-    return 0
+    ra, rb = ordinals(ctx, a), ordinals(ctx, b)
+    return (ra > rb) - (ra < rb)
 
 
 def enumerate_ordered(ctx: OrderContext, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All of K in strictly ascending order."""
     if ctx.shape.size_K > cap:
         raise OrderError(f"|K| = {ctx.shape.size_K} exceeds enumeration cap {cap}")
-    d = ctx.shape.d
-    out: list[tuple[int, ...]] = []
-
-    def descend(prefix: tuple[int, ...], i: int, bit: int) -> None:
-        if i > d:
-            out.append(prefix)
-            return
-        for r in range(1, ctx.shape.ks[i - 1] + 1):
-            v = ctx.value_at(i, bit, r)
-            descend(prefix + (v,), i + 1, r % 2)
-
-    descend((), 1, 1)
-    return out
+    boxes = (range(1, k + 1) for k in ctx.shape.ks)
+    return [from_ordinals(ctx, rs) for rs in itertools.product(*boxes)]
 
 
 def oracle_compare(ctx: OrderContext, a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -143,8 +129,6 @@ def oracle_compare(ctx: OrderContext, a: tuple[int, ...], b: tuple[int, ...]) ->
     recurses on the tuples.
     """
     shape = ctx.shape
-    ctx.check_tuple(a)
-    ctx.check_tuple(b)
 
     def seq(i: int, which: str) -> list[int]:
         k = shape.ks[i]
@@ -155,6 +139,10 @@ def oracle_compare(ctx: OrderContext, a: tuple[int, ...], b: tuple[int, ...]) ->
         if which == "asc":
             return [v for v in range(1, k + 1)]
         return [k - t for t in range(k)]
+
+    for t in (a, b):
+        if len(t) != shape.d or any(v not in seq(i, "asc") for i, v in enumerate(t)):
+            raise OrderError(f"tuple {t} is not in K for {shape.describe()}")
 
     def rec(i: int, which: str) -> int:
         if i == shape.d:
@@ -198,107 +186,58 @@ class DominanceChain:
     steps: tuple[ChainStep, ...]
 
 
-def _start_ordinal(shape: GroupShape, i: int) -> int:
-    # Interior strong coordinates enter the chain one step up: their
-    # single-coordinate monotonicity only covers ordinals 2..k.
-    if shape.variant is Variant.STRONG and i < shape.d:
-        return 2
-    return 1
-
-
-def dominance_chain(
-    ctx: OrderContext, l: int = 1, prefix: tuple[int, ...] | None = None
-) -> DominanceChain:
+def dominance_chain(ctx: OrderContext, l: int = 1) -> DominanceChain:
     """Replay the induction that pumps coefficient w_alpha up to w_beta.
 
-    Starting from the tuple whose coordinates l..d sit at their entry
-    ordinals, alternately sweep the last coordinate (gaining 2^(k_d-2) per
-    sweep) and advance coordinate l by one ordinal, tracking tuple values
-    throughout.  Every structural claim of the argument is asserted along
-    the way: coordinates above the active one must return to their entry
-    ordinals after each advance, and the final tuple must differ from the
-    start in coordinate l alone.  OrderError means the shape does not
-    support the chain (e.g. parity hypotheses fail).
+    Starting from the tuple whose coordinates below l sit at ordinal 1 and
+    whose coordinates l..d sit at their entry ordinals, alternately sweep the
+    last coordinate (gaining 2^(k_d-2) per sweep) and advance coordinate l
+    by one ordinal, tracking tuple values throughout.  Every structural claim
+    of the argument is asserted along the way: coordinates above the active
+    one must return to their entry ordinals after each advance, and the
+    final tuple must differ from the start in coordinate l alone.  OrderError
+    means the shape does not support the chain (e.g. parity hypotheses fail).
     """
     shape = ctx.shape
     d = shape.d
     if not 1 <= l <= d:
         raise OrderError(f"level {l} out of range")
-    if prefix is None:
-        # default the fixed coordinates to ordinal-1 values along the chain
-        vals: list[int] = []
-        bit = 1
-        for i in range(1, l):
-            vals.append(ctx.value_at(i, bit, 1))
-            bit = ctx.ordinal_in(i, bit, vals[-1]) % 2
-        prefix = tuple(vals)
-    if len(prefix) != l - 1:
-        raise OrderError("prefix must fix exactly the coordinates below the level")
-
-    state: list[int] = list(prefix) + [0] * (d - l + 1)
-
-    def bits_now() -> tuple[int, ...]:
-        return order_bits(ctx, tuple(state))
-
-    # entry configuration for coordinates l..d
-    for i in range(l, d + 1):
-        bit = order_bits_partial(ctx, state, i)
-        state[i - 1] = ctx.value_at(i, bit, _start_ordinal(shape, i))
-    alpha = tuple(state)
+    # Interior strong coordinates enter the chain one step up: their
+    # single-coordinate monotonicity only covers ordinals 2..k.
+    strong = shape.variant is Variant.STRONG
+    entry = tuple(2 if strong and i < d else 1 for i in range(1, d + 1))
+    state = alpha = from_ordinals(ctx, (1,) * (l - 1) + entry[l - 1 :])
     steps: list[ChainStep] = []
 
-    def assert_entry(i_from: int) -> None:
-        bits = bits_now()
-        for i in range(i_from, d + 1):
-            have = ctx.ordinal_in(i, bits[i - 1], state[i - 1])
-            want = _start_ordinal(shape, i)
-            if have != want:
-                raise OrderError(
-                    f"coordinate {i} at ordinal {have}, expected {want} "
-                    f"(state {tuple(state)})"
-                )
-
     def run(level: int) -> int:
-        assert_entry(level)
-        bits = bits_now()
+        nonlocal state
+        rs = ordinals(ctx, state)
+        for i in range(level, d + 1):
+            if rs[i - 1] != entry[i - 1]:
+                raise OrderError(f"coordinate {i} at ordinal {rs[i - 1]}, expected {entry[i - 1]} (state {state})")
         k = shape.ks[level - 1]
         if level == d:
-            before = tuple(state)
-            state[level - 1] = ctx.value_at(level, bits[level - 1], k)
+            before, state = state, from_ordinals(ctx, rs[:-1] + (k,))
             factor = 2 ** (k - 2)
-            steps.append(ChainStep("scale", before, tuple(state), factor))
+            steps.append(ChainStep("scale", before, state, factor))
             return factor
-        sweeps = k if _start_ordinal(shape, level) == 1 else k - 1
         total = 1
-        for r in range(sweeps):
+        for rank in range(entry[level - 1], k + 1):
             total *= run(level + 1)
-            if r < sweeps - 1:
-                before = tuple(state)
-                bit = bits_now()[level - 1]
-                rank = ctx.ordinal_in(level, bit, state[level - 1])
-                state[level - 1] = ctx.value_at(level, bit, rank + 1)
-                steps.append(ChainStep("step", before, tuple(state), 1))
-                assert_entry(level + 1)
+            if rank < k:
+                before = state
+                state = from_ordinals(ctx, rs[: level - 1] + (rank + 1,)) + state[level:]
+                steps.append(ChainStep("step", before, state, 1))
         return total
 
     factor = run(l)
 
-    beta = tuple(state)
+    beta = state
     delta = 1 if (shape.variant is Variant.WEAK or l == d) else 0
     expect_l = shape.ks[l - 1] - alpha[l - 1] + delta
     if beta[l - 1] != expect_l:
-        raise OrderError(
-            f"chain ended at {beta}, expected coordinate {l} = {expect_l}"
-        )
+        raise OrderError(f"chain ended at {beta}, expected coordinate {l} = {expect_l}")
     for i in range(1, d + 1):
         if i != l and beta[i - 1] != alpha[i - 1]:
             raise OrderError(f"chain moved coordinate {i}: {alpha} -> {beta}")
     return DominanceChain(alpha, beta, factor, tuple(steps))
-
-
-def order_bits_partial(ctx: OrderContext, state: list[int], upto: int) -> int:
-    """Ordering type at coordinate ``upto`` given the values below it."""
-    bit = 1
-    for i in range(1, upto):
-        bit = ctx.ordinal_in(i, bit, state[i - 1]) % 2
-    return bit

@@ -22,9 +22,9 @@ from ptflab import (
     make_hard,
     make_shape,
     oracle_compare,
+    order_bits,
 )
 from ptflab.boolfun import from_bits
-from ptflab.tuple_order import order_bits_partial
 from detector_reference import g_table
 from shape_reference import all_tuples
 from uv_reference import linear_forms
@@ -234,9 +234,9 @@ def reference_strong(shape):
             if prod == 0:
                 continue
             c = 0
+            types = order_bits(ctx, alpha)
             for i in range(1, d):
-                bit = order_bits_partial(ctx, list(alpha), i)
-                if alpha[i - 1] == 0 and bit == 0:
+                if alpha[i - 1] == 0 and types[i - 1] == 0:
                     c += 1
             val = prod * (-1 if c % 2 else 1)
             out = 1 if val > 0 else -1
@@ -431,7 +431,7 @@ def test_strong_interior_reversed_order_gives_g0():
     f = make_hard(shape)
     ctx = OrderContext(shape)
     gamma1 = 1  # ordinal 2 under the ascending order: next order is reversed
-    assert order_bits_partial(ctx, [gamma1, 0, 0], 2) == 0
+    assert order_bits(ctx, (gamma1, 0, 1))[1] == 0
     bits = []
     for idx in range(1 << 3):
         a = [0] * shape.n

@@ -480,10 +480,16 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys):
     ]:
         assert cli_main(argv) == 2
         assert capsys.readouterr().out == f"ERROR: {why}\n"
-    with pytest.raises(SystemExit) as stopped:
-        cli_main(["verify-gate", "2,x"])
-    assert stopped.value.code == 2
-    assert "argument ks: group sizes are comma-separated integers, not '2,x'" in capsys.readouterr().err
+    for argv, why in [
+        (["verify-gate", "2,x"], "argument ks: group sizes are comma-separated integers, not '2,x'"),
+        (["minweight", str(bad_table), "--degree", "-1"], "argument --degree: a degree is at least 0, not -1"),
+        (["signdeg", str(bad_table), "--dmax", "-1"], "argument --dmax: a degree is at least 0, not -1"),
+        (["signdeg", str(bad_table), "--dmax", "two"], "argument --dmax: a degree is an integer, not 'two'"),
+    ]:
+        with pytest.raises(SystemExit) as stopped:
+            cli_main(argv)
+        assert stopped.value.code == 2
+        assert why in capsys.readouterr().err
 
 
 def test_cli_verify_gate_past_64_tuples(capsys):

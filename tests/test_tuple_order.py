@@ -1,6 +1,7 @@
 """Orderings: comparator vs independent oracle, snake structure, and the
 symbolic replay of the coefficient-domination bookkeeping."""
 
+import functools
 import itertools
 
 import pytest
@@ -13,9 +14,11 @@ from ptflab import (
     compare,
     dominance_chain,
     enumerate_ordered,
+    from_ordinals,
     make_shape,
     oracle_compare,
     ordinal,
+    ordinals,
     order_bits,
 )
 from shape_reference import all_tuples
@@ -130,6 +133,29 @@ def test_total_order_axioms_exhaustive():
                 assert compare(ctx, a, c) <= 0
 
 
+def test_ordinal_vectors_biject_k_onto_the_box_in_oracle_order():
+    for shape in ACCEPTANCE_SHAPES + [STRONG(3, 3, 3), WEAK(2, 2, 2)]:
+        ctx = OrderContext(shape)
+        K = all_tuples(shape)
+        vectors = [ordinals(ctx, a) for a in K]
+        for a, rs in zip(K, vectors):
+            assert from_ordinals(ctx, rs) == a
+        box = itertools.product(*(range(1, k + 1) for k in shape.ks))
+        assert sorted(vectors) == list(box)
+        by_oracle = sorted(K, key=functools.cmp_to_key(lambda a, b: oracle_compare(ctx, a, b)))
+        assert enumerate_ordered(ctx) == by_oracle
+
+
+def test_from_ordinals_reads_prefixes_and_rejects_bad_vectors():
+    ctx = OrderContext(STRONG(3, 3, 3))
+    assert from_ordinals(ctx, ()) == ()
+    assert from_ordinals(ctx, (2,)) == (1,)
+    assert from_ordinals(ctx, (2, 2)) == (1, 2)  # reversed after an even ordinal
+    for rs in [(0,), (4,), (1, 1, 1, 1)]:
+        with pytest.raises(OrderError):
+            from_ordinals(ctx, rs)
+
+
 def test_enumeration_cap():
     with pytest.raises(OrderError):
         enumerate_ordered(OrderContext(WEAK(50, 50, 50)), cap=1000)
@@ -143,6 +169,12 @@ def test_tuples_out_of_range_rejected():
         ordinal(ctx, (1, 4), 2)
     with pytest.raises(OrderError):
         compare(ctx, (1, 1, 1), (1, 1, 1))
+    # the oracle checks K against its own literal orderings
+    for a, b in [((0, 1), (1, 1)), ((1, 1), (1, 4)), ((1, 1, 1), (1, 1, 1)), ((1,), (1, 1))]:
+        with pytest.raises(OrderError):
+            oracle_compare(ctx, a, b)
+    with pytest.raises(OrderError):
+        oracle_compare(OrderContext(STRONG(3, 3)), (3, 1), (0, 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,15 +265,6 @@ def test_chain_requires_parity_hypotheses():
         dominance_chain(OrderContext(WEAK(3, 3)), 1)
     with pytest.raises(OrderError):
         dominance_chain(OrderContext(STRONG(4, 3)), 1)
-
-
-def test_chain_prefix_variants():
-    # with two leading groups fixed, level 3 of a d=3 shape still closes
-    shape = WEAK(2, 2, 3)
-    ctx = OrderContext(shape)
-    ch = dominance_chain(ctx, 3, prefix=(2, 1))
-    assert ch.alpha[:2] == (2, 1)
-    assert ch.factor == 2 ** (shape.ks[-1] - 2)
 
 
 def test_order_bits_consistency():

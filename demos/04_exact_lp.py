@@ -2,10 +2,11 @@
 """Exact LP over integer rows with certificates you can re-check by hand.
 
 Rows are integers; witnesses, multipliers and optima are exact rationals.
-Every answer the solver gives comes with evidence: feasible systems yield
-a witness (verified by substitution), infeasible ones a nonnegative
-combination of rows that adds up to an impossibility, and L1 optima carry
-dual multipliers proving no feasible point weighs less.
+One solve, ``min_l1``, answers every LP, and every answer comes with
+evidence: infeasible systems yield a nonnegative combination of rows that
+adds up to an impossibility, and L1 optima a witness (verified by
+substitution) and dual multipliers proving no feasible point weighs less.
+Branch and bound starts from that solve's outcome.
 """
 
 from fractions import Fraction
@@ -19,14 +20,13 @@ from ptflab import (
     ilp_min,
     min_l1,
     problem_to_text,
-    solve,
 )
 
 print("=== infeasibility with a combination certificate ===")
 pr = LpProblem(1)
 pr.add({0: 1}, ">=", 1)
 pr.add({0: 1}, "<=", 0)
-out = solve(pr)
+out = min_l1(pr)
 print("status:", out.status, " multipliers:", out.farkas)
 print("re-checked by exact row combination:", check_farkas(pr, out.farkas))
 
@@ -44,8 +44,9 @@ print()
 print("=== integer minimum by branch and bound ===")
 pr = LpProblem(1)
 pr.add({0: 2}, ">=", 3)  # 2x >= 3
-res = ilp_min(pr)
-print(f"relaxation {res.relaxation} -> integer optimum {res.value} at {res.witness}")
+root = min_l1(pr)
+res = ilp_min(root)
+print(f"relaxation {root.value} -> integer optimum {res.value} at {res.witness}")
 
 print()
 print("=== plain-text serialization for replay ===")

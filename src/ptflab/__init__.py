@@ -46,7 +46,6 @@ from .exact_lp import (
     min_l1,
     problem_from_text,
     problem_to_text,
-    solve,
 )
 from .threshold_analysis import (
     AnalysisError,

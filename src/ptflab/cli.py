@@ -128,7 +128,7 @@ def _cmd_minweight(args) -> int:
         print(f"no degree-{args.degree} gate exists")
         return 1
     print(f"minimal weight ({'lp' if exact is None else 'exact'}) at degree {args.degree}: {value}")
-    if args.out and exact is not None:
+    if args.out:  # main refuses --out without --exact
         payload = {"degree": args.degree, "weight": str(value), "gate": exact.witness.to_json()}
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
@@ -187,8 +187,9 @@ def main(argv=None) -> int:
     p.add_argument("--degree", type=_at_least_0("a degree"), required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--budget-nodes", type=_at_least_0("a node budget"), default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out", default=None, help="write the witness gate JSON here")
+    p.add_argument("--out", default=None, help="write the exact gate JSON here (needs --exact)")
     p.set_defaults(handler=_cmd_minweight)
+    minweight = p
 
     p = sub.add_parser("check-lemma", help="certify a coefficient lemma by LP infeasibility")
     p.add_argument("name", choices=list(_LEMMA_BASE))
@@ -202,6 +203,8 @@ def main(argv=None) -> int:
     p.set_defaults(handler=_cmd_reproduce)
 
     args = parser.parse_args(argv)
+    if args.command == "minweight" and args.out and not args.exact:
+        minweight.error("argument --out: needs --exact, which finds the gate it writes")
     try:
         return args.handler(args)
     except BudgetError as exc:  # any budget: pivots, nodes or the input cap

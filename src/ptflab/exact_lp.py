@@ -26,13 +26,12 @@ take one product over Python integers.  The float64 copy of the rows is
 made once per root tableau and shared by the tableaux forked off it.  The
 entering column is an int64 array under the same kind of bound.  One
 class, ``_DualL1``, is the dual problem, its tableau and the reading of its
-certificates; one solve answers feasibility, the L1 optimum and the
-branch-and-bound root.  The reported witnesses come back out of the
-simplex multipliers and every outcome is re-verified by an independent
-checker before it is returned:
+certificates; one solve, ``min_l1``, answers feasibility, the L1 optimum
+and the branch-and-bound root.  Its witnesses come back out of the simplex
+multipliers and every outcome is re-verified by an independent checker:
 
-  * feasible / optimal outcomes carry a witness checked by substitution,
-  * L1 optima additionally carry dual multipliers proving the lower bound,
+  * optimal outcomes carry a witness checked by substitution and dual
+    multipliers proving the lower bound,
   * infeasible outcomes carry nonnegative combination multipliers that
     collapse the constraints into an exact contradiction.
 
@@ -60,9 +59,9 @@ numbered before the slacks, as in the problem's own tableau), and is
 solved and certified on its own.  Its pivot path, stats and certificate
 are those of a cold solve.
 
-A small depth-first branch-and-bound on top of the L1 solver computes
-exact integer-minimal weights.  Each node is its parent plus its
-branching row, forked the same way, and is an LP that certifies itself.
+A small depth-first branch-and-bound, ``ilp_min``, starts from an optimal
+``min_l1`` outcome's tableau and computes exact integer-minimal weights.
+Each node is its parent plus its branching row, forked the same way.
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ class LpProblem:
 
 @dataclass
 class LpOutcome:
-    status: str  # optimal | feasible | infeasible
+    status: str  # optimal (witness, value, dual, solver) | infeasible (farkas)
     witness: list | None = None
     value: Fraction | None = None
     farkas: list | None = None
@@ -206,7 +205,6 @@ class IlpResult:
     value: int | None = None
     witness: list | None = None
     lower_bound: Fraction | None = None
-    relaxation: Fraction | None = None
     nodes: int = 0
 
 
@@ -883,32 +881,15 @@ def min_l1(
     return _DualL1(problem).certify(max_pivots)
 
 
-def solve(problem: LpProblem, max_pivots: int = DEFAULT_PIVOT_CAP) -> LpOutcome:
-    """Feasibility check with a verified witness or Farkas certificate.
-
-    Runs the L1 routine of ``min_l1``; a feasible outcome's witness is the
-    minimum-L1 point.
-    """
-    return _feasibility(_DualL1(problem).certify(max_pivots))
-
-
-def _feasibility(out: LpOutcome) -> LpOutcome:
-    """``solve``'s view of a certified outcome: an optimum is reported as
-    feasible, with its witness and stats only."""
-    if out.status == "infeasible":
-        return out
-    return LpOutcome(status="feasible", witness=out.witness, stats=out.stats)
-
-
 def solve_extensions(
     base: LpProblem, rows: list, max_pivots: int = DEFAULT_PIVOT_CAP
 ) -> list[tuple[LpProblem, LpOutcome]]:
-    """``solve`` of the base problem plus each one of ``rows``, walking the
+    """``min_l1`` of the base problem plus each one of ``rows``, walking the
     base's pivot path once.
 
     One (problem, outcome) pair per (coeffs, rel, rhs) row, in order: the
-    problem is ``base.extended(*row)``, and the outcome equals ``solve`` of
-    it, pivot path, stats and certificate included.
+    problem is ``base.extended(*row)``, and the outcome, its fork's
+    ``certify``, equals ``min_l1`` of it: pivot path, stats, certificate.
 
     A tableau of base + row numbers the row's dual column n0, after the
     base's rows and before the slacks.  While that column is nonbasic,
@@ -947,7 +928,7 @@ def solve_extensions(
         child = walk.fork(problems[i])
         if p is not None:  # the row's column enters first, at cost p
             child.step(len(walk.A), p, max_pivots)
-        outcomes[i] = _feasibility(child.certify(max_pivots))
+        outcomes[i] = child.certify(max_pivots)
         pending.remove(i)
 
     while pending:
@@ -970,36 +951,32 @@ def solve_extensions(
 
 
 def ilp_min(
-    problem: LpProblem,
+    root: LpOutcome,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_pivots: int = DEFAULT_PIVOT_CAP,
     incumbent: list | None = None,
-    root: LpOutcome | None = None,
 ) -> IlpResult:
-    """Exact integer minimum of sum(|x_j|) by depth-first branch and bound.
+    """Exact integer minimum of sum(|x_j|) by depth-first branch and bound
+    from ``root``, a problem's ``min_l1`` outcome: infeasible, or optimal,
+    with the solved tableau (and its problem) the search starts from.
 
     Branches on the most fractional coordinate of each node's relaxation
     witness, prunes with ceil(LP value) against the incumbent, and rounds
     relaxation witnesses as a cheap upper-bound heuristic.  ``incumbent``
-    may seed the search with a known integer-feasible point.  ``root`` is
-    the problem's ``min_l1`` outcome when the caller already solved it; the
-    search then starts from its tableau instead of solving again.  Each
-    child is its parent's LP plus its branching row, forked off the
-    parent's tableau (``_DualL1.fork``).  ``nodes`` counts the nodes
-    taken off the stack; a budget stop, once ``node_budget`` of them are
-    taken and one is left, reports the ceiling of the root relaxation as
-    the lower bound.
+    may seed the search with a known integer-feasible point.  Each child is
+    its parent's LP plus its branching row, forked off the parent's tableau
+    (``_DualL1.fork``).  ``nodes`` counts the nodes taken off the stack; a
+    budget stop, once ``node_budget`` of them are taken and one is left,
+    reports the ceiling of the root value as the lower bound.
 
     A node's witness and value are read as integers over the tableau's den
     (``_DualL1.numerators`` and ``corner``), and every choice is made on
     them: each choice depends only on the rationals, so any den gives the
     same picks and candidates.
     """
-    if root is None:
-        root = min_l1(problem, max_pivots)
-    if root.status == "infeasible":
+    if root.status == "infeasible":  # no tableau to start from
         return IlpResult("infeasible", nodes=1)
-    relaxation = root.value
+    problem = root.solver.problem
 
     # margin-style systems (every row a . x >= b with b >= 0) stay feasible
     # under scaling by any factor >= 1, so fractional witnesses round up to
@@ -1058,10 +1035,10 @@ def ilp_min(
                 stack.append(child)
 
     if stack:  # a node is left, and no budget to expand it; W is an integer
-        return IlpResult("budget", best_w, best_c, Fraction(math.ceil(relaxation)), relaxation, nodes)
+        return IlpResult("budget", best_w, best_c, Fraction(math.ceil(root.value)), nodes)
     if best_w is None:
-        return IlpResult("infeasible", relaxation=relaxation, nodes=nodes)
-    return IlpResult("optimal", best_w, best_c, Fraction(best_w), relaxation, nodes)
+        return IlpResult("infeasible", nodes=nodes)
+    return IlpResult("optimal", best_w, best_c, Fraction(best_w), nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -54,18 +54,6 @@ class ExperimentSpec:
             "exponent_table_n": self.exponent_table_n,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentSpec":
-        return cls(
-            name=obj["name"],
-            shapes=[GroupShape.from_json(s) for s in obj["shapes"]],
-            modes=tuple(obj.get("modes", ALL_MODES)),
-            input_cap=obj.get("input_cap", DEFAULT_INPUT_CAP),
-            node_budget=obj.get("node_budget", DEFAULT_NODE_BUDGET),
-            pivot_budget=obj.get("pivot_budget", PRESET_PIVOT_BUDGET),
-            exponent_table_n=obj.get("exponent_table_n"),
-        )
-
 
 @dataclass
 class ResultRow:
@@ -97,18 +85,16 @@ CSV_HEADER = ["experiment", "shape", "metric", "value", "certificate", "wall_ms"
 
 
 class CertStore:
-    def __init__(self, root: Path | None):
+    def __init__(self, root: Path):
         self.root = root
-        if root is not None:
-            root.mkdir(parents=True, exist_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
 
     def put(self, payload: dict) -> str:
         data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(data.encode()).hexdigest()[:16]
-        if self.root is not None:
-            path = self.root / f"{digest}.json"
-            if not path.exists():
-                path.write_text(data + "\n")
+        path = self.root / f"{digest}.json"
+        if not path.exists():
+            path.write_text(data + "\n")
         return digest
 
 

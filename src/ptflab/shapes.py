@@ -138,10 +138,6 @@ class GroupShape:
     def to_json(self) -> dict:
         return {"variant": self.variant.value, "ks": list(self.ks)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupShape":
-        return cls(tuple(obj["ks"]), Variant(obj["variant"]))
-
 
 def make_shape(variant: Variant | str, ks: tuple[int, ...] | list[int]) -> GroupShape:
     return GroupShape(tuple(ks), _as_variant(variant))

@@ -265,13 +265,7 @@ class RepresentationLadder:
                 if key not in index:
                     raise AnalysisError("incumbent uses monomials outside the basis")
                 seed[index[key]] = c
-        res = ilp_min(
-            prob.problem,
-            node_budget=node_budget,
-            max_pivots=self.max_pivots,
-            incumbent=seed,
-            root=out,
-        )
+        res = ilp_min(out, node_budget=node_budget, max_pivots=self.max_pivots, incumbent=seed)
         if res.status == "infeasible":
             return MinWeightResult(None, None, res)
         witness = None
@@ -353,7 +347,7 @@ class CertifyResult:
 
 
 def _inequality_check(desc: str, problem: LpProblem, out: LpOutcome) -> InequalityCheck:
-    """The check of one negated inequality from the ``solve`` outcome of
+    """The check of one negated inequality from the ``min_l1`` outcome of
     its problem (the base's rows, the negated row last)."""
     if out.status == "infeasible":
         # the solver re-checked the Farkas vector; replay checks it again

@@ -55,14 +55,22 @@ class OrderContext:
                 pairs.append((tuple(range(k, 0, -1)), tuple(range(1, k + 1))))
         object.__setattr__(self, "orderings", tuple(pairs))
 
+    def _ordering(self, i: int, bit: int) -> tuple:
+        """Coordinate i's type-``bit`` ordering; ``OrderError`` for an i
+        outside 1..d (0 would read the last coordinate)."""
+        if not 1 <= i <= len(self.orderings):
+            raise OrderError(f"coordinate index {i} out of range")
+        return self.orderings[i - 1][bit]
+
     def ordinal_in(self, i: int, bit: int, value: int) -> int:
+        seq = self._ordering(i, bit)
         try:
-            return self.orderings[i - 1][bit].index(value) + 1
-        except (ValueError, IndexError):
+            return seq.index(value) + 1
+        except ValueError:
             raise OrderError(f"value {value} not in coordinate {i}") from None
 
     def value_at(self, i: int, bit: int, ordinal: int) -> int:
-        seq = self.orderings[i - 1][bit]
+        seq = self._ordering(i, bit)
         if not 1 <= ordinal <= len(seq):
             raise OrderError(f"ordinal {ordinal} out of range at coordinate {i}")
         return seq[ordinal - 1]

@@ -214,6 +214,18 @@ def reference_weak(shape):
     return from_bits(bits, shape.n, Convention.ZERO_ONE)
 
 
+def strong_types(shape, alpha):
+    """The ordering type of each coordinate of ``alpha`` in a strong shape,
+    read off the literal orderings of the groups before the last (0 first
+    in both, as ``oracle_compare`` builds them): type 1 at the first
+    coordinate, then the parity of the previous coordinate's position."""
+    types = [1]
+    for k, v in zip(shape.ks, alpha[:-1]):
+        ordering = list(range(k)) if types[-1] else [0] + list(range(k - 1, 0, -1))
+        types.append((ordering.index(v) + 1) % 2)
+    return types
+
+
 def reference_strong(shape):
     ctx = OrderContext(shape)
     K = all_tuples(shape)
@@ -234,7 +246,7 @@ def reference_strong(shape):
             if prod == 0:
                 continue
             c = 0
-            types = order_bits(ctx, alpha)
+            types = strong_types(shape, alpha)
             for i in range(1, d):
                 if alpha[i - 1] == 0 and types[i - 1] == 0:
                     c += 1

@@ -23,7 +23,6 @@ from ptflab import (
     min_l1,
     problem_from_text,
     problem_to_text,
-    solve,
 )
 from ptflab import exact_lp
 from ptflab.exact_lp import GE, LE
@@ -37,7 +36,7 @@ def FR(x, y=None):
 
 
 # ---------------------------------------------------------------------------
-# solve
+# statuses, budgets and the row matrix
 # ---------------------------------------------------------------------------
 
 
@@ -45,7 +44,7 @@ def test_contradictory_bounds_infeasible():
     pr = LpProblem(1)
     pr.add({0: 1}, ">=", 1)
     pr.add({0: 1}, "<=", 0)
-    out = solve(pr)
+    out = min_l1(pr)
     assert out.status == "infeasible"
     assert out.farkas == [FR(1), FR(1)]
     assert check_farkas(pr, out.farkas)
@@ -54,8 +53,8 @@ def test_contradictory_bounds_infeasible():
 def test_feasibility_with_witness_for_comparator():
     f = make_gt(2)
     prob = build_representation_problem(f, 1).problem
-    out = solve(prob)
-    assert out.status == "feasible"
+    out = min_l1(prob)
+    assert out.status == "optimal"
     assert check_witness(prob, out.witness)
 
 
@@ -63,7 +62,7 @@ def test_pivot_budget_reported():
     f = make_gt(3)
     prob = build_representation_problem(f, 1).problem
     with pytest.raises(BudgetError):
-        solve(prob, max_pivots=2)
+        min_l1(prob, max_pivots=2)
 
 
 def test_bad_rows_rejected():
@@ -93,7 +92,7 @@ def test_a_matrix_replaced_after_construction_is_checked_where_it_is_read():
     # a float matrix: every solver raises, every checker fails (Python
     # floats would make their products inexact)
     pr.constraints = np.array([[1.0, 0.0, 0.5]])
-    for run in (solve, min_l1, exact_lp.ilp_min, lambda p: exact_lp.solve_extensions(p, [({0: 1}, ">=", 0)])):
+    for run in (min_l1, lambda p: exact_lp.ilp_min(min_l1(p)), lambda p: exact_lp.solve_extensions(p, [({0: 1}, ">=", 0)])):
         with pytest.raises(LpError):
             run(pr)
     assert not check_witness(pr, [1, 0]) and not check_farkas(pr, [1]) and not check_l1_bound(pr, [1], 1)
@@ -102,12 +101,11 @@ def test_a_matrix_replaced_after_construction_is_checked_where_it_is_read():
     # exactly and give their verdicts
     for wide in (2**62, -(2**63)):
         pr.constraints = np.array([[1, 0, 1], [wide, 0, 0]], np.int64)
-        for run in (solve, min_l1):
-            with pytest.raises(LpError):
-                run(pr)
+        with pytest.raises(LpError):
+            min_l1(pr)
         assert check_witness(pr, [1, 0]) == (wide > 0)
     pr.constraints = np.array([[1, 0, 2**62 - 1]], np.int64)  # just inside
-    assert solve(pr).witness == [2**62 - 1, 0]
+    assert min_l1(pr).witness == [2**62 - 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def test_ilp_returns_integral_relaxation():
     pr = LpProblem(2)
     pr.add({0: 1, 1: 1}, ">=", 2)
     pr.add({0: 1, 1: -1}, ">=", 2)
-    res = ilp_min(pr)
+    res = ilp_min(min_l1(pr))
     assert res.status == "optimal"
     assert res.value == 2
     assert res.witness == [2, 0]
@@ -317,9 +315,10 @@ def test_ilp_returns_integral_relaxation():
 def test_ilp_rounds_up_single_bound():
     pr = LpProblem(1)
     pr.add({0: 2}, ">=", 3)
-    res = ilp_min(pr)
+    root = min_l1(pr)
+    res = ilp_min(root)
     assert res.status == "optimal"
-    assert res.relaxation == FR(3, 2)
+    assert root.value == FR(3, 2)
     assert res.value == 2
     assert res.witness == [2]
 
@@ -328,7 +327,7 @@ def test_ilp_infeasible():
     pr = LpProblem(1)
     pr.add({0: 1}, ">=", 1)
     pr.add({0: 1}, "<=", 0)
-    res = ilp_min(pr)
+    res = ilp_min(min_l1(pr))
     assert res.status == "infeasible"
 
 
@@ -368,7 +367,7 @@ def test_ilp_comparator_weight_matches_brute_force():
     f = make_gt(2)
     prob = build_representation_problem(f, 1).problem
     lp = min_l1(prob)
-    res = ilp_min(prob)
+    res = ilp_min(min_l1(prob))
     assert res.status == "optimal"
     expected = brute_force_min_weight(f, 1, radius=3)
     assert expected is not None and expected <= 6  # x1 - y1 + 2x2 - 2y2 works
@@ -381,7 +380,7 @@ def test_ilp_comparator_weight_matches_brute_force():
 def test_ilp_budget_reported():
     f = make_gt(2)
     prob = build_representation_problem(f, 1).problem
-    res = ilp_min(prob, node_budget=0)
+    res = ilp_min(min_l1(prob), node_budget=0)
     assert res.status == "budget"
     assert res.lower_bound is not None
 
@@ -389,7 +388,7 @@ def test_ilp_budget_reported():
 def test_ilp_incumbent_seed():
     pr = LpProblem(1)
     pr.add({0: 2}, ">=", 3)
-    res = ilp_min(pr, incumbent=[5])
+    res = ilp_min(min_l1(pr), incumbent=[5])
     assert res.value == 2
 
 
@@ -477,7 +476,7 @@ def assert_derives_like_a_cold_copy(problem):
     assert A is problem.constraints  # the tableau reads the problem's matrix, no copy
     assert A.tolist() == cold_A.tolist() and A.dtype == cold_A.dtype
     assert problem_to_text(problem) == problem_to_text(cold_copy(problem))
-    assert solve(problem) == solve(cold_copy(problem))
+    assert min_l1(problem) == min_l1(cold_copy(problem))
 
 
 def test_extended_problems_derive_what_a_cold_copy_does():
@@ -526,10 +525,10 @@ def test_one_solve_serves_feasibility_weight_and_branch_and_bound():
     prob = build_representation_problem(make_gt(2), 1).problem
     out = min_l1(prob)
     assert out.status == "optimal" and out.solver is not None
-    assert solve(prob).witness == out.witness
+    assert min_l1(prob).witness == out.witness
     pivots = out.solver.pivots
-    res = ilp_min(prob, root=out)
-    assert res.value == ilp_min(prob).value == 6
+    res = ilp_min(out)
+    assert res.value == ilp_min(min_l1(prob)).value == 6
     assert out.solver.pivots == pivots  # the root tableau is cloned, not re-solved
 
 
@@ -565,11 +564,12 @@ def test_branch_and_bound_path_is_pinned():
 
     exact_lp._DualL1.pivot = counted
     try:
-        res = ilp_min(prob, node_budget=20)
+        root = min_l1(prob)
+        res = ilp_min(root, node_budget=20)
     finally:
         exact_lp._DualL1.pivot = pivot
     assert (res.status, res.nodes, pivots) == ("budget", 20, 463)
-    assert (res.value, res.lower_bound, res.relaxation) == (24, 6, 6)
+    assert (res.value, res.lower_bound, root.value) == (24, 6, 6)
     assert res.witness == [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, -2, -2, 0] + [
         1, 2, -1, -2, -2, -2, 2, 2, 0, 1, 0, 0, 0, 0
     ]
@@ -593,7 +593,7 @@ def test_strong32_branch_and_bound_stays_in_int64():
 
     exact_lp._DualL1.pivot = counted
     try:
-        res = ilp_min(prob, node_budget=150)
+        res = ilp_min(min_l1(prob), node_budget=150)
     finally:
         exact_lp._DualL1.pivot = pivot
     assert (res.status, res.nodes, res.value, res.lower_bound) == ("budget", 150, 22, 6)
@@ -616,7 +616,7 @@ def test_every_branch_and_bound_node_is_its_parents_lp_plus_one_row():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_lp._DualL1, "fork", recorded)
-        res = ilp_min(prob, node_budget=20, root=root)
+        res = ilp_min(root, node_budget=20)
     assert (res.status, res.nodes) == ("budget", 20) and len(forks) >= 20
     known = {id(root.solver)}
     for parent, child in forks:
@@ -639,8 +639,9 @@ def test_budget_stop_reports_the_integer_lower_bound():
     # the weight is an integer, so the relaxation's ceiling bounds it
     shape = make_shape("weak", (2, 3))
     prob = build_representation_problem(make_hard(shape), 2, shape).problem
-    res = ilp_min(prob, node_budget=1)
-    assert (res.status, res.relaxation, res.lower_bound, res.value) == ("budget", Fraction(183, 2), 92, 366)
+    root = min_l1(prob)
+    res = ilp_min(root, node_budget=1)
+    assert (res.status, root.value, res.lower_bound, res.value) == ("budget", Fraction(183, 2), 92, 366)
     assert type(res.lower_bound) is Fraction
 
 
@@ -700,7 +701,7 @@ def lp_rows(nvars):
 
 def cold_or_budget(problem, max_pivots):
     try:
-        return solve(problem, max_pivots)
+        return min_l1(problem, max_pivots)
     except BudgetError:
         return None
 
@@ -947,7 +948,7 @@ def test_forks_share_their_roots_float_copy():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_lp._DualL1, "fork", recorded)
-        ilp_min(prob, node_budget=20, root=root)
+        ilp_min(root, node_budget=20)
         nodes = len(forks)
         certify_coefficient_lemma("gt_exp", 5)
     assert nodes >= 20 and len(forks) > nodes

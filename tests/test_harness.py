@@ -47,26 +47,24 @@ def test_preset_lookup():
         preset("nope")
 
 
-def test_spec_json_round_trip():
-    spec = preset("weak-2-3")
-    back = ExperimentSpec.from_json(json.loads(json.dumps(spec.to_json())))
-    assert back.name == spec.name
-    assert [s.ks for s in back.shapes] == [s.ks for s in spec.shapes]
-    assert back.modes == tuple(spec.modes)
-
-
-def test_spec_from_json_ignores_old_workers_key():
-    blob = preset("strong-3-3").to_json()
-    assert "workers" not in blob
-    back = ExperimentSpec.from_json({**blob, "workers": 2})
-    assert back.to_json() == blob
+def test_spec_to_json_writes_every_field():
+    # the spec a results JSON records; no key of an older spec (workers) comes back
+    assert preset("strong-3-3").to_json() == {
+        "name": "strong-3-3",
+        "shapes": [{"variant": "strong", "ks": [3, 3]}],
+        "modes": ["verify-gate", "signdeg"],
+        "input_cap": 24,
+        "node_budget": 2000,
+        "pivot_budget": 400_000,
+        "exponent_table_n": None,
+    }
 
 
 def test_pivot_budget_defaults_are_their_named_constants():
     # every results JSON records the spec's pivot_budget: the values must not move
     assert (exact_lp.DEFAULT_PIVOT_CAP, pipeline.PRESET_PIVOT_BUDGET) == (200_000, 400_000)
     solver = [
-        exact_lp.min_l1, exact_lp.solve, exact_lp.solve_extensions, exact_lp.ilp_min, exact_lp._DualL1.optimize,
+        exact_lp.min_l1, exact_lp.solve_extensions, exact_lp.ilp_min, exact_lp._DualL1.optimize,
         threshold_analysis.certify_coefficient_lemma,
     ]
     for f in solver:
@@ -76,7 +74,6 @@ def test_pivot_budget_defaults_are_their_named_constants():
     preset_budget = pipeline.PRESET_PIVOT_BUDGET
     assert inspect.signature(pipeline.run_shape).parameters["pivot_budget"].default == preset_budget
     assert ExperimentSpec("x", []).pivot_budget == preset_budget
-    assert ExperimentSpec.from_json({"name": "x", "shapes": []}).pivot_budget == preset_budget
 
 
 def test_empty_shape_list_is_trivially_green(tmp_path):
@@ -485,11 +482,13 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys):
         (["minweight", str(bad_table), "--degree", "-1"], "argument --degree: a degree is at least 0, not -1"),
         (["signdeg", str(bad_table), "--dmax", "-1"], "argument --dmax: a degree is at least 0, not -1"),
         (["signdeg", str(bad_table), "--dmax", "two"], "argument --dmax: a degree is an integer, not 'two'"),
+        (["minweight", str(bad_table), "--degree", "2", "--out", str(tmp_path / "g.json")], "argument --out: needs --exact"),
     ]:
         with pytest.raises(SystemExit) as stopped:
             cli_main(argv)
         assert stopped.value.code == 2
         assert why in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_cli_verify_gate_past_64_tuples(capsys):

@@ -27,6 +27,7 @@ from ptflab import (
     make_gt,
     make_hard,
     make_shape,
+    min_l1,
     run_shape,
     theorem_bound,
     witness_gate,
@@ -250,7 +251,7 @@ def test_budget_exhaustion_reports_scaled_incumbent_bounds():
     shape = make_shape("strong", (3, 3))
     f = make_hard(shape)
     prob = build_representation_problem(f, 2, shape=shape).problem
-    res = ilp_min(prob, node_budget=1)
+    res = ilp_min(min_l1(prob), node_budget=1)
     assert res.status == "budget"
     assert res.lower_bound == Fraction(15)
     assert res.value is not None
@@ -353,14 +354,14 @@ def test_gt_lemma_rows_match_the_comparator_per_input(k):
 
 def cold_lemma_reference(lemma, k):
     """Each negated inequality on its own: a freshly built base, the
-    negated row added last, one ``solve``.  Nothing is shared between the
+    negated row added last, one ``min_l1``.  Nothing is shared between the
     inequalities.  (status, problem text, vector) per inequality."""
     base = threshold_analysis._LEMMA_BASE[lemma]
     out = []
     for _, coeffs, rel, rhs in threshold_analysis._lemma_negations(lemma, k):
         problem = threshold_analysis._base_problem(base, k)
         problem.add(coeffs, rel, rhs)
-        got = exact_lp.solve(problem)
+        got = exact_lp.min_l1(problem)
         if got.status == "infeasible":
             out.append(("CERTIFIED", problem_to_text(problem), got.farkas))
         else:
@@ -427,7 +428,7 @@ def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, wal
         assert np.array_equal(chk.problem.constraints, want.constraints)
         assert np.array_equal(chk.problem.le, want.le)
         assert chk.farkas == out.farkas
-        assert out.stats == exact_lp.solve(chk.problem).stats  # the cold solve's pivots
+        assert out.stats == exact_lp.min_l1(chk.problem).stats  # the cold solve's pivots
     assert len(pivots) == walked
     assert sum(out.stats["pivots"] for _, out in certified) == cold
 

@@ -175,6 +175,13 @@ def test_tuples_out_of_range_rejected():
             oracle_compare(ctx, a, b)
     with pytest.raises(OrderError):
         oracle_compare(OrderContext(STRONG(3, 3)), (3, 1), (0, 1))
+    # the accessors take coordinates 1..d only: 0 is not the last one
+    strong = OrderContext(STRONG(5, 3))
+    for i in (0, 3, -1):
+        with pytest.raises(OrderError):
+            strong.value_at(i, 1, 1)
+        with pytest.raises(OrderError):
+            strong.ordinal_in(i, 1, 1)
 
 
 @settings(max_examples=200, deadline=None)

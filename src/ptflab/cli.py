@@ -213,6 +213,11 @@ def main(argv=None) -> int:
     except (ShapeError, OrderError, EvalError, AnalysisError) as exc:  # input it cannot take
         print(f"ERROR: {exc}")
         return 2
+    except OSError as exc:  # a file it cannot write (one it cannot read is an EvalError)
+        if exc.filename is None:  # not a file: stdout, say
+            raise
+        print(f"ERROR: cannot write {exc.filename}: {exc.strerror}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ import numpy as np
 LE, GE = "<=", ">="
 _RELS = (LE, GE)
 
-DEFAULT_PIVOT_CAP = 200_000
+PIVOT_BUDGET = 400_000  # pivots of a tableau, its ancestors' counted; read at each pivot
 DEFAULT_NODE_BUDGET = 2000  # branch-and-bound nodes
 
 
@@ -754,19 +754,19 @@ class _DualL1:
         self.basic_slack[r] = c - n0 if c >= n0 else m
         self.pivots += 1
 
-    def step(self, c: int, f: int, max_pivots: int) -> bool:
+    def step(self, c: int, f: int) -> bool:
         """One iteration on the entering column c of reduced cost f: its
         column, the leaving row, the budget check, the pivot and the stall
         count that switches to Bland's rule.  False, with ``ray_col`` set,
         when no row leaves (the dual is unbounded); ``BudgetError`` when a
-        pivot is due and ``max_pivots`` are spent."""
+        pivot is due and ``PIVOT_BUDGET`` are spent."""
         col = self.column(c)
         r = self._leaving(col)
         if r is None:
             self.ray_col = c
             return False
-        if self.pivots >= max_pivots:
-            raise BudgetError(f"pivot budget {max_pivots} exhausted")
+        if self.pivots >= PIVOT_BUDGET:
+            raise BudgetError(f"pivot budget {PIVOT_BUDGET} exhausted")
         before_num, before_den = self.corner, self.den
         self.pivot(r, c, col, f)
         if self.rule == "hybrid":
@@ -778,10 +778,10 @@ class _DualL1:
                 self._stall = 0
         return True
 
-    def optimize(self, max_pivots: int = DEFAULT_PIVOT_CAP) -> str:
+    def optimize(self) -> str:
         """Step until no column enters or no row leaves (``ray_col``, set by any step)."""
         while self.ray_col is None and (entering := self._entering()) is not None:
-            self.step(*entering, max_pivots)
+            self.step(*entering)
         return "optimal" if self.ray_col is None else "unbounded"
 
     def fork(self, problem: LpProblem) -> "_DualL1":
@@ -825,7 +825,7 @@ class _DualL1:
                 out[b] = Fraction(v, self.den)
         return out
 
-    def certify(self, max_pivots: int) -> LpOutcome:
+    def certify(self) -> LpOutcome:
         """Solve once and return the independently re-checked outcome.
 
         Infeasible rows give a Farkas vector over the problem's constraints:
@@ -836,7 +836,7 @@ class _DualL1:
         bound can start from.
         """
         problem = self.problem
-        status = self.optimize(max_pivots)
+        status = self.optimize()
         stats = {
             "pivots": self.pivots,
             "wide_pivots": self.wide_pivots,
@@ -868,22 +868,17 @@ class _DualL1:
 # ---------------------------------------------------------------------------
 
 
-def min_l1(
-    problem: LpProblem,
-    max_pivots: int = DEFAULT_PIVOT_CAP,
-) -> LpOutcome:
+def min_l1(problem: LpProblem) -> LpOutcome:
     """Exact minimum of sum(|x_j|) under the problem's constraints.
 
     Returns Optimal with the minimizing witness, dual multipliers (one per
     row) certifying the bound and the solved tableau, or Infeasible with a
     verified combination certificate.
     """
-    return _DualL1(problem).certify(max_pivots)
+    return _DualL1(problem).certify()
 
 
-def solve_extensions(
-    base: LpProblem, rows: list, max_pivots: int = DEFAULT_PIVOT_CAP
-) -> list[tuple[LpProblem, LpOutcome]]:
+def solve_extensions(base: LpProblem, rows: list) -> list[tuple[LpProblem, LpOutcome]]:
     """``min_l1`` of the base problem plus each one of ``rows``, walking the
     base's pivot path once.
 
@@ -927,8 +922,8 @@ def solve_extensions(
     def fork(i: int, p: int | None = None) -> None:
         child = walk.fork(problems[i])
         if p is not None:  # the row's column enters first, at cost p
-            child.step(len(walk.A), p, max_pivots)
-        outcomes[i] = child.certify(max_pivots)
+            child.step(len(walk.A), p)
+        outcomes[i] = child.certify()
         pending.remove(i)
 
     while pending:
@@ -938,7 +933,7 @@ def solve_extensions(
         for i, p in zip(pending[:], prices.tolist()):
             if p < 0 and (c is None or (slack if walk.rule == "bland" else p < f or p == f and slack)):
                 fork(i, p)
-        if c is None or not pending or not walk.step(c, f, max_pivots):
+        if c is None or not pending or not walk.step(c, f):
             break
     for i in pending[:]:
         fork(i)
@@ -950,12 +945,7 @@ def solve_extensions(
 # ---------------------------------------------------------------------------
 
 
-def ilp_min(
-    root: LpOutcome,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_pivots: int = DEFAULT_PIVOT_CAP,
-    incumbent: list | None = None,
-) -> IlpResult:
+def ilp_min(root: LpOutcome, node_budget: int = DEFAULT_NODE_BUDGET, incumbent: list | None = None) -> IlpResult:
     """Exact integer minimum of sum(|x_j|) by depth-first branch and bound
     from ``root``, a problem's ``min_l1`` outcome: infeasible, or optimal,
     with the solved tableau (and its problem) the search starts from.
@@ -1030,8 +1020,8 @@ def ilp_min(
             child = solver.fork(solver.problem.extended({pick: sign}, GE, rhs))
             # the parent is optimal, so the row's column enters first, at its
             # cost [z | -den] . [a | b] < 0, with no pricing
-            child.step(len(solver.A), sign * nums[pick] - den * rhs, max_pivots)
-            if child.optimize(max_pivots) == "optimal":  # else the child region is infeasible
+            child.step(len(solver.A), sign * nums[pick] - den * rhs)
+            if child.optimize() == "optimal":  # else the child region is infeasible
                 stack.append(child)
 
     if stack:  # a node is left, and no budget to expand it; W is an integer

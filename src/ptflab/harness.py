@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import exact_lp, threshold_analysis
 from .exact_lp import (
     DEFAULT_NODE_BUDGET,
     LpError,
@@ -28,9 +29,8 @@ from .exact_lp import (
     check_witness,
     problem_from_text,
 )
-from .pipeline import ALL_MODES, PRESET_PIVOT_BUDGET, Verdict, any_failed, run_shape
+from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
-from .threshold_analysis import DEFAULT_INPUT_CAP
 
 
 @dataclass
@@ -38,9 +38,7 @@ class ExperimentSpec:
     name: str
     shapes: list  # list of GroupShape
     modes: tuple = ALL_MODES
-    input_cap: int = DEFAULT_INPUT_CAP
     node_budget: int = DEFAULT_NODE_BUDGET
-    pivot_budget: int = PRESET_PIVOT_BUDGET
     exponent_table_n: int | None = None  # used by the bound-exponent preset
 
     def to_json(self) -> dict:
@@ -48,9 +46,9 @@ class ExperimentSpec:
             "name": self.name,
             "shapes": [s.to_json() for s in self.shapes],
             "modes": list(self.modes),
-            "input_cap": self.input_cap,
+            "input_cap": threshold_analysis.INPUT_CAP,
             "node_budget": self.node_budget,
-            "pivot_budget": self.pivot_budget,
+            "pivot_budget": exact_lp.PIVOT_BUDGET,
             "exponent_table_n": self.exponent_table_n,
         }
 
@@ -162,13 +160,7 @@ def replay_certificate(path) -> bool:
 
 
 def _run_shape(spec: ExperimentSpec, shape: GroupShape, store: CertStore) -> list[ResultRow]:
-    res = run_shape(
-        shape,
-        spec.modes,
-        input_cap=spec.input_cap,
-        node_budget=spec.node_budget,
-        pivot_budget=spec.pivot_budget,
-    )
+    res = run_shape(shape, spec.modes, spec.node_budget)
     tag = shape.describe()
     return [
         ResultRow(
@@ -191,7 +183,7 @@ def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
     cross-raising to a common power.  With n a multiple of each k the
     entries are exact integers.
     """
-    n = spec.exponent_table_n or 105
+    n = spec.exponent_table_n
     rows = []
     values = {}
     for k in (3, 5, 7):

@@ -6,8 +6,9 @@ built and solved once.  It returns one ``ShapeResult``: every verdict in
 order as ``Finding`` records, with the values and certificates behind them,
 and ``verdicts`` and ``ok`` to read them by CSV metric name.  The harness
 writes the findings as CSV rows and certificate files.  Running out of any
-budget (pivots, branch-and-bound nodes, input cap) turns a finding into
-SKIPPED plus a ``<metric>_note`` naming the budget.
+budget (branch-and-bound nodes, the one a caller sets, or a module constant:
+``threshold_analysis.INPUT_CAP`` and ``LP_ENTRY_CAP``, ``exact_lp.PIVOT_BUDGET``)
+turns a finding into SKIPPED plus a ``<metric>_note`` naming the budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .exact_lp import DEFAULT_NODE_BUDGET, BudgetError, LpProblem, _format_rows,
 from .polynomial import symmetric_coefficient, symmetrize, to_uv, witness_gate
 from .shapes import GroupShape, Variant
 from .threshold_analysis import (
-    DEFAULT_INPUT_CAP,
     HypothesisError,
     RepresentationLadder,
     certify_coefficient_lemma,
@@ -37,8 +37,6 @@ from .threshold_analysis import (
 from .tuple_order import OrderContext, OrderError, dominance_chain
 
 ALL_MODES = ("verify-gate", "signdeg", "minweight-lp", "minweight-exact", "lemmas", "theorem")
-# the pivot budget of a preset's LPs; every results JSON records it
-PRESET_PIVOT_BUDGET = 400_000
 
 
 class Verdict(str, Enum):
@@ -149,13 +147,7 @@ def lemma_plan(shape: GroupShape) -> list[tuple[str, int]]:
     return plan
 
 
-def run_shape(
-    shape: GroupShape,
-    modes=ALL_MODES,
-    input_cap: int = DEFAULT_INPUT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    pivot_budget: int = PRESET_PIVOT_BUDGET,
-) -> ShapeResult:
+def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NODE_BUDGET) -> ShapeResult:
     """Every verdict the modes ask for on one shape, in CSV row order."""
     res = ShapeResult(shape)
     tag = shape.describe()
@@ -163,20 +155,18 @@ def run_shape(
 
     @functools.cache
     def hard():
-        check_input_cap(shape.n, input_cap)
+        check_input_cap(shape.n)
         return make_hard(shape)
 
     gate = functools.cache(lambda: witness_gate(shape))
-    ladder = functools.cache(
-        lambda: RepresentationLadder(hard(), shape, input_cap=input_cap, max_pivots=pivot_budget)
-    )
+    ladder = functools.cache(lambda: RepresentationLadder(hard(), shape))
 
     if "verify-gate" in modes:
         with res.step("verify_gate") as t0:
             f = hard()  # the input cap, before any gate is built
             g = gate()
             res.gate_weight = g.weight
-            cx = check_sign_representation(g, f, input_cap=input_cap)
+            cx = check_sign_representation(g, f)
             value = "PASS" if cx is None else f"FAIL@{cx.index}"
             res.add("verify_gate", value, _passed(cx is None), started=t0)
             res.add("gate_weight", g.weight)
@@ -250,7 +240,7 @@ def run_shape(
         for lemma, k in lemma_plan(shape):
             metric = f"lemma_{lemma}_k{k}"
             with res.step(metric) as t0:
-                cr = certify_coefficient_lemma(lemma, k, max_pivots=pivot_budget, input_cap=input_cap)
+                cr = certify_coefficient_lemma(lemma, k)
                 ok = cr.status == "CERTIFIED"
                 cert = None
                 if ok:

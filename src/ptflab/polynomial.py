@@ -173,7 +173,7 @@ def witness_gate(shape: GroupShape) -> IntPolynomial:
     linear form on the strong groups i < d), so the top nonzero term
     strictly dominates everything below it and the gate's sign agrees with
     the hard function everywhere.  Coefficients reach 2^|K|; the only cap
-    is the caller's input cap (|K| <= 2916 at n <= 24).  The gate is
+    is the input cap on the truth table (|K| <= 2916 at n <= 24).  The gate is
     returned over the input variables.
     """
     coeffs = {key: sign << rank for rank, (key, sign) in enumerate(_snake_terms(shape), start=1)}

@@ -25,7 +25,6 @@ import numpy as np
 from .boolfun import BoolFun, assignment_of_index, make_g
 from .exact_lp import (
     DEFAULT_NODE_BUDGET,
-    DEFAULT_PIVOT_CAP,
     GE,
     LE,
     BudgetError,
@@ -40,13 +39,22 @@ from .exact_lp import (
 from .polynomial import IntPolynomial, _strong_forms, from_uv
 from .shapes import Convention, GroupShape, Variant
 
-DEFAULT_INPUT_CAP = 24
+# budgets, read at each check: the inputs of an exhaustive truth table, and
+# the entries, rows x (columns + 1), of one LP's matrix
+INPUT_CAP = 24
+LP_ENTRY_CAP = 1 << 27
 
 
-def check_input_cap(n: int, input_cap: int = DEFAULT_INPUT_CAP) -> None:
+def check_input_cap(n: int) -> None:
     """``BudgetError`` when a function of n inputs is past the input cap."""
-    if n > input_cap:
-        raise BudgetError(f"n = {n} exceeds the input cap {input_cap}")
+    if n > INPUT_CAP:
+        raise BudgetError(f"n = {n} exceeds the input cap {INPUT_CAP}")
+
+
+def _check_lp_entries(rows: int, columns: int) -> None:
+    """``BudgetError`` when an LP of ``rows`` rows over ``columns`` variables is past the LP entry cap."""
+    if rows * (columns + 1) > LP_ENTRY_CAP:
+        raise BudgetError(f"a {rows} x {columns + 1} LP exceeds the LP entry cap {LP_ENTRY_CAP}")
 
 
 class AnalysisError(ValueError):
@@ -109,9 +117,7 @@ class Counterexample:
     fun_value: int
 
 
-def check_sign_representation(
-    p: IntPolynomial, f: BoolFun, input_cap: int = DEFAULT_INPUT_CAP
-) -> Counterexample | None:
+def check_sign_representation(p: IntPolynomial, f: BoolFun) -> Counterexample | None:
     """Exhaustive comparison of sign(p) against f; None means PASS.
 
     The polynomial is evaluated on the whole cube by one transform
@@ -119,7 +125,7 @@ def check_sign_representation(
     polynomial goes through ``from_uv`` first.  Returns the first failing
     input.
     """
-    check_input_cap(f.n, input_cap)
+    check_input_cap(f.n)
     if p.basis == "uv" and p.shape is None:
         raise AnalysisError("uv polynomial needs a shape")
     if p.shape is not None and p.shape.n != f.n:
@@ -158,12 +164,7 @@ class RepresentationProblem:
         return IntPolynomial("xy", self.shape, dict(zip(self.monomials, coeffs)))
 
 
-def build_representation_problem(
-    f: BoolFun,
-    degree: int,
-    shape: GroupShape | None = None,
-    input_cap: int = DEFAULT_INPUT_CAP,
-) -> RepresentationProblem:
+def build_representation_problem(f: BoolFun, degree: int, shape: GroupShape | None = None) -> RepresentationProblem:
     """The sign constraints of f over every monomial of degree <= ``degree``.
 
     One int8 matrix holds, per input, the value of each monomial and the
@@ -173,10 +174,13 @@ def build_representation_problem(
     gives it, in input order.  The order fixes the simplex pivot path.
     The LP's matrix is filled from it in array steps: a positive input's
     row [m | 0] reads p >= 0, a negative one's p <= -1, stored negated as
-    [-m | 1].
+    [-m | 1].  ``BudgetError`` before the matrix is built when f is past the
+    input cap or the LP past the LP entry cap.
     """
-    check_input_cap(f.n, input_cap)
+    check_input_cap(f.n)
     monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
+    _check_lp_entries(f.size if degree else 2, len(monomials))  # degree 0: a row per class
+    bits = _fun_bits(f)
     inputs = np.arange(f.size)
     xs = [((inputs >> j) & 1).astype(np.int8) for j in range(f.n)]
     if f.convention is Convention.PLUS_MINUS:
@@ -186,7 +190,6 @@ def build_representation_problem(
     for i, key in enumerate(monomials):
         # monomials come by degree, so key[:-1] already has its column
         mat[:, i] = mat[:, column[key[:-1]]] * xs[key[-1]] if key else 1
-    bits = _fun_bits(f)
     mat[:, -1] = bits
     keep = inputs if degree else np.sort(np.unique(bits, return_index=True)[1])
     problem = LpProblem(len(monomials), *_sign_rows(mat[keep, :-1], bits[keep]))
@@ -227,22 +230,19 @@ class RepresentationLadder:
     its dual bound, and (when optimal) keeps the tableau branch and bound
     starts from.  The sign degree is the first d whose outcome is not
     infeasible.  ``exact_weight(d)`` gives the exact integer weight W.  A
-    budget error is remembered and raised again rather than spent twice.
+    budget error (the input cap, the LP entry cap or the pivot budget, all
+    module constants) is remembered and raised again rather than spent twice.
     """
 
     f: BoolFun
     shape: GroupShape | None = None
-    input_cap: int = DEFAULT_INPUT_CAP
-    max_pivots: int = DEFAULT_PIVOT_CAP
     _solved: dict = field(default_factory=dict, repr=False)
 
     def solve(self, d: int) -> tuple[RepresentationProblem, LpOutcome]:
         if d not in self._solved:
             try:
-                prob = build_representation_problem(
-                    self.f, d, shape=self.shape, input_cap=self.input_cap
-                )
-                self._solved[d] = (prob, min_l1(prob.problem, max_pivots=self.max_pivots))
+                prob = build_representation_problem(self.f, d, shape=self.shape)
+                self._solved[d] = (prob, min_l1(prob.problem))
             except BudgetError as exc:
                 self._solved[d] = exc
         got = self._solved[d]
@@ -265,7 +265,7 @@ class RepresentationLadder:
                 if key not in index:
                     raise AnalysisError("incumbent uses monomials outside the basis")
                 seed[index[key]] = c
-        res = ilp_min(out, node_budget=node_budget, max_pivots=self.max_pivots, incumbent=seed)
+        res = ilp_min(out, node_budget=node_budget, incumbent=seed)
         if res.status == "infeasible":
             return MinWeightResult(None, None, res)
         witness = None
@@ -318,13 +318,15 @@ def _g_u_rows(which: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _sign_rows(u, _fun_bits(make_g(k, which))[index])
 
 
-def _base_problem(base: str, k: int, input_cap: int = DEFAULT_INPUT_CAP) -> LpProblem:
+def _base_problem(base: str, k: int) -> LpProblem:
     """The sign constraints of a base function over its k coefficients;
     ``BudgetError`` before any row is built when the function has more
-    inputs than the cap: 2k for the comparator gt, k for g1 and g0."""
+    inputs than the input cap (2k for the comparator gt, k for g1 and g0)
+    or its LP, one row per 3^k u or 2^k x, is past the LP entry cap."""
     if base not in ("gt", "g1", "g0"):
         raise AnalysisError(f"unknown base function {base!r}")
-    check_input_cap(2 * k if base == "gt" else k, input_cap)
+    check_input_cap(2 * k if base == "gt" else k)
+    _check_lp_entries(3**k if base == "gt" else 2**k, k)
     return LpProblem(k, *(_gt_u_rows(k) if base == "gt" else _g_u_rows(base, k)))
 
 
@@ -396,9 +398,7 @@ _LEMMA_BASE = {
 }
 
 
-def certify_coefficient_lemma(
-    lemma: str, k: int, max_pivots: int = DEFAULT_PIVOT_CAP, input_cap: int = DEFAULT_INPUT_CAP
-) -> CertifyResult:
+def certify_coefficient_lemma(lemma: str, k: int) -> CertifyResult:
     """CERTIFIED iff no integer gate for the base function violates any of
     the lemma's coefficient inequalities; each inequality gets its own
     Farkas certificate, independently re-checked.
@@ -418,8 +418,8 @@ def certify_coefficient_lemma(
     if k < 2:
         raise AnalysisError("need k >= 2")
     negations = _lemma_negations(lemma, k)
-    problem = _base_problem(base, k, input_cap)
-    solved = solve_extensions(problem, [row for _, *row in negations], max_pivots)
+    problem = _base_problem(base, k)
+    solved = solve_extensions(problem, [row for _, *row in negations])
     checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
     return CertifyResult(lemma, k, status, checks, problem)

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 from .shapes import GroupShape, Variant
 
+ENUMERATION_CAP = 1_000_000  # the most tuples ``enumerate_ordered`` lists
+
 
 class OrderError(ValueError):
     """Tuple outside K, or a structural invariant of the order failed."""
@@ -121,10 +123,11 @@ def compare(ctx: OrderContext, a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return (ra > rb) - (ra < rb)
 
 
-def enumerate_ordered(ctx: OrderContext, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """All of K in strictly ascending order."""
-    if ctx.shape.size_K > cap:
-        raise OrderError(f"|K| = {ctx.shape.size_K} exceeds enumeration cap {cap}")
+def enumerate_ordered(ctx: OrderContext) -> list[tuple[int, ...]]:
+    """All of K in strictly ascending order; ``OrderError`` before any tuple
+    is built when |K| is past ``ENUMERATION_CAP``."""
+    if ctx.shape.size_K > ENUMERATION_CAP:
+        raise OrderError(f"|K| = {ctx.shape.size_K} exceeds enumeration cap {ENUMERATION_CAP}")
     boxes = (range(1, k + 1) for k in ctx.shape.ks)
     return [from_ordinals(ctx, rs) for rs in itertools.product(*boxes)]
 

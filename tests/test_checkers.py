@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import checker_reference as ref
-from ptflab import BudgetError, LpProblem, check_farkas, check_l1_bound, check_witness, min_l1, threshold_analysis
+from ptflab import BudgetError, LpProblem, check_farkas, check_l1_bound, check_witness, min_l1
+from ptflab import exact_lp, threshold_analysis
 from ptflab.exact_lp import GE, LE
 
 ENTRIES = st.integers(-3, 3) | st.integers(-(2**70), 2**70)  # past 2^62 too
@@ -55,10 +56,12 @@ def test_matrix_checkers_give_the_dict_row_verdicts(problem, data):
     n, rows = problem.num_vars, len(problem.constraints)
     candidates = [data.draw(vectors(k, st.just(0) | MULTS)) for k in (n, rows)]
     values = [data.draw(MULTS)]
-    try:
-        out = min_l1(problem, max_pivots=500)
-    except BudgetError:
-        out = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_lp, "PIVOT_BUDGET", 500)
+        try:
+            out = min_l1(problem)
+        except BudgetError:
+            out = None
     if out is not None:
         for vector in (out.farkas, out.dual):  # one entry per row, each zero the int 0
             assert vector is None or len(vector) == rows and all(type(v) is int for v in vector if not v)

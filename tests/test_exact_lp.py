@@ -58,11 +58,12 @@ def test_feasibility_with_witness_for_comparator():
     assert check_witness(prob, out.witness)
 
 
-def test_pivot_budget_reported():
+def test_pivot_budget_reported(monkeypatch):
     f = make_gt(3)
     prob = build_representation_problem(f, 1).problem
-    with pytest.raises(BudgetError):
-        min_l1(prob, max_pivots=2)
+    monkeypatch.setattr(exact_lp, "PIVOT_BUDGET", 2)
+    with pytest.raises(BudgetError, match="pivot budget 2 exhausted"):
+        min_l1(prob)
 
 
 def test_bad_rows_rejected():
@@ -627,7 +628,7 @@ def test_every_branch_and_bound_node_is_its_parents_lp_plus_one_row():
         assert child.A is rows
         assert sorted(map(abs, rows[-1, :-1].tolist())) == [0] * (prob.num_vars - 1) + [1]  # +-x_j >= b
     for _, child in forks[::4]:
-        got, cold = child.clone().certify(exact_lp.DEFAULT_PIVOT_CAP), min_l1(child.problem)
+        got, cold = child.clone().certify(), min_l1(child.problem)
         assert got.status == cold.status
         if got.status == "optimal":
             assert got.value == cold.value and check_l1_bound(child.problem, got.dual, got.value)
@@ -699,9 +700,9 @@ def lp_rows(nvars):
     return row | unit
 
 
-def cold_or_budget(problem, max_pivots):
+def cold_or_budget(problem):
     try:
-        return min_l1(problem, max_pivots)
+        return min_l1(problem)
     except BudgetError:
         return None
 
@@ -735,12 +736,13 @@ def test_extensions_walk_equals_cold_solves(rule, max_pivots, lp):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact_lp._DualL1, "__init__", init)
-        cold = [cold_or_budget(base.extended(*r), max_pivots) for r in rows]
+        mp.setattr(exact_lp, "PIVOT_BUDGET", max_pivots)
+        cold = [cold_or_budget(base.extended(*r)) for r in rows]
         if None in cold:  # some cold solve ran out of pivots
             with pytest.raises(BudgetError):
-                exact_lp.solve_extensions(base, rows, max_pivots)
+                exact_lp.solve_extensions(base, rows)
             return
-        walked = exact_lp.solve_extensions(base, rows, max_pivots)
+        walked = exact_lp.solve_extensions(base, rows)
     assert [problem_to_text(p) for p, _ in walked] == [problem_to_text(base.extended(*r)) for r in rows]
     for (_, got), want in zip(walked, cold):
         assert (got.status, got.farkas, got.witness, got.stats) == (

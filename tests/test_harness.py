@@ -3,17 +3,22 @@ and the command-line interface."""
 
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import json
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ptflab
 from ptflab import (
+    BoolFun,
     BudgetError,
     CertifyResult,
+    Convention,
     ExperimentSpec,
     certify_coefficient_lemma,
     make_shape,
@@ -61,19 +66,26 @@ def test_spec_to_json_writes_every_field():
 
 
 def test_pivot_budget_defaults_are_their_named_constants():
-    # every results JSON records the spec's pivot_budget: the values must not move
-    assert (exact_lp.DEFAULT_PIVOT_CAP, pipeline.PRESET_PIVOT_BUDGET) == (200_000, 400_000)
-    solver = [
-        exact_lp.min_l1, exact_lp.solve_extensions, exact_lp.ilp_min, exact_lp._DualL1.optimize,
-        threshold_analysis.certify_coefficient_lemma,
-    ]
-    for f in solver:
-        assert inspect.signature(f).parameters["max_pivots"].default == exact_lp.DEFAULT_PIVOT_CAP, f
-    ladder = {f.name: f.default for f in dataclasses.fields(threshold_analysis.RepresentationLadder)}
-    assert ladder["max_pivots"] == exact_lp.DEFAULT_PIVOT_CAP
-    preset_budget = pipeline.PRESET_PIVOT_BUDGET
-    assert inspect.signature(pipeline.run_shape).parameters["pivot_budget"].default == preset_budget
-    assert ExperimentSpec("x", []).pivot_budget == preset_budget
+    # every results JSON records both: the values must not move
+    assert (exact_lp.PIVOT_BUDGET, threshold_analysis.INPUT_CAP) == (400_000, 24)
+    assert threshold_analysis.LP_ENTRY_CAP == 1 << 27
+
+
+def test_no_layer_takes_a_budget_that_is_a_module_constant():
+    # the input cap and the pivot budget are read where they are spent
+    constants = {"input_cap", "max_pivots", "pivot_budget"}
+    for info in pkgutil.iter_modules(ptflab.__path__):
+        module = importlib.import_module(f"ptflab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            callables = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                callables = [f for f in vars(obj).values() if inspect.isfunction(f)]
+                if dataclasses.is_dataclass(obj):
+                    assert not constants & {f.name for f in dataclasses.fields(obj)}, name
+            for f in callables:
+                assert not constants & set(inspect.signature(f).parameters), f"{module.__name__}.{f.__qualname__}"
 
 
 def test_empty_shape_list_is_trivially_green(tmp_path):
@@ -93,6 +105,17 @@ def test_gt_lemma_preset_certifies(tmp_path):
     assert all(r.value == "CERTIFIED" for r in lemma_rows)
     certs = list((tmp_path / "certs").glob("*.json"))
     assert certs
+
+
+def test_exponent_table_runs_the_n_it_records(tmp_path):
+    # n = 0 is a multiple of every k, and every (k-1)^0 is 1: no k wins
+    rows, status = run(ExperimentSpec("n0", [], (), exponent_table_n=0), tmp_path)
+    assert [(r.shape, r.metric, r.value) for r in rows] == [
+        *((f"k={k}", "bound_exponent", "1") for k in (3, 5, 7)),
+        ("n=0", "k5_is_max", "FAIL"),
+    ]
+    assert status == 1
+    assert json.loads((tmp_path / "n0.json").read_text())["spec"]["exponent_table_n"] == 0
 
 
 def test_k5_preset_rows(tmp_path):
@@ -291,15 +314,21 @@ def test_budget_marks_skipped_not_fail(tmp_path):
 
 def test_every_budget_ends_skipped_not_crash(tmp_path):
     shape = make_shape("weak", (2, 3))
-    pivots = ExperimentSpec("pivots", [shape], modes=ALL_MODES, pivot_budget=50)
-    inputs = ExperimentSpec("inputs", [shape], modes=ALL_MODES, input_cap=8)
-    for spec, budget in ((pivots, "pivot budget 50"), (inputs, "input cap 8")):
-        rows, status = run(spec, tmp_path / spec.name)
+    for module, constant, key, value in (
+        (exact_lp, "PIVOT_BUDGET", "pivot_budget", 50),
+        (threshold_analysis, "INPUT_CAP", "input_cap", 8),
+    ):
+        spec = ExperimentSpec(key, [shape], modes=ALL_MODES)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, constant, value)
+            rows, status = run(spec, tmp_path)
         assert status == 0
+        # the results JSON records the budget the run spent under
+        assert json.loads((tmp_path / f"{key}.json").read_text())["spec"][key] == value
         values = {r.metric: r.value for r in rows}
         for metric in ("sign_degree", "minweight_lp", "minweight_exact"):
             assert values[metric] == "SKIPPED", (spec.name, metric)
-            assert budget in values[f"{metric}_note"]
+            assert f"{key.replace('_', ' ')} {value}" in values[f"{metric}_note"]
     assert values["verify_gate"] == "SKIPPED"
     assert "input cap 8" in values["verify_gate_note"]
     assert values["lemma_gt_exp_k3"] == "CERTIFIED"  # lemmas need no truth table
@@ -337,15 +366,47 @@ def test_lemma_lps_honour_the_input_cap(monkeypatch):
         raise AssertionError("_product_rows called past the input cap")
 
     monkeypatch.setattr(threshold_analysis, "_product_rows", refuse)
-    res = pipeline.run_shape(make_shape("weak", (5,)), ("lemmas", "verify-gate"), input_cap=8)
+    monkeypatch.setattr(threshold_analysis, "INPUT_CAP", 8)
+    res = pipeline.run_shape(make_shape("weak", (5,)), ("lemmas", "verify-gate"))
     values = {fd.metric: fd.value for fd in res.findings}
     for metric in ("verify_gate", "lemma_gt_exp_k5", "lemma_gt_step_k5"):  # the comparator's 2k inputs
         assert res.verdicts[metric] == "SKIPPED"
         assert values[f"{metric}_note"] == "n = 10 exceeds the input cap 8"
 
 
+def test_lemma_lps_past_the_lp_entry_cap_skip_before_any_row_is_built(monkeypatch, capsys):
+    # g0 at k = 24 is inside the input cap, but its LP would be 2^24 x 25
+    def refuse(values, k):
+        raise AssertionError("_product_rows called past the LP entry cap")
+
+    monkeypatch.setattr(threshold_analysis, "_product_rows", refuse)
+    assert cli_main(["check-lemma", "g0_all", "--k", "24"]) == 2
+    assert capsys.readouterr().out == "SKIPPED: a 16777216 x 25 LP exceeds the LP entry cap 134217728\n"
+    monkeypatch.setattr(threshold_analysis, "LP_ENTRY_CAP", 3**5 * 6 - 1)  # the comparator at k = 5
+    res = pipeline.run_shape(make_shape("weak", (5,)), ("lemmas",))
+    values = {fd.metric: fd.value for fd in res.findings}
+    for metric in ("lemma_gt_exp_k5", "lemma_gt_step_k5"):
+        assert res.verdicts[metric] == "SKIPPED"
+        assert values[f"{metric}_note"] == "a 243 x 6 LP exceeds the LP entry cap 1457"
+
+
+def test_representation_lps_past_the_lp_entry_cap_skip_before_the_matrix_is_built(monkeypatch):
+    def refuse(f):
+        raise AssertionError("_fun_bits called past the LP entry cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(threshold_analysis, "_fun_bits", refuse)
+        with pytest.raises(BudgetError, match="a 8388608 x 25 LP exceeds the LP entry cap 134217728"):
+            threshold_analysis.build_representation_problem(BoolFun(23, Convention.ZERO_ONE, 0), 1)
+    monkeypatch.setattr(threshold_analysis, "LP_ENTRY_CAP", 16 * 6 - 1)  # weak(2)'s degree-1 LP is 16 x 6
+    res = pipeline.run_shape(make_shape("weak", (2,)), ("signdeg", "minweight-lp"))
+    skipped = {"sign_degree": "SKIPPED", "minweight_lp": "SKIPPED"}
+    assert res.verdicts == {"signdeg_infeasible_d0": "CERTIFIED", **skipped}
+    assert res.findings[-1].value == "a 16 x 6 LP exceeds the LP entry cap 95"
+
+
 def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
-    def violated(lemma, k, max_pivots=0, input_cap=0):
+    def violated(lemma, k):
         return CertifyResult(lemma, k, "VIOLATED", [])
 
     monkeypatch.setattr("ptflab.pipeline.certify_coefficient_lemma", violated)
@@ -474,6 +535,11 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys):
             ["minweight", str(bad_convention), "--degree", "1"],
             f"{bad_convention} is not a truth table: 'nope' is not a valid Convention",
         ),
+        (
+            ["build", "weak", "2,3", "--out", str(missing / "x.json")],
+            f"cannot write {missing / 'x.json'}: No such file or directory",
+        ),
+        (["reproduce", "k5-optimal", "--out", str(bad_table)], f"cannot write {bad_table}: File exists"),
     ]:
         assert cli_main(argv) == 2
         assert capsys.readouterr().out == f"ERROR: {why}\n"

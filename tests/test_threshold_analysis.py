@@ -67,11 +67,12 @@ def test_zero_poly_represents_constant_one():
     p = IntPolynomial("xy", None, {})
     assert check_sign_representation(p, f) is None
 
-def test_input_cap_enforced():
+def test_input_cap_enforced(monkeypatch):
     f = make_gt(3)
     p = IntPolynomial("xy", None, {(0,): 1})
-    with pytest.raises(BudgetError):
-        check_sign_representation(p, f, input_cap=4)
+    monkeypatch.setattr(threshold_analysis, "INPUT_CAP", 4)
+    with pytest.raises(BudgetError, match="n = 6 exceeds the input cap 4"):
+        check_sign_representation(p, f)
 
 def test_big_coefficients_fall_back_to_exact_path():
     # force the bignum branch: coefficients beyond int64
@@ -399,8 +400,8 @@ def test_lemma_walks_its_base_once_and_forks_each_inequality(monkeypatch, k, wal
         solvers.append(problem)
         real_init(self, problem)
 
-    def recorded_certify(self, max_pivots):
-        out = real_certify(self, max_pivots)
+    def recorded_certify(self):
+        out = real_certify(self)
         certified.append((self.problem, out))
         return out
 

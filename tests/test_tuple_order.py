@@ -157,8 +157,9 @@ def test_from_ordinals_reads_prefixes_and_rejects_bad_vectors():
 
 
 def test_enumeration_cap():
-    with pytest.raises(OrderError):
-        enumerate_ordered(OrderContext(WEAK(50, 50, 50)), cap=1000)
+    # |K| = 1 010 000: refused before any tuple is built
+    with pytest.raises(OrderError, match="exceeds enumeration cap 1000000"):
+        enumerate_ordered(OrderContext(WEAK(100, 100, 101)))
 
 
 def test_tuples_out_of_range_rejected():

@@ -19,7 +19,6 @@ from ptflab import (
     check_witness,
     ilp_min,
     min_l1,
-    problem_to_text,
 )
 
 print("=== infeasibility with a combination certificate ===")
@@ -49,10 +48,10 @@ res = ilp_min(root)
 print(f"relaxation {root.value} -> integer optimum {res.value} at {res.witness}")
 
 print()
-print("=== plain-text serialization for replay ===")
+print("=== rows are integers ===")
 pr = LpProblem(2)
 pr.add({0: 1, 1: 2}, ">=", 5)
-print(problem_to_text(pr), end="")
+print("rows [a | b], each a . x >= b:", pr.constraints.tolist())
 try:
     pr.add({0: Fraction(1, 2)}, ">=", 0)
 except LpError as err:

@@ -10,7 +10,11 @@ call does all of it, solving the degree-2 LP once for the sign degree, the
 LP weight and the branch-and-bound root.
 """
 
-from ptflab import check_farkas, make_shape, run_shape
+import tempfile
+from pathlib import Path
+
+from ptflab import make_shape, replay_certificate, run_shape
+from ptflab.harness import CertStore
 
 shape = make_shape("weak", (2, 3))
 result = run_shape(shape)
@@ -23,10 +27,16 @@ for fd in result.findings:
 print()
 print("=== sign-degree ===")
 print("sign degree:", result.sign_degree)
-for fd in result.findings:
-    if fd.metric.startswith("signdeg_infeasible"):
-        (problem, farkas), = fd.certificate.items
-        print(f"  {fd.metric}: certificate re-checked: {check_farkas(problem, farkas)}")
+with tempfile.TemporaryDirectory() as tmp:
+    store = CertStore(Path(tmp))
+    for fd in result.findings:
+        if fd.metric.startswith("signdeg_infeasible"):
+            # the file names the shape and degree; replay rebuilds that LP and checks the multipliers on it
+            payload = fd.certificate.payload()
+            path = Path(tmp) / f"{store.put(payload)}.json"
+            claim = {key: payload[key] for key in ("kind", "shape", "degree")}
+            print(f"  {fd.metric}: {claim}, {len(payload['multipliers'])} nonzero multipliers")
+            print(f"    stored as {path.name}, replayed: {replay_certificate(path)}")
 
 print()
 print("=== minimal weight at degree 2 ===")

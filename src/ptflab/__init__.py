@@ -44,8 +44,6 @@ from .exact_lp import (
     check_witness,
     ilp_min,
     min_l1,
-    problem_from_text,
-    problem_to_text,
 )
 from .threshold_analysis import (
     AnalysisError,

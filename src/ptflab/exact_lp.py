@@ -40,9 +40,8 @@ and one integer matrix of rows [a | b], each meaning a . x >= b (a row
 stated as <= is stored negated and flagged).  The matrix is int64, or
 Python integers once an entry passes 2^62.  The builders fill it in array
 steps, the simplex prices its dual columns from it through one float64
-copy, the checkers take one exact product with it (the witness check's in
-int64 when a bound proves it exact), and the text format writes and reads
-it.
+copy, and the checkers take one exact product with it (the witness
+check's in int64 when a bound proves it exact).
 Each certificate vector holds one multiplier per row, a zero one as the
 int 0, and the checkers' work past a type check of the vector grows with
 its nonzero entries; witnesses, multipliers and values are exact
@@ -105,12 +104,6 @@ def _int(x) -> int:
     raise LpError(f"row entry {x!r} is not an integer")
 
 
-def _matrix(rows: list, ncols: int, top: int) -> np.ndarray:
-    """Rows of ints as one matrix, given ``top`` >= every |entry|: int64, or
-    Python ints (an object array) once ``top`` passes 2^62."""
-    return np.array(rows, object if top >> 62 else np.int64).reshape(len(rows), ncols)
-
-
 def _is_row_matrix(rows, nvars: int) -> bool:
     """Whether ``rows`` is a row matrix over ``nvars`` variables: nvars + 1
     columns of int64 entries below 2^62 in magnitude, or of Python ints in
@@ -130,10 +123,9 @@ class LpProblem:
     ``constraints`` holds one row [a | b] per constraint, meaning
     a . x >= b: int64, or Python ints (an object array) once an entry
     passes 2^62.  ``le`` flags the rows stated as ``<=``; they are stored
-    negated (a . x <= b as -a . x >= -b), so every row reads as >=, and
-    the text format writes them back as stated.  ``add`` appends one sparse
-    row and checks it; builders hand the constructor a matrix and its
-    flags.
+    negated (a . x <= b as -a . x >= -b), so every row reads as >=.
+    ``add`` appends one sparse row and checks it; builders hand the
+    constructor a matrix and its flags.
     """
 
     num_vars: int
@@ -155,8 +147,8 @@ class LpProblem:
         """A new problem: these constraints plus one more, added last.
 
         ``solve_extensions`` solves such problems on one walk of this one's
-        pivot path, and a ``farkas-batch`` certificate stores this problem
-        once and each extension as its one extra row.
+        pivot path, and replay of a ``farkas-batch`` certificate rebuilds
+        each of a lemma's LPs this way.
         """
         # ``add`` checks the new row and replaces both arrays: the base's stay
         # as they are, and its checked rows are not scanned again
@@ -180,7 +172,8 @@ class LpProblem:
             row[j] = _int(c)
         if rel == LE:
             row = [-v for v in row]
-        self.constraints = np.concatenate((self.constraints, _matrix([row], n + 1, max(map(abs, row)))))
+        wide = max(map(abs, row)) >> 62  # past 2^62 the row is Python ints
+        self.constraints = np.concatenate((self.constraints, np.array([row], object if wide else np.int64)))
         self.le = np.append(self.le, rel == LE)
 
 
@@ -817,8 +810,8 @@ class _DualL1:
         """One multiplier per problem row from one numerator over den per
         basis row (a row's column is its position; the slacks' come after
         every row): Fraction(num, den) at each basic row with a nonzero
-        num, and the int 0 at every other row, which the checkers skip at
-        C speed and the certificate text writes with no call."""
+        num, and the int 0 at every other row, which the checkers and a
+        certificate's sparse multiplier map skip at C speed."""
         out = [0] * len(self.A)
         for b, v in zip(self.basis, nums):
             if v and b < len(out):
@@ -1029,67 +1022,3 @@ def ilp_min(root: LpOutcome, node_budget: int = DEFAULT_NODE_BUDGET, incumbent: 
     if best_w is None:
         return IlpResult("infeasible", nodes=nodes)
     return IlpResult("optimal", best_w, best_c, Fraction(best_w), nodes)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization for debugging and replay
-# ---------------------------------------------------------------------------
-
-
-def problem_to_text(problem: LpProblem) -> str:
-    """The ``vars N`` header, then one line per row: its N coefficients,
-    the relation and the right-hand side, a ``<=`` row as stated."""
-    return "\n".join([f"vars {problem.num_vars}", *_format_rows(problem.constraints, problem.le)]) + "\n"
-
-
-def _format_rows(rows: np.ndarray, le: np.ndarray) -> list:
-    """The text line of each row [a | b], a ``<=`` row negated back: the
-    coefficients, the relation and the right-hand side.  Dense rows repeat
-    a few values, so each distinct value is formatted once, into a table
-    of tokens (the sorted distinct entries, which ``np.unique`` finds
-    slower, importing ``numpy.ma``) that every entry indexes."""
-    if not len(rows):
-        return []
-    stated = np.where(le[:, None], -rows, rows)
-    values = np.sort(stated, axis=None)
-    values = values[np.insert(values[1:] != values[:-1], 0, True)]
-    tokens = np.array([*map(str, values.tolist()), GE, LE, ""], object)
-    cells = np.insert(np.searchsorted(values, stated), -1, len(values) + le, axis=1)
-    if cells.shape[1] == 2:  # no coefficients: the line still starts with a space
-        cells = np.insert(cells, 0, len(values) + 2, axis=1)
-    return list(map(" ".join, tokens[cells].tolist()))
-
-
-class _Ints(dict):
-    """token -> int, each distinct token parsed once: dense rows repeat a
-    few values."""
-
-    def __missing__(self, token: str) -> int:
-        self[token] = value = int(token)
-        return value
-
-
-def problem_from_text(text: str) -> LpProblem:
-    """Parse ``problem_to_text`` output straight into the matrix; any
-    malformed line raises LpError, a relation other than >= or <= and a
-    token that is not an integer (1/2, 1.0) included."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "vars" or not header[1].isdecimal():
-        raise LpError("expected 'vars N' header")
-    n = int(header[1])
-    ints = _Ints()
-    rows, le = [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            if len(parts) != n + 2 or parts[-2] not in _RELS:
-                raise ValueError
-            le.append(parts.pop(-2) == LE)
-            rows.append(list(map(ints.__getitem__, parts)))
-        except ValueError:
-            raise LpError(f"bad constraint line: {ln}") from None
-    le = np.array(le, bool)
-    rows = _matrix(rows, n + 1, max(map(abs, ints.values()), default=0))
-    rows[le] *= -1
-    return LpProblem(n, rows, le)

@@ -17,20 +17,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import exact_lp, threshold_analysis
-from .exact_lp import (
-    DEFAULT_NODE_BUDGET,
-    LpError,
-    LpProblem,
-    check_farkas,
-    check_l1_bound,
-    check_witness,
-    problem_from_text,
-)
+from .boolfun import make_hard
+from .exact_lp import DEFAULT_NODE_BUDGET, LpError, check_farkas, check_l1_bound, check_witness
 from .pipeline import ALL_MODES, Verdict, any_failed, run_shape
 from .shapes import GroupShape, make_shape
+from .threshold_analysis import build_representation_problem, check_representation_caps, lemma_lps
 
 
 @dataclass
@@ -96,60 +88,89 @@ class CertStore:
         return digest
 
 
-def _vector(item: dict) -> list:
-    """The multipliers, each distinct token parsed once (a vector repeats a
-    few values, mostly 0), the token "0" as the int 0, which the checkers
-    skip at C speed."""
-    tokens = item["vector"]
-    parsed = {t: 0 if t == "0" else Fraction(t) for t in set(tokens)}
-    return list(map(parsed.__getitem__, tokens))
+def _count(value) -> int:
+    """An integer field of a certificate: a JSON integer >= 0, so neither a
+    bool nor a float that ``int`` would round (2.5 must not read as 2)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not an integer >= 0")
+    return value
 
 
-def _check_item(kind: str, item: dict, value) -> bool:
-    problem = problem_from_text(item["problem"])
-    vector = _vector(item)
+def _rational(token) -> Fraction:
+    """A rational written as text, such as "183/2"."""
+    if type(token) is not str:
+        raise TypeError(f"{token!r} is not a rational as text")
+    return Fraction(token)
+
+
+def _vector(multipliers: dict, rows: int) -> list:
+    """The dense vector of a sparse multiplier map {row index: value}: each
+    index the plain decimal of a row below ``rows``, so "-1" does not reach
+    the last row nor "07" the seventh, every other entry the int 0."""
+    if type(multipliers) is not dict:
+        raise TypeError("multipliers are a map from row index to value")
+    vector = [0] * rows
+    for key, value in multipliers.items():
+        i = int(key)
+        if str(i) != key or not 0 <= i < rows:
+            raise ValueError(f"no row {key!r} among {rows}")
+        vector[i] = _rational(value)
+    return vector
+
+
+def _replay_representation(obj: dict) -> bool:
+    """A claim on the degree-d representation LP of a shape's hard function:
+    no gate (farkas), a lower bound on the LP weight (l1-bound), or an
+    integer gate of weight W (witness).  The caps are checked on the claim
+    before the function or its LP is built."""
+    kind = obj["kind"]
+    if kind not in ("farkas", "l1-bound", "witness"):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    shape = make_shape(obj["shape"]["variant"], [_count(k) for k in obj["shape"]["ks"]])
+    degree = _count(obj["degree"])
+    check_representation_caps(shape.n, degree)
+    problem = build_representation_problem(make_hard(shape), degree).problem
+    if kind == "witness":
+        x = obj["vector"]
+        if type(x) is not list or not all(type(v) is int for v in x) or sum(map(abs, x)) != _count(obj["weight"]):
+            return False
+        return check_witness(problem, x)
+    vector = _vector(obj["multipliers"], len(problem.constraints))
     if kind == "farkas":
         return check_farkas(problem, vector)
-    if kind == "witness":
-        return check_witness(problem, vector)
-    if kind == "l1-bound":
-        return check_l1_bound(problem, vector, Fraction(value))
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    return check_l1_bound(problem, vector, _rational(obj["value"]))
 
 
-def _check_batch(obj: dict) -> bool:
-    """Each item's Farkas vector over the base LP, parsed once, plus that
-    item's one row, parsed under the base's ``vars N`` header.  A row that
-    is not exactly one well-formed line fails the batch."""
-    base = problem_from_text(obj["problem"])
-    if not obj["items"]:
+def _replay_batch(obj: dict) -> bool:
+    """A coefficient lemma at k: one Farkas vector per inequality it
+    asserts, matched item for item against ``lemma_lps``, each over the
+    base plus that inequality's negated row.  A missing or extra item
+    rejects the file; no item replays exactly when the lemma asserts
+    nothing."""
+    base, negations = lemma_lps(obj["lemma"], _count(obj["k"]))
+    items = obj["items"]
+    if type(items) is not list or len(items) != len(negations):
         return False
-    for item in obj["items"]:
-        row = problem_from_text(f"vars {base.num_vars}\n{item['row']}")
-        if len(row.constraints) != 1:
-            return False
-        rows = np.concatenate((base.constraints, row.constraints))
-        problem = LpProblem(base.num_vars, rows, np.concatenate((base.le, row.le)))
-        if not check_farkas(problem, _vector(item)):
-            return False
-    return True
+    rows = len(base.constraints) + 1
+    return all(check_farkas(base.extended(*row), _vector(m, rows)) for (_, *row), m in zip(negations, items))
 
 
 def replay_certificate(path) -> bool:
-    """Re-verify a stored certificate with the independent checkers.
+    """Re-verify a stored certificate with the independent checkers, on LPs
+    rebuilt from the claim it names.
 
-    Kinds: ``farkas`` (no solution), ``witness`` (a solution), ``l1-bound``
-    (a lower bound on sum |x|), and ``farkas-batch`` (a base LP stored
-    once, and one Farkas vector per item over that LP plus the item's one
-    row, all of which must check).  A malformed file is rejected (False);
-    only an ``OSError`` from reading it is raised.
+    Kinds: ``farkas`` (no gate), ``l1-bound`` (a lower bound on sum |x|)
+    and ``witness`` (an integer gate of weight W) name a shape and a
+    degree; ``farkas-batch`` names a lemma and k.  A malformed file, or one
+    whose claim is past a budget, is rejected (False); only an ``OSError``
+    from reading it is raised.
     """
     data = Path(path).read_bytes()
     try:
         obj = json.loads(data)
         if obj["kind"] == "farkas-batch":
-            return _check_batch(obj)
-        return _check_item(obj["kind"], obj, obj.get("value"))
+            return _replay_batch(obj)
+        return _replay_representation(obj)
     except (ArithmeticError, AttributeError, KeyError, LpError, TypeError, ValueError):
         return False
 

@@ -19,11 +19,10 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from itertools import compress
 
 from .boolfun import make_hard
-from .exact_lp import DEFAULT_NODE_BUDGET, BudgetError, LpProblem, _format_rows, problem_to_text
+from .exact_lp import DEFAULT_NODE_BUDGET, BudgetError
 from .polynomial import symmetric_coefficient, symmetrize, to_uv, witness_gate
 from .shapes import GroupShape, Variant
 from .threshold_analysis import (
@@ -58,37 +57,40 @@ def _passed(ok: bool, good: Verdict = Verdict.PASS) -> Verdict:
     return good if ok else Verdict.FAIL
 
 
+def _sparse(vector) -> dict:
+    """The nonzero entries of a multiplier vector, {row index: value}, as
+    JSON text; most multipliers are the int 0, which ``compress`` skips at C
+    speed."""
+    return {str(i): str(vector[i]) for i in compress(range(len(vector)), vector)}
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """A stored proof of one finding: LPs with exact vectors to re-check."""
+    """A stored proof of one finding: the claim that determines its LPs (a
+    shape and degree, or a lemma and k) and the exact vectors that replay
+    checks on the LPs it rebuilds from that claim."""
 
-    kind: str  # farkas | witness | l1-bound | farkas-batch
-    claim: str
-    items: tuple  # (LpProblem, vector) pairs; exactly one unless farkas-batch
-    value: Fraction | None = None  # the bound an l1-bound certificate proves
-    base: LpProblem | None = None  # the LP a farkas-batch's problems each extend by one row
+    kind: str  # farkas | l1-bound | witness | farkas-batch
+    vectors: tuple  # one per LP: exactly one unless farkas-batch
+    shape: GroupShape | None = None  # with degree: a representation LP
+    degree: int | None = None
+    lemma: str | None = None  # with k: a lemma's negated inequalities
+    k: int | None = None
+    value: Fraction | int | None = None  # the l1-bound's bound, or the witness's weight W
 
     def payload(self) -> dict:
-        def vector(values) -> list:
-            # most multipliers are the int 0, which tests false without a
-            # Python call; every zero is written as the one string "0" (a
-            # str(0) per zero would be a new object each)
-            return [str(v) if v else "0" for v in values]
-
-        out = {"kind": self.kind, "claim": self.claim}
+        """The JSON object of the certificate's file, which
+        ``harness.replay_certificate`` reads: the claim, and each vector of
+        multipliers as a sparse map (a witness's gate as a dense vector)."""
         if self.kind == "farkas-batch":
-            # the base once, then each item's last row: base text plus that
-            # line is the text of the item's problem; the rows are formatted
-            # in one call, line by line, so each line is that row's own
-            out["problem"] = problem_to_text(self.base)
-            problems = [p for p, _ in self.items] or [LpProblem(self.base.num_vars)]  # no item: no row
-            last = np.concatenate([p.constraints[-1:] for p in problems])
-            rows = _format_rows(last, np.concatenate([p.le[-1:] for p in problems]))
-            out["items"] = [{"row": row, "vector": vector(lam)} for row, (_, lam) in zip(rows, self.items)]
+            return {"kind": self.kind, "lemma": self.lemma, "k": self.k, "items": list(map(_sparse, self.vectors))}
+        (vector,) = self.vectors
+        out = {"kind": self.kind, "shape": self.shape.to_json(), "degree": self.degree}
+        if self.kind == "witness":
+            out.update(vector=[int(v) for v in vector], weight=self.value)
             return out
-        problem, values = self.items[0]
-        out.update(problem=problem_to_text(problem), vector=vector(values))
-        if self.value is not None:
+        out["multipliers"] = _sparse(vector)
+        if self.kind == "l1-bound":
             out["value"] = str(self.value)
         return out
 
@@ -150,7 +152,6 @@ def lemma_plan(shape: GroupShape) -> list[tuple[str, int]]:
 def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NODE_BUDGET) -> ShapeResult:
     """Every verdict the modes ask for on one shape, in CSV row order."""
     res = ShapeResult(shape)
-    tag = shape.describe()
     d = shape.d
 
     @functools.cache
@@ -178,12 +179,12 @@ def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NOD
     if "signdeg" in modes:
         with res.step("sign_degree") as t0:
             for dd in range(d + 1):
-                prob, out = ladder().solve(dd)
+                out = ladder().solve(dd)[1]
                 if out.status != "infeasible":
                     res.sign_degree = dd
                     break
                 # the solver re-checked the Farkas vector before returning it
-                cert = Certificate("farkas", f"{tag}: no degree-{dd} gate", ((prob.problem, out.farkas),))
+                cert = Certificate("farkas", (out.farkas,), shape, dd)
                 res.add(f"signdeg_infeasible_d{dd}", "CERTIFIED", Verdict.CERTIFIED, cert)
             ok = res.sign_degree == d
             value = res.sign_degree if ok else f"FAIL({res.sign_degree})"
@@ -191,12 +192,11 @@ def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NOD
 
     if "minweight-lp" in modes:
         with res.step("minweight_lp") as t0:
-            prob, out = ladder().solve(d)
+            out = ladder().solve(d)[1]
             res.lp_weight = out.value
             cert = verdict = None
             if out.status == "optimal":
-                claim = f"{tag}: degree-{d} weight lower bound"
-                cert = Certificate("l1-bound", claim, ((prob.problem, out.dual),), out.value)
+                cert = Certificate("l1-bound", (out.dual,), shape, d, value=out.value)
                 verdict = Verdict.CERTIFIED
             res.add("minweight_lp", out.value, verdict, cert, started=t0)
 
@@ -207,9 +207,7 @@ def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NOD
             res.exact_weight, exact_witness = ex.value, ex.witness
             cert = None
             if ex.value is not None:
-                prob = ladder().solve(d)[0]
-                claim = f"{tag}: integer gate of weight {ex.value}"
-                cert = Certificate("witness", claim, ((prob.problem, ex.ilp.witness),))
+                cert = Certificate("witness", (ex.ilp.witness,), shape, d, value=ex.value)
             res.add("minweight_exact", ex.value, None, cert, started=t0)
             res.add("bb_nodes", ex.ilp.nodes)
     ladder.cache_clear()  # no step after this one solves an LP of f
@@ -244,8 +242,7 @@ def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NOD
                 ok = cr.status == "CERTIFIED"
                 cert = None
                 if ok:
-                    items = tuple((c.problem, c.farkas) for c in cr.checks)
-                    cert = Certificate("farkas-batch", f"{lemma} k={k}", items, base=cr.base)
+                    cert = Certificate("farkas-batch", tuple(c.farkas for c in cr.checks), lemma=lemma, k=k)
                 res.add(metric, cr.status, _passed(ok, Verdict.CERTIFIED), cert, started=t0)
 
     return res

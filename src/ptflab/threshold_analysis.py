@@ -57,6 +57,15 @@ def _check_lp_entries(rows: int, columns: int) -> None:
         raise BudgetError(f"a {rows} x {columns + 1} LP exceeds the LP entry cap {LP_ENTRY_CAP}")
 
 
+def check_representation_caps(n: int, degree: int) -> None:
+    """``BudgetError`` when a function of n inputs is past the input cap or
+    its degree-``degree`` representation LP, a row per input (two at degree
+    0) over every monomial of degree <= ``degree``, past the LP entry cap.
+    Counts only: nothing is built."""
+    check_input_cap(n)
+    _check_lp_entries(1 << n if degree else 2, sum(math.comb(n, d) for d in range(min(degree, n) + 1)))
+
+
 class AnalysisError(ValueError):
     pass
 
@@ -167,32 +176,33 @@ class RepresentationProblem:
 def build_representation_problem(f: BoolFun, degree: int, shape: GroupShape | None = None) -> RepresentationProblem:
     """The sign constraints of f over every monomial of degree <= ``degree``.
 
-    One int8 matrix holds, per input, the value of each monomial and the
-    class of f.  Above degree 0 the degree-1 monomials are the input bits,
-    so no two rows are equal and every input gives a row, in input order.
-    At degree 0 a row is only the class, and the first input of each class
-    gives it, in input order.  The order fixes the simplex pivot path.
-    The LP's matrix is filled from it in array steps: a positive input's
-    row [m | 0] reads p >= 0, a negative one's p <= -1, stored negated as
-    [-m | 1].  ``BudgetError`` before the matrix is built when f is past the
-    input cap or the LP past the LP entry cap.
+    Above degree 0 one int8 matrix holds the value of each monomial at
+    each input.  The degree-1 monomials are the input bits, so no two rows
+    are equal and every input gives a row, in input order.  At degree 0 a
+    row is only the class of f, and the first input of each class gives
+    it, in input order, read from f's bits alone.  The order fixes the
+    simplex pivot path.  The LP's matrix is filled from the values in array
+    steps: a positive input's row [m | 0] reads p >= 0, a negative one's
+    p <= -1, stored negated as [-m | 1].  ``BudgetError`` before anything
+    is built when f is past the input cap or the LP past the LP entry cap.
     """
-    check_input_cap(f.n)
-    monomials = [m for deg in range(degree + 1) for m in combinations(range(f.n), deg)]
-    _check_lp_entries(f.size if degree else 2, len(monomials))  # degree 0: a row per class
+    check_representation_caps(f.n, degree)
+    monomials = [m for deg in range(min(degree, f.n) + 1) for m in combinations(range(f.n), deg)]
     bits = _fun_bits(f)
-    inputs = np.arange(f.size)
-    xs = [((inputs >> j) & 1).astype(np.int8) for j in range(f.n)]
-    if f.convention is Convention.PLUS_MINUS:
-        xs = [2 * b - 1 for b in xs]
-    column = {m: i for i, m in enumerate(monomials)}
-    mat = np.empty((f.size, len(monomials) + 1), dtype=np.int8)
-    for i, key in enumerate(monomials):
-        # monomials come by degree, so key[:-1] already has its column
-        mat[:, i] = mat[:, column[key[:-1]]] * xs[key[-1]] if key else 1
-    mat[:, -1] = bits
-    keep = inputs if degree else np.sort(np.unique(bits, return_index=True)[1])
-    problem = LpProblem(len(monomials), *_sign_rows(mat[keep, :-1], bits[keep]))
+    if degree:
+        inputs = np.arange(f.size)
+        xs = [((inputs >> j) & 1).astype(np.int8) for j in range(f.n)]
+        if f.convention is Convention.PLUS_MINUS:
+            xs = [2 * b - 1 for b in xs]
+        column = {m: i for i, m in enumerate(monomials)}
+        values = np.empty((f.size, len(monomials)), dtype=np.int8)
+        for i, key in enumerate(monomials):
+            # monomials come by degree, so key[:-1] already has its column
+            values[:, i] = values[:, column[key[:-1]]] * xs[key[-1]] if key else 1
+    else:
+        first = sorted({int(bits.argmin()), int(bits.argmax())})  # the first 0 and the first 1, if any
+        values, bits = np.ones((len(first), 1), np.int8), bits[first]
+    problem = LpProblem(len(monomials), *_sign_rows(values, bits))
     return RepresentationProblem(f, degree, monomials, problem, shape)
 
 
@@ -345,7 +355,6 @@ class CertifyResult:
     k: int
     status: str  # CERTIFIED | VIOLATED
     checks: list
-    base: LpProblem | None = None  # the LP each check's problem extends by one row
 
 
 def _inequality_check(desc: str, problem: LpProblem, out: LpOutcome) -> InequalityCheck:
@@ -398,12 +407,25 @@ _LEMMA_BASE = {
 }
 
 
+def lemma_lps(lemma: str, k: int) -> tuple[LpProblem, list]:
+    """The base LP of a coefficient lemma at k and its negated inequalities,
+    (description, coefficients, relation, right-hand side) each, in
+    ``_lemma_negations`` order: inequality i's LP is the base plus its row,
+    as ``certify_coefficient_lemma`` solves it and replay rebuilds it."""
+    base = _LEMMA_BASE.get(lemma)
+    if base is None:
+        raise AnalysisError(f"unknown lemma {lemma!r}")
+    if k < 2:
+        raise AnalysisError("need k >= 2")
+    return _base_problem(base, k), _lemma_negations(lemma, k)
+
+
 def certify_coefficient_lemma(lemma: str, k: int) -> CertifyResult:
     """CERTIFIED iff no integer gate for the base function violates any of
     the lemma's coefficient inequalities; each inequality gets its own
     Farkas certificate, independently re-checked.
 
-    The inequalities share one base LP, ``base`` of the result: the base
+    The inequalities share one base LP (``lemma_lps``): the base
     function's sign rows are built once per call, and each negated
     inequality's LP is that base plus its one row.  ``solve_extensions``
     walks the base's pivot path once, and each inequality's LP forks off
@@ -412,17 +434,11 @@ def certify_coefficient_lemma(lemma: str, k: int) -> CertifyResult:
     certified on its own, so the pivot path, stats and certificate are
     those of a cold solve of that LP.
     """
-    base = _LEMMA_BASE.get(lemma)
-    if base is None:
-        raise AnalysisError(f"unknown lemma {lemma!r}")
-    if k < 2:
-        raise AnalysisError("need k >= 2")
-    negations = _lemma_negations(lemma, k)
-    problem = _base_problem(base, k)
+    problem, negations = lemma_lps(lemma, k)
     solved = solve_extensions(problem, [row for _, *row in negations])
     checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
     status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
-    return CertifyResult(lemma, k, status, checks, problem)
+    return CertifyResult(lemma, k, status, checks)
 
 
 # ---------------------------------------------------------------------------

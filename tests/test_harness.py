@@ -10,7 +10,6 @@ import pkgutil
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import ptflab
@@ -23,13 +22,11 @@ from ptflab import (
     certify_coefficient_lemma,
     make_shape,
     preset,
-    problem_to_text,
     replay_certificate,
     run,
 )
 from ptflab import exact_lp, pipeline, threshold_analysis
 from ptflab.cli import main as cli_main
-from ptflab.exact_lp import LpProblem, _format_rows
 from ptflab.harness import ALL_MODES, PRESET_NAMES
 from ptflab.pipeline import Certificate
 from csv_reference import rows_without_timing
@@ -141,23 +138,25 @@ def test_certificates_replay_and_detect_corruption(tmp_path):
     assert set(by_kind) == {"farkas", "l1-bound", "witness", "farkas-batch"}
     for kind, path in by_kind.items():
         blob = json.loads(path.read_text())
-        vector = blob["items"][0]["vector"] if kind == "farkas-batch" else blob["vector"]
-        vector[0] = "9999"
+        if kind == "witness":  # a sign flipped: the same weight, another gate
+            i = next(i for i, v in enumerate(blob["vector"]) if v)
+            blob["vector"][i] *= -1
+        else:
+            multipliers = blob["items"][0] if kind == "farkas-batch" else blob["multipliers"]
+            multipliers[min(multipliers)] = "9999"
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(blob))
         assert not replay_certificate(bad), kind
 
 
-# x0 >= 0 with x = [0] (a witness), and the same row with dual [0] proving
-# sum |x| >= 0 (an l1-bound); the base x0 >= 1 plus the row x0 <= 0, which
-# their sum contradicts (a farkas-batch); each body below breaks one of them
-WITNESS = {"kind": "witness", "problem": "vars 1\n1 >= 0\n", "vector": ["0"]}
-L1_BOUND = {"kind": "l1-bound", "problem": "vars 1\n1 >= 0\n", "vector": ["0"], "value": "0"}
-BATCH = {"kind": "farkas-batch", "problem": "vars 1\n1 >= 1\n", "items": [{"row": "1 <= 0", "vector": ["1", "1"]}]}
-
-
-def _batch_item(row, vector):
-    return {**BATCH, "items": [{"row": row, "vector": vector}]}
+# the certificates of weak(1), the comparator x > y on two inputs: no
+# degree-0 gate, LP weight 2 at degree 1 and the gate x - y of weight 2;
+# and gt_step at k = 2, one negated inequality over the 9 rows of the
+# comparator's base LP; each body below breaks one of them
+FARKAS = {"kind": "farkas", "shape": {"variant": "weak", "ks": [1]}, "degree": 0, "multipliers": {"0": "1", "1": "1"}}
+L1_BOUND = {**FARKAS, "kind": "l1-bound", "degree": 1, "multipliers": {"2": "2", "3": "1"}, "value": "2"}
+WITNESS = {"kind": "witness", "shape": FARKAS["shape"], "degree": 1, "vector": [0, 1, -1], "weight": 2}
+BATCH = {"kind": "farkas-batch", "lemma": "gt_step", "k": 2, "items": [{"6": "1", "9": "1"}]}
 
 
 def _without(obj, key):
@@ -171,20 +170,41 @@ def _without(obj, key):
         pytest.param(b"\xff\xfe{", id="not text"),
         pytest.param("[]", id="json list"),
         pytest.param(json.dumps(_without(WITNESS, "kind")), id="missing kind"),
-        pytest.param(json.dumps({**WITNESS, "kind": "proof"}), id="unknown kind"),
+        pytest.param(json.dumps({**FARKAS, "kind": "proof"}), id="unknown kind"),
         pytest.param(json.dumps({**BATCH, "items": "abc"}), id="items a string"),
-        pytest.param(json.dumps({**BATCH, "items": WITNESS}), id="items a dict"),
-        pytest.param(json.dumps(_without(BATCH, "problem")), id="batch without problem"),
+        pytest.param(json.dumps({**BATCH, "items": BATCH["items"][0]}), id="items a dict"),
+        pytest.param(json.dumps(_without(BATCH, "lemma")), id="batch without lemma"),
+        pytest.param(json.dumps({**BATCH, "lemma": "gt_all"}), id="batch unknown lemma"),
+        # gt_step at k = 2 asserts one inequality: one item, no fewer and no more
         pytest.param(json.dumps({**BATCH, "items": []}), id="batch items empty"),
-        # the second line would make the vector, for three rows, a valid one
-        pytest.param(json.dumps(_batch_item("1 <= 0\n1 >= 1", ["1", "1", "0"])), id="batch row of two lines"),
-        pytest.param(json.dumps(_batch_item("<= 0", ["1", "1"])), id="batch row one coefficient short"),
-        pytest.param(json.dumps(_batch_item("1 <= 0", ["1", "1", "0"])), id="batch vector one entry too long"),
-        pytest.param(json.dumps({**WITNESS, "problem": ""}), id="empty problem"),
-        pytest.param(json.dumps({**WITNESS, "problem": "vars 1\n1 = 0\n"}), id="malformed problem"),
-        pytest.param(json.dumps({**WITNESS, "vector": ["x"]}), id="vector entry x"),
-        pytest.param(json.dumps({**WITNESS, "vector": ["1/0"]}), id="vector entry 1/0"),
+        pytest.param(json.dumps({**BATCH, "items": BATCH["items"] * 2}), id="batch item extra"),
+        pytest.param(json.dumps({**BATCH, "items": [{"6": "1", "10": "1"}]}), id="batch multiplier past the last row"),
+        pytest.param(json.dumps({**BATCH, "k": 2.0}), id="batch k 2.0"),
+        pytest.param(json.dumps({**BATCH, "k": 1}), id="batch k 1"),
+        pytest.param(json.dumps(_without(FARKAS, "shape")), id="missing shape"),
+        pytest.param(json.dumps({**FARKAS, "shape": {"variant": "medium", "ks": [1]}}), id="malformed shape"),
+        # int() would read [1.5] and [true] as [1], the shape the multipliers are for
+        pytest.param(json.dumps({**FARKAS, "shape": {"variant": "weak", "ks": [1.5]}}), id="ks 1.5"),
+        pytest.param(json.dumps({**FARKAS, "shape": {"variant": "weak", "ks": [True]}}), id="ks true"),
+        pytest.param(json.dumps({**L1_BOUND, "degree": 1.0}), id="degree 1.0"),
+        pytest.param(json.dumps({**L1_BOUND, "degree": True}), id="degree true"),
+        pytest.param(json.dumps({**FARKAS, "degree": -1}), id="degree -1"),
+        # a gate of degree 2 exists, and no monomial has a degree past n = 2
+        pytest.param(json.dumps({**FARKAS, "degree": 10**9}), id="degree 10^9"),
+        # the degree-0 LP has two rows: "-1" must not reach the last one
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": "1", "-1": "1"}}), id="multiplier row -1"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": "1", "01": "1"}}), id="multiplier row 01"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": "1", "2": "1"}}), id="multiplier row past the last"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": ["1", "1"]}), id="multipliers a list"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": "x", "1": "1"}}), id="vector entry x"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": "1/0", "1": "1"}}), id="vector entry 1/0"),
+        pytest.param(json.dumps({**FARKAS, "multipliers": {"0": 1, "1": 1}}), id="vector entry a number"),
         pytest.param(json.dumps(_without(L1_BOUND, "value")), id="l1-bound without value"),
+        pytest.param(json.dumps({**L1_BOUND, "value": "3"}), id="l1-bound value changed"),
+        pytest.param(json.dumps({**WITNESS, "weight": 3}), id="witness weight not its sum"),
+        pytest.param(json.dumps({**WITNESS, "vector": [0, 1.0, -1]}), id="witness entry 1.0"),
+        pytest.param(json.dumps({**WITNESS, "vector": [0, "1", -1]}), id="witness entry text"),
+        pytest.param(json.dumps({**WITNESS, "vector": [0, 1]}), id="witness one entry short"),
     ],
 )
 def test_malformed_certificate_files_are_rejected(tmp_path, body):
@@ -194,7 +214,7 @@ def test_malformed_certificate_files_are_rejected(tmp_path, body):
 
 
 def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_path):
-    for obj in (WITNESS, L1_BOUND, BATCH):
+    for obj in (FARKAS, L1_BOUND, WITNESS, BATCH):
         path = tmp_path / f"{obj['kind']}.json"
         path.write_text(json.dumps(obj))
         assert replay_certificate(path) is True
@@ -202,22 +222,86 @@ def test_replay_accepts_well_formed_bodies_and_raises_on_unreadable_files(tmp_pa
         replay_certificate(tmp_path / "missing.json")
 
 
+@pytest.fixture(scope="module")
+def weak23_certificates():
+    """The payload of each representation certificate of weak(2,3), by metric."""
+    res = pipeline.run_shape(make_shape("weak", (2, 3)), ("signdeg", "minweight-lp", "minweight-exact"))
+    return {fd.metric: fd.certificate.payload() for fd in res.findings if fd.certificate is not None}
+
+
+def _move_a_multiplier(obj):
+    multipliers = dict(obj["multipliers"])
+    row = min(multipliers, key=int)
+    free = next(i for i in range(int(row) + 1, 10**6) if str(i) not in multipliers)
+    multipliers[str(free)] = multipliers.pop(row)
+    return {**obj, "multipliers": multipliers}
+
+
+WEAK32 = {"variant": "weak", "ks": [3, 2]}  # n = 10 too, so its LPs have the same sizes
+WEAK_2_5_3 = {"variant": "weak", "ks": [2.5, 3]}  # int() would read it as weak(2,3)
+
+
+@pytest.mark.parametrize(
+    "metric, change",
+    [
+        pytest.param(metric, change, id=f"{metric} {name}")
+        for metric in ("signdeg_infeasible_d1", "minweight_lp", "minweight_exact")
+        for name, change in (
+            ("relabelled weak(3,2)", lambda obj: {**obj, "shape": WEAK32}),
+            ("at degree 1 more", lambda obj: {**obj, "degree": obj["degree"] + 1}),
+        )
+    ]
+    + [
+        # (the degree-1 LP is infeasible, so the l1-bound's multipliers, read
+        # on its rows, still prove a true claim: every feasible x weighs 183/2)
+        pytest.param("signdeg_infeasible_d1", lambda obj: {**obj, "degree": 0}, id="farkas at degree 0"),
+        pytest.param("minweight_exact", lambda obj: {**obj, "degree": 1}, id="witness at degree 1"),
+        pytest.param("signdeg_infeasible_d1", lambda obj: {**obj, "shape": WEAK_2_5_3}, id="ks 2.5"),
+        pytest.param("signdeg_infeasible_d1", _move_a_multiplier, id="farkas multiplier moved"),
+        pytest.param("minweight_lp", _move_a_multiplier, id="l1-bound multiplier moved"),
+        pytest.param("minweight_lp", lambda obj: {**obj, "value": "92"}, id="l1-bound value 92"),
+        pytest.param("minweight_lp", lambda obj: {**obj, "value": "91"}, id="l1-bound value 91"),
+        pytest.param("minweight_exact", lambda obj: {**obj, "weight": 93}, id="witness weight 93"),
+    ],
+)
+def test_replay_binds_each_certificate_to_its_claim(tmp_path, weak23_certificates, metric, change):
+    obj = weak23_certificates[metric]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert replay_certificate(path)
+    path.write_text(json.dumps(change(obj)))
+    assert not replay_certificate(path)
+
+
+def test_weak23_certificates_are_small(tmp_path, weak23_certificates):
+    # a claim and the nonzero multipliers, not an LP of 1024 rows
+    assert weak23_certificates["minweight_lp"]["value"] == "183/2"
+    assert len(weak23_certificates["minweight_lp"]["multipliers"]) == 55
+    for obj in weak23_certificates.values():
+        assert len(json.dumps(obj)) < 4096
+
+
 @pytest.mark.parametrize(
     "obj",
     [
-        pytest.param({"kind": "farkas", "problem": "vars 10000000\n", "vector": []}, id="farkas"),
-        pytest.param(
-            {"kind": "l1-bound", "problem": "vars 10000000\n", "vector": [], "value": "1"}, id="l1-bound"
-        ),
-        pytest.param({"kind": "witness", "problem": "vars 10000000\n", "vector": []}, id="witness"),
-        pytest.param(
-            {"kind": "farkas-batch", "problem": "vars 10000000\n", "items": [{"row": "1 >= 0", "vector": []}]},
-            id="farkas-batch",
-        ),
+        # weak(6,6) has n = 24, inside the input cap; its degree-2 LP, 2^24 x 302, is past the LP entry cap
+        pytest.param({**FARKAS, "shape": {"variant": "weak", "ks": [6, 6]}, "degree": 2}, id="farkas"),
+        pytest.param({**L1_BOUND, "shape": {"variant": "weak", "ks": [6, 6]}, "degree": 2}, id="l1-bound"),
+        pytest.param({**WITNESS, "shape": {"variant": "weak", "ks": [6, 6]}, "degree": 2}, id="witness"),
+        pytest.param({**FARKAS, "shape": {"variant": "weak", "ks": [6, 7]}}, id="farkas past the input cap"),
+        pytest.param({**FARKAS, "shape": {"variant": "weak", "ks": [6, 6]}, "degree": 10**9}, id="degree 10^9"),
+        # g0 at k = 24 is inside the input cap, but its LP would be 2^24 x 25
+        pytest.param({**BATCH, "lemma": "g0_all", "k": 24}, id="farkas-batch"),
+        pytest.param({**BATCH, "k": 13}, id="farkas-batch past the input cap"),
     ],
 )
-def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj):
-    # a 62-byte file must not make the checkers allocate one slot per declared variable
+def test_replay_checks_the_budgets_before_building_an_lp(tmp_path, monkeypatch, obj):
+    # a file of a hundred bytes must not make replay build a hard function or its LP
+    def refuse(*args):
+        raise AssertionError("built past a budget")
+
+    monkeypatch.setattr("ptflab.harness.make_hard", refuse)
+    monkeypatch.setattr(threshold_analysis, "_product_rows", refuse)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
     tracemalloc.start()
@@ -230,58 +314,65 @@ def test_replay_memory_is_bounded_by_the_file_not_its_vars_header(tmp_path, obj)
 
 
 @pytest.mark.parametrize("lemma, k", [("gt_exp", 4), ("g0_all", 5), ("g1_pos", 5)])
-def test_farkas_batch_stores_its_base_once(tmp_path, lemma, k):
-    # base text plus an item's row line is the text of that item's LP, byte
-    # for byte; each item replays on its own, and a flipped row does not
+def test_farkas_batch_replays_item_for_item(tmp_path, lemma, k):
+    # one sparse map per negated inequality, in order; a missing, extra or
+    # reordered item, or a multiplier moved to the negated row, is rejected
     res = certify_coefficient_lemma(lemma, k)
-    items = tuple((c.problem, c.farkas) for c in res.checks)
-    payload = Certificate("farkas-batch", f"{lemma} k={k}", items, base=res.base).payload()
-    assert len(payload["items"]) == len(res.checks)
-    for item, check in zip(payload["items"], res.checks):
-        assert payload["problem"] + item["row"] + "\n" == problem_to_text(check.problem)
+    farkas = tuple(c.farkas for c in res.checks)
+    payload = Certificate("farkas-batch", farkas, lemma=lemma, k=k).payload()
+    assert payload == {"kind": "farkas-batch", "lemma": lemma, "k": k, "items": payload["items"]}
+    for item, lam in zip(payload["items"], farkas, strict=True):
+        assert item == {str(i): str(v) for i, v in enumerate(lam) if v}
     path = tmp_path / "batch.json"
-    for batch in [payload] + [{**payload, "items": [item]} for item in payload["items"]]:
-        path.write_text(json.dumps(batch))
-        assert replay_certificate(path)
-    tokens = payload["items"][-1]["row"].split()
-    assert int(tokens[-3]) != 0  # the last coefficient; flipping it changes the row
-    tokens[-3] = str(-int(tokens[-3]))
-    payload["items"][-1]["row"] = " ".join(tokens)
     path.write_text(json.dumps(payload))
-    assert not replay_certificate(path)
+    assert replay_certificate(path)
+    items = payload["items"]
+    last = len(res.checks[0].problem.constraints) - 1  # each item's negated row
+    moved = {**items[0], str(last - 1): items[0][str(last)]}
+    del moved[str(last)]
+    for bad in (items[:-1], items + items[-1:], items[::-1], [moved, *items[1:]]):
+        path.write_text(json.dumps({**payload, "items": bad}))
+        assert not replay_certificate(path)
 
 
-def test_farkas_batch_payload_matches_the_per_row_formatting():
-    # all items' rows go through one _format_rows call; each line must be
-    # the one its row gives alone, a <= row, rows past 2^62 and an int64
-    # row among them, and every zero multiplier, int or Fraction, is "0"
-    base = LpProblem(2)
-    base.add({0: 1}, ">=", 1)
-    rows = [({0: 1, 1: -2}, "<=", -3), ({1: 2**70}, ">=", -(2**63)), ({}, ">=", 1), ({0: -1}, "<=", 0)]
-    problems = [base.extended(*row) for row in rows]
-    assert [p.constraints.dtype for p in problems] == [np.int64, object, np.int64, np.int64]
-    vectors = [[0, Fraction(1, 2)], [Fraction(0), 3], [0, Fraction(0)], [2**70, 0]]
-    payload = Certificate("farkas-batch", "mixed", tuple(zip(problems, vectors)), base=base).payload()
-    assert payload["items"] == [
-        {"row": _format_rows(p.constraints[-1:], p.le[-1:])[0], "vector": [str(v) if v.numerator else "0" for v in lam]}
-        for p, lam in zip(problems, vectors)
-    ]
-    assert [item["row"] for item in payload["items"]] == ["1 -2 <= -3", f"0 {2**70} >= {-(2**63)}", "0 0 >= 1", "-1 0 <= 0"]
-    assert [item["vector"] for item in payload["items"]] == [["0", "1/2"], ["0", "3"], ["0", "0"], [str(2**70), "0"]]
+def test_payload_writes_the_claim_and_only_the_nonzero_multipliers():
+    shape = make_shape("weak", (1,))
+    vector = [0, Fraction(1, 2), Fraction(0), 2**70]
+    assert Certificate("farkas", (vector,), shape, 1).payload() == {
+        "kind": "farkas",
+        "shape": {"variant": "weak", "ks": [1]},
+        "degree": 1,
+        "multipliers": {"1": "1/2", "3": str(2**70)},
+    }
+    assert Certificate("l1-bound", (vector,), shape, 1, value=Fraction(7, 2)).payload()["value"] == "7/2"
     # g1_mono at k = 2 asserts no inequality: a batch of no items
-    assert Certificate("farkas-batch", "none", (), base=base).payload()["items"] == []
+    assert Certificate("farkas-batch", (), lemma="g1_mono", k=2).payload() == {
+        "kind": "farkas-batch", "lemma": "g1_mono", "k": 2, "items": []
+    }
+
+
+def test_every_lemma_certificate_of_strong_2_3_replays(tmp_path):
+    # g1_mono asserts nothing at k = 2: its CERTIFIED row stores an empty batch, which replays
+    rows, status = run(ExperimentSpec("s23", [make_shape("strong", (2, 3))], ("lemmas",)), tmp_path)
+    assert status == 0
+    assert {r.metric: r.value for r in rows}["lemma_g1_mono_k2"] == "CERTIFIED"
+    certs = sorted((tmp_path / "certs").glob("*.json"))
+    assert len(certs) == len(rows) == 5
+    items = {json.loads(path.read_text())["lemma"]: json.loads(path.read_text())["items"] for path in certs}
+    assert items["g1_mono"] == []
+    assert all(replay_certificate(path) for path in certs)
 
 
 # sha256[:16] of each preset's CSV without the wall-time column, in
 # PRESET_NAMES order; a change that keeps the results leaves these alone
 PRESET_DIGESTS = (
-    "458480fac6c3758d",
+    "36dd213c91b5e5bc",
     "cfdba31bc2fa4793",
     "567655421e3120d5",
-    "a9dbe3a2582dbb6c",
-    "53a6879404c7f845",
-    "198ea61a58f45d0d",
-    "e65bc46d6e39b44c",
+    "d833a039e2659e18",
+    "ae37546b534ebe93",
+    "a66b621734f4e108",
+    "eb177e3f2c3cf1f9",
     "7cc42e5deb6fed9f",
 )
 

@@ -4,6 +4,7 @@ through the pipeline."""
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptflab import (
+    BoolFun,
     BudgetError,
     Convention,
     HypothesisError,
@@ -35,7 +37,7 @@ from ptflab import (
 from ptflab import exact_lp, make_g, threshold_analysis
 from ptflab.boolfun import assignment_of_index, from_bits
 from ptflab.cli import main as cli_main
-from ptflab.exact_lp import GE, LE, LpProblem, problem_to_text
+from ptflab.exact_lp import GE, LE, LpProblem
 from ptflab.threshold_analysis import _xy_value_table
 from checker_reference import dict_rows
 from detector_reference import g_u_rows
@@ -189,6 +191,46 @@ def test_representation_problem_matches_per_input_reference(variant, ks, degree)
         assert [(list(r.items()), rel, rhs) for r, rel, rhs in dict_rows(got.problem)] == [
             (list(r.items()), rel, rhs) for r, rel, rhs in ref
         ]
+
+
+@pytest.mark.parametrize("table", [0, 0xFFFF, 0xFF00, 0x00FF, 0x8000, 0x7FFF])
+@pytest.mark.parametrize("convention", Convention)
+def test_degree_0_rows_are_the_first_input_of_each_class(table, convention):
+    f = BoolFun(4, convention, table)
+    monomials, ref = reference_representation_problem(f, 0)
+    got = build_representation_problem(f, 0)
+    assert got.monomials == monomials == [()]
+    assert dict_rows(got.problem) == ref
+
+
+def peak_bytes(call):
+    """The tracemalloc peak of ``call()``, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            got = call()
+        except Exception as exc:  # noqa: BLE001 - returned for the caller to check
+            got = exc
+        return tracemalloc.get_traced_memory()[1], got
+    finally:
+        tracemalloc.stop()
+
+
+def test_degree_0_reads_only_the_functions_bits():
+    # the 2 x 1 LP of f at n = 20 needs no input index and no bit column per
+    # variable: f's 2^20 bits, 1 MiB, are all it reads
+    f = BoolFun(20, Convention.ZERO_ONE, 1 << 19)
+    peak, got = peak_bytes(lambda: build_representation_problem(f, 0))
+    assert dict_rows(got.problem) == [({0: 1}, LE, -1), ({0: 1}, GE, 0)]  # inputs 0 and 2^19
+    assert peak < 3 << 19
+
+
+def test_the_lp_entry_cap_is_counted_before_any_monomial_is_listed():
+    # degree 20 at n = 20 has 2^20 monomials: the cap counts them, listing none
+    peak, got = peak_bytes(lambda: build_representation_problem(BoolFun(20, Convention.ZERO_ONE, 0), 20))
+    assert isinstance(got, BudgetError)
+    assert str(got) == "a 1048576 x 1048577 LP exceeds the LP entry cap 134217728"
+    assert peak < 1 << 16
 
 # ---------------------------------------------------------------------------
 # sign-degree
@@ -353,10 +395,15 @@ def test_gt_lemma_rows_match_the_comparator_per_input(k):
     assert dict_rows(LpProblem(k, *threshold_analysis._gt_u_rows(k))) == want
 
 
+def lp_rows(problem):
+    """A problem's rows and their le flags, as lists."""
+    return problem.constraints.tolist(), problem.le.tolist()
+
+
 def cold_lemma_reference(lemma, k):
     """Each negated inequality on its own: a freshly built base, the
     negated row added last, one ``min_l1``.  Nothing is shared between the
-    inequalities.  (status, problem text, vector) per inequality."""
+    inequalities.  (status, problem rows, vector) per inequality."""
     base = threshold_analysis._LEMMA_BASE[lemma]
     out = []
     for _, coeffs, rel, rhs in threshold_analysis._lemma_negations(lemma, k):
@@ -364,10 +411,10 @@ def cold_lemma_reference(lemma, k):
         problem.add(coeffs, rel, rhs)
         got = exact_lp.min_l1(problem)
         if got.status == "infeasible":
-            out.append(("CERTIFIED", problem_to_text(problem), got.farkas))
+            out.append(("CERTIFIED", lp_rows(problem), got.farkas))
         else:
             denom = math.lcm(*(v.denominator for v in got.witness))
-            out.append(("VIOLATED", problem_to_text(problem), [int(v * denom) for v in got.witness]))
+            out.append(("VIOLATED", lp_rows(problem), [int(v * denom) for v in got.witness]))
     return out
 
 
@@ -380,7 +427,7 @@ SHARED_BASE_LEMMAS = [(lemma, k) for k in range(2, 7) for lemma in ("gt_exp", "g
 def test_shared_base_lemma_matches_cold_reference(lemma, k):
     res = certify_coefficient_lemma(lemma, k)
     got = [
-        (c.status, problem_to_text(c.problem), c.farkas if c.status == "CERTIFIED" else c.witness)
+        (c.status, lp_rows(c.problem), c.farkas if c.status == "CERTIFIED" else c.witness)
         for c in res.checks
     ]
     assert got == cold_lemma_reference(lemma, k)

@@ -55,6 +55,7 @@ from .threshold_analysis import (
     RepresentationProblem,
     build_representation_problem,
     certify_coefficient_lemma,
+    certify_lemmas,
     check_sign_representation,
     theorem_bound,
 )

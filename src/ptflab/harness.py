@@ -180,8 +180,8 @@ def replay_certificate(path) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _run_shape(spec: ExperimentSpec, shape: GroupShape, store: CertStore) -> list[ResultRow]:
-    res = run_shape(shape, spec.modes, spec.node_budget)
+def _run_shape(spec: ExperimentSpec, shape: GroupShape, store: CertStore, lemma_memo: dict) -> list[ResultRow]:
+    res = run_shape(shape, spec.modes, spec.node_budget, lemma_memo)
     tag = shape.describe()
     return [
         ResultRow(
@@ -225,7 +225,8 @@ def _exponent_table_rows(spec: ExperimentSpec) -> list[ResultRow]:
 
 def run(spec: ExperimentSpec, out_dir) -> tuple[list[ResultRow], int]:
     """Execute an experiment; write CSV, JSON and certificates; return rows
-    plus the exit status (nonzero iff an asserted verdict failed)."""
+    plus the exit status (nonzero iff an asserted verdict failed).  The
+    shapes share one lemma memo, which lives as long as the call."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store = CertStore(out / "certs")
@@ -233,8 +234,9 @@ def run(spec: ExperimentSpec, out_dir) -> tuple[list[ResultRow], int]:
     rows: list[ResultRow] = []
     if spec.exponent_table_n is not None:
         rows.extend(_exponent_table_rows(spec))
+    lemma_memo: dict = {}  # one per run: a (lemma, k) that several shapes repeat is certified once
     for shape in spec.shapes:
-        rows.extend(_run_shape(spec, shape, store))
+        rows.extend(_run_shape(spec, shape, store, lemma_memo))
 
     csv_path = out / f"{spec.name}.csv"
     with csv_path.open("w", newline="") as fh:

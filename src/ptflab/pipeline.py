@@ -2,13 +2,19 @@
 
 ``run_shape`` computes what the requested modes ask for and nothing more:
 the hard function, its witness gate, and the representation LPs, each
-built and solved once.  It returns one ``ShapeResult``: every verdict in
-order as ``Finding`` records, with the values and certificates behind them,
-and ``verdicts`` and ``ok`` to read them by CSV metric name.  The harness
-writes the findings as CSV rows and certificate files.  Running out of any
-budget (branch-and-bound nodes, the one a caller sets, or a module constant:
+built and solved once, and the coefficient lemmas of its plan, certified
+by ``threshold_analysis.certify_lemmas``: one base LP and one walk per
+(base, k), for every lemma on that base.  A lemma memo shared by the
+shapes of one run (``harness.run`` passes one) certifies a (lemma, k)
+that several shapes repeat once per run.  It returns one
+``ShapeResult``: every verdict in order as ``Finding`` records, with the
+values and certificates behind them, and ``verdicts`` and ``ok`` to read
+them by CSV metric name.  The harness writes the findings as CSV rows
+and certificate files.  Running out of any budget (branch-and-bound
+nodes, the one a caller sets, or a module constant:
 ``threshold_analysis.INPUT_CAP`` and ``LP_ENTRY_CAP``, ``exact_lp.PIVOT_BUDGET``)
-turns a finding into SKIPPED plus a ``<metric>_note`` naming the budget.
+turns a finding into SKIPPED plus a ``<metric>_note`` naming the budget;
+a lemma's budget error skips every lemma on the same base and k.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .shapes import GroupShape, Variant
 from .threshold_analysis import (
     HypothesisError,
     RepresentationLadder,
-    certify_coefficient_lemma,
+    certify_lemmas,
     check_input_cap,
     check_sign_representation,
     theorem_bound,
@@ -149,8 +155,26 @@ def lemma_plan(shape: GroupShape) -> list[tuple[str, int]]:
     return plan
 
 
-def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NODE_BUDGET) -> ShapeResult:
-    """Every verdict the modes ask for on one shape, in CSV row order."""
+def _lemma_verdict(got):
+    """What a lemma memo keeps of a ``certify_lemmas`` result: its status
+    and certificate (None unless CERTIFIED), or its budget error."""
+    if isinstance(got, BudgetError):
+        return got
+    cert = None
+    if got.status == "CERTIFIED":
+        cert = Certificate("farkas-batch", tuple(c.farkas for c in got.checks), lemma=got.lemma, k=got.k)
+    return got.status, cert
+
+
+def run_shape(
+    shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NODE_BUDGET, lemma_memo: dict | None = None
+) -> ShapeResult:
+    """Every verdict the modes ask for on one shape, in CSV row order.
+
+    ``lemma_memo`` maps (lemma, k) to the (status, certificate) of a lemma
+    already certified, or to its budget error; the lemmas of the shape's
+    plan that it lacks are certified in one ``certify_lemmas`` call and
+    added to it.  Without one, the call shares nothing with any other."""
     res = ShapeResult(shape)
     d = shape.d
 
@@ -235,15 +259,19 @@ def run_shape(shape: GroupShape, modes=ALL_MODES, node_budget: int = DEFAULT_NOD
             res.add("domination_chain", "PASS" if ok else f"FAIL({detail})", _passed(ok))
 
     if "lemmas" in modes:
-        for lemma, k in lemma_plan(shape):
+        plan = lemma_plan(shape)
+        memo = {} if lemma_memo is None else lemma_memo
+        for lemma, k in plan:
             metric = f"lemma_{lemma}_k{k}"
             with res.step(metric) as t0:
-                cr = certify_coefficient_lemma(lemma, k)
-                ok = cr.status == "CERTIFIED"
-                cert = None
-                if ok:
-                    cert = Certificate("farkas-batch", tuple(c.farkas for c in cr.checks), lemma=lemma, k=k)
-                res.add(metric, cr.status, _passed(ok, Verdict.CERTIFIED), cert, started=t0)
+                if (lemma, k) not in memo:  # the first row not yet certified carries the plan's rest
+                    todo = [pair for pair in plan if pair not in memo]
+                    memo.update(zip(todo, map(_lemma_verdict, certify_lemmas(todo))))
+                got = memo[lemma, k]
+                if isinstance(got, BudgetError):
+                    raise BudgetError(*got.args)  # a copy: the memo's error keeps no traceback
+                status, cert = got
+                res.add(metric, status, _passed(status == "CERTIFIED", Verdict.CERTIFIED), cert, started=t0)
 
     return res
 

@@ -9,6 +9,7 @@ least significant bit of a table index is the first variable of x^1.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 
@@ -34,6 +35,17 @@ def _as_variant(variant: Variant | str) -> Variant:
     return Variant(variant)
 
 
+def _group_size(k) -> int:
+    """A group size as an int: an integer that is not a bool, so neither
+    2.5 nor "3" nor True is read as one."""
+    if isinstance(k, bool):
+        raise ShapeError(f"a group size is an integer, not {k!r}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ShapeError(f"a group size is an integer, not {k!r}") from None
+
+
 @dataclass(frozen=True)
 class GroupShape:
     """Sizes (k_1, ..., k_d) of the coordinate groups plus the variant.
@@ -49,7 +61,7 @@ class GroupShape:
     variant: Variant
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        object.__setattr__(self, "ks", tuple(map(_group_size, self.ks)))
         object.__setattr__(self, "variant", _as_variant(self.variant))
         if not self.ks:
             raise ShapeError("need at least one group")

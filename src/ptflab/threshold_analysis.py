@@ -5,6 +5,9 @@ the certified lemma/theorem instances built on top of the exact LP layer.
 LPs: ``solve(d)`` answers whether a degree-d gate exists (with a Farkas
 certificate when none does) and gives the LP weight, and
 ``exact_weight(d)`` gives the exact integer weight W by branch and bound.
+``certify_lemmas`` is the one entry to the coefficient lemmas of the base
+functions: it builds each base LP once per call, one per (base, k), and
+walks it once for every lemma on that base.
 
 The conventions in force everywhere: a polynomial p sign-represents f when
 f(x) = 1 exactly on the inputs with p(x) >= 0 (value 0 or -1 otherwise,
@@ -301,10 +304,14 @@ def _product_rows(values: tuple, k: int) -> np.ndarray:
     """Every k-tuple over ``values`` as an int8 row, in the order of
     ``itertools.product(values, repeat=k)``: row r holds the base-b digits
     of r, b = len(values), the most significant first, each read through
-    ``values``."""
+    ``values``.  Column j cycles through ``values``, each held for
+    b^(k-1-j) rows; it is written by broadcasting, so no array but the
+    output is made."""
     b = len(values)
-    digits = np.arange(b**k)[:, None] // b ** np.arange(k - 1, -1, -1) % b
-    return np.array(values, np.int8)[digits]
+    rows, column = np.empty((b**k, k), np.int8), np.array(values, np.int8)[:, None]
+    for j in range(k):
+        rows.reshape(b**j, b, b ** (k - 1 - j), k)[..., j] = column
+    return rows
 
 
 def _gt_u_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -407,38 +414,71 @@ _LEMMA_BASE = {
 }
 
 
-def lemma_lps(lemma: str, k: int) -> tuple[LpProblem, list]:
-    """The base LP of a coefficient lemma at k and its negated inequalities,
-    (description, coefficients, relation, right-hand side) each, in
-    ``_lemma_negations`` order: inequality i's LP is the base plus its row,
-    as ``certify_coefficient_lemma`` solves it and replay rebuilds it."""
+def _lemma_base(lemma: str, k: int) -> str:
+    """The base function a lemma is about; ``AnalysisError`` for an
+    unknown lemma or k < 2."""
     base = _LEMMA_BASE.get(lemma)
     if base is None:
         raise AnalysisError(f"unknown lemma {lemma!r}")
     if k < 2:
         raise AnalysisError("need k >= 2")
-    return _base_problem(base, k), _lemma_negations(lemma, k)
+    return base
+
+
+def lemma_lps(lemma: str, k: int) -> tuple[LpProblem, list]:
+    """The base LP of a coefficient lemma at k and its negated inequalities,
+    (description, coefficients, relation, right-hand side) each, in
+    ``_lemma_negations`` order: inequality i's LP is the base plus its row,
+    as ``certify_lemmas`` solves it and replay rebuilds it."""
+    return _base_problem(_lemma_base(lemma, k), k), _lemma_negations(lemma, k)
+
+
+def certify_lemmas(pairs) -> list[CertifyResult | BudgetError]:
+    """The result of each (lemma, k) pair, in order: CERTIFIED iff no
+    integer gate for the base function violates any of the lemma's
+    coefficient inequalities, each inequality with its own Farkas
+    certificate, independently re-checked.
+
+    Lemmas on the same base function at the same k (gt_exp and gt_step on
+    the comparator; g1_pos and g1_mono on g1) share one base LP, built once
+    per call (``_base_problem``).  Each negated inequality's LP is that
+    base plus its one row.  One ``solve_extensions`` walk per base takes
+    the rows of every lemma on it, in the order of ``pairs``: it walks the
+    base's pivot path once, and each inequality's LP forks off it at the
+    first state where its own column would enter, the last state its pivot
+    path shares with the base's.  Each is then solved and certified on its
+    own, so the pivot path, stats and certificate are those of a cold
+    solve of that LP, whatever else shares the walk.  A budget error (the
+    input cap or the LP entry cap, checked before any row is built, or the
+    pivot budget during the walk) is the result of every lemma on that
+    base, without its traceback.  An unknown lemma or k < 2 raises
+    ``AnalysisError`` before anything is built.
+    """
+    pairs = list(pairs)
+    groups: dict = {}
+    for lemma, k in pairs:
+        groups.setdefault((_lemma_base(lemma, k), k), {}).setdefault(lemma, _lemma_negations(lemma, k))
+    results: dict = {}
+    for (base, k), negations in groups.items():
+        rows = [row for negated in negations.values() for _, *row in negated]
+        try:
+            solved = iter(solve_extensions(_base_problem(base, k), rows))
+        except BudgetError as exc:
+            results.update(((lemma, k), exc.with_traceback(None)) for lemma in negations)
+            continue
+        for lemma, negated in negations.items():
+            checks = [_inequality_check(desc, *next(solved)) for desc, *_ in negated]
+            status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
+            results[lemma, k] = CertifyResult(lemma, k, status, checks)
+    return [results[lemma, k] for lemma, k in pairs]
 
 
 def certify_coefficient_lemma(lemma: str, k: int) -> CertifyResult:
-    """CERTIFIED iff no integer gate for the base function violates any of
-    the lemma's coefficient inequalities; each inequality gets its own
-    Farkas certificate, independently re-checked.
-
-    The inequalities share one base LP (``lemma_lps``): the base
-    function's sign rows are built once per call, and each negated
-    inequality's LP is that base plus its one row.  ``solve_extensions``
-    walks the base's pivot path once, and each inequality's LP forks off
-    it at the first state where its own column would enter, the last
-    state its pivot path shares with the base's.  Each is then solved and
-    certified on its own, so the pivot path, stats and certificate are
-    those of a cold solve of that LP.
-    """
-    problem, negations = lemma_lps(lemma, k)
-    solved = solve_extensions(problem, [row for _, *row in negations])
-    checks = [_inequality_check(desc, *got) for (desc, *_), got in zip(negations, solved)]
-    status = "CERTIFIED" if all(c.status == "CERTIFIED" for c in checks) else "VIOLATED"
-    return CertifyResult(lemma, k, status, checks)
+    """``certify_lemmas`` of the one pair; its budget error is raised."""
+    (got,) = certify_lemmas([(lemma, k)])
+    if isinstance(got, BudgetError):
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------

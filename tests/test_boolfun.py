@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,20 @@ def test_gt_matches_integer_comparison(k, data):
 def test_gt_rejects_zero_width():
     with pytest.raises(ShapeError):
         make_gt(0)
+
+
+@pytest.mark.parametrize(
+    "ks", [pytest.param([2.5, 3], id="float"), pytest.param([True, 3], id="bool"), pytest.param(["2", 3], id="str")]
+)
+def test_group_sizes_are_integers(ks):
+    # 2.5 must not build weak(2,3), nor True weak(1,3)
+    with pytest.raises(ShapeError, match="a group size is an integer, not"):
+        make_shape("weak", ks)
+
+
+def test_group_sizes_take_any_integer_type():
+    ks = make_shape("strong", [np.int64(3), 3]).ks
+    assert ks == (3, 3) and all(type(k) is int for k in ks)
 
 
 # ---------------------------------------------------------------------------

@@ -496,11 +496,69 @@ def test_representation_lps_past_the_lp_entry_cap_skip_before_the_matrix_is_buil
     assert res.findings[-1].value == "a 16 x 6 LP exceeds the LP entry cap 95"
 
 
-def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
-    def violated(lemma, k):
-        return CertifyResult(lemma, k, "VIOLATED", [])
+def test_a_run_builds_each_lemma_base_once_and_each_row_cites_its_own_lemma(tmp_path, monkeypatch):
+    # the three shapes repeat the comparator lemmas at k = 3; gt_exp and
+    # gt_step share the comparator, g1_pos and g1_mono the detector g1
+    built = []
+    real = threshold_analysis._base_problem
 
-    monkeypatch.setattr("ptflab.pipeline.certify_coefficient_lemma", violated)
+    def counted(base, k):
+        built.append((base, k))
+        return real(base, k)
+
+    monkeypatch.setattr(threshold_analysis, "_base_problem", counted)
+    shapes = [make_shape("weak", (3,)), make_shape("strong", (3, 3)), make_shape("strong", (5, 3))]
+    rows, status = run(ExperimentSpec("memo", shapes, ("lemmas",)), tmp_path)
+    assert status == 0
+    assert sorted(built) == [("g0", 3), ("g0", 5), ("g1", 3), ("g1", 5), ("gt", 3)]
+    assert len(rows) == 2 + 5 + 5
+    for row in rows:
+        assert row.value == "CERTIFIED"
+        cert = json.loads((tmp_path / "certs" / f"{row.certificate}.json").read_text())
+        assert (cert["kind"], f"lemma_{cert['lemma']}_k{cert['k']}") == ("farkas-batch", row.metric)
+
+
+def test_run_shape_calls_share_no_lemma_verdict_unless_given_one_memo(monkeypatch):
+    shape = make_shape("weak", (3,))
+    certified = {"lemma_gt_exp_k3": "CERTIFIED", "lemma_gt_step_k3": "CERTIFIED"}
+    memo = {}
+    assert pipeline.run_shape(shape, ("lemmas",)).verdicts == certified
+    assert pipeline.run_shape(shape, ("lemmas",), lemma_memo=memo).verdicts == certified
+    # the memo keeps each verdict and its certificate, and no LP
+    assert set(memo) == {("gt_exp", 3), ("gt_step", 3)}
+    assert all(status == "CERTIFIED" and type(cert) is Certificate for status, cert in memo.values())
+    monkeypatch.setattr(threshold_analysis, "LP_ENTRY_CAP", 3**3 * 4 - 1)  # the comparator at k = 3 is 27 x 4
+    res = pipeline.run_shape(shape, ("lemmas",))
+    assert res.verdicts == {"lemma_gt_exp_k3": "SKIPPED", "lemma_gt_step_k3": "SKIPPED"}
+    assert pipeline.run_shape(shape, ("lemmas",), lemma_memo=memo).verdicts == certified
+
+
+def test_a_pivot_budget_stop_in_a_shared_walk_skips_every_lemma_on_that_base(tmp_path, monkeypatch, capsys):
+    # the comparator at k = 3: gt_exp's first inequality takes 7 pivots cold,
+    # gt_step's at most 5, so under a budget of 6 gt_step alone certifies,
+    # but the walk both lemmas share stops; the detectors' take at most 4
+    monkeypatch.setattr(exact_lp, "PIVOT_BUDGET", 6)
+    assert certify_coefficient_lemma("gt_step", 3).status == "CERTIFIED"
+    shapes = [make_shape("weak", (3,)), make_shape("strong", (3, 3))]
+    rows, status = run(ExperimentSpec("pivots", shapes, ("lemmas",)), tmp_path)
+    assert status == 0
+    values = {(r.shape, r.metric): r.value for r in rows}
+    for tag in (shape.describe() for shape in shapes):
+        for metric in ("lemma_gt_exp_k3", "lemma_gt_step_k3"):
+            assert values[tag, metric] == "SKIPPED"
+            assert values[tag, f"{metric}_note"] == "pivot budget 6 exhausted"
+    certified = {metric for (_, metric), value in values.items() if value == "CERTIFIED"}
+    assert certified == {"lemma_g1_pos_k3", "lemma_g1_mono_k3", "lemma_g0_all_k3"}
+    capsys.readouterr()
+    assert cli_main(["check-lemma", "gt_exp", "--k", "3"]) == 2
+    assert capsys.readouterr().out == "SKIPPED: pivot budget 6 exhausted\n"
+
+
+def test_violated_lemma_fails_the_run(tmp_path, monkeypatch):
+    def violated(pairs):
+        return [CertifyResult(lemma, k, "VIOLATED", []) for lemma, k in pairs]
+
+    monkeypatch.setattr("ptflab.pipeline.certify_lemmas", violated)
     rows, status = run(preset("gt-lemmas-k6"), tmp_path)
     assert {r.value for r in rows} == {"VIOLATED"}
     assert status == 1

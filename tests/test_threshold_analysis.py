@@ -340,6 +340,47 @@ def test_wrong_inequality_yields_witness_gate(monkeypatch, capsys):
         "VIOLATED: gt_exp at k=3",
     ]
 
+@pytest.mark.parametrize("values", [(-1, 1), (-1, 0, 1)])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_product_rows_are_in_product_order(values, k):
+    rows = threshold_analysis._product_rows(values, k)
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [list(t) for t in product(values, repeat=k)]
+
+
+@pytest.mark.parametrize("values, k", [((-1, 1), 16), ((-1, 0, 1), 10)])
+def test_product_rows_make_no_array_but_their_output(values, k):
+    # 2^16 x 16 int8 is 1 MiB, so the peak stays under 2 MiB; a b^k x k
+    # int64 digit table would be 8 MiB on its own
+    peak, rows = peak_bytes(lambda: threshold_analysis._product_rows(values, k))
+    assert rows.shape == (len(values) ** k, k)
+    assert peak < rows.nbytes + 2**16
+
+
+def test_certify_lemmas_walks_each_base_once_and_splits_the_outcomes_back(monkeypatch):
+    # gt_exp and gt_step share the comparator at k = 4, g1_pos and g1_mono
+    # g1 at k = 3; a repeated pair costs nothing more
+    walked = []
+    real = threshold_analysis.solve_extensions
+
+    def counted(base, rows):
+        walked.append((len(base.constraints), len(rows)))
+        return real(base, rows)
+
+    monkeypatch.setattr(threshold_analysis, "solve_extensions", counted)
+    pairs = [("gt_exp", 4), ("g1_pos", 3), ("gt_step", 4), ("g1_mono", 3), ("gt_exp", 4)]
+    got = threshold_analysis.certify_lemmas(pairs)
+    assert walked == [(3**4, 4 + 3), (2**3, 3 + 1)]
+    assert [(r.lemma, r.k) for r in got] == pairs
+    assert got[0] is got[4]
+    for res in got:
+        alone = certify_coefficient_lemma(res.lemma, res.k)  # a walk of its own rows only
+        assert res.status == alone.status == "CERTIFIED"
+        assert [(c.description, c.farkas) for c in res.checks] == [(c.description, c.farkas) for c in alone.checks]
+    with pytest.raises(threshold_analysis.AnalysisError, match="unknown lemma 'gt_all'"):
+        threshold_analysis.certify_lemmas([("gt_exp", 3), ("gt_all", 3)])
+
+
 def test_lemma_farkas_vector_checked_once(monkeypatch):
     calls = []
     real = exact_lp.check_farkas

@@ -169,28 +169,68 @@ def make_g(k: int, variant: str = "g1") -> BoolFun:
 # ---------------------------------------------------------------------------
 
 
-# Inputs per block of the whole-cube scan; bounds its working memory.
+# Inputs per block of the scan, a power of two.  Over a block each input
+# variable, and each u variable's nonzero and negative sets, is one Python
+# int of this many bits, so the block bounds the scan's working memory.
 _SCAN_BLOCK = 1 << 16
 
 
-def _scan_block(n: int, factors: dict, terms: list, lo: int, size: int) -> np.ndarray:
-    """Output bits of inputs lo .. lo + size - 1: the sign of the first
-    nonzero term product, 1 where every product vanishes.
+def _block_table(bits: list, mask: int, factors: dict, terms: list) -> int:
+    """Output bits of one block of inputs, bit i for the block's i-th input:
+    the sign of the first nonzero term product, 1 where every product
+    vanishes.
 
-    ``factors`` maps a u tag to (p, q, plus): bit_p - bit_q, or
-    bit_p + bit_q - 1 when ``plus``, the sign of that u variable.  A term
+    ``bits[v]`` is the set of the block's inputs whose variable v is 1 and
+    ``mask`` the whole block.  ``factors`` maps a u tag to (p, q, plus): the
+    u variable is bit_p - bit_q, or bit_p + bit_q - 1 when ``plus``.  A term
     is (u monomial, sign).
     """
-    idx = np.arange(lo, lo + size, dtype=np.int64)
-    bits = [((idx >> v) & 1).astype(np.int8) for v in range(n)]
-    vals = {tag: bits[p] + bits[q] - 1 if plus else bits[p] - bits[q] for tag, (p, q, plus) in factors.items()}
-    first = np.zeros(size, dtype=np.int8)  # first nonzero product so far
+    nonzero, negative = {}, {}
+    for tag, (p, q, plus) in factors.items():
+        differ = bits[p] ^ bits[q]
+        nonzero[tag] = mask ^ differ if plus else differ
+        negative[tag] = mask ^ (bits[p] | bits[q]) if plus else bits[q] & differ
+    open_, below = mask, 0  # inputs with no nonzero product yet; those decided -1
     for key, sign in terms:
-        prod = vals[key[0]] if sign > 0 else -vals[key[0]]
-        for tag in key[1:]:
-            prod = prod * vals[tag]
-        np.copyto(first, prod, where=first == 0)
-    return first >= 0
+        hit = open_
+        for tag in key:
+            hit &= nonzero[tag]
+        if not hit:
+            continue
+        neg = 0 if sign > 0 else mask
+        for tag in key:
+            neg ^= negative[tag]
+        below |= hit & neg
+        open_ ^= hit
+    return mask ^ below
+
+
+def _periodic(v: int, size: int) -> int:
+    """The inputs among 0 .. size - 1 whose bit v is set, 2^v < size: runs
+    of 2^v zeros then 2^v ones, doubled until they fill ``size`` bits."""
+    run = 1 << v
+    pattern, period = ((1 << run) - 1) << run, 2 * run
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
+def _table_bytes(n: int, factors: dict, terms: list):
+    """The table's bytes in order, block by block; blocks smaller than a
+    byte share one."""
+    width = min(_SCAN_BLOCK.bit_length() - 1, n)
+    size = 1 << width
+    mask = (1 << size) - 1
+    low = [_periodic(v, size) for v in range(width)]
+    pending = 0
+    for lo in range(0, 1 << n, size):
+        # over a block, a variable below its bit width is periodic and one above it constant
+        bits = low + [mask if lo >> v & 1 else 0 for v in range(width, n)]
+        pending |= _block_table(bits, mask, factors, terms) << (lo & 7)
+        if (lo + size) & 7 == 0 or lo + size == 1 << n:  # a whole byte, or the last bits
+            yield pending.to_bytes(max(1, size >> 3), "little")
+            pending = 0
 
 
 def make_hard(shape: GroupShape) -> BoolFun:
@@ -198,10 +238,16 @@ def make_hard(shape: GroupShape) -> BoolFun:
 
     Scans K from the top of the snake order and returns the sign of the
     first nonzero coordinate product; inputs on which every product
-    vanishes get value 1.  The scan runs on blocks of inputs at once, as
-    int8 arrays of u variable signs (x - y per coordinate; for strong
-    shapes the sign of each linear form of a group before the last), each
-    product times its tuple's sign.  It reads the witness gate's term list
+    vanishes get value 1.  The scan runs on blocks of ``_SCAN_BLOCK``
+    inputs, one bit per input: each u variable (x - y per coordinate; for
+    strong shapes each linear form of a group before the last) is a set of
+    inputs where it is nonzero and a set where it is negative, read off its
+    two input bits.  A term is nonzero on the AND of its factors' nonzero
+    sets and negative on the XOR of their negative sets, complemented when
+    its tuple's sign is -1; each input takes the first term nonzero on it.
+    Over a block a variable below the block's bit width has a periodic
+    pattern and one above it is constant.  The blocks' bits are the table's
+    own bytes, joined.  The scan reads the witness gate's term list
     (``polynomial._snake_terms``) but never evaluates the gate's
     polynomial, so checking the gate against this table checks the
     domination step: that weighting the r-th term by 2^r lets the top
@@ -210,14 +256,6 @@ def make_hard(shape: GroupShape) -> BoolFun:
     # every u variable's form is [(p, 1), (q, s)], s = 1 or -1
     factors = {tag: (p, q, s > 0) for tag, [(p, _), (q, s)] in _uv_forms(shape).items() if tag[0] == "u"}
     terms = _snake_terms(shape)[::-1]
-    size = 1 << shape.n
-    packed = [
-        np.packbits(
-            _scan_block(shape.n, factors, terms, lo, min(_SCAN_BLOCK, size - lo)),
-            bitorder="little",
-        )
-        for lo in range(0, size, _SCAN_BLOCK)
-    ]
-    table = int.from_bytes(np.concatenate(packed).tobytes(), "little")
+    table = int.from_bytes(b"".join(_table_bytes(shape.n, factors, terms)), "little")
     convention = Convention.ZERO_ONE if shape.variant is Variant.WEAK else Convention.PLUS_MINUS
     return BoolFun(shape.n, convention, table, f"hard-{shape.describe()}")

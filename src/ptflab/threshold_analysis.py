@@ -244,7 +244,9 @@ class RepresentationLadder:
     starts from.  The sign degree is the first d whose outcome is not
     infeasible.  ``exact_weight(d)`` gives the exact integer weight W.  A
     budget error (the input cap, the LP entry cap or the pivot budget, all
-    module constants) is remembered and raised again rather than spent twice.
+    module constants) is remembered without its traceback, which would keep
+    the LP and its tableau alive, and raised again as a copy rather than
+    spent twice.
     """
 
     f: BoolFun
@@ -257,10 +259,10 @@ class RepresentationLadder:
                 prob = build_representation_problem(self.f, d, shape=self.shape)
                 self._solved[d] = (prob, min_l1(prob.problem))
             except BudgetError as exc:
-                self._solved[d] = exc
+                self._solved[d] = exc.with_traceback(None)
         got = self._solved[d]
         if isinstance(got, BudgetError):
-            raise got
+            raise BudgetError(*got.args)  # a copy: raising the stored error would attach this frame
         return got
 
     def exact_weight(

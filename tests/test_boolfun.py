@@ -4,6 +4,7 @@ functions, cross-checked against literal re-implementations."""
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ptflab import (
     oracle_compare,
     order_bits,
 )
+from ptflab import boolfun
 from ptflab.boolfun import from_bits
 from detector_reference import g_table
 from shape_reference import all_tuples
@@ -298,6 +300,29 @@ def test_large_hard_tables_match_pinned_digests(variant, ks):
     f = make_hard(make_shape(variant, ks))
     digest = hashlib.sha256(f.table.to_bytes(f.size // 8, "little")).hexdigest()
     assert digest == PINNED_TABLES[(variant, ks)]
+
+
+@pytest.mark.parametrize("block", [1, 4, 32])
+@pytest.mark.parametrize("variant, ks", [("weak", (2, 3)), ("weak", (2, 2, 3)), ("strong", (3, 3, 2))])
+def test_hard_tables_do_not_depend_on_the_scan_block(monkeypatch, variant, ks, block):
+    # blocks smaller than a byte, and blocks over which most variables are constant
+    shape = make_shape(variant, ks)
+    want = make_hard(shape).table
+    monkeypatch.setattr(boolfun, "_SCAN_BLOCK", block)
+    assert make_hard(shape).table == want
+
+
+def test_hard_table_scan_memory_is_bounded():
+    # n = 22: the table is 0.5 MiB; blocks of 2^16 inputs peak at 1.0 MiB, one block of the
+    # whole cube at 27.2 MiB
+    shape = make_shape("weak", (2, 9))
+    tracemalloc.start()
+    try:
+        make_hard(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_strong_top_bit_comparison_decides():

@@ -3,8 +3,10 @@
 through the pipeline."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,6 +22,7 @@ from ptflab import (
     HypothesisError,
     IntPolynomial,
     RepresentationLadder,
+    RepresentationProblem,
     build_representation_problem,
     certify_coefficient_lemma,
     check_farkas,
@@ -286,6 +289,32 @@ def test_min_weight_infeasible_degree():
     out = RepresentationLadder(make_hard(make_shape("weak", (2, 2)))).solve(1)[1]
     assert out.value is None
     assert out.status == "infeasible"
+
+def _types_held_by_traceback(exc):
+    """The type of every object that the frames on ``exc``'s traceback hold,
+    through their locals and what those refer to (not through other frames,
+    modules, classes or functions)."""
+    skip = (types.FrameType, types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType)
+    seen, held, todo, tb = set(), set(), [], exc.__traceback__
+    while tb is not None:
+        todo += tb.tb_frame.f_locals.values()
+        tb = tb.tb_next
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, skip):
+            seen.add(id(obj))
+            held.add(type(obj))
+            todo += gc.get_referents(obj)
+    return held
+
+def test_ladder_keeps_no_lp_alive_through_a_budget_error(monkeypatch):
+    monkeypatch.setattr(exact_lp, "PIVOT_BUDGET", 5)
+    ladder = RepresentationLadder(make_hard(make_shape("weak", (2, 3))))
+    for _ in range(2):  # the first solve stores the error, the second raises it again
+        with pytest.raises(BudgetError, match="pivot budget 5 exhausted"):
+            ladder.solve(2)
+        held = _types_held_by_traceback(ladder._solved[2])
+        assert not held & {LpProblem, RepresentationProblem, exact_lp._DualL1}
 
 def test_budget_exhaustion_reports_scaled_incumbent_bounds():
     # the strong (3,3) relaxation is fractional with a wide gap; even a
